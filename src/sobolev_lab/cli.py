@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, mc, multinode as mn, relu1, relusq, sgd as sgd_mod
 from .chebdiff import cheb_diff_matrix, cheb_points
-from .geometry import pair_geometry
+from .geometry import basin_pairs, pair_geometry
 from .linear import LinearProblem, conditioning, variance_study
 from .ode import rk4_integrate
 
@@ -38,10 +38,10 @@ def _fmt(x) -> str:
     if x is None:
         return "nan"
     xf = float(x)
-    if math.isnan(xf):
-        return "nan"
+    if not math.isfinite(xf):
+        return repr(xf)  # nan, inf, -inf: each reads back through float()
     if xf == int(xf) and abs(xf) < 1e15:
-        return repr(int(xf)) if float(int(xf)) == xf else f"{xf:.17g}"
+        return repr(int(xf))
     return f"{xf:.17g}"
 
 
@@ -89,16 +89,6 @@ def _threads(args) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _basin_pairs(rng: np.random.Generator, dim: int, count: int, rmin=0.1, rmax=0.9):
-    """Unit teacher plus perturbations with |w - w*| uniform in [rmin, rmax]."""
-    wstar = rng.standard_normal(dim)
-    wstar /= np.linalg.norm(wstar)
-    dirs = rng.standard_normal((count, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = rng.uniform(rmin, rmax, size=count)
-    return wstar + radii[:, None] * dirs, wstar
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -141,7 +131,7 @@ def cmd_gd_compare(args) -> list[Path]:
     cfg = _resolve(args, {"dim": 8, "points": 500, "eta_factor": 0.9, "seed": 0, "out_dir": "out"})
     out = _prep_out(cfg)
     rng = np.random.default_rng(cfg["seed"])
-    ws, wstar = _basin_pairs(rng, int(cfg["dim"]), int(cfg["points"]))
+    ws, wstar = basin_pairs(rng, int(cfg["dim"]), int(cfg["points"]))
     rows = []
     for i, w in enumerate(ws):
         pre = relu1.gd_compare(w, wstar, 1.0)  # probe C with any eta, then use it
@@ -165,7 +155,7 @@ def cmd_flow(args) -> list[Path]:
     out = _prep_out(cfg)
     kinds = ["l2", "h1"] if cfg["kind"] == "both" else [cfg["kind"]]
     rng = np.random.default_rng(cfg["seed"])
-    w0, wstar = _basin_pairs(rng, int(cfg["dim"]), int(cfg["inits"]))
+    w0, wstar = basin_pairs(rng, int(cfg["dim"]), int(cfg["inits"]))
     rows = []
     for kind in kinds:
         trace = rk4_integrate(
@@ -194,7 +184,7 @@ def cmd_relusq(args) -> list[Path]:
     )
     out = _prep_out(cfg)
     rng = np.random.default_rng(cfg["seed"])
-    ws, wstar = _basin_pairs(rng, int(cfg["dim"]), int(cfg["points"]))
+    ws, wstar = basin_pairs(rng, int(cfg["dim"]), int(cfg["points"]))
     rows = []
     for i, w in enumerate(ws):
         b = relusq.h2_gradients(w, wstar)
@@ -203,7 +193,7 @@ def cmd_relusq(args) -> list[Path]:
     descent_path = out / "relusq_descent.csv"
     _write_csv(descent_path, ["point_id", "ip1", "ip2", "ip3"], rows)
 
-    w0, wstar2 = _basin_pairs(rng, int(cfg["dim"]), int(cfg["inits"]), rmin=0.1, rmax=0.7)
+    w0, wstar2 = basin_pairs(rng, int(cfg["dim"]), int(cfg["inits"]), rmin=0.1, rmax=0.7)
     flow_rows = []
     for variant, parts in (("h2", ("i1", "i2", "i3")), ("i1", ("i1",))):
         trace = rk4_integrate(relusq.h2_flow_field(wstar2, parts), w0, cfg["step"],
@@ -272,8 +262,8 @@ def cmd_toeplitz(args) -> list[Path]:
     out = _prep_out(cfg)
     rows = []
     for k in _parse_int_list(cfg["k_list"]):
-        j_l2 = _toeplitz_jacobian("l2", k, cfg["fd_step"])
-        j_h1 = _toeplitz_jacobian("h1", k, cfg["fd_step"])
+        j_l2 = mn.toeplitz_jacobian("l2", k, cfg["fd_step"])
+        j_h1 = mn.toeplitz_jacobian("h1", k, cfg["fd_step"])
         eigs = np.sort(np.linalg.eigvals(-j_l2).real)
         _, expected = mn.toeplitz_linearization(k)
         expected = np.sort(expected)
@@ -284,21 +274,6 @@ def cmd_toeplitz(args) -> list[Path]:
     _write_csv(path, ["k", "eig_index", "eig_l2", "expected_eig", "h1_vs_2l2_maxdiff"], rows)
     _write_manifest(out, "toeplitz", cfg)
     return [path]
-
-
-def _toeplitz_jacobian(kind: str, k: int, h: float) -> np.ndarray:
-    e1 = np.zeros(k)
-    e1[0] = 1.0
-    jac = np.zeros((k, k))
-    for m in range(k):
-        dp = e1.copy()
-        dp[m] += h
-        dm = e1.copy()
-        dm[m] -= h
-        fp = mn.toeplitz_field(kind, mn.ToeplitzState(t=dp, k=k))
-        fm = mn.toeplitz_field(kind, mn.ToeplitzState(t=dm, k=k))
-        jac[:, m] = (fp - fm) / (2.0 * h)
-    return jac
 
 
 def cmd_sgd(args) -> list[Path]:

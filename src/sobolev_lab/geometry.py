@@ -47,23 +47,44 @@ class PairGeometry:
         return math.cos(self.theta)
 
 
-def angle_between(w: np.ndarray, wstar: np.ndarray) -> float:
+def _norm(x: np.ndarray) -> np.ndarray:
+    """2-norm over the last axis as ``np.linalg.norm`` computes it (a dot product
+    for one vector, a row reduction for a stack), without its per-call overhead."""
+    return np.sqrt(x.dot(x)) if x.ndim == 1 else np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def angle_between(w: np.ndarray, wstar: np.ndarray) -> float | np.ndarray:
     """Angle in [0, pi] via the two-argument form 2 atan2(|u-v|, |u+v|).
 
     Unlike plain arccos of the inner product, this stays fully accurate at
     the collinear configurations the landscape formulas exercise hardest
     (arccos loses half the digits there), and coincident directions give an
-    exact zero.
+    exact zero.  Broadcasts over leading axes, so one call covers a stack of
+    states or all pairs of two stacks; 1-d inputs give a float.  A zero
+    vector has angle 0 to everything.
     """
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
-    nw = float(np.linalg.norm(w))
-    ns = float(np.linalg.norm(wstar))
-    if nw == 0.0 or ns == 0.0:
-        return 0.0
-    u = w / nw
-    v = wstar / ns
-    return 2.0 * math.atan2(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
+    nw, ns = _norm(w), _norm(wstar)
+    w_zero, s_zero = nw == 0.0, ns == 0.0
+    # a zero vector stays zero instead of turning into 0/0
+    u = w / (nw + w_zero)[..., None]
+    v = wstar / (ns + s_zero)[..., None]
+    across, along = _norm(u - v), _norm(u + v)
+    zero = w_zero | s_zero
+    if np.ndim(across) == 0:  # one pair: libm's scalar atan2 is faster here
+        return 0.0 if zero else 2.0 * math.atan2(across, along)
+    return np.where(zero, 0.0, 2.0 * np.arctan2(across, along))
+
+
+def basin_pairs(rng: np.random.Generator, dim: int, count: int, rmin: float = 0.1, rmax: float = 0.9):
+    """Unit teacher plus ``count`` students (count, dim) with |w - w*| uniform in [rmin, rmax]."""
+    wstar = rng.standard_normal(dim)
+    wstar /= np.linalg.norm(wstar)
+    dirs = rng.standard_normal((count, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = rng.uniform(rmin, rmax, size=count)
+    return wstar + radii[:, None] * dirs, wstar
 
 
 def pair_geometry(w: np.ndarray, wstar: np.ndarray) -> PairGeometry:

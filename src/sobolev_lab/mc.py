@@ -3,9 +3,9 @@
 Sampling is organized in fixed 65536-sample substream blocks.  Block b of a
 run with seed s draws from a Philox counter-based generator keyed (s, b),
 and normals come from Box-Muller applied to that block's uniform stream, so
-an estimate depends only on (seed, n_samples, dim) - never on chunk
-grouping or worker count.  Partial block sums are reduced in block order,
-which makes repeated runs bit-identical.
+an estimate depends only on (seed, n_samples, dim) - never on which worker
+thread draws a block or how many workers there are.  Partial block sums are
+reduced in block order, which makes repeated runs bit-identical.
 
 Per-sample gradients use the indicator identities of the closed-form
 derivations (ReLU derivative 1{t>0}), e.g. for the first-order model:
@@ -30,6 +30,7 @@ import numpy as np
 
 from . import multinode as mn
 from . import relu1, relusq
+from .geometry import basin_pairs
 
 BLOCK = 65536
 
@@ -39,20 +40,15 @@ _RELUSQ_KINDS = ("l2", "h1_semi", "h1", "h2_parts", "i1", "i2", "i3")
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling configuration.
-
-    ``chunk_size`` is the number of substream blocks grouped into one unit
-    of work; it affects scheduling only, never the estimate.
-    """
+    """Sampling configuration: sample count, substream seed and input dimension."""
 
     n_samples: int
     seed: int
     dim: int
-    chunk_size: int = 4
 
     def __post_init__(self):
-        if self.n_samples < 1 or self.dim < 1 or self.chunk_size < 1:
-            raise ValueError("n_samples, dim and chunk_size must be positive")
+        if self.n_samples < 1 or self.dim < 1:
+            raise ValueError("n_samples and dim must be positive")
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,6 @@ def _reduce_blocks(
     seed: int,
     n: int,
     dim: int,
-    chunk_size: int,
     threads: int,
 ):
     """Accumulate (sum, sum of squares) over blocks, reduced in block order."""
@@ -94,7 +89,7 @@ def _reduce_blocks(
     if threads > 1 and n_blocks > 1:
         partials = [None] * n_blocks
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for b, res in zip(range(n_blocks), pool.map(work, range(n_blocks), chunksize=chunk_size)):
+            for b, res in zip(range(n_blocks), pool.map(work, range(n_blocks))):
                 partials[b] = res
     else:
         partials = [work(b) for b in range(n_blocks)]
@@ -253,7 +248,7 @@ def mc_loss_and_grad(
         kernel = _relusq_persample(kind, w, wstar, what)
     else:
         raise ValueError(f"unknown model {model!r}")
-    return _reduce_blocks(kernel, cfg.seed, cfg.n_samples, cfg.dim, cfg.chunk_size, threads)
+    return _reduce_blocks(kernel, cfg.seed, cfg.n_samples, cfg.dim, threads)
 
 
 def mc_multinode_grad(
@@ -291,7 +286,7 @@ def mc_multinode_grad(
             out[:, j, :] = g
         return out
 
-    return _reduce_blocks(kernel, cfg.seed, cfg.n_samples, cfg.dim, cfg.chunk_size, threads)
+    return _reduce_blocks(kernel, cfg.seed, cfg.n_samples, cfg.dim, threads)
 
 
 # --------------------------------------------------------------------------
@@ -317,21 +312,6 @@ def closed_form_grad(model: str, kind: str, w: np.ndarray, wstar: np.ndarray) ->
         }
         return table[kind]
     raise ValueError(f"unknown model {model!r}")
-
-
-def _draw_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit teacher plus a basin perturbation w = w* + e, 0.05 <= |e| <= 0.95.
-
-    The teacher is normalized so per-trial MSE scales stay comparable;
-    otherwise the second-order gradients (which scale like the sixth power
-    of the norms) let a single large-norm trial dominate the trial average
-    and drown the 1/n law in that trial's own sampling noise.
-    """
-    wstar = rng.standard_normal(dim)
-    wstar /= np.linalg.norm(wstar)
-    e = rng.standard_normal(dim)
-    e *= rng.uniform(0.05, 0.95) / np.linalg.norm(e)
-    return wstar + e, wstar
 
 
 def convergence_study(
@@ -363,7 +343,11 @@ def convergence_study(
                 W = Wstar + E
                 closed = -mn.multinode_gradients(W, Wstar, kind)
             else:
-                w, wstar = _draw_pair(pair_rng, dim)
+                # a unit teacher keeps per-trial MSE scales comparable: the
+                # second-order gradients scale like the sixth power of the
+                # norms, so one large-norm trial would dominate the average
+                ws, wstar = basin_pairs(pair_rng, dim, 1, 0.05, 0.95)
+                w = ws[0]
                 closed = closed_form_grad(model, kind, w, wstar)
             for i, n in enumerate(n_grid):
                 cell_seed = int(

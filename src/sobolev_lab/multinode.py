@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import SingularPointError
 from .geometry import TWO_PI, angle_between
-from .ode import rk4_integrate
+from .ode import _rk4_step, rk4_integrate
 
 
 @dataclass(frozen=True)
@@ -117,18 +117,12 @@ def multinode_gradients(W: np.ndarray, Wstar: np.ndarray, kind: str) -> np.ndarr
     norms_star = np.linalg.norm(Wstar, axis=1)
     if np.any(norms == 0.0) or np.any(norms_star == 0.0):
         raise SingularPointError("zero node weight")
-    K = W.shape[0]
-    out = np.zeros_like(W)
-    for j in range(K):
-        hat = W[j] / norms[j]
-        acc = np.zeros(W.shape[1])
-        for jp in range(K):
-            ts = angle_between(W[j], Wstar[jp])
-            tt = angle_between(W[j], W[jp])
-            acc += c * (math.pi - ts) * Wstar[jp] + norms_star[jp] * math.sin(ts) * hat
-            acc -= c * (math.pi - tt) * W[jp] + norms[jp] * math.sin(tt) * hat
-        out[j] = acc / TWO_PI
-    return out
+    # (K, K) angles of student j against teacher j' and against student j'
+    ts = angle_between(W[:, None, :], Wstar[None, :, :])
+    tt = angle_between(W[:, None, :], W[None, :, :])
+    pull = c * ((math.pi - ts) @ Wstar - (math.pi - tt) @ W)
+    sines = np.sin(ts) @ norms_star - np.sin(tt) @ norms
+    return (pull + (sines / norms)[:, None] * W) / TWO_PI
 
 
 def cyclic_students(t: np.ndarray) -> np.ndarray:
@@ -148,50 +142,51 @@ def planar_students(x: float, y: float, k: int) -> np.ndarray:
 # planar reduction
 
 
-def reduced_angles(state: ReducedState) -> AngleSet:
-    """Angles of the planar parametrization; arccos arguments clamped.
+def _planar_angles(x, y, k: int):
+    """alpha, theta, phi_star and phi of the planar parametrization.
 
-    On the diagonal x = y the inter-student angle is exactly 0 and theta =
-    phi_star = arccos(1/sqrt(K)); those limits are used directly rather
-    than the generic expressions.
+    Broadcasts over x and y.  The inter-student angle phi is taken in
+    two-argument form, with sin(phi) / cos(phi) reduced to
+    |x - y| sqrt((x + y)^2 + 2 (K - 2) y^2) / (2 x y + (K - 2) y^2), so it
+    is exactly 0 on the diagonal and exactly pi/2 at (1, 0); arccos of the
+    cosine loses half the digits next to the diagonal.
     """
-    x, y, k = state.x, state.y, state.k
-    n2 = x * x + (k - 1) * y * y
-    if n2 == 0.0:
+    alpha = 1.0 / np.sqrt(x * x + (k - 1) * y * y)
+    theta = np.arccos(np.clip(alpha * x, -1.0, 1.0))
+    phi_star = np.arccos(np.clip(alpha * y, -1.0, 1.0))
+    phi = np.arctan2(np.abs(x - y) * np.sqrt((x + y) ** 2 + 2 * (k - 2) * y * y),
+                     2 * x * y + (k - 2) * y * y)
+    return alpha, theta, phi_star, phi
+
+
+def _planar_point(state: ReducedState) -> np.ndarray:
+    """The state as an (x, y) array; the planar field is singular at the origin."""
+    if state.x * state.x + (state.k - 1) * state.y * state.y == 0.0:
         raise SingularPointError("planar field is singular at the origin")
-    alpha = 1.0 / math.sqrt(n2)
-    if x == y:
-        theta = math.acos(min(1.0, max(-1.0, 1.0 / math.sqrt(k))))
-        return AngleSet(theta=theta, phi_star=theta, phi=0.0, alpha_red=alpha)
-    theta = math.acos(min(1.0, max(-1.0, alpha * x)))
-    phi_star = math.acos(min(1.0, max(-1.0, alpha * y)))
-    phi = math.acos(min(1.0, max(-1.0, alpha * alpha * (2 * x * y + (k - 2) * y * y))))
-    return AngleSet(theta=theta, phi_star=phi_star, phi=phi, alpha_red=alpha)
+    return np.array([state.x, state.y])
+
+
+def reduced_angles(state: ReducedState) -> AngleSet:
+    """Angles of the planar parametrization at one state."""
+    x, y = _planar_point(state)
+    alpha, theta, phi_star, phi = _planar_angles(x, y, state.k)
+    return AngleSet(theta=float(theta), phi_star=float(phi_star), phi=float(phi), alpha_red=float(alpha))
 
 
 def reduced_field(kind: str, state: ReducedState) -> tuple[float, float]:
     """The planar flow (xdot, ydot) = -E grad_{x,y} of the selected loss."""
-    c = _check_kind(kind)
-    a = reduced_angles(state)
-    x, y, k = state.x, state.y, state.k
-    first = (k - 1) * (a.alpha_red * math.sin(a.phi_star) - math.sin(a.phi)) + a.alpha_red * math.sin(a.theta)
-    bx = -(math.pi - a.theta) + math.pi * x + (math.pi - a.phi) * (k - 1) * y
-    by = -(math.pi - a.phi_star) + math.pi * y + (math.pi - a.phi) * (x + (k - 2) * y)
-    return (first * x - c * bx) / TWO_PI, (first * y - c * by) / TWO_PI
+    xdot, ydot = reduced_flow_field(kind, state.k)(_planar_point(state))
+    return float(xdot), float(ydot)
 
 
 def reduced_flow_field(kind: str, k: int):
-    """Vectorized closure over stacked states (..., 2) for RK4 ensembles."""
+    """The planar field as a closure over stacked states (..., 2) for RK4 ensembles."""
     c = _check_kind(kind)
 
     def field(s: np.ndarray) -> np.ndarray:
         x = s[..., 0]
         y = s[..., 1]
-        n2 = x * x + (k - 1) * y * y
-        alpha = 1.0 / np.sqrt(n2)
-        theta = np.arccos(np.clip(alpha * x, -1.0, 1.0))
-        phi_star = np.arccos(np.clip(alpha * y, -1.0, 1.0))
-        phi = np.arccos(np.clip(alpha * alpha * (2 * x * y + (k - 2) * y * y), -1.0, 1.0))
+        alpha, theta, phi_star, phi = _planar_angles(x, y, k)
         first = (k - 1) * (alpha * np.sin(phi_star) - np.sin(phi)) + alpha * np.sin(theta)
         bx = -(np.pi - theta) + np.pi * x + (np.pi - phi) * (k - 1) * y
         by = -(np.pi - phi_star) + np.pi * y + (np.pi - phi) * (x + (k - 2) * y)
@@ -222,11 +217,7 @@ def times_to_threshold(
     t = 0.0
     t2 = thresh * thresh
     while t < t_max and alive.any():
-        k1 = field(s)
-        k2 = field(s + 0.5 * step * k1)
-        k3 = field(s + 0.5 * step * k2)
-        k4 = field(s + step * k3)
-        s = s + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        s = _rk4_step(field, s, step)
         t += step
         crossed = alive & (np.sum((s - target) ** 2, axis=-1) < t2)
         out[crossed] = t
@@ -324,6 +315,25 @@ def toeplitz_field(kind: str, state: ToeplitzState) -> np.ndarray:
             - t[j] * sin_student_sum
         ) / TWO_PI
     return out
+
+
+def toeplitz_jacobian(kind: str, k: int, h: float) -> np.ndarray:
+    """Central-difference Jacobian of ``toeplitz_field`` at the critical point e_1.
+
+    Central differences average out the |delta|-type cone terms of the field.
+    """
+    e1 = np.zeros(k)
+    e1[0] = 1.0
+    jac = np.zeros((k, k))
+    for m in range(k):
+        dp = e1.copy()
+        dp[m] += h
+        dm = e1.copy()
+        dm[m] -= h
+        fp = toeplitz_field(kind, ToeplitzState(t=dp, k=k))
+        fm = toeplitz_field(kind, ToeplitzState(t=dm, k=k))
+        jac[:, m] = (fp - fm) / (2.0 * h)
+    return jac
 
 
 def toeplitz_linearization(k: int) -> tuple[np.ndarray, np.ndarray]:

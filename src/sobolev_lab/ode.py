@@ -43,6 +43,15 @@ def _v(state: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.sum((state - target) ** 2, axis=-1)
 
 
+def _rk4_step(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
+    """One classic RK4 step of size ``h`` from ``x``."""
+    k1 = field(x)
+    k2 = field(x + 0.5 * h * k1)
+    k3 = field(x + 0.5 * h * k2)
+    k4 = field(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rk4_integrate(
     field: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -77,11 +86,7 @@ def rk4_integrate(
     t = 0.0
     for i in range(n_full + (1 if rem else 0)):
         h = step if i < n_full else rem
-        k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_step(field, x, h)
         t += h
         if not np.all(np.isfinite(x)):
             raise BlowUpError(f"trajectory blew up at t={t:.6g}", time=t)

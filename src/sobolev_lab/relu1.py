@@ -38,7 +38,7 @@ import numpy as np
 
 from .eigs import SpectrumReport, real_eigs, symmetric_eigs
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, PairGeometry, pair_geometry
+from .geometry import TWO_PI, PairGeometry, angle_between, pair_geometry
 
 
 @dataclass(frozen=True)
@@ -101,31 +101,33 @@ def _norms_theta(w: np.ndarray, wstar: np.ndarray):
     if np.any(nw == 0.0):
         raise SingularPointError("closed-form gradients are singular at w = 0")
     ns = float(np.linalg.norm(wstar))
-    u = w / (nw[..., None] if w.ndim > 1 else nw)
-    v = wstar / ns
-    theta = 2.0 * np.arctan2(
-        np.linalg.norm(u - v, axis=-1), np.linalg.norm(u + v, axis=-1)
-    )
-    return nw, ns, theta
+    return nw, ns, angle_between(w, wstar)
 
 
-def grad_l2(w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
-    """Population gradient of the value loss L.  Accepts stacked (..., d) states."""
+def _gradients(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...]) -> list[np.ndarray]:
+    """grad L ("l2") and/or grad J ("semi") at w (..., d), in ``parts`` order, from one angle."""
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
     nw, ns, theta = _norms_theta(w, wstar)
     t = theta[..., None] if w.ndim > 1 else theta
-    ratio = (ns / nw)[..., None] if w.ndim > 1 else ns / nw
-    return 0.5 * (w - wstar) + (t * wstar - ratio * np.sin(t) * w) / TWO_PI
+    out = []
+    for p in parts:
+        if p == "l2":
+            ratio = (ns / nw)[..., None] if w.ndim > 1 else ns / nw
+            out.append(0.5 * (w - wstar) + (t * wstar - ratio * np.sin(t) * w) / TWO_PI)
+        else:
+            out.append((math.pi - t) / TWO_PI * (w - wstar) + t / TWO_PI * w)
+    return out
+
+
+def grad_l2(w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
+    """Population gradient of the value loss L.  Accepts stacked (..., d) states."""
+    return _gradients(w, wstar, ("l2",))[0]
 
 
 def grad_semi(w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
     """Population gradient of the derivative-matching seminorm J."""
-    w = np.asarray(w, dtype=float)
-    wstar = np.asarray(wstar, dtype=float)
-    _, _, theta = _norms_theta(w, wstar)
-    t = theta[..., None] if w.ndim > 1 else theta
-    return (math.pi - t) / TWO_PI * (w - wstar) + t / TWO_PI * w
+    return _gradients(w, wstar, ("semi",))[0]
 
 
 def population_gradients(w: np.ndarray, wstar: np.ndarray) -> GradientBundle:
@@ -136,8 +138,7 @@ def population_gradients(w: np.ndarray, wstar: np.ndarray) -> GradientBundle:
         raise ValueError("w and w* must be 1-d vectors of equal dimension")
     if np.linalg.norm(wstar) == 0.0:
         raise ValueError("teacher vector must be nonzero")
-    gl = grad_l2(w, wstar)
-    gj = grad_semi(w, wstar)
+    gl, gj = _gradients(w, wstar, ("l2", "semi"))
     return GradientBundle(grad_l2=gl, grad_semi=gj, grad_h1=gl + gj)
 
 
@@ -151,7 +152,8 @@ def flow_rhs(kind: str, w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
     if kind == "l2":
         return -grad_l2(w, wstar)
     if kind == "h1":
-        return -(grad_l2(w, wstar) + grad_semi(w, wstar))
+        gl, gj = _gradients(w, wstar, ("l2", "semi"))
+        return -(gl + gj)
     raise ValueError(f"unknown flow kind {kind!r}")
 
 

@@ -56,73 +56,73 @@ class DescentReport:
     guarantee_void: bool
 
 
-def _coeffs(theta: float) -> tuple[float, float, float]:
-    g = (math.pi - theta) + math.sin(theta) * math.cos(theta)
-    h = 2.0 * math.sin(theta) + 2.0 * (math.pi - theta) * math.cos(theta)
-    g1 = math.sin(theta) + 2.0 * (math.pi - theta) * math.cos(theta)
-    return g, h, g1
+_PARTS = ("i1", "i2", "i3")
 
 
-def h2_gradients(w: np.ndarray, wstar: np.ndarray) -> H2GradientBundle:
-    """Closed-form gradients of the three second-order loss components."""
+def _coeffs(theta):
+    """The angle coefficients (G, H, G1); theta may be a float or an array."""
+    st, ct = np.sin(theta), np.cos(theta)
+    rest = math.pi - theta
+    tail = 2.0 * rest * ct
+    return rest + st * ct, 2.0 * st + tail, st + tail
+
+
+def _h2_parts(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...]) -> list[np.ndarray]:
+    """Gradients of the selected components at stacked states w (..., d), in ``parts`` order."""
+    nw = np.linalg.norm(w, axis=-1, keepdims=True)
+    ns = float(np.linalg.norm(wstar))
+    theta = np.asarray(angle_between(w, wstar))[..., None]
+    g, h, g1 = _coeffs(theta)
+    nw2 = nw**2
+    out = []
+    for p in parts:
+        if p == "i1":
+            out.append(3.0 * nw2 * w - (ns**2 / math.pi) * g * w - (nw * ns / math.pi) * h * wstar)
+        elif p == "i2":
+            sc = np.sin(theta) * np.cos(theta)
+            out.append(4.0 * (nw2 * w - (sc / TWO_PI) * ns**2 * w - (nw * ns / TWO_PI) * g1 * wstar))
+        else:
+            dot = np.asarray(w @ wstar)[..., None]
+            out.append(4.0 * nw2 * w - (4.0 * (math.pi - theta) / math.pi) * dot * wstar)
+    return out
+
+
+def _pair(w: np.ndarray, wstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One student/teacher pair as float vectors; zero vectors are singular."""
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
     if w.shape != wstar.shape or w.ndim != 1:
         raise ValueError("w and w* must be 1-d vectors of equal dimension")
-    nw = float(np.linalg.norm(w))
-    ns = float(np.linalg.norm(wstar))
-    if nw == 0.0 or ns == 0.0:
+    if np.linalg.norm(w) == 0.0 or np.linalg.norm(wstar) == 0.0:
         raise SingularPointError("second-order closed forms are singular at zero vectors")
-    theta = angle_between(w, wstar)
-    g, h, g1 = _coeffs(theta)
-    st, ct = math.sin(theta), math.cos(theta)
-    gi1 = 3.0 * nw**2 * w - (ns**2 / math.pi) * g * w - (nw * ns / math.pi) * h * wstar
-    gi2 = 4.0 * (
-        nw**2 * w
-        - (ct * st / TWO_PI) * ns**2 * w
-        - (nw * ns / TWO_PI) * g1 * wstar
-    )
-    gi3 = 4.0 * nw**2 * w - (4.0 * (math.pi - theta) / math.pi) * float(w @ wstar) * wstar
-    return H2GradientBundle(grad_i1=gi1, grad_i2=gi2, grad_i3=gi3)
+    return w, wstar
 
 
-def h2_flow_rhs(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...] = ("i1", "i2", "i3")) -> np.ndarray:
+def h2_gradients(w: np.ndarray, wstar: np.ndarray) -> H2GradientBundle:
+    """Closed-form gradients of the three second-order loss components."""
+    w, wstar = _pair(w, wstar)
+    return H2GradientBundle(*_h2_parts(w, wstar, _PARTS))
+
+
+def h2_flow_rhs(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...] = _PARTS) -> np.ndarray:
     """Negated sum of selected component gradients; the H2 (or partial) flow field."""
-    b = h2_gradients(w, wstar)
-    sel = {"i1": b.grad_i1, "i2": b.grad_i2, "i3": b.grad_i3}
-    out = np.zeros_like(np.asarray(w, dtype=float))
-    for p in parts:
-        out = out + sel[p]
-    return -out
+    w, wstar = _pair(w, wstar)
+    return h2_flow_field(wstar, parts)(w)
 
 
-def h2_flow_field(wstar: np.ndarray, parts: tuple[str, ...] = ("i1", "i2", "i3")):
+def h2_flow_field(wstar: np.ndarray, parts: tuple[str, ...] = _PARTS):
     """Vectorized closure over stacked states (..., d) for RK4 ensembles."""
     wstar = np.asarray(wstar, dtype=float)
-    ns = float(np.linalg.norm(wstar))
-    if ns == 0.0:
+    if float(np.linalg.norm(wstar)) == 0.0:
         raise SingularPointError("zero teacher")
     want = set(parts)
-    if not want or not want <= {"i1", "i2", "i3"}:
+    if not want or not want <= set(_PARTS):
         raise ValueError("parts must be a nonempty subset of {'i1','i2','i3'}")
+    selected = tuple(p for p in _PARTS if p in want)
 
     def field(w: np.ndarray) -> np.ndarray:
-        nw = np.linalg.norm(w, axis=-1, keepdims=True)
-        c = np.clip((w @ wstar)[..., None] / (nw * ns), -1.0, 1.0)
-        theta = np.arccos(c)
-        st, ct = np.sin(theta), np.cos(theta)
-        nw2 = nw**2
-        total = np.zeros_like(w)
-        if "i1" in want:
-            g = (math.pi - theta) + st * ct
-            h = 2.0 * st + 2.0 * (math.pi - theta) * ct
-            total = total + 3.0 * nw2 * w - (ns**2 / math.pi) * g * w - (nw * ns / math.pi) * h * wstar
-        if "i2" in want:
-            g1 = st + 2.0 * (math.pi - theta) * ct
-            total = total + 4.0 * (nw2 * w - (ct * st / TWO_PI) * ns**2 * w - (nw * ns / TWO_PI) * g1 * wstar)
-        if "i3" in want:
-            total = total + 4.0 * nw2 * w - (4.0 * (math.pi - theta) / math.pi) * (w @ wstar)[..., None] * wstar
-        return -total
+        grads = _h2_parts(w, wstar, selected)
+        return -sum(grads[1:], grads[0])
 
     return field
 

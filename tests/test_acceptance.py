@@ -17,7 +17,7 @@ from sobolev_lab import multinode as mn
 from sobolev_lab import relu1, relusq
 from sobolev_lab.cli import main as cli_main
 from sobolev_lab.eigs import symmetric_eigs
-from sobolev_lab.geometry import pair_geometry
+from sobolev_lab.geometry import basin_pairs, pair_geometry
 from sobolev_lab.mc import (
     McConfig,
     closed_form_grad,
@@ -52,15 +52,6 @@ def sample_region_pairs(rng, dim, count, cap=0.999 * math.pi / 2):
         if g.norm_wstar * g.sin_theta / g.norm_w < cap:
             out.append((w, ws))
     return out
-
-
-def basin_points(rng, dim, count, rmin=0.1, rmax=0.9):
-    ws = rng.standard_normal(dim)
-    ws /= np.linalg.norm(ws)
-    dirs = rng.standard_normal((count, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = rng.uniform(rmin, rmax, size=count)
-    return ws + radii[:, None] * dirs, ws
 
 
 def test_c01_condition_number_law():
@@ -120,7 +111,7 @@ def test_c03_one_step_gd():
     min_gain = math.inf
     ok = True
     for dim in (2, 8):
-        ws_points, ws = basin_points(rng, dim, 250)
+        ws_points, ws = basin_pairs(rng, dim, 250)
         for w in ws_points:
             c = relu1.gd_compare(w, ws, eta=1e-3).max_step_c
             rep = relu1.gd_compare(w, ws, eta=0.9 * c)
@@ -139,7 +130,7 @@ def test_c03_one_step_gd():
 def test_c04_h1_flow_acceleration():
     start = time.time()
     rng = np.random.default_rng(404)
-    w0, ws = basin_points(rng, 8, 100)
+    w0, ws = basin_pairs(rng, 8, 100)
     traces = {}
     for kind in ("l2", "h1"):
         traces[kind] = rk4_integrate(
@@ -192,13 +183,13 @@ def test_c05_flow_quadratic_forms():
 
 def test_c06_relusq_descent():
     rng = np.random.default_rng(606)
-    pts, ws = basin_points(rng, 4, 1000)
+    pts, ws = basin_pairs(rng, 4, 1000)
     worst_ip = -math.inf
     for w in pts:
         b = relusq.h2_gradients(w, ws)
         e = w - ws
         worst_ip = max(worst_ip, -float(e @ b.grad_i1), -float(e @ b.grad_i2), -float(e @ b.grad_i3))
-    w0, ws2 = basin_points(rng, 4, 100, rmin=0.1, rmax=0.7)
+    w0, ws2 = basin_pairs(rng, 4, 100, rmin=0.1, rmax=0.7)
     tr_h2 = rk4_integrate(relusq.h2_flow_field(ws2), w0, 1e-3, 3.0, ws2, record_every=20)
     tr_i1 = rk4_integrate(relusq.h2_flow_field(ws2, ("i1",)), w0, 1e-3, 3.0, ws2, record_every=20)
     below = bool(np.all(tr_h2.v_values <= tr_i1.v_values + 1e-15))
@@ -271,21 +262,7 @@ def test_c08_toeplitz_linearization():
     worst_eig = 0.0
     worst_2x = 0.0
     for k in (3, 5, 8):
-        h = 1e-6
-        e1 = np.zeros(k)
-        e1[0] = 1.0
-        jacs = {}
-        for kind in ("l2", "h1"):
-            jac = np.zeros((k, k))
-            for m_col in range(k):
-                dp = e1.copy()
-                dp[m_col] += h
-                dm = e1.copy()
-                dm[m_col] -= h
-                fp = mn.toeplitz_field(kind, mn.ToeplitzState(t=dp, k=k))
-                fm = mn.toeplitz_field(kind, mn.ToeplitzState(t=dm, k=k))
-                jac[:, m_col] = (fp - fm) / (2 * h)
-            jacs[kind] = jac
+        jacs = {kind: mn.toeplitz_jacobian(kind, k, 1e-6) for kind in ("l2", "h1")}
         eigs = np.sort(np.linalg.eigvals(-jacs["l2"]).real)
         _, expected = mn.toeplitz_linearization(k)
         dev = float(np.abs(eigs - np.sort(expected)).max())

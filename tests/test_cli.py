@@ -1,8 +1,9 @@
 import csv
 import json
+import math
 
 
-from sobolev_lab.cli import main, summarize
+from sobolev_lab.cli import _write_csv, main, summarize
 
 
 def run(*argv):
@@ -159,3 +160,8 @@ def test_float_format_roundtrips(tmp_path):
     for r in read_rows(out / "landscape.csv"):
         v = float(r["kappa_l2"])
         assert f"{v:.17g}" == r["kappa_l2"]
+    # non-finite values (max_step_c is inf where the step bound is vacuous)
+    _write_csv(out / "nonfinite.csv", ["v"], [(v,) for v in (math.inf, -math.inf, math.nan, 0.1)])
+    back = [float(r["v"]) for r in read_rows(out / "nonfinite.csv")]
+    assert back[:2] == [math.inf, -math.inf]
+    assert math.isnan(back[2]) and back[3] == 0.1

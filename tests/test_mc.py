@@ -39,15 +39,12 @@ def test_estimate_independent_of_chunking_and_threads():
     w = np.array([0.3, -1.0, 0.5])
     ws = np.array([1.0, 0.2, 0.0])
     base = mc_loss_and_grad("relu", "l2", w, ws, McConfig(n_samples=3 * BLOCK + 17, seed=9, dim=3))
-    for chunk in (1, 2, 7):
-        for threads in (1, 3):
-            est = mc_loss_and_grad(
-                "relu", "l2", w, ws,
-                McConfig(n_samples=3 * BLOCK + 17, seed=9, dim=3, chunk_size=chunk),
-                threads=threads,
-            )
-            assert np.array_equal(est.mean, base.mean)
-            assert np.array_equal(est.std_error, base.std_error)
+    for threads in (1, 3):
+        est = mc_loss_and_grad(
+            "relu", "l2", w, ws, McConfig(n_samples=3 * BLOCK + 17, seed=9, dim=3), threads=threads
+        )
+        assert np.array_equal(est.mean, base.mean)
+        assert np.array_equal(est.std_error, base.std_error)
 
 
 def test_zero_residual_at_teacher_is_exact():
