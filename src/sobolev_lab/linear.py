@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
 
+from .exceptions import SingularPointError
+
 _MIN_GRAM_EIG = 1e-10
 
 
@@ -49,7 +51,7 @@ def _chol_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
         L = cholesky(a)
     except LinAlgError as exc:
-        raise ValueError("Gram matrix is singular") from exc
+        raise SingularPointError("Gram matrix is singular") from exc
     y = np.linalg.solve(L, b)
     return np.linalg.solve(L.T, y)
 
@@ -61,7 +63,7 @@ def fit_estimators(p: LinearProblem, y: np.ndarray) -> tuple[np.ndarray, np.ndar
         raise ValueError("y must have one entry per design row")
     g = p.gram()
     if np.linalg.eigvalsh(g)[0] <= _MIN_GRAM_EIG:
-        raise ValueError("Gram matrix is numerically singular")
+        raise SingularPointError("Gram matrix is numerically singular")
     xty = p.x_matrix.T @ y
     w_l2 = _chol_solve(g, xty)
     w_h1 = _chol_solve(
@@ -74,7 +76,7 @@ def conditioning(p: LinearProblem) -> tuple[float, float]:
     """Condition numbers of the two Hessians X^T X and X^T X + lambda I."""
     vals = np.linalg.eigvalsh(p.gram())
     if vals[0] <= _MIN_GRAM_EIG:
-        raise ValueError("Gram matrix is numerically singular")
+        raise SingularPointError("Gram matrix is numerically singular")
     lam = p.ridge_lambda
     return float(vals[-1] / vals[0]), float((vals[-1] + lam) / (vals[0] + lam))
 
@@ -101,7 +103,7 @@ def variance_study(
     n = X.shape[0]
     g = p.gram()
     if np.linalg.eigvalsh(g)[0] <= _MIN_GRAM_EIG:
-        raise ValueError("Gram matrix is numerically singular")
+        raise SingularPointError("Gram matrix is numerically singular")
     g_ridge = g + p.ridge_lambda * np.eye(g.shape[0])
     y_clean = X @ p.wstar
     acc_l2 = 0.0

@@ -78,13 +78,20 @@ def _reduce_blocks(
     dim: int,
     threads: int,
 ):
-    """Accumulate (sum, sum of squares) over blocks, reduced in block order."""
+    """Accumulate (sum, centred sum of squares) over blocks, reduced in block order.
+
+    Block statistics are merged pairwise (Chan, Golub & LeVeque 1979), so the
+    variance stays accurate when |mean| is much larger than the spread; the
+    mean is the plain block-ordered sum over n.
+    """
     n_blocks = (n + BLOCK - 1) // BLOCK
     counts = [BLOCK] * (n_blocks - 1) + [n - BLOCK * (n_blocks - 1)]
 
     def work(b: int):
         vals = persample(block_normals(seed, b, counts[b], dim))
-        return vals.sum(axis=0), np.square(vals).sum(axis=0)
+        s = vals.sum(axis=0)
+        dev = vals - s / counts[b]
+        return s, np.square(dev, out=dev).sum(axis=0)
 
     if threads > 1 and n_blocks > 1:
         partials = [None] * n_blocks
@@ -95,15 +102,15 @@ def _reduce_blocks(
         partials = [work(b) for b in range(n_blocks)]
 
     total = partials[0][0].astype(float)
-    total_sq = partials[0][1].astype(float)
-    for s, s2 in partials[1:]:
+    m2 = partials[0][1].astype(float)
+    seen = counts[0]
+    for b, (s, s2) in enumerate(partials[1:], start=1):
+        delta = s / counts[b] - total / seen
+        m2 = m2 + s2 + delta**2 * (seen * counts[b] / (seen + counts[b]))
         total = total + s
-        total_sq = total_sq + s2
+        seen += counts[b]
     mean = total / n
-    if n > 1:
-        var = np.maximum(total_sq - n * mean**2, 0.0) / (n - 1)
-    else:
-        var = np.zeros_like(mean)
+    var = m2 / (n - 1) if n > 1 else np.zeros_like(mean)
     return McEstimate(mean=mean, std_error=np.sqrt(var / n), n=n)
 
 

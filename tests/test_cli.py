@@ -20,7 +20,7 @@ def test_landscape_contract_and_header(tmp_path):
     assert run("landscape", "--dim", "2", "--theta-grid", "16", "--out-dir", str(out)) == 0
     with open(out / "landscape.csv", newline="") as fh:
         header = fh.readline().strip()
-    assert header == "theta,alpha,kappa_l2,kappa_h1,lam_min_l2,lam_min_h1"
+    assert header == "theta,alpha,kappa_l2,kappa_h1,lam_min_l2,lam_min_h1,lam_max_l2,lam_max_h1"
     rows = read_rows(out / "landscape.csv")
     assert len(rows) == 16
     for r in rows:
@@ -94,6 +94,14 @@ def test_unknown_config_key_is_validation_error(tmp_path):
 def test_validation_failures_exit_2(tmp_path):
     assert run("landscape", "--dim", "1", "--out-dir", str(tmp_path / "o")) == 2
     assert run("summarize", str(tmp_path / "does-not-exist")) == 2
+
+
+def test_numerical_failures_exit_3(tmp_path, capsys):
+    # singular points are not configuration errors
+    assert run("landscape", "--norm-w", "0", "--out-dir", str(tmp_path / "a")) == 3
+    assert run("linear", "--n", "4", "--dim", "8", "--lambdas", "0",
+               "--out-dir", str(tmp_path / "b")) == 3
+    assert "numerical error:" in capsys.readouterr().err
 
 
 def test_summarize_empty_dir_reports_all_missing(tmp_path):

@@ -1,0 +1,52 @@
+import math
+import re
+from pathlib import Path
+
+from sobolev_lab import criteria
+from sobolev_lab.cli import SOURCES, summarize
+
+
+def test_table_summarize_and_suite_cover_the_same_ids(tmp_path):
+    table = list(criteria.CRITERIA)
+    assert len(table) == 13
+    assert set(SOURCES) <= set(table)
+    assert list(summarize(tmp_path)["criteria"]) == table
+    suite = (Path(__file__).parent / "test_acceptance.py").read_text()
+    judged = re.findall(r'judged\(\s*"(c\d+_\w+)"', suite)
+    assert sorted(judged) == sorted(table)
+    assert len(re.findall(r"^def test_c\d\d_", suite, flags=re.M)) == 13
+
+
+def test_judge_status_rules():
+    crit = "c8_toeplitz_linearization"
+    assert criteria.judge(crit, {})["status"] == "missing"
+    part = criteria.judge(crit, {"worst_eig_dev": 0.0})
+    assert part["status"] == "pass"
+    assert part["unmeasured"] == ["h1_vs_2l2_maxdiff <= 1e-06"]
+    bad = criteria.judge(crit, {"worst_eig_dev": 0.5, "h1_vs_2l2_maxdiff": 0.0})
+    assert bad["status"] == "fail"
+    assert bad["failed"] == [{"clause": "worst_eig_dev <= 1e-06", "value": 0.5}]
+    assert "mechanism" in bad
+    nan_gap = criteria.judge("c1_condition_number_law", {"max_kappa_gap": float("nan")})
+    assert nan_gap["status"] == "fail"
+
+
+def test_range_clause_checks_both_ends():
+    crit = "c7_multinode_dynamics"
+    nan = float("nan")
+    for lo, hi, status in ((1.9, 2.1, "pass"), (1.6, 2.0, "fail"), (1.9, 2.3, "fail"),
+                           (1.9, nan, "fail"), (nan, 2.1, "fail")):
+        assert criteria.judge(crit, {"time_ratio_range": [lo, hi]})["status"] == status
+
+
+def test_nan_reaches_the_judge_through_worst_cases(tmp_path):
+    nan = float("nan")
+    assert math.isnan(criteria.decay_rel_dev(4, -2.0, nan))
+    assert math.isnan(criteria.saddle_formula_dev(4, nan, 0.3))
+    assert math.isnan(criteria.extreme_dev(0.5, nan))
+    # one NaN gain among good rows of gd_compare.csv fails c3's gain and excess clauses
+    rows = ["gain_f,err_l2,err_h1", "0.1,0.5,0.3", "nan,0.5,0.3", "0.2,0.4,0.1"]
+    (tmp_path / "gd_compare.csv").write_text("\n".join(rows) + "\n")
+    entry = summarize(tmp_path)["criteria"]["c3_one_step_gd"]
+    assert entry["status"] == "fail"
+    assert [f["clause"] for f in entry["failed"]] == ["min_gain > 0.0", "max_excess <= 1e-15"]

@@ -5,6 +5,7 @@ from sobolev_lab import relu1
 from sobolev_lab.mc import (
     BLOCK,
     McConfig,
+    _reduce_blocks,
     block_normals,
     convergence_study,
     fit_loglog_slope,
@@ -45,6 +46,16 @@ def test_estimate_independent_of_chunking_and_threads():
         )
         assert np.array_equal(est.mean, base.mean)
         assert np.array_equal(est.std_error, base.std_error)
+
+
+def test_std_error_stable_when_mean_dominates():
+    # sum-of-squares minus n mean^2 cancels catastrophically at |mean| / std = 1e8
+    n = 2 * BLOCK + 17
+    est = _reduce_blocks(lambda x: 1e8 + x[:, :1], seed=5, n=n, dim=2, threads=1)
+    counts = (BLOCK, BLOCK, 17)
+    vals = np.concatenate([1e8 + block_normals(5, b, c, 2)[:, :1] for b, c in enumerate(counts)])
+    ref = np.sqrt(np.sum((vals - vals.mean()) ** 2) / (n - 1) / n)
+    assert est.std_error[0] == pytest.approx(ref, rel=1e-6)
 
 
 def test_zero_residual_at_teacher_is_exact():

@@ -89,6 +89,14 @@ def test_reduced_angles_match_cosine_relations():
     assert math.cos(a.phi) == pytest.approx(alpha**2 * (2 * 0.8 * 0.3 + 2 * 0.3**2), rel=1e-12)
 
 
+def test_planar_theta_keeps_digits_next_to_fixed_point():
+    # arccos(x / |w|) returns exactly 0 at (1, 1e-8); the two-argument form
+    # keeps theta = atan(sqrt(K - 1) y / x) to full precision
+    for y in (1e-8, 1e-6):
+        theta = mn.reduced_angles(mn.ReducedState(x=1.0, y=y, k=4)).theta
+        assert theta == pytest.approx(math.atan(math.sqrt(3.0) * y), rel=1e-12)
+
+
 def test_critical_point_and_origin():
     for k in (2, 5):
         assert mn.reduced_field("l2", mn.ReducedState(x=1.0, y=0.0, k=k)) == (0.0, 0.0)
@@ -259,7 +267,7 @@ def test_toeplitz_exact_jacobian_carries_extra_couplings():
     # teacher norms, which is exactly where E comes from.  Established by
     # central differences.
     for k in (3, 5):
-        jac = mn.toeplitz_jacobian("l2", k, 1e-6)
+        jac = mn.toeplitz_jacobian("l2", k)
         m_ideal, _ = mn.toeplitz_linearization(k)
         extra = np.zeros((k, k))
         extra[0, 0] = (k - 1) / TWO_PI
