@@ -240,7 +240,6 @@ def cmd_multinode(args) -> list[Path]:
         trace = rk4_integrate(mn.reduced_flow_field("h1", k), starts, cfg["step"],
                               cfg["t_end"], np.array([1.0, 0.0]), record_every=100)
         final_dist = np.sqrt(trace.v_values[-1])
-        converged = float(np.mean(final_dist < 1e-6))
 
         # near-fixed-point time-to-threshold ratio
         m = int(cfg["ratio_starts"])
@@ -250,14 +249,14 @@ def cmd_multinode(args) -> list[Path]:
         t_h1 = mn.times_to_threshold("h1", k, near, 1e-4, step=cfg["step"])
         ratios = t_l2 / t_h1
         rows.append(
-            (k, x_l2, x_h1, abs(f_l2[0]), abs(f_h1[0]), exp_l2, exp_h1,
-             float(np.median(ratios)), converged, float(final_dist.max()))
+            (k, x_l2, x_h1, float(np.max(np.abs(f_l2))), float(np.max(np.abs(f_h1))),
+             exp_l2, exp_h1, float(np.median(ratios)), float(final_dist.max()))
         )
     path = out / "multinode.csv"
     _write_csv(
         path,
         ["k", "x_saddle_l2", "x_saddle_h1", "saddle_field_l2", "saddle_field_h1",
-         "decay_exp_l2", "decay_exp_h1", "time_ratio_median", "converged_frac", "max_final_dist"],
+         "decay_exp_l2", "decay_exp_h1", "time_ratio_median", "max_final_dist"],
         rows,
     )
     _write_manifest(out, "multinode", cfg)
@@ -589,8 +588,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="output directory (default ./out)")
     sp.add_argument("--config", type=str, default=None,
                     help="JSON file with defaults; explicit flags override it")
-    sp.add_argument("--threads", type=int, default=None,
-                    help=f"worker cap (or ${ENV_THREADS}); never affects results")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -667,6 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", dest="n_max", type=int, default=None)
     sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--forms", type=str, default=None)
+    sp.add_argument("--threads", type=int, default=None,
+                    help=f"worker cap (or ${ENV_THREADS}); never affects results")
     _add_common(sp)
     sp.set_defaults(func=cmd_verify_gradients)
 

@@ -25,7 +25,8 @@ TWO_PI = 2.0 * math.pi
 class PairGeometry:
     """Norms, angle and coupling coefficient of a (student, teacher) pair.
 
-    ``alpha`` is ``inf`` exactly when ``sin(theta) == 0`` or ``norm_w == 0``.
+    ``alpha`` is ``inf`` when ``sin(theta) == 0`` or ``norm_w == 0`` (and
+    when its value overflows).
     ``alpha_sin`` and ``alpha_sin_sq`` are the cancelled products
     ``alpha*sin(theta)`` and ``alpha*sin(theta)**2``; they are finite for
     ``norm_w > 0`` even at ``theta == 0``.
@@ -47,10 +48,36 @@ class PairGeometry:
         return math.cos(self.theta)
 
 
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+
+
 def _norm(x: np.ndarray) -> np.ndarray:
     """2-norm over the last axis as ``np.linalg.norm`` computes it (a dot product
-    for one vector, a row reduction for a stack), without its per-call overhead."""
-    return np.sqrt(x.dot(x)) if x.ndim == 1 else np.sqrt(np.add.reduce(x * x, axis=-1))
+    for one vector, a row reduction for a stack), without its per-call overhead.
+
+    A vector whose squared norm underflows or overflows is measured with the
+    scale-safe ``math.hypot`` instead, so a nonzero vector never has norm 0.
+    """
+    if x.ndim > 1:
+        return np.sqrt(np.add.reduce(x * x, axis=-1))
+    sq = x.dot(x)
+    return np.sqrt(sq) if _TINY <= sq <= _HUGE else np.float64(math.hypot(*x))
+
+
+def _angle_norms(w: np.ndarray, wstar: np.ndarray):
+    """``angle_between(w, wstar)`` together with the norms |w| and |w*| it reduced."""
+    w = np.asarray(w, dtype=float)
+    wstar = np.asarray(wstar, dtype=float)
+    nw, ns = _norm(w), _norm(wstar)
+    w_zero, s_zero = nw == 0.0, ns == 0.0
+    # a zero vector stays zero instead of turning into 0/0
+    u = w / (nw + w_zero)[..., None]
+    v = wstar / (ns + s_zero)[..., None]
+    across, along = _norm(u - v), _norm(u + v)
+    zero = w_zero | s_zero
+    if np.ndim(across) == 0:  # one pair: libm's scalar atan2 is faster here
+        return (0.0 if zero else 2.0 * math.atan2(across, along)), nw, ns
+    return np.where(zero, 0.0, 2.0 * np.arctan2(across, along)), nw, ns
 
 
 def angle_between(w: np.ndarray, wstar: np.ndarray) -> float | np.ndarray:
@@ -63,18 +90,7 @@ def angle_between(w: np.ndarray, wstar: np.ndarray) -> float | np.ndarray:
     states or all pairs of two stacks; 1-d inputs give a float.  A zero
     vector has angle 0 to everything.
     """
-    w = np.asarray(w, dtype=float)
-    wstar = np.asarray(wstar, dtype=float)
-    nw, ns = _norm(w), _norm(wstar)
-    w_zero, s_zero = nw == 0.0, ns == 0.0
-    # a zero vector stays zero instead of turning into 0/0
-    u = w / (nw + w_zero)[..., None]
-    v = wstar / (ns + s_zero)[..., None]
-    across, along = _norm(u - v), _norm(u + v)
-    zero = w_zero | s_zero
-    if np.ndim(across) == 0:  # one pair: libm's scalar atan2 is faster here
-        return 0.0 if zero else 2.0 * math.atan2(across, along)
-    return np.where(zero, 0.0, 2.0 * np.arctan2(across, along))
+    return _angle_norms(w, wstar)[0]
 
 
 def basin_pairs(rng: np.random.Generator, dim: int, count: int, rmin: float = 0.1, rmax: float = 0.9):
@@ -85,6 +101,14 @@ def basin_pairs(rng: np.random.Generator, dim: int, count: int, rmin: float = 0.
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = rng.uniform(rmin, rmax, size=count)
     return wstar + radii[:, None] * dirs, wstar
+
+
+def basin_node_pairs(rng: np.random.Generator, dim: int, rmin: float, rmax: float):
+    """Two orthonormal teachers W* (2, dim) and students W with |w_j - w*_j| uniform in [rmin, rmax]."""
+    Wstar = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:2].copy()
+    E = rng.standard_normal((2, dim))
+    E *= (rng.uniform(rmin, rmax, size=2) / np.linalg.norm(E, axis=1))[:, None]
+    return Wstar + E, Wstar
 
 
 def pair_geometry(w: np.ndarray, wstar: np.ndarray) -> PairGeometry:
@@ -99,11 +123,10 @@ def pair_geometry(w: np.ndarray, wstar: np.ndarray) -> PairGeometry:
         raise ValueError(f"dimension mismatch: {w.shape} vs {wstar.shape}")
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(wstar))):
         raise ValueError("non-finite entries")
-    ns = float(np.linalg.norm(wstar))
+    theta, nw, ns = _angle_norms(w, wstar)
+    nw, ns = float(nw), float(ns)
     if ns == 0.0:
         raise ValueError("teacher vector must be nonzero")
-    nw = float(np.linalg.norm(w))
-    theta = angle_between(w, wstar)
     s = math.sin(theta)
     if nw == 0.0:
         alpha = math.inf
@@ -112,7 +135,8 @@ def pair_geometry(w: np.ndarray, wstar: np.ndarray) -> PairGeometry:
     else:
         alpha_sin = ns / (TWO_PI * nw)
         alpha_sin_sq = ns * s / (TWO_PI * nw)
-        alpha = ns / (TWO_PI * nw * s) if s > 0.0 else math.inf
+        denom = TWO_PI * nw * s  # underflows to 0 at a subnormal angle
+        alpha = ns / denom if denom > 0.0 else math.inf
     return PairGeometry(
         norm_w=nw,
         norm_wstar=ns,

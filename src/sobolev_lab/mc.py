@@ -14,7 +14,9 @@ derivations (ReLU derivative 1{t>0}), e.g. for the first-order model:
   seminorm loss:   1{w.x>0} w - 1{w.x>0} 1{w*.x>0} w*
 
 so the sample mean estimates exactly the expectation the closed forms
-integrate.  (For the discontinuous-integrand seminorm this expectation is
+integrate.  One first-order kernel computes these for K stacked students
+(the single node is K = 1); the multi-node estimator and SGD's minibatch
+gradient use it too.  (For the discontinuous-integrand seminorm this expectation is
 the defined population gradient; it differs from the gradient of the
 scalar population loss by a boundary term, so finite-difference checks
 are only meaningful for the continuous-integrand losses.)
@@ -30,12 +32,9 @@ import numpy as np
 
 from . import multinode as mn
 from . import relu1, relusq
-from .geometry import basin_pairs
+from .geometry import basin_node_pairs, basin_pairs
 
 BLOCK = 65536
-
-_RELU_KINDS = ("l2", "h1_semi", "h1")
-_RELUSQ_KINDS = ("l2", "h1_semi", "h1", "h2_parts", "i1", "i2", "i3")
 
 
 @dataclass(frozen=True)
@@ -117,82 +116,102 @@ def _reduce_blocks(
 # --------------------------------------------------------------------------
 # per-sample kernels
 
-
-def _relu_persample(kind: str, w: np.ndarray, wstar: np.ndarray, what: str):
-    nw2 = float(w @ w)
-    ns2 = float(wstar @ wstar)
-    dot = float(w @ wstar)
-
-    def kernel(x: np.ndarray) -> np.ndarray:
-        pw = x @ w
-        ps = x @ wstar
-        iw = pw > 0
-        istar = ps > 0
-        sw = np.where(iw, pw, 0.0)
-        ss = np.where(istar, ps, 0.0)
-        if what == "grad":
-            if kind == "l2":
-                return ((sw - ss) * iw)[:, None] * x
-            if kind == "h1_semi":
-                return iw[:, None] * w[None, :] - (iw & istar)[:, None] * wstar[None, :]
-            return ((sw - ss) * iw)[:, None] * x + (
-                iw[:, None] * w[None, :] - (iw & istar)[:, None] * wstar[None, :]
-            )
-        l2 = 0.5 * (sw - ss) ** 2
-        semi = 0.5 * (iw * nw2 - 2.0 * (iw & istar) * dot + istar * ns2)
-        if kind == "l2":
-            return l2
-        if kind == "h1_semi":
-            return semi
-        return l2 + semi
-
-    return kernel
+# Every (model, kind) as the component parts it sums; "h2_parts" stacks its
+# parts instead.  First-order parts: the value gradient "l2" and the seminorm
+# gradient "semi" (relu losses use the same names); second-order parts: the
+# value, input-gradient and input-Hessian mismatches "i1", "i2", "i3".
+_FORMS = {
+    "relu": {"l2": ("l2",), "h1_semi": ("semi",), "h1": ("l2", "semi")},
+    "relu_sq": {"i1": ("i1",), "i2": ("i2",), "i3": ("i3",), "h1": ("i1", "i2"),
+                "h2_parts": ("i1", "i2", "i3")},
+    "multinode": {"l2": ("l2",), "h1": ("l2", "semi")},
+}
 
 
-def _relusq_part_grad(part: str, w, wstar, x, pw, ps, iw, istar, sw, ss):
+def _parts(model: str, kind: str) -> tuple[str, ...]:
+    if model not in _FORMS:
+        raise ValueError(f"unknown model {model!r}")
+    if kind not in _FORMS[model]:
+        raise ValueError(f"unknown kind {kind!r} for {model}")
+    return _FORMS[model][kind]
+
+
+def _combine(vals: list[np.ndarray], stacked: bool, axis: int = 1) -> np.ndarray:
+    """The sum of the parts, or their stack along ``axis``."""
+    if stacked:
+        return np.stack(vals, axis=axis)
+    out = vals[0]
+    for v in vals[1:]:
+        out = out + v
+    return out
+
+
+def _relu_grad(x: np.ndarray, W: np.ndarray, Wstar: np.ndarray, parts: tuple[str, ...]):
+    """Per-sample first-order gradient parts (B, K, d) of K ReLU students, in ``parts`` order.
+
+    With r = sum_k relu(w_k.x) - sum_k relu(w*_k.x), node j gets
+      "l2":   r 1{w_j.x>0} x
+      "semi": 1{w_j.x>0} (sum_k 1{w_k.x>0} w_k - sum_k 1{w*_k.x>0} w*_k)
+    which for K = 1 are the single-node value and seminorm gradients.
+    """
+    pw = x @ W.T  # (B, K)
+    ps = x @ Wstar.T
+    on = pw > 0
+    out = []
+    for p in parts:
+        if p == "l2":
+            resid = np.maximum(pw, 0.0).sum(axis=1) - np.maximum(ps, 0.0).sum(axis=1)
+            out.append((resid[:, None] * on)[:, :, None] * x[:, None, :])
+        else:
+            # both node sums in one matmul over the 2K indicators
+            iw = on.astype(float)
+            semi = np.concatenate([iw, ps > 0], axis=1) @ np.concatenate([W, -Wstar])
+            out.append(iw[:, :, None] * semi[:, None, :])
+    return out
+
+
+def _part_value(what: str, part: str, w, wstar, dots, x, iw, istar, sw, ss):
+    """Per-sample loss of any part, or gradient of a second-order part, at one student."""
+    nw2, dot, ns2 = dots
+    if what == "loss":
+        if part == "l2":
+            return 0.5 * (sw - ss) ** 2
+        if part == "semi":
+            return 0.5 * (iw * nw2 - 2.0 * (iw & istar) * dot + istar * ns2)
+        if part == "i1":
+            return 0.5 * (sw**2 - ss**2) ** 2
+        if part == "i2":
+            return 2.0 * (sw**2 * nw2 - 2.0 * sw * ss * dot + ss**2 * ns2)
+        return 2.0 * (iw * nw2**2 - 2.0 * (iw & istar) * dot**2 + istar * ns2**2)
     if part == "i1":
         return (2.0 * (sw**2 - ss**2) * sw)[:, None] * x
     if part == "i2":
-        nw2 = float(w @ w)
-        dot = float(w @ wstar)
         # grouped so every factor cancels exactly at w = w*
         return 4.0 * (
             (sw * nw2 - ss * iw * dot)[:, None] * x
             + (sw * sw)[:, None] * w[None, :]
             - (sw * ss)[:, None] * wstar[None, :]
         )
-    nw2 = float(w @ w)
-    dot = float(w @ wstar)
     return 8.0 * (
         (iw * nw2)[:, None] * w[None, :] - ((iw & istar) * dot)[:, None] * wstar[None, :]
     )
 
 
-def _relusq_part_loss(part: str, w, wstar, pw, ps, iw, istar, sw, ss):
-    if part == "i1":
-        return 0.5 * (sw**2 - ss**2) ** 2
-    if part == "i2":
-        nw2 = float(w @ w)
-        ns2 = float(wstar @ wstar)
-        dot = float(w @ wstar)
-        return 2.0 * (sw**2 * nw2 - 2.0 * sw * ss * dot + ss**2 * ns2)
-    nw2 = float(w @ w)
-    ns2 = float(wstar @ wstar)
-    dot = float(w @ wstar)
-    return 2.0 * (iw * nw2**2 - 2.0 * (iw & istar) * dot**2 + istar * ns2**2)
+def _persample(model: str, kind: str, W: np.ndarray, Wstar: np.ndarray, what: str):
+    """Per-sample kernel of (model, kind) at students W and teachers W* (K, d).
 
-
-def _relusq_persample(kind: str, w: np.ndarray, wstar: np.ndarray, what: str):
-    parts = {
-        "l2": ("i1",),
-        "i1": ("i1",),
-        "h1_semi": ("i2",),
-        "i2": ("i2",),
-        "i3": ("i3",),
-        "h1": ("i1", "i2"),
-        "h2_parts": ("i1", "i2", "i3"),
-    }[kind]
+    First-order gradients are (B, K, d) for "multinode" and (B, d) for "relu";
+    everything else is one student: (B, d) gradients, (B,) losses, with a
+    parts axis after the sample axis for "h2_parts".
+    """
+    parts = _parts(model, kind)
     stacked = kind == "h2_parts"
+    if what == "grad" and model != "relu_sq":
+        if model == "multinode":
+            return lambda x: _combine(_relu_grad(x, W, Wstar, parts), stacked)
+        return lambda x: _combine([v[:, 0] for v in _relu_grad(x, W, Wstar, parts)], stacked)
+    w, wstar = W[0], Wstar[0]
+    dots = (float(w @ w), float(w @ wstar), float(wstar @ wstar))
 
     def kernel(x: np.ndarray) -> np.ndarray:
         pw = x @ w
@@ -201,21 +220,8 @@ def _relusq_persample(kind: str, w: np.ndarray, wstar: np.ndarray, what: str):
         istar = ps > 0
         sw = np.where(iw, pw, 0.0)
         ss = np.where(istar, ps, 0.0)
-        if what == "grad":
-            vals = [_relusq_part_grad(p, w, wstar, x, pw, ps, iw, istar, sw, ss) for p in parts]
-            if stacked:
-                return np.stack(vals, axis=1)  # (B, 3, d)
-            out = vals[0]
-            for v in vals[1:]:
-                out = out + v
-            return out
-        vals = [_relusq_part_loss(p, w, wstar, pw, ps, iw, istar, sw, ss) for p in parts]
-        if stacked:
-            return np.stack(vals, axis=1)  # (B, 3)
-        out = vals[0]
-        for v in vals[1:]:
-            out = out + v
-        return out
+        return _combine([_part_value(what, p, w, wstar, dots, x, iw, istar, sw, ss)
+                         for p in parts], stacked)
 
     return kernel
 
@@ -244,17 +250,9 @@ def mc_loss_and_grad(
     if what not in ("grad", "loss"):
         raise ValueError("what must be 'grad' or 'loss'")
     model = model.lower()
-    kind = kind.lower()
-    if model == "relu":
-        if kind not in _RELU_KINDS:
-            raise ValueError(f"unknown kind {kind!r} for relu")
-        kernel = _relu_persample(kind, w, wstar, what)
-    elif model == "relu_sq":
-        if kind not in _RELUSQ_KINDS:
-            raise ValueError(f"unknown kind {kind!r} for relu_sq")
-        kernel = _relusq_persample(kind, w, wstar, what)
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    if model == "multinode":
+        raise ValueError("multinode estimates come from mc_multinode_grad")
+    kernel = _persample(model, kind.lower(), w[None], wstar[None], what)
     return _reduce_blocks(kernel, cfg.seed, cfg.n_samples, cfg.dim, threads)
 
 
@@ -273,26 +271,7 @@ def mc_multinode_grad(
     Wstar = np.asarray(Wstar, dtype=float)
     if W.ndim != 2 or W.shape != Wstar.shape or W.shape[1] != cfg.dim:
         raise ValueError("W and W* must both have shape (K, dim)")
-    kind = kind.lower()
-    if kind not in ("l2", "h1"):
-        raise ValueError("kind must be 'l2' or 'h1'")
-    K = W.shape[0]
-
-    def kernel(x: np.ndarray) -> np.ndarray:
-        pw = x @ W.T  # (B, K)
-        ps = x @ Wstar.T
-        iw = (pw > 0).astype(float)
-        istar = (ps > 0).astype(float)
-        resid = np.where(pw > 0, pw, 0.0).sum(axis=1) - np.where(ps > 0, ps, 0.0).sum(axis=1)
-        semi = iw @ W - istar @ Wstar if kind == "h1" else None
-        out = np.empty((x.shape[0], K, W.shape[1]))
-        for j in range(K):
-            g = (resid * iw[:, j])[:, None] * x
-            if semi is not None:
-                g = g + iw[:, j, None] * semi
-            out[:, j, :] = g
-        return out
-
+    kernel = _persample("multinode", kind.lower(), W, Wstar, "grad")
     return _reduce_blocks(kernel, cfg.seed, cfg.n_samples, cfg.dim, threads)
 
 
@@ -301,24 +280,22 @@ def mc_multinode_grad(
 
 
 def closed_form_grad(model: str, kind: str, w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
+    """The closed form an MC estimate of (model, kind) converges to.
+
+    For "multinode", ``w`` and ``wstar`` are the stacked (K, d) nodes.
+    """
     model = model.lower()
     kind = kind.lower()
+    parts = _parts(model, kind)
+    if model == "multinode":
+        return -mn.multinode_gradients(w, wstar, kind)
     if model == "relu":
         b = relu1.population_gradients(w, wstar)
-        return {"l2": b.grad_l2, "h1_semi": b.grad_semi, "h1": b.grad_h1}[kind]
-    if model == "relu_sq":
+        closed = {"l2": b.grad_l2, "semi": b.grad_semi}
+    else:
         b = relusq.h2_gradients(w, wstar)
-        table = {
-            "l2": b.grad_i1,
-            "i1": b.grad_i1,
-            "h1_semi": b.grad_i2,
-            "i2": b.grad_i2,
-            "i3": b.grad_i3,
-            "h1": b.grad_i1 + b.grad_i2,
-            "h2_parts": np.stack([b.grad_i1, b.grad_i2, b.grad_i3]),
-        }
-        return table[kind]
-    raise ValueError(f"unknown model {model!r}")
+        closed = {"i1": b.grad_i1, "i2": b.grad_i2, "i3": b.grad_i3}
+    return _combine([closed[p] for p in parts], kind == "h2_parts", axis=0)
 
 
 def convergence_study(
@@ -343,26 +320,21 @@ def convergence_study(
                 np.random.SeedSequence(entropy=seed, spawn_key=(dim, trial))
             )
             if model == "multinode":
-                # two orthonormal teachers, cyclic-free random students
-                Wstar = np.linalg.qr(pair_rng.standard_normal((dim, dim)))[0][:2].copy()
-                E = pair_rng.standard_normal((2, dim))
-                E *= (pair_rng.uniform(0.05, 0.95, size=2) / np.linalg.norm(E, axis=1))[:, None]
-                W = Wstar + E
-                closed = -mn.multinode_gradients(W, Wstar, kind)
+                w, wstar = basin_node_pairs(pair_rng, dim, 0.05, 0.95)
             else:
                 # a unit teacher keeps per-trial MSE scales comparable: the
                 # second-order gradients scale like the sixth power of the
                 # norms, so one large-norm trial would dominate the average
                 ws, wstar = basin_pairs(pair_rng, dim, 1, 0.05, 0.95)
                 w = ws[0]
-                closed = closed_form_grad(model, kind, w, wstar)
+            closed = closed_form_grad(model, kind, w, wstar)
             for i, n in enumerate(n_grid):
                 cell_seed = int(
                     np.random.SeedSequence(entropy=seed, spawn_key=(dim, trial, i)).generate_state(1)[0]
                 )
                 cfg = McConfig(n_samples=int(n), seed=cell_seed, dim=dim)
                 if model == "multinode":
-                    est = mc_multinode_grad(W, Wstar, kind, cfg, threads=threads)
+                    est = mc_multinode_grad(w, wstar, kind, cfg, threads=threads)
                 else:
                     est = mc_loss_and_grad(model, kind, w, wstar, cfg, threads=threads)
                 mse = float(np.mean((est.mean - closed) ** 2))

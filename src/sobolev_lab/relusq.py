@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, angle_between
+from .geometry import TWO_PI, _angle_norms
 
 _BASIN_TOL = 1e-12
 
@@ -69,9 +69,10 @@ def _coeffs(theta):
 
 def _h2_parts(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...]) -> list[np.ndarray]:
     """Gradients of the selected components at stacked states w (..., d), in ``parts`` order."""
-    nw = np.linalg.norm(w, axis=-1, keepdims=True)
-    ns = float(np.linalg.norm(wstar))
-    theta = np.asarray(angle_between(w, wstar))[..., None]
+    theta, nw, ns = _angle_norms(w, wstar)
+    if w.ndim == 1:  # the row-reduction |w| of the pointwise forms, as in relu1
+        nw = np.sqrt(np.add.reduce(w * w))
+    theta, nw, ns = np.asarray(theta)[..., None], nw[..., None], float(ns)
     g, h, g1 = _coeffs(theta)
     nw2 = nw**2
     out = []

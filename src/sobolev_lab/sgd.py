@@ -2,9 +2,10 @@
 
 Plain minibatch SGD (no momentum, no adaptivity) on the empirical value
 loss or the combined value + derivative loss for the single ReLU node.
-The per-sample forms match the population conventions, i.e. both terms
-carry the 1/2 factor, so the analytic condition-number formulas apply
-unchanged along the trajectory.
+The per-sample gradients are the Monte-Carlo oracle's first-order kernel,
+so they match the population conventions, i.e. both terms carry the 1/2
+factor, and the analytic condition-number formulas apply unchanged along
+the trajectory.
 
 The dataset is drawn once per run; minibatches are sampled without
 replacement within each epoch (fresh shuffle per epoch).
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import pair_geometry
+from .mc import _FORMS, _relu_grad
 from .relu1 import condition_numbers
 
 
@@ -72,6 +74,8 @@ def sgd_run(cfg: SgdConfig) -> SgdTrace:
     e *= cfg.init_radius / np.linalg.norm(e)
     w = wstar + e
     X = rng.standard_normal((cfg.n_train, cfg.dim))
+    Wstar = wstar[None]
+    parts = _FORMS["relu"][kind]
 
     order = rng.permutation(cfg.n_train)
     pos = 0
@@ -82,14 +86,7 @@ def sgd_run(cfg: SgdConfig) -> SgdTrace:
             pos = 0
         batch = X[order[pos : pos + cfg.batch_size]]
         pos += cfg.batch_size
-        pw = batch @ w
-        ps = batch @ wstar
-        iw = pw > 0
-        grad = (((np.where(iw, pw, 0.0) - np.maximum(ps, 0.0)) * iw)[:, None] * batch).mean(axis=0)
-        if kind == "h1":
-            grad = grad + (
-                iw[:, None] * w[None, :] - (iw & (ps > 0))[:, None] * wstar[None, :]
-            ).mean(axis=0)
+        grad = sum(g.mean(axis=0) for g in _relu_grad(batch, w[None], Wstar, parts))[0]
         w = w - cfg.learning_rate * grad
         if not np.all(np.isfinite(w)):
             raise RuntimeError(f"SGD diverged at step {step}")

@@ -20,7 +20,7 @@ from sobolev_lab.cli import main as cli_main
 from sobolev_lab.criteria import (MIN_THETA, decay_rel_dev, extreme_dev, judge,
                                   saddle_formula_dev)
 from sobolev_lab.eigs import symmetric_eigs
-from sobolev_lab.geometry import basin_pairs, pair_geometry
+from sobolev_lab.geometry import basin_node_pairs, basin_pairs, pair_geometry
 from sobolev_lab.mc import (
     McConfig,
     closed_form_grad,
@@ -252,19 +252,15 @@ def test_c09_mc_verification():
         for dim in dims:
             cfg = McConfig(n_samples=10**6, seed=int(rng.integers(2**62)), dim=dim)
             if model == "multinode":
-                Wstar = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:2].copy()
-                E = rng.standard_normal((2, dim))
-                E *= (rng.uniform(0.2, 0.8, size=2) / np.linalg.norm(E, axis=1))[:, None]
-                W = Wstar + E
-                est = mc_multinode_grad(W, Wstar, kind, cfg)
-                closed = -mn.multinode_gradients(W, Wstar, kind)
+                w, ws = basin_node_pairs(rng, dim, 0.2, 0.8)
+                est = mc_multinode_grad(w, ws, kind, cfg)
             else:
                 ws = rng.standard_normal(dim)
                 e = rng.standard_normal(dim)
                 e *= rng.uniform(0.2, 0.8) * np.linalg.norm(ws) / np.linalg.norm(e)
                 w = ws + e
                 est = mc_loss_and_grad(model, kind, w, ws, cfg)
-                closed = closed_form_grad(model, kind, w, ws)
+            closed = closed_form_grad(model, kind, w, ws)
             z = float(np.max(np.abs(est.mean - closed) / est.std_error))
             worst_z = np.maximum(worst_z, z)
     judged("c9_mc_verification",

@@ -2,7 +2,9 @@ import csv
 import json
 import math
 
+import pytest
 
+from sobolev_lab import multinode as mn
 from sobolev_lab.cli import _write_csv, main, summarize
 
 
@@ -74,6 +76,12 @@ def test_rerun_is_byte_identical_and_thread_invariant(tmp_path):
     assert body_a == (c / "convergence.csv").read_bytes()
 
 
+def test_threads_is_only_a_verify_gradients_flag(tmp_path):
+    # no other subcommand has Monte-Carlo workers to cap
+    with pytest.raises(SystemExit):
+        run("landscape", "--threads", "2", "--out-dir", str(tmp_path))
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"theta_grid": 5, "dim": 3}))
@@ -102,6 +110,20 @@ def test_numerical_failures_exit_3(tmp_path, capsys):
     assert run("linear", "--n", "4", "--dim", "8", "--lambdas", "0",
                "--out-dir", str(tmp_path / "b")) == 3
     assert "numerical error:" in capsys.readouterr().err
+
+
+def test_tiny_nonzero_student_is_not_singular(tmp_path):
+    # w.w underflows to 0 at |w| = 1e-300; the norm must not
+    out = tmp_path / "out"
+    assert run("landscape", "--norm-w", "1e-300", "--theta-grid", "2", "--out-dir", str(out)) == 0
+    rows = read_rows(out / "landscape.csv")
+    assert len(rows) == 2
+    for r in rows:
+        for col in ("alpha", "lam_min_l2", "lam_min_h1", "lam_max_l2", "lam_max_h1"):
+            assert math.isfinite(float(r[col])), col
+        # alpha = |w*| / (2 pi |w| sin theta)
+        expected = 1.0 / (2 * math.pi * 1e-300 * math.sin(float(r["theta"])))
+        assert float(r["alpha"]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_summarize_empty_dir_reports_all_missing(tmp_path):
@@ -156,10 +178,24 @@ def test_multinode_subcommand_columns(tmp_path):
     assert abs(float(r["x_saddle_l2"]) - 0.5341549) < 1e-6
     assert abs(float(r["decay_exp_l2"]) + 1.0) < 0.02
     assert abs(float(r["decay_exp_h1"]) + 2.0) < 0.04
-    assert float(r["converged_frac"]) == 1.0
+    assert float(r["max_final_dist"]) < 1e-6
     # the exact planar field contracts the slow mode faster than the
     # idealized quarter-rate, landing the ratio near 1.6 rather than 2
     assert 1.4 <= float(r["time_ratio_median"]) <= 1.8
+
+
+def test_multinode_saddle_field_covers_both_components(tmp_path):
+    # at K = 16 (L2) the saddle's xdot is 0 while ydot is not
+    out = tmp_path / "out"
+    assert run("multinode", "--k-list", "16", "--starts", "2", "--ratio-starts", "2",
+               "--t-end", "0.01", "--out-dir", str(out)) == 0
+    (r,) = read_rows(out / "multinode.csv")
+    for kind in ("l2", "h1"):
+        x = float(r[f"x_saddle_{kind}"])
+        f = mn.reduced_field(kind, mn.ReducedState(x=x, y=x, k=16))
+        assert float(r[f"saddle_field_{kind}"]) == max(abs(f[0]), abs(f[1]))
+    assert float(r["saddle_field_l2"]) > 0.0
+    assert "converged_frac" not in r
 
 
 def test_float_format_roundtrips(tmp_path):

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from sobolev_lab import relu1
+from sobolev_lab.geometry import basin_node_pairs
 from sobolev_lab.mc import (
     BLOCK,
     McConfig,
     _reduce_blocks,
+    _relu_grad,
     block_normals,
+    closed_form_grad,
     convergence_study,
     fit_loglog_slope,
     mc_loss_and_grad,
@@ -135,15 +138,45 @@ def test_validation_errors():
         McConfig(n_samples=0, seed=0, dim=2)
 
 
-def test_relu_sq_kind_aliases_agree():
+def test_relu_sq_stacked_parts_are_the_part_estimates():
     w = np.array([0.4, 0.8])
     ws = np.array([1.0, 0.0])
     cfg = McConfig(n_samples=20_000, seed=6, dim=2)
-    i1 = mc_loss_and_grad("relu_sq", "i1", w, ws, cfg)
-    l2 = mc_loss_and_grad("relu_sq", "l2", w, ws, cfg)
-    assert np.array_equal(i1.mean, l2.mean)
     parts = mc_loss_and_grad("relu_sq", "h2_parts", w, ws, cfg)
-    assert np.array_equal(parts.mean[0], i1.mean)
+    for row, kind in enumerate(("i1", "i2", "i3")):
+        assert np.array_equal(parts.mean[row], mc_loss_and_grad("relu_sq", kind, w, ws, cfg).mean)
+    # the first-order names are not relu_sq kinds
+    for kind in ("l2", "h1_semi"):
+        with pytest.raises(ValueError):
+            mc_loss_and_grad("relu_sq", kind, w, ws, cfg)
+
+
+def test_first_order_kernel_matches_per_node_loop():
+    # reference: one node at a time; the semi node sums run in another order
+    rng = np.random.default_rng(21)
+    W, Wstar = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+    x = block_normals(4, 0, 1000, 5)
+    l2, semi = _relu_grad(x, W, Wstar, ("l2", "semi"))
+    assert l2.shape == semi.shape == (1000, 3, 5)
+    pw, ps = x @ W.T, x @ Wstar.T
+    resid = np.maximum(pw, 0.0).sum(axis=1) - np.maximum(ps, 0.0).sum(axis=1)
+    total = (pw > 0) @ W - (ps > 0) @ Wstar
+    for j in range(3):
+        on = (pw[:, j] > 0)[:, None]
+        assert np.array_equal(l2[:, j], resid[:, None] * on * x)
+        np.testing.assert_allclose(semi[:, j], on * total, rtol=0.0, atol=1e-14)
+
+
+def test_one_node_multinode_estimate_is_the_relu_estimate():
+    # one first-order kernel serves both estimators; with K = 1 they coincide
+    w = np.array([0.3, -1.0, 0.5])
+    ws = np.array([1.0, 0.2, 0.0])
+    cfg = McConfig(n_samples=BLOCK + 17, seed=12, dim=3)
+    for kind in ("l2", "h1"):
+        single = mc_loss_and_grad("relu", kind, w, ws, cfg)
+        stacked = mc_multinode_grad(w[None], ws[None], kind, cfg)
+        assert np.array_equal(stacked.mean[0], single.mean)
+        assert np.array_equal(stacked.std_error[0], single.std_error)
 
 
 def test_grad_oracle_agreement_sweep():
@@ -159,9 +192,6 @@ def test_grad_oracle_agreement_sweep():
 def test_fifty_pairs_million_samples_every_closed_form():
     # every closed-form gradient, 50 random basin pairs across d in
     # {2, 8, 32}, million-sample estimates, 4 standard errors
-    from sobolev_lab import multinode as mn
-    from sobolev_lab.mc import closed_form_grad
-
     rng = np.random.default_rng(5150)
     forms = [("relu", "l2"), ("relu", "h1_semi"), ("relu", "h1"),
              ("relu_sq", "i1"), ("relu_sq", "i2"), ("relu_sq", "i3")]
@@ -181,12 +211,9 @@ def test_fifty_pairs_million_samples_every_closed_form():
         worst_z = max(worst_z, float(np.max(np.abs(est.mean - closed) / est.std_error)))
     for i in range(5):
         dim = 4
-        Wstar = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:2].copy()
-        E = rng.standard_normal((2, dim))
-        E *= (rng.uniform(0.2, 0.8, size=2) / np.linalg.norm(E, axis=1))[:, None]
-        W = Wstar + E
+        W, Wstar = basin_node_pairs(rng, dim, 0.2, 0.8)
         kind = "l2" if i % 2 == 0 else "h1"
         est = mc_multinode_grad(W, Wstar, kind, McConfig(n_samples=10**6, seed=8000 + i, dim=dim))
-        closed = -mn.multinode_gradients(W, Wstar, kind)
+        closed = closed_form_grad("multinode", kind, W, Wstar)
         worst_z = max(worst_z, float(np.max(np.abs(est.mean - closed) / est.std_error)))
     assert worst_z <= 4.0, f"worst z-score {worst_z:.2f}"
