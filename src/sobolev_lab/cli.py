@@ -69,25 +69,42 @@ def _write_manifest(out_dir: Path, subcommand: str, cfg: dict) -> None:
         fh.write("\n")
 
 
+def _accepts(default, val) -> bool:
+    """Whether a --config value has the type of the flag that ``default`` declares."""
+    if isinstance(val, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(val, (int, float))
+    if isinstance(default, str) and "," in default:  # a comma list may also be a JSON list
+        return isinstance(val, (str, list))
+    return isinstance(val, type(default))
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < --config JSON < explicit CLI flags."""
+    """defaults < --config JSON < explicit CLI flags; a JSON value must have its flag's type."""
     cfg = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"{args.config} must hold one JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            if not _accepts(defaults[key], val):
+                raise ValueError(f"config key {key!r} must be {type(defaults[key]).__name__}, "
+                                 f"got {val!r}")
         cfg.update(file_cfg)
     for key in defaults:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get(ENV_THREADS)
     return max(1, int(env)) if env else 1
@@ -97,14 +114,49 @@ def _threads(args) -> int:
 # subcommands
 
 
-def cmd_landscape(args) -> list[Path]:
-    cfg = _resolve(args, {"dim": 2, "theta_grid": 64, "norm_w": 1.0, "norm_wstar": 1.0,
-                          "seed": 0, "out_dir": "out"})
-    out = _prep_out(cfg)
-    d = int(cfg["dim"])
+# One row per experiment subcommand: name -> (help, defaults).  Each key
+# ``foo_bar`` of the defaults, and of COMMON, is the flag ``--foo-bar`` typed
+# as its default and a key ``--config`` may set.  The runner is the module
+# function ``cmd_<name with - as _>(cfg, out)``, looked up when the parser is
+# built; ``main`` resolves cfg, makes ``out`` and writes the manifest.
+EXPERIMENTS = {
+    "landscape": ("condition numbers and spectra over a theta grid",
+                  {"dim": 2, "theta_grid": 64, "norm_w": 1.0, "norm_wstar": 1.0}),
+    "gd-compare": ("one-step GD comparison at random basin points",
+                   {"dim": 8, "points": 500, "eta_factor": 0.9}),
+    "flow": ("single-node gradient-flow traces",
+             {"kind": "both", "dim": 8, "inits": 100, "step": 1e-3, "t_end": 10.0,
+              "record_every": 10}),
+    "relusq": ("second-order descent checks and flows",
+               {"dim": 4, "points": 1000, "inits": 100, "step": 1e-3, "t_end": 4.0,
+                "record_every": 20}),
+    "multinode": ("planar multi-node dynamics",
+                  {"k_list": "2,4,8", "starts": 100, "ratio_starts": 20, "step": 1e-3,
+                   "t_end": 60.0}),
+    "toeplitz": ("cyclic-coefficient field Jacobians", {"k_list": "3,5,8"}),
+    "sgd": ("empirical SGD traces with conditioning",
+            {"dim": 16, "lr": 1e-2, "batch": 64, "n_train": 10000, "steps": 2000, "seeds": 12,
+             "log_every": 20}),
+    # estimators whose per-sample gradients live in span{w, w*} have ~2
+    # effective dof per trial, so their slope fits need ~25 trials; the
+    # x-valued estimators are tame at any of the default dims
+    "verify-gradients": ("MC convergence study of the closed forms",
+                         {"dims": "4,16,64", "n_min": 10, "n_max": 17, "trials": 25,
+                          "forms": "relu:l2,relu:h1_semi,relu_sq:i1,relu_sq:i2,relu_sq:i3,multinode:l2"}),
+    "linear": ("linear-model conditioning and variances",
+               {"n": 200, "dim": 8, "sigma": 1.0, "lambdas": "0.5,1.0,2.0", "trials": 10000}),
+    "chebyshev": ("differentiation-matrix exactness sweep", {"n_max": 20}),
+}
+COMMON = {"seed": 0, "out_dir": "out"}
+FLAG_HELP = {"seed": "base RNG seed (default 0)", "out_dir": "output directory (default ./out)"}
+FLOW_KINDS = ["l2", "h1", "both"]
+
+
+def cmd_landscape(cfg: dict, out: Path) -> list[Path]:
+    d = cfg["dim"]
     if d < 2:
         raise ValueError("landscape needs dim >= 2")
-    n = int(cfg["theta_grid"])
+    n = cfg["theta_grid"]
     rows = []
     for i in range(1, n + 1):
         theta = i * (math.pi / 2) / (n + 1)
@@ -130,15 +182,12 @@ def cmd_landscape(args) -> list[Path]:
     path = out / "landscape.csv"
     _write_csv(path, ["theta", "alpha", "kappa_l2", "kappa_h1", "lam_min_l2", "lam_min_h1",
                       "lam_max_l2", "lam_max_h1"], rows)
-    _write_manifest(out, "landscape", cfg)
     return [path]
 
 
-def cmd_gd_compare(args) -> list[Path]:
-    cfg = _resolve(args, {"dim": 8, "points": 500, "eta_factor": 0.9, "seed": 0, "out_dir": "out"})
-    out = _prep_out(cfg)
+def cmd_gd_compare(cfg: dict, out: Path) -> list[Path]:
     rng = np.random.default_rng(cfg["seed"])
-    ws, wstar = basin_pairs(rng, int(cfg["dim"]), int(cfg["points"]))
+    ws, wstar = basin_pairs(rng, cfg["dim"], cfg["points"])
     rows = []
     for i, w in enumerate(ws):
         pre = relu1.gd_compare(w, wstar, 1.0)  # probe C with any eta, then use it
@@ -149,20 +198,13 @@ def cmd_gd_compare(args) -> list[Path]:
         )
     path = out / "gd_compare.csv"
     _write_csv(path, ["point_id", "theta", "max_step_c", "eta", "err_l2", "err_h1", "gain_f"], rows)
-    _write_manifest(out, "gd-compare", cfg)
     return [path]
 
 
-def cmd_flow(args) -> list[Path]:
-    cfg = _resolve(
-        args,
-        {"kind": "both", "dim": 8, "inits": 100, "step": 1e-3, "t_end": 10.0,
-         "record_every": 10, "seed": 0, "out_dir": "out"},
-    )
-    out = _prep_out(cfg)
+def cmd_flow(cfg: dict, out: Path) -> list[Path]:
     kinds = ["l2", "h1"] if cfg["kind"] == "both" else [cfg["kind"]]
     rng = np.random.default_rng(cfg["seed"])
-    w0, wstar = basin_pairs(rng, int(cfg["dim"]), int(cfg["inits"]))
+    w0, wstar = basin_pairs(rng, cfg["dim"], cfg["inits"])
     rows = []
     for kind in kinds:
         trace = rk4_integrate(
@@ -171,7 +213,7 @@ def cmd_flow(args) -> list[Path]:
             cfg["step"],
             cfg["t_end"],
             wstar,
-            record_every=int(cfg["record_every"]),
+            record_every=cfg["record_every"],
         )
         for init_id in range(w0.shape[0]):
             for t, v in zip(trace.times, trace.v_values[:, init_id]):
@@ -179,19 +221,12 @@ def cmd_flow(args) -> list[Path]:
     rows.sort(key=lambda r: (r[0], r[1]))
     path = out / "flow.csv"
     _write_csv(path, ["init_id", "kind", "t", "v"], rows)
-    _write_manifest(out, "flow", cfg)
     return [path]
 
 
-def cmd_relusq(args) -> list[Path]:
-    cfg = _resolve(
-        args,
-        {"dim": 4, "points": 1000, "inits": 100, "step": 1e-3, "t_end": 4.0,
-         "record_every": 20, "seed": 0, "out_dir": "out"},
-    )
-    out = _prep_out(cfg)
+def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
     rng = np.random.default_rng(cfg["seed"])
-    ws, wstar = basin_pairs(rng, int(cfg["dim"]), int(cfg["points"]))
+    ws, wstar = basin_pairs(rng, cfg["dim"], cfg["points"])
     rows = []
     for i, w in enumerate(ws):
         b = relusq.h2_gradients(w, wstar)
@@ -200,32 +235,24 @@ def cmd_relusq(args) -> list[Path]:
     descent_path = out / "relusq_descent.csv"
     _write_csv(descent_path, ["point_id", "ip1", "ip2", "ip3"], rows)
 
-    w0, wstar2 = basin_pairs(rng, int(cfg["dim"]), int(cfg["inits"]), rmin=0.1, rmax=0.7)
+    w0, wstar2 = basin_pairs(rng, cfg["dim"], cfg["inits"], rmin=0.1, rmax=0.7)
     flow_rows = []
     for variant, parts in (("h2", ("i1", "i2", "i3")), ("i1", ("i1",))):
         trace = rk4_integrate(relusq.h2_flow_field(wstar2, parts), w0, cfg["step"],
-                              cfg["t_end"], wstar2, record_every=int(cfg["record_every"]))
+                              cfg["t_end"], wstar2, record_every=cfg["record_every"])
         for init_id in range(w0.shape[0]):
             for t, v in zip(trace.times, trace.v_values[:, init_id]):
                 flow_rows.append((init_id, variant, t, v))
     flow_rows.sort(key=lambda r: (r[0], r[1]))
     flow_path = out / "relusq_flow.csv"
     _write_csv(flow_path, ["init_id", "variant", "t", "v"], flow_rows)
-    _write_manifest(out, "relusq", cfg)
     return [descent_path, flow_path]
 
 
-def cmd_multinode(args) -> list[Path]:
-    cfg = _resolve(
-        args,
-        {"k_list": "2,4,8", "starts": 100, "ratio_starts": 20, "step": 1e-3,
-         "t_end": 60.0, "seed": 0, "out_dir": "out"},
-    )
-    out = _prep_out(cfg)
-    ks = _parse_int_list(cfg["k_list"])
+def cmd_multinode(cfg: dict, out: Path) -> list[Path]:
     rng = np.random.default_rng(cfg["seed"])
     rows = []
-    for k in ks:
+    for k in _parse_list(cfg["k_list"], int):
         x_l2, x_h1 = mn.saddle_points(k)
         f_l2 = mn.reduced_field("l2", mn.ReducedState(x=x_l2, y=x_l2, k=k))
         f_h1 = mn.reduced_field("h1", mn.ReducedState(x=x_h1, y=x_h1, k=k))
@@ -233,8 +260,7 @@ def cmd_multinode(args) -> list[Path]:
         exp_h1 = mn.diagonal_decay("h1", k, 0.95, t_end=min(15.0 / k, 6.0)).exponent
 
         # convergence of the H1 planar flow from random Omega starts
-        n = int(cfg["starts"])
-        x0 = rng.uniform(0.15, 1.0, size=n)
+        x0 = rng.uniform(0.15, 1.0, size=cfg["starts"])
         y0 = np.array([rng.uniform(0.0, max(x - 0.05, 0.0)) for x in x0])
         starts = np.stack([x0, y0], axis=1)
         trace = rk4_integrate(mn.reduced_flow_field("h1", k), starts, cfg["step"],
@@ -242,8 +268,7 @@ def cmd_multinode(args) -> list[Path]:
         final_dist = np.sqrt(trace.v_values[-1])
 
         # near-fixed-point time-to-threshold ratio
-        m = int(cfg["ratio_starts"])
-        angs = rng.uniform(0.15, math.pi / 2 - 0.15, size=m)
+        angs = rng.uniform(0.15, math.pi / 2 - 0.15, size=cfg["ratio_starts"])
         near = np.stack([1.0 - 1e-3 * np.cos(angs), 1e-3 * np.sin(angs)], axis=1)
         t_l2 = mn.times_to_threshold("l2", k, near, 1e-4, step=cfg["step"])
         t_h1 = mn.times_to_threshold("h1", k, near, 1e-4, step=cfg["step"])
@@ -259,15 +284,12 @@ def cmd_multinode(args) -> list[Path]:
          "decay_exp_l2", "decay_exp_h1", "time_ratio_median", "max_final_dist"],
         rows,
     )
-    _write_manifest(out, "multinode", cfg)
     return [path]
 
 
-def cmd_toeplitz(args) -> list[Path]:
-    cfg = _resolve(args, {"k_list": "3,5,8", "seed": 0, "out_dir": "out"})
-    out = _prep_out(cfg)
+def cmd_toeplitz(cfg: dict, out: Path) -> list[Path]:
     rows = []
-    for k in _parse_int_list(cfg["k_list"]):
+    for k in _parse_list(cfg["k_list"], int):
         j_l2 = mn.toeplitz_jacobian("l2", k)
         j_h1 = mn.toeplitz_jacobian("h1", k)
         eigs = np.sort(np.linalg.eigvals(-j_l2).real)
@@ -278,82 +300,56 @@ def cmd_toeplitz(args) -> list[Path]:
             rows.append((k, i, float(eigs[i]), float(expected[i]), maxdiff))
     path = out / "toeplitz.csv"
     _write_csv(path, ["k", "eig_index", "eig_l2", "expected_eig", "h1_vs_2l2_maxdiff"], rows)
-    _write_manifest(out, "toeplitz", cfg)
     return [path]
 
 
-def cmd_sgd(args) -> list[Path]:
-    cfg = _resolve(
-        args,
-        {"dim": 16, "lr": 1e-2, "batch": 64, "n_train": 10000, "steps": 2000,
-         "seeds": 12, "log_every": 20, "seed": 0, "out_dir": "out"},
-    )
-    out = _prep_out(cfg)
+def cmd_sgd(cfg: dict, out: Path) -> list[Path]:
     rows = []
-    for s in range(int(cfg["seeds"])):
+    for s in range(cfg["seeds"]):
         for kind in ("l2", "h1"):
             trace = sgd_mod.sgd_run(
                 sgd_mod.SgdConfig(
-                    dim=int(cfg["dim"]),
-                    batch_size=int(cfg["batch"]),
-                    n_train=int(cfg["n_train"]),
+                    dim=cfg["dim"],
+                    batch_size=cfg["batch"],
+                    n_train=cfg["n_train"],
                     learning_rate=cfg["lr"],
-                    n_steps=int(cfg["steps"]),
-                    seed=int(cfg["seed"]) * 1000 + s,
+                    n_steps=cfg["steps"],
+                    seed=cfg["seed"] * 1000 + s,
                     loss_kind=kind,
-                    log_every=int(cfg["log_every"]),
+                    log_every=cfg["log_every"],
                 )
             )
             for st, err, kap in zip(trace.steps, trace.err_sq, trace.kappa):
                 rows.append((s, kind, int(st), err, kap))
     path = out / "sgd.csv"
     _write_csv(path, ["seed", "kind", "step", "err_sq", "kappa"], rows)
-    _write_manifest(out, "sgd", cfg)
     return [path]
 
 
-def cmd_verify_gradients(args) -> list[Path]:
-    # estimators whose per-sample gradients live in span{w, w*} have ~2
-    # effective dof per trial, so their slope fits need ~25 trials; the
-    # x-valued estimators are tame at any of the default dims
-    cfg = _resolve(
-        args,
-        {"dims": "4,16,64", "n_min": 10, "n_max": 17, "trials": 25,
-         "forms": "relu:l2,relu:h1_semi,relu_sq:i1,relu_sq:i2,relu_sq:i3,multinode:l2",
-         "seed": 0, "out_dir": "out"},
-    )
-    out = _prep_out(cfg)
-    dims = _parse_int_list(cfg["dims"])
-    n_grid = [2**p for p in range(int(cfg["n_min"]), int(cfg["n_max"]) + 1)]
-    threads = _threads(args)
+def cmd_verify_gradients(cfg: dict, out: Path, threads: int = 1) -> list[Path]:
+    dims = _parse_list(cfg["dims"], int)
+    n_grid = [2**p for p in range(cfg["n_min"], cfg["n_max"] + 1)]
     rows = []
-    for token in str(cfg["forms"]).split(","):
-        model, kind = token.strip().split(":")
-        table = mc.convergence_study(model, kind, dims, n_grid, int(cfg["trials"]),
-                                     int(cfg["seed"]), threads=threads)
+    for token in _parse_list(cfg["forms"], str.strip):
+        model, kind = token.split(":")
+        table = mc.convergence_study(model, kind, dims, n_grid, cfg["trials"], cfg["seed"],
+                                     threads=threads)
         for dim, n, mse in table:
             rows.append((model, kind, dim, int(math.log2(n)), mse))
     path = out / "convergence.csv"
     _write_csv(path, ["model", "kind", "dim", "log2_n", "mse"], rows)
-    _write_manifest(out, "verify-gradients", cfg)
     return [path]
 
 
-def cmd_linear(args) -> list[Path]:
-    cfg = _resolve(
-        args,
-        {"n": 200, "dim": 8, "sigma": 1.0, "lambdas": "0.5,1.0,2.0",
-         "trials": 10000, "seed": 0, "out_dir": "out"},
-    )
-    out = _prep_out(cfg)
+def cmd_linear(cfg: dict, out: Path) -> list[Path]:
     rng = np.random.default_rng(cfg["seed"])
-    X = rng.standard_normal((int(cfg["n"]), int(cfg["dim"])))
-    wstar = rng.standard_normal(int(cfg["dim"]))
+    X = rng.standard_normal((cfg["n"], cfg["dim"]))
+    wstar = rng.standard_normal(cfg["dim"])
     rows = []
-    for lam in _parse_float_list(cfg["lambdas"]):
+    for lam in _parse_list(cfg["lambdas"], float):
         p = LinearProblem(x_matrix=X, wstar=wstar, noise_sigma=cfg["sigma"], ridge_lambda=lam)
         kl, kh = conditioning(p)
-        ve_l2, ve_h1, vf_l2, vf_h1 = variance_study(p, int(cfg["trials"]), int(cfg["seed"]) + 1)
+        ve_l2, ve_h1, vf_l2, vf_h1 = variance_study(p, cfg["trials"], cfg["seed"] + 1)
         rows.append((lam, kl, kh, ve_l2, ve_h1, vf_l2, vf_h1))
     path = out / "linear.csv"
     _write_csv(
@@ -361,15 +357,12 @@ def cmd_linear(args) -> list[Path]:
         ["lambda", "kappa_l2", "kappa_h1", "var_l2_emp", "var_h1_emp", "var_l2_formula", "var_h1_formula"],
         rows,
     )
-    _write_manifest(out, "linear", cfg)
     return [path]
 
 
-def cmd_chebyshev(args) -> list[Path]:
-    cfg = _resolve(args, {"n_max": 20, "seed": 0, "out_dir": "out"})
-    out = _prep_out(cfg)
+def cmd_chebyshev(cfg: dict, out: Path) -> list[Path]:
     rows = []
-    for n in range(1, int(cfg["n_max"]) + 1):
+    for n in range(1, cfg["n_max"] + 1):
         x = cheb_points(n)
         d = cheb_diff_matrix(n)
         worst = 0.0
@@ -379,7 +372,6 @@ def cmd_chebyshev(args) -> list[Path]:
         rows.append((n, worst, float(np.abs(d.sum(axis=1)).max())))
     path = out / "chebyshev.csv"
     _write_csv(path, ["n", "max_monomial_err", "row_sum_max"], rows)
-    _write_manifest(out, "chebyshev", cfg)
     return [path]
 
 
@@ -549,7 +541,7 @@ def summarize(out_dir: Path) -> dict:
 
 
 def cmd_summarize(args) -> list[Path]:
-    out_dir = Path(args.out_dir_pos)
+    out_dir = Path(args.out_dir)
     if not out_dir.is_dir():
         raise ValueError(f"not a directory: {out_dir}")
     report = summarize(out_dir)
@@ -564,30 +556,10 @@ def cmd_summarize(args) -> list[Path]:
 # plumbing
 
 
-def _prep_out(cfg: dict) -> Path:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _parse_int_list(s) -> list[int]:
-    if isinstance(s, (list, tuple)):
-        return [int(v) for v in s]
-    return [int(tok) for tok in str(s).split(",") if tok.strip()]
-
-
-def _parse_float_list(s) -> list[float]:
-    if isinstance(s, (list, tuple)):
-        return [float(v) for v in s]
-    return [float(tok) for tok in str(s).split(",") if tok.strip()]
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
-    sp.add_argument("--out-dir", dest="out_dir", type=str, default=None,
-                    help="output directory (default ./out)")
-    sp.add_argument("--config", type=str, default=None,
-                    help="JSON file with defaults; explicit flags override it")
+def _parse_list(s, conv) -> list:
+    """A comma-separated string or a JSON list, each item through ``conv``."""
+    items = s if isinstance(s, list) else [tok for tok in s.split(",") if tok.strip()]
+    return [conv(v) for v in items]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -597,104 +569,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("landscape", help="condition numbers and spectra over a theta grid")
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--theta-grid", dest="theta_grid", type=int, default=None)
-    sp.add_argument("--norm-w", dest="norm_w", type=float, default=None)
-    sp.add_argument("--norm-wstar", dest="norm_wstar", type=float, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_landscape)
-
-    sp = sub.add_parser("gd-compare", help="one-step GD comparison at random basin points")
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--points", type=int, default=None)
-    sp.add_argument("--eta-factor", dest="eta_factor", type=float, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gd_compare)
-
-    sp = sub.add_parser("flow", help="single-node gradient-flow traces")
-    sp.add_argument("--kind", choices=["l2", "h1", "both"], default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--inits", type=int, default=None)
-    sp.add_argument("--step", type=float, default=None)
-    sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-    sp.add_argument("--record-every", dest="record_every", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_flow)
-
-    sp = sub.add_parser("relusq", help="second-order descent checks and flows")
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--points", type=int, default=None)
-    sp.add_argument("--inits", type=int, default=None)
-    sp.add_argument("--step", type=float, default=None)
-    sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-    sp.add_argument("--record-every", dest="record_every", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_relusq)
-
-    sp = sub.add_parser("multinode", help="planar multi-node dynamics")
-    sp.add_argument("--k-list", dest="k_list", type=str, default=None)
-    sp.add_argument("--starts", type=int, default=None)
-    sp.add_argument("--ratio-starts", dest="ratio_starts", type=int, default=None)
-    sp.add_argument("--step", type=float, default=None)
-    sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_multinode)
-
-    sp = sub.add_parser("toeplitz", help="cyclic-coefficient field Jacobians")
-    sp.add_argument("--k-list", dest="k_list", type=str, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_toeplitz)
-
-    sp = sub.add_parser("sgd", help="empirical SGD traces with conditioning")
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--lr", type=float, default=None)
-    sp.add_argument("--batch", type=int, default=None)
-    sp.add_argument("--n-train", dest="n_train", type=int, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--seeds", type=int, default=None)
-    sp.add_argument("--log-every", dest="log_every", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_sgd)
-
-    sp = sub.add_parser("verify-gradients", help="MC convergence study of the closed forms")
-    sp.add_argument("--dims", type=str, default=None)
-    sp.add_argument("--n-min", dest="n_min", type=int, default=None)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--forms", type=str, default=None)
-    sp.add_argument("--threads", type=int, default=None,
-                    help=f"worker cap (or ${ENV_THREADS}); never affects results")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify_gradients)
-
-    sp = sub.add_parser("linear", help="linear-model conditioning and variances")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--sigma", type=float, default=None)
-    sp.add_argument("--lambdas", type=str, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_linear)
-
-    sp = sub.add_parser("chebyshev", help="differentiation-matrix exactness sweep")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_chebyshev)
-
+    for name, (help_, defaults) in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=help_)
+        defaults = {**defaults, **COMMON}
+        for key, default in defaults.items():
+            if key == "seed" and name == "verify-gradients":
+                sp.add_argument("--threads", type=int,
+                                help=f"worker cap (or ${ENV_THREADS}); never affects results")
+            sp.add_argument("--" + key.replace("_", "-"), type=type(default), help=FLAG_HELP.get(key),
+                            choices=FLOW_KINDS if key == "kind" else None)
+        sp.add_argument("--config", help="JSON file with defaults; explicit flags override it")
+        sp.set_defaults(runner=globals()["cmd_" + name.replace("-", "_")], defaults=defaults)
     sp = sub.add_parser("summarize", help="evaluate acceptance checks from CSVs in a directory")
-    sp.add_argument("out_dir_pos", metavar="out_dir", type=str)
-    sp.set_defaults(func=cmd_summarize)
-
+    sp.add_argument("out_dir")
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        paths = args.func(args)
+        if args.subcommand == "summarize":
+            paths = cmd_summarize(args)
+        else:
+            cfg = _resolve(args, args.defaults)
+            out = Path(cfg["out_dir"])
+            out.mkdir(parents=True, exist_ok=True)
+            extra = {"threads": _threads(args)} if "threads" in args else {}
+            paths = args.runner(cfg, out, **extra)
+            _write_manifest(out, args.subcommand, cfg)
     except (SingularPointError, BlowUpError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import SingularPointError
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -34,7 +36,7 @@ def _check_square(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries")
+        raise SingularPointError("non-finite entries")
     return a
 
 
@@ -43,7 +45,9 @@ def symmetric_eigs(a: np.ndarray, sym_tol: float = 1e-12) -> SpectrumReport:
 
     Input must be symmetric within ``sym_tol`` (scaled by the matrix
     magnitude).  Backed by LAPACK's symmetric solver; non-convergence
-    surfaces as ``np.linalg.LinAlgError``.
+    surfaces as ``np.linalg.LinAlgError``.  Non-finite entries (here and in
+    ``real_eigs``) raise ``SingularPointError``: they come from a closed form
+    evaluated where it blows up, not from a bad input.
     """
     a = _check_square(a)
     scale = max(1.0, float(np.abs(a).max()))
@@ -60,14 +64,14 @@ def real_eigs(a: np.ndarray, imag_tol: float = 1e-8) -> SpectrumReport:
 
     Used for the H1 Hessian, which as written is a non-normal rank-2
     perturbation of the identity with a provably real, semisimple spectrum.
-    Raises if any eigenvalue carries imaginary mass beyond ``imag_tol``
-    relative to the matrix magnitude.
+    Raises ``SingularPointError`` if any eigenvalue carries imaginary mass
+    beyond ``imag_tol`` relative to the matrix magnitude.
     """
     a = _check_square(a)
     vals, vecs = np.linalg.eig(a)
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(vals.imag).max(initial=0.0)) > imag_tol * scale:
-        raise ValueError("matrix has genuinely complex eigenvalues")
+        raise SingularPointError("matrix has genuinely complex eigenvalues")
     order = np.argsort(vals.real)[::-1]
     vecs = vecs.real / np.linalg.norm(vecs.real, axis=0, keepdims=True)
     return SpectrumReport(eigenvalues=vals.real[order], eigenvectors=vecs[:, order])

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import SingularPointError
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -51,15 +53,25 @@ class PairGeometry:
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    """2-norm over the last axis as ``np.linalg.norm`` computes it (a dot product
-    for one vector, a row reduction for a stack), without its per-call overhead.
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """2-norm over the last axis by a row reduction, as ``np.linalg.norm(x, axis=-1)``
+    computes it, without its per-call overhead.
 
-    A vector whose squared norm underflows or overflows is measured with the
-    scale-safe ``math.hypot`` instead, so a nonzero vector never has norm 0.
+    A row whose squared norm underflows or overflows is measured with the
+    scale-safe ``math.hypot`` instead, so a nonzero row never has norm 0.
     """
+    sq = np.add.reduce(x * x, axis=-1)
+    if _TINY <= sq.min() and sq.max() <= _HUGE:
+        return np.sqrt(sq)
+    safe = np.reshape([math.hypot(*r) for r in x.reshape(-1, x.shape[-1])], sq.shape)
+    return np.where((sq >= _TINY) & (sq <= _HUGE), np.sqrt(sq), safe)[()]
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """2-norm over the last axis as ``np.linalg.norm`` computes it: a dot product
+    for one vector, ``_row_norm`` for a stack; scale-safe in both."""
     if x.ndim > 1:
-        return np.sqrt(np.add.reduce(x * x, axis=-1))
+        return _row_norm(x)
     sq = x.dot(x)
     return np.sqrt(sq) if _TINY <= sq <= _HUGE else np.float64(math.hypot(*x))
 
@@ -122,7 +134,7 @@ def pair_geometry(w: np.ndarray, wstar: np.ndarray) -> PairGeometry:
     if w.shape != wstar.shape:
         raise ValueError(f"dimension mismatch: {w.shape} vs {wstar.shape}")
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(wstar))):
-        raise ValueError("non-finite entries")
+        raise SingularPointError("non-finite entries")
     theta, nw, ns = _angle_norms(w, wstar)
     nw, ns = float(nw), float(ns)
     if ns == 0.0:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .eigs import SpectrumReport, real_eigs, symmetric_eigs
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, PairGeometry, _angle_norms, pair_geometry
+from .geometry import TWO_PI, PairGeometry, _angle_norms, _row_norm, pair_geometry
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def _norms_theta(w: np.ndarray, wstar: np.ndarray):
     if w.ndim == 1:
         # the pointwise closed forms keep their row-reduction |w|; the angle's
         # dot product differs from it in the last bit for ~15% of vectors
-        nw = np.sqrt(np.add.reduce(w * w))
+        nw = _row_norm(w)
     if np.any(nw == 0.0):
         raise SingularPointError("closed-form gradients are singular at w = 0")
     return nw, float(ns), theta

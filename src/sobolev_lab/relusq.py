@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, _angle_norms
+from .geometry import TWO_PI, _angle_norms, _row_norm
 
 _BASIN_TOL = 1e-12
 
@@ -71,7 +71,7 @@ def _h2_parts(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...]) -> list[
     """Gradients of the selected components at stacked states w (..., d), in ``parts`` order."""
     theta, nw, ns = _angle_norms(w, wstar)
     if w.ndim == 1:  # the row-reduction |w| of the pointwise forms, as in relu1
-        nw = np.sqrt(np.add.reduce(w * w))
+        nw = _row_norm(w)
     theta, nw, ns = np.asarray(theta)[..., None], nw[..., None], float(ns)
     g, h, g1 = _coeffs(theta)
     nw2 = nw**2
@@ -94,7 +94,7 @@ def _pair(w: np.ndarray, wstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     wstar = np.asarray(wstar, dtype=float)
     if w.shape != wstar.shape or w.ndim != 1:
         raise ValueError("w and w* must be 1-d vectors of equal dimension")
-    if np.linalg.norm(w) == 0.0 or np.linalg.norm(wstar) == 0.0:
+    if not (w.any() and wstar.any()):  # a norm would underflow to 0 below ~1e-154
         raise SingularPointError("second-order closed forms are singular at zero vectors")
     return w, wstar
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sobolev_lab import multinode as mn
+from sobolev_lab import cli, multinode as mn
 from sobolev_lab.cli import _write_csv, main, summarize
 
 
@@ -76,10 +76,23 @@ def test_rerun_is_byte_identical_and_thread_invariant(tmp_path):
     assert body_a == (c / "convergence.csv").read_bytes()
 
 
-def test_threads_is_only_a_verify_gradients_flag(tmp_path):
-    # no other subcommand has Monte-Carlo workers to cap
-    with pytest.raises(SystemExit):
-        run("landscape", "--threads", "2", "--out-dir", str(tmp_path))
+def test_every_subcommand_is_built_from_its_table_row(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.ENV_THREADS, raising=False)
+    for name, (_, defaults) in cli.EXPERIMENTS.items():
+        keys = set(defaults) | set(cli.COMMON)
+        dests = set(vars(cli.build_parser().parse_args([name]))) - {"subcommand", "runner", "defaults"}
+        # only verify-gradients has Monte-Carlo workers to cap
+        threads = name == "verify-gradients"
+        assert dests == keys | {"config"} | ({"threads"} if threads else set()), name
+        # the runner is read from the module when the parser is built, so a
+        # patched cmd_* (as the span tracer installs) is the one that runs
+        calls = []
+        monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"),
+                            lambda cfg, out, **kw: calls.append(kw) or [])
+        out = tmp_path / name
+        assert run(name, "--out-dir", str(out)) == 0
+        assert calls == [{"threads": 1} if threads else {}], name
+        assert set(json.loads((out / "manifest.json").read_text())["config"]) == keys, name
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -93,9 +106,26 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert len(read_rows(out / "landscape.csv")) == 7
 
 
+@pytest.mark.parametrize("entry", [{"norm_w": "2"}, {"theta_grid": 2.5}, {"dim": True}])
+def test_config_value_of_the_wrong_type_is_validation_error(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    assert run("landscape", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
+    assert repr(next(iter(entry))) in capsys.readouterr().err
+
+
+def test_config_takes_an_int_for_a_float_and_a_list_for_a_comma_list(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambdas": [1, 2.5], "sigma": 2, "trials": 50}))
+    assert run("linear", "--config", str(cfg), "--out-dir", str(tmp_path)) == 0
+    assert [float(r["lambda"]) for r in read_rows(tmp_path / "linear.csv")] == [1.0, 2.5]
+
+
 def test_unknown_config_key_is_validation_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
+    assert run("landscape", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
+    cfg.write_text(json.dumps([["dim", 3]]))
     assert run("landscape", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
 
 
@@ -109,6 +139,8 @@ def test_numerical_failures_exit_3(tmp_path, capsys):
     assert run("landscape", "--norm-w", "0", "--out-dir", str(tmp_path / "a")) == 3
     assert run("linear", "--n", "4", "--dim", "8", "--lambdas", "0",
                "--out-dir", str(tmp_path / "b")) == 3
+    # an infinite student is a singular point, not a bad configuration
+    assert run("landscape", "--norm-w", "inf", "--theta-grid", "2", "--out-dir", str(tmp_path / "c")) == 3
     assert "numerical error:" in capsys.readouterr().err
 
 

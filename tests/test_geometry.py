@@ -95,6 +95,8 @@ def test_tiny_students_keep_norm_and_angle(c, v):
     assert g.norm_w == pytest.approx(c * base.norm_w, rel=1e-14)
     assert g.theta == pytest.approx(base.theta, abs=1e-12)
     assert g.alpha_sin * g.norm_w == pytest.approx(base.alpha_sin * base.norm_w, rel=1e-14)
+    # the row-reduction norm of a stack is as scale-safe as the one-vector norm
+    assert angle_between(np.stack([c * w, w]), ws) == pytest.approx([base.theta] * 2, abs=1e-12)
 
 
 @given(c=st.floats(min_value=1e-3, max_value=1e3), v=_unit_ish)

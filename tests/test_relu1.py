@@ -70,6 +70,17 @@ def test_zero_student_is_flagged_singular():
         relu1.population_gradients(np.zeros(2), np.array([1.0, 0.0]))
 
 
+def test_tiny_nonzero_student_is_not_singular():
+    # w.w underflows to 0 at |w| = 1e-300; the gradients' norm must not
+    u, ws = np.array([0.6, 0.8, 0.0]), np.array([1.0, 0.0, 0.0])
+    ref = relu1.population_gradients(1e-100 * u, ws)
+    tiny = relu1.population_gradients(1e-300 * u, ws)
+    for got, want in ((tiny.grad_l2, ref.grad_l2), (tiny.grad_semi, ref.grad_semi)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-99)
+    stacked = relu1.grad_l2(np.stack([1e-300 * u, u]), ws)
+    np.testing.assert_array_equal(stacked[0], tiny.grad_l2)
+
+
 def test_gradients_match_mc_for_random_pairs():
     # moderate-N sweep; the full-size sweep runs in the acceptance suite
     rng = np.random.default_rng(81)

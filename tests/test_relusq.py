@@ -61,6 +61,16 @@ def test_zero_vectors_flagged_singular():
         relusq.h2_gradients(np.array([1.0, 0.0]), np.zeros(2))
 
 
+def test_tiny_nonzero_student_is_not_singular():
+    # every gradient is c times a limit as w = c u -> 0, and |w|^2 underflows first
+    u, ws = np.array([0.6, 0.8, 0.0]), np.array([1.0, 0.0, 0.0])
+    ref = relusq.h2_gradients(1e-100 * u, ws)
+    tiny = relusq.h2_gradients(1e-300 * u, ws)
+    for part in ("grad_i1", "grad_i2", "grad_i3"):
+        np.testing.assert_allclose(getattr(tiny, part) / 1e-300, getattr(ref, part) / 1e-100,
+                                   rtol=1e-14, atol=1e-150)
+
+
 def test_descent_everywhere_on_basin():
     rng = np.random.default_rng(14)
     for _ in range(1000):
