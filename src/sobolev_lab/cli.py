@@ -201,26 +201,26 @@ def cmd_gd_compare(cfg: dict, out: Path) -> list[Path]:
     return [path]
 
 
+def _flow_rows(fields, w0: np.ndarray, wstar: np.ndarray, cfg: dict) -> list[tuple]:
+    """Integrate each (label, field) from every row of w0; rows (init_id, label, t, v)
+    sorted by (init_id, label)."""
+    rows = []
+    for label, field in fields:
+        trace = rk4_integrate(field, w0, cfg["step"], cfg["t_end"], wstar,
+                              record_every=cfg["record_every"])
+        rows.extend((init_id, label, t, v) for init_id in range(w0.shape[0])
+                    for t, v in zip(trace.times, trace.v_values[:, init_id]))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return rows
+
+
 def cmd_flow(cfg: dict, out: Path) -> list[Path]:
     kinds = ["l2", "h1"] if cfg["kind"] == "both" else [cfg["kind"]]
     rng = np.random.default_rng(cfg["seed"])
     w0, wstar = basin_pairs(rng, cfg["dim"], cfg["inits"])
-    rows = []
-    for kind in kinds:
-        trace = rk4_integrate(
-            lambda s, k=kind: relu1.flow_rhs(k, s, wstar),
-            w0,
-            cfg["step"],
-            cfg["t_end"],
-            wstar,
-            record_every=cfg["record_every"],
-        )
-        for init_id in range(w0.shape[0]):
-            for t, v in zip(trace.times, trace.v_values[:, init_id]):
-                rows.append((init_id, kind, t, v))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    fields = [(kind, lambda s, k=kind: relu1.flow_rhs(k, s, wstar)) for kind in kinds]
     path = out / "flow.csv"
-    _write_csv(path, ["init_id", "kind", "t", "v"], rows)
+    _write_csv(path, ["init_id", "kind", "t", "v"], _flow_rows(fields, w0, wstar, cfg))
     return [path]
 
 
@@ -236,16 +236,10 @@ def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
     _write_csv(descent_path, ["point_id", "ip1", "ip2", "ip3"], rows)
 
     w0, wstar2 = basin_pairs(rng, cfg["dim"], cfg["inits"], rmin=0.1, rmax=0.7)
-    flow_rows = []
-    for variant, parts in (("h2", ("i1", "i2", "i3")), ("i1", ("i1",))):
-        trace = rk4_integrate(relusq.h2_flow_field(wstar2, parts), w0, cfg["step"],
-                              cfg["t_end"], wstar2, record_every=cfg["record_every"])
-        for init_id in range(w0.shape[0]):
-            for t, v in zip(trace.times, trace.v_values[:, init_id]):
-                flow_rows.append((init_id, variant, t, v))
-    flow_rows.sort(key=lambda r: (r[0], r[1]))
+    fields = [(variant, relusq.h2_flow_field(wstar2, parts))
+              for variant, parts in (("h2", ("i1", "i2", "i3")), ("i1", ("i1",)))]
     flow_path = out / "relusq_flow.csv"
-    _write_csv(flow_path, ["init_id", "variant", "t", "v"], flow_rows)
+    _write_csv(flow_path, ["init_id", "variant", "t", "v"], _flow_rows(fields, w0, wstar2, cfg))
     return [descent_path, flow_path]
 
 

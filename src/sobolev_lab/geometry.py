@@ -53,27 +53,21 @@ class PairGeometry:
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
-def _row_norm(x: np.ndarray) -> np.ndarray:
-    """2-norm over the last axis by a row reduction, as ``np.linalg.norm(x, axis=-1)``
-    computes it, without its per-call overhead.
+def _norm(x: np.ndarray) -> np.ndarray:
+    """2-norm over the last axis as ``np.linalg.norm`` computes it, without its
+    per-call overhead: a dot product for one vector, a row reduction for a stack.
 
-    A row whose squared norm underflows or overflows is measured with the
-    scale-safe ``math.hypot`` instead, so a nonzero row never has norm 0.
+    A vector whose squared norm underflows or overflows is measured with the
+    scale-safe ``math.hypot`` instead, so a nonzero vector never has norm 0.
     """
+    if x.ndim == 1:
+        sq = x.dot(x)
+        return np.sqrt(sq) if _TINY <= sq <= _HUGE else np.float64(math.hypot(*x))
     sq = np.add.reduce(x * x, axis=-1)
     if _TINY <= sq.min() and sq.max() <= _HUGE:
         return np.sqrt(sq)
     safe = np.reshape([math.hypot(*r) for r in x.reshape(-1, x.shape[-1])], sq.shape)
     return np.where((sq >= _TINY) & (sq <= _HUGE), np.sqrt(sq), safe)[()]
-
-
-def _norm(x: np.ndarray) -> np.ndarray:
-    """2-norm over the last axis as ``np.linalg.norm`` computes it: a dot product
-    for one vector, ``_row_norm`` for a stack; scale-safe in both."""
-    if x.ndim > 1:
-        return _row_norm(x)
-    sq = x.dot(x)
-    return np.sqrt(sq) if _TINY <= sq <= _HUGE else np.float64(math.hypot(*x))
 
 
 def _angle_norms(w: np.ndarray, wstar: np.ndarray):

@@ -245,7 +245,7 @@ def mc_loss_and_grad(
     wstar = np.asarray(wstar, dtype=float)
     if w.shape != (cfg.dim,) or wstar.shape != (cfg.dim,):
         raise ValueError("w and w* must match cfg.dim")
-    if float(np.linalg.norm(wstar)) == 0.0:
+    if not wstar.any():
         raise ValueError("teacher vector must be nonzero")
     if what not in ("grad", "loss"):
         raise ValueError("what must be 'grad' or 'loss'")

@@ -9,8 +9,11 @@ coefficients.  Two parametrizations are supported:
   P_j the shift by j-1, state t in R^K.
 
 All fields returned here are the NEGATED population gradients (flow
-right-hand sides).  Index arithmetic in the t-parametrization is cyclic
-modulo K: the shift group structure forces the wrap.
+right-hand sides).  The full per-node field and the cyclic field are one
+kernel: the cyclic field is the per-node field of node 1 evaluated on the
+shifted students, so it is the projection of the full field by
+construction.  Index arithmetic in the t-parametrization is cyclic modulo
+K: the shift group structure forces the wrap.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, angle_between
+from .geometry import TWO_PI, _angle_norms
 from .ode import _rk4_step, rk4_integrate
 
 
@@ -102,33 +105,39 @@ def _check_kind(kind: str) -> int:
 # full per-node field
 
 
+def _node_field(Wj: np.ndarray, W: np.ndarray, Wstar: np.ndarray, c: int) -> np.ndarray:
+    """-E grad at the nodes Wj (..., d) of the K-node system (W, W*) with kind factor c.
+
+    The H1 field (c = 2) doubles the (pi - angle) teacher/student terms but
+    not the sine terms.  Angles and norms come from one scale-safe reduction.
+    """
+    ts, nj, ns = _angle_norms(Wj[..., None, :], Wstar)
+    tt, _, nw = _angle_norms(Wj[..., None, :], W)
+    if not (nj.all() and nw.all() and ns.all()):
+        raise SingularPointError("zero node weight")
+    pull = c * ((math.pi - ts) @ Wstar - (math.pi - tt) @ W)
+    sines = np.sin(ts) @ ns - np.sin(tt) @ nw
+    return (pull + sines[..., None] / nj * Wj) / TWO_PI
+
+
 def multinode_gradients(W: np.ndarray, Wstar: np.ndarray, kind: str) -> np.ndarray:
     """Negated population gradients -E grad_{w_j} for each node, shape (K, d).
 
-    The H1 field doubles the (pi - angle) teacher/student terms but not the
-    sine terms; with K = 1 this reduces exactly to the single-node field.
+    With K = 1 this reduces exactly to the single-node field.
     """
     c = _check_kind(kind)
     W = np.asarray(W, dtype=float)
     Wstar = np.asarray(Wstar, dtype=float)
     if W.ndim != 2 or W.shape != Wstar.shape:
         raise ValueError("W and W* must both have shape (K, d)")
-    norms = np.linalg.norm(W, axis=1)
-    norms_star = np.linalg.norm(Wstar, axis=1)
-    if np.any(norms == 0.0) or np.any(norms_star == 0.0):
-        raise SingularPointError("zero node weight")
-    # (K, K) angles of student j against teacher j' and against student j'
-    ts = angle_between(W[:, None, :], Wstar[None, :, :])
-    tt = angle_between(W[:, None, :], W[None, :, :])
-    pull = c * ((math.pi - ts) @ Wstar - (math.pi - tt) @ W)
-    sines = np.sin(ts) @ norms_star - np.sin(tt) @ norms
-    return (pull + (sines / norms)[:, None] * W) / TWO_PI
+    return _node_field(W, W, Wstar, c)
 
 
 def cyclic_students(t: np.ndarray) -> np.ndarray:
     """Students (K, K) in teacher coordinates: row j is t cyclically shifted by j."""
     t = np.asarray(t, dtype=float)
-    return np.stack([np.roll(t, j) for j in range(t.shape[0])])
+    k = np.arange(t.shape[0])
+    return t[(k[None, :] - k[:, None]) % t.shape[0]]
 
 
 def planar_students(x: float, y: float, k: int) -> np.ndarray:
@@ -146,7 +155,7 @@ def _planar_angles(x, y, k: int):
     """alpha, theta, phi_star and phi of the planar parametrization.
 
     Broadcasts over x and y.  All three angles are taken in two-argument
-    form; arccos of the cosine loses half the digits where the angle is
+    form; the inverse cosine loses half the digits where the angle is
     small.  theta = atan2(sqrt(K - 1) |y|, x) keeps its digits next to the
     fixed point (1, 0), phi_star = atan2(sqrt(x^2 + (K - 2) y^2), y) is its
     companion, and the inter-student angle phi has sin(phi) / cos(phi)
@@ -285,38 +294,12 @@ def diagonal_decay(kind: str, k: int, x0: float, t_end: float, step: float = 1e-
 def toeplitz_field(kind: str, state: ToeplitzState) -> np.ndarray:
     """Nonlinear coefficient dynamics tdot, indices cyclic modulo K.
 
-    Exactly the projection of the full per-node field onto the teacher
-    basis under the cyclic parametrization (covered by a consistency test).
+    The per-node field of node 1 in the teacher basis: the students are the
+    cyclic shifts of t and the teachers the identity, so the projection of
+    the full field onto the cyclic parametrization holds by construction.
+    Only node 1 is evaluated, so the cost stays O(K^2).
     """
-    c = _check_kind(kind)
-    t = state.t
-    K = state.k
-    nt = float(np.linalg.norm(t))
-    if nt == 0.0:
-        raise SingularPointError("cyclic field is singular at t = 0")
-    alpha = 1.0 / nt
-    cos_teacher = np.clip(alpha * t, -1.0, 1.0)
-    theta_star = np.arccos(cos_teacher)
-    # student angles: cos theta_1^{j'} = alpha^2 sum_l t_l t_{l+j'-1}, cyclic
-    cos_student = np.clip(
-        np.array([alpha * alpha * float(t @ np.roll(t, -jp)) for jp in range(K)]), -1.0, 1.0
-    )
-    theta_stu = np.arccos(cos_student)
-    theta_stu[0] = 0.0  # shift 0 is w_1 itself; rounding must not fake an angle
-    sin_teacher_sum = float(np.sin(theta_star).sum())
-    sin_student_sum = float(np.sin(theta_stu).sum())
-    out = np.empty(K)
-    for j in range(K):
-        stu = 0.0
-        for jp in range(K):
-            stu += (math.pi - theta_stu[jp]) * t[(jp + j) % K]
-        out[j] = (
-            c * (math.pi - theta_star[j])
-            + alpha * t[j] * sin_teacher_sum
-            - c * stu
-            - t[j] * sin_student_sum
-        ) / TWO_PI
-    return out
+    return _node_field(state.t, cyclic_students(state.t), np.eye(state.k), _check_kind(kind))
 
 
 _FD_STEP = 1e-6

@@ -38,7 +38,7 @@ import numpy as np
 
 from .eigs import SpectrumReport, real_eigs, symmetric_eigs
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, PairGeometry, _angle_norms, _row_norm, pair_geometry
+from .geometry import TWO_PI, PairGeometry, _angle_norms, pair_geometry
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,6 @@ class RegionLabel(enum.Enum):
 def _norms_theta(w: np.ndarray, wstar: np.ndarray):
     """Batched norms and two-argument angle; w may be (..., d), wstar is (d,)."""
     theta, nw, ns = _angle_norms(w, wstar)
-    if w.ndim == 1:
-        # the pointwise closed forms keep their row-reduction |w|; the angle's
-        # dot product differs from it in the last bit for ~15% of vectors
-        nw = _row_norm(w)
     if np.any(nw == 0.0):
         raise SingularPointError("closed-form gradients are singular at w = 0")
     return nw, float(ns), theta
@@ -139,7 +135,7 @@ def population_gradients(w: np.ndarray, wstar: np.ndarray) -> GradientBundle:
     wstar = np.asarray(wstar, dtype=float)
     if w.shape != wstar.shape or w.ndim != 1:
         raise ValueError("w and w* must be 1-d vectors of equal dimension")
-    if np.linalg.norm(wstar) == 0.0:
+    if not wstar.any():  # a norm would underflow to 0 below ~1e-154
         raise ValueError("teacher vector must be nonzero")
     gl, gj = _gradients(w, wstar, ("l2", "semi"))
     return GradientBundle(grad_l2=gl, grad_semi=gj, grad_h1=gl + gj)
@@ -349,15 +345,10 @@ def basin_classify(w: np.ndarray, wstar: np.ndarray) -> RegionLabel:
     S  : sin(theta) < pi |w| / (2 |w*|)   (L2 Hessian positive definite)
     S' : sin(theta) < 2 pi |w| / (3 |w*|) (H1 Hessian positive definite)
     """
-    w = np.asarray(w, dtype=float)
-    wstar = np.asarray(wstar, dtype=float)
-    ns = float(np.linalg.norm(wstar))
-    if ns == 0.0:
-        raise ValueError("teacher vector must be nonzero")
-    nw = float(np.linalg.norm(w))
+    geom = pair_geometry(w, wstar)
+    nw, ns = geom.norm_w, geom.norm_wstar
     if nw == 0.0:
         return RegionLabel.OUTSIDE_SPRIME
-    geom = pair_geometry(w, wstar)
     s = geom.sin_theta
     if s < math.pi * nw / (2.0 * ns):
         return RegionLabel.INSIDE_S

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, _angle_norms, _row_norm
+from .geometry import TWO_PI, _angle_norms
 
 _BASIN_TOL = 1e-12
 
@@ -70,8 +70,6 @@ def _coeffs(theta):
 def _h2_parts(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...]) -> list[np.ndarray]:
     """Gradients of the selected components at stacked states w (..., d), in ``parts`` order."""
     theta, nw, ns = _angle_norms(w, wstar)
-    if w.ndim == 1:  # the row-reduction |w| of the pointwise forms, as in relu1
-        nw = _row_norm(w)
     theta, nw, ns = np.asarray(theta)[..., None], nw[..., None], float(ns)
     g, h, g1 = _coeffs(theta)
     nw2 = nw**2
@@ -114,7 +112,7 @@ def h2_flow_rhs(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...] = _PART
 def h2_flow_field(wstar: np.ndarray, parts: tuple[str, ...] = _PARTS):
     """Vectorized closure over stacked states (..., d) for RK4 ensembles."""
     wstar = np.asarray(wstar, dtype=float)
-    if float(np.linalg.norm(wstar)) == 0.0:
+    if not wstar.any():
         raise SingularPointError("zero teacher")
     want = set(parts)
     if not want or not want <= set(_PARTS):

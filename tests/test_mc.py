@@ -138,6 +138,15 @@ def test_validation_errors():
         McConfig(n_samples=0, seed=0, dim=2)
 
 
+def test_tiny_nonzero_teacher_is_estimated():
+    # w*.w* underflows to 0 at |w*| = 1e-300; the zero-teacher check must not
+    cfg = McConfig(n_samples=1000, seed=0, dim=2)
+    est = mc_loss_and_grad("relu", "l2", np.array([0.6, 0.8]), 1e-300 * np.array([1.0, 0.0]), cfg)
+    assert np.all(np.isfinite(est.mean))
+    with pytest.raises(ValueError):
+        mc_loss_and_grad("relu", "l2", np.ones(2), np.zeros(2), cfg)
+
+
 def test_relu_sq_stacked_parts_are_the_part_estimates():
     w = np.array([0.4, 0.8])
     ws = np.array([1.0, 0.0])

@@ -48,6 +48,20 @@ def test_zero_node_flagged():
         mn.multinode_gradients(W, np.eye(2), "l2")
 
 
+def test_tiny_nodes_are_not_singular():
+    # every node norm squared underflows to 0 at 1e-300; the kernel's norms must not
+    rng = np.random.default_rng(12)
+    for k in (2, 5):
+        t = rng.uniform(-0.4, 1.0, size=k)
+        t[0] = 1.2
+        W = mn.cyclic_students(t)
+        for kind in ("l2", "h1"):
+            g = mn.multinode_gradients(1e-300 * W, np.eye(k), kind)
+            f = mn.toeplitz_field(kind, mn.ToeplitzState(t=1e-300 * t, k=k))
+            assert np.all(np.isfinite(g)) and np.all(np.isfinite(f))
+            np.testing.assert_array_equal(f, g[0])
+
+
 def test_cyclic_closure_of_gradients():
     # on the cyclic parametrization every node field is the shift of node 1's
     rng = np.random.default_rng(4)
@@ -64,7 +78,7 @@ def test_cyclic_closure_of_gradients():
 
 def test_reduced_field_is_projection_of_full_gradient():
     rng = np.random.default_rng(5)
-    for k in (2, 3, 5):
+    for k in (2, 3, 5, 32):
         for _ in range(10):
             x = rng.uniform(0.3, 1.0)
             y = rng.uniform(0.0, x - 0.05)
@@ -210,7 +224,7 @@ def test_h1_planar_flow_converges_from_omega():
 
 
 def test_toeplitz_critical_point():
-    for k in (2, 3, 6):
+    for k in (2, 3, 6, 64):
         e1 = np.zeros(k)
         e1[0] = 1.0
         for kind in ("l2", "h1"):
@@ -240,7 +254,7 @@ def test_toeplitz_planar_slice_matches_reduced_field():
     # t = (x, y, ..., y) must reproduce the planar dynamics: tdot_1 = xdot,
     # tdot_j = ydot for j >= 2
     rng = np.random.default_rng(11)
-    for k in (2, 4):
+    for k in (2, 4, 32):
         x = rng.uniform(0.4, 1.0)
         y = rng.uniform(0.0, x - 0.1)
         t = np.full(k, y)

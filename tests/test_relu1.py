@@ -81,6 +81,17 @@ def test_tiny_nonzero_student_is_not_singular():
     np.testing.assert_array_equal(stacked[0], tiny.grad_l2)
 
 
+def test_tiny_nonzero_teacher_is_not_singular():
+    # w*.w* underflows to 0 at |w*| = 1e-300; the zero-teacher check must not.
+    # Both gradients tend to w / 2 as w* -> 0.
+    w = np.array([0.6, 0.8])
+    tiny = relu1.population_gradients(w, 1e-300 * np.array([1.0, 0.0]))
+    np.testing.assert_allclose(tiny.grad_l2, 0.5 * w, rtol=1e-14)
+    np.testing.assert_allclose(tiny.grad_semi, 0.5 * w, rtol=1e-14)
+    with pytest.raises(ValueError):
+        relu1.population_gradients(w, np.zeros(2))
+
+
 def test_gradients_match_mc_for_random_pairs():
     # moderate-N sweep; the full-size sweep runs in the acceptance suite
     rng = np.random.default_rng(81)
@@ -356,6 +367,14 @@ def test_basin_classify_examples():
         is relu1.RegionLabel.IN_SPRIME_MINUS_S
     )
     assert relu1.basin_classify(np.zeros(2), ws) is relu1.RegionLabel.OUTSIDE_SPRIME
+
+
+def test_basin_classify_is_scale_invariant_down_to_tiny_pairs():
+    w, ws = np.array([0.6, 0.8]), np.array([1.0, 0.0])
+    assert relu1.basin_classify(w, ws) is relu1.RegionLabel.INSIDE_S
+    assert relu1.basin_classify(1e-300 * w, 1e-300 * ws) is relu1.RegionLabel.INSIDE_S
+    with pytest.raises(ValueError):
+        relu1.basin_classify(w, np.zeros(2))
 
 
 def test_region_labels_match_hessian_minimum_eigenvalues():

@@ -71,6 +71,16 @@ def test_tiny_nonzero_student_is_not_singular():
                                    rtol=1e-14, atol=1e-150)
 
 
+def test_tiny_nonzero_teacher_flow_field_is_not_singular():
+    # w*.w* underflows to 0 at |w*| = 1e-300; the field's zero-teacher check must not.
+    # As w* -> 0 the three gradients tend to 3, 4 and 4 |w|^2 w.
+    w = np.array([0.6, 0.8])
+    f = relusq.h2_flow_field(1e-300 * np.array([1.0, 0.0]))(np.stack([w, 2.0 * w]))
+    np.testing.assert_allclose(f, -11.0 * np.stack([w, 8.0 * w]), rtol=1e-14)
+    with pytest.raises(SingularPointError):
+        relusq.h2_flow_field(np.zeros(2))
+
+
 def test_descent_everywhere_on_basin():
     rng = np.random.default_rng(14)
     for _ in range(1000):
