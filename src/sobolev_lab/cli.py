@@ -416,6 +416,10 @@ def _measure_c4(rows):
     m = {f"worst_final_v_{kind}": tr[:, -1].max() for kind, tr in v.items()}
     if {"l2", "h1"} <= v.keys():
         m["ordering_excess"] = (v["h1"] - v["l2"]).max()
+    if "l2" in v:
+        # lambda_max(hess L) = 1/2 bounds V_l2(t) below by V_l2(0) e^-t (the mechanism)
+        t_last = max(float(r["t"]) for r in rows)
+        m["v_l2_spectral_floor"] = v["l2"][:, 0].max() * math.exp(-t_last)
     return m
 
 
@@ -442,8 +446,11 @@ def _measure_c7(rows):
 
 
 def _measure_c8(rows):
-    return {"worst_eig_dev": np.abs(_col(rows, "eig_l2") - _col(rows, "expected_eig")).max(),
-            "h1_vs_2l2_maxdiff": _col(rows, "h1_vs_2l2_maxdiff").max()}
+    ks = _col(rows, "k")
+    dev = np.abs(_col(rows, "eig_l2") - _col(rows, "expected_eig"))
+    return {"worst_eig_dev": dev.max(),
+            "h1_vs_2l2_maxdiff": _col(rows, "h1_vs_2l2_maxdiff").max(),
+            "eig_dev_by_k": {int(k): dev[ks == k].max() for k in np.unique(ks)}}
 
 
 def _measure_c9(rows):

@@ -2,9 +2,10 @@
 
 A criterion is a title plus clauses over named measured values.  The
 acceptance suite measures every clause at the criterion's stated size;
-``cli.summarize`` measures what its CSV artifacts carry.  Both hand their
-values to ``judge``, which returns the one entry shape recorded in
-``report.json`` and in the pytest cache:
+``cli.summarize`` measures what its CSV artifacts carry, and the suite takes
+its values wherever one subcommand run is the criterion's experiment.  Both
+hand their values to ``judge``, which returns the one entry shape recorded
+in ``report.json`` and in the pytest cache:
 
 * ``status``: ``pass`` when at least one clause is measured and every
   measured clause holds, ``fail`` when a measured clause does not hold,

@@ -17,6 +17,7 @@ explicitly (it cancels only for unit noise).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
@@ -46,6 +47,14 @@ class LinearProblem:
     def gram(self) -> np.ndarray:
         return self.x_matrix.T @ self.x_matrix
 
+    @cached_property
+    def _gram_eigs(self) -> np.ndarray:
+        """Ascending eigenvalues of X^T X, taken once; raises if it is numerically singular."""
+        s = np.linalg.eigvalsh(self.gram())
+        if s[0] <= _MIN_GRAM_EIG:
+            raise SingularPointError("Gram matrix is numerically singular")
+        return s
+
 
 def _chol_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
@@ -61,9 +70,8 @@ def fit_estimators(p: LinearProblem, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     y = np.asarray(y, dtype=float)
     if y.shape != (p.x_matrix.shape[0],):
         raise ValueError("y must have one entry per design row")
+    p._gram_eigs  # raises on a numerically singular Gram matrix
     g = p.gram()
-    if np.linalg.eigvalsh(g)[0] <= _MIN_GRAM_EIG:
-        raise SingularPointError("Gram matrix is numerically singular")
     xty = p.x_matrix.T @ y
     w_l2 = _chol_solve(g, xty)
     w_h1 = _chol_solve(
@@ -74,16 +82,14 @@ def fit_estimators(p: LinearProblem, y: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def conditioning(p: LinearProblem) -> tuple[float, float]:
     """Condition numbers of the two Hessians X^T X and X^T X + lambda I."""
-    vals = np.linalg.eigvalsh(p.gram())
-    if vals[0] <= _MIN_GRAM_EIG:
-        raise SingularPointError("Gram matrix is numerically singular")
+    vals = p._gram_eigs
     lam = p.ridge_lambda
     return float(vals[-1] / vals[0]), float((vals[-1] + lam) / (vals[0] + lam))
 
 
 def variance_formulas(p: LinearProblem) -> tuple[float, float]:
     """Closed-form in-sample variances sigma^2 d and sigma^2 sum s^2/(s+lam)^2."""
-    s = np.linalg.eigvalsh(p.gram())
+    s = p._gram_eigs
     sig2 = p.noise_sigma**2
     return sig2 * p.x_matrix.shape[1], float(sig2 * np.sum(s**2 / (s + p.ridge_lambda) ** 2))
 
@@ -101,9 +107,8 @@ def variance_study(
     rng = np.random.default_rng(seed)
     X = p.x_matrix
     n = X.shape[0]
+    f_l2, f_h1 = variance_formulas(p)  # raises on a numerically singular Gram matrix
     g = p.gram()
-    if np.linalg.eigvalsh(g)[0] <= _MIN_GRAM_EIG:
-        raise SingularPointError("Gram matrix is numerically singular")
     g_ridge = g + p.ridge_lambda * np.eye(g.shape[0])
     y_clean = X @ p.wstar
     acc_l2 = 0.0
@@ -120,5 +125,4 @@ def variance_study(
         acc_l2 += float(np.sum((X @ (w_l2 - p.wstar).T) ** 2))
         acc_h1 += float(np.sum((X @ (w_h1 - p.wstar).T) ** 2))
         done += m
-    f_l2, f_h1 = variance_formulas(p)
     return acc_l2 / trials, acc_h1 / trials, f_l2, f_h1

@@ -27,6 +27,9 @@ from .exceptions import SingularPointError
 from .geometry import TWO_PI, _angle_norms
 from .ode import _rk4_step, rk4_integrate
 
+_THRESHOLD_T_MAX = 120.0  # flow time after which ``times_to_threshold`` gives up on a row
+_DECAY_STEP = 1e-3  # RK4 step of ``diagonal_decay``
+
 
 @dataclass(frozen=True)
 class ReducedState:
@@ -40,9 +43,6 @@ class ReducedState:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("reduced dynamics needs k >= 2")
-
-    def in_omega(self) -> bool:
-        return 0.0 < self.x <= 1.0 and 0.0 <= self.y <= 1.0 and self.x > self.y
 
 
 @dataclass(frozen=True)
@@ -212,12 +212,11 @@ def times_to_threshold(
     starts: np.ndarray,
     thresh: float,
     step: float = 1e-3,
-    t_max: float = 120.0,
 ) -> np.ndarray:
     """First flow times at which ||(x, y) - (1, 0)|| drops below ``thresh``.
 
     Integrates all ``starts`` (m, 2) as one stacked RK4 run; rows that never
-    cross within ``t_max`` come back as nan.
+    cross within ``_THRESHOLD_T_MAX`` come back as nan.
     """
     field = reduced_flow_field(kind, k)
     s = np.array(starts, dtype=float)
@@ -227,7 +226,7 @@ def times_to_threshold(
     alive = np.ones(m, dtype=bool)
     t = 0.0
     t2 = thresh * thresh
-    while t < t_max and alive.any():
+    while t < _THRESHOLD_T_MAX and alive.any():
         s = _rk4_step(field, s, step)
         t += step
         crossed = alive & (np.sum((s - target) ** 2, axis=-1) < t2)
@@ -264,7 +263,7 @@ def saddle_points(k: int) -> tuple[float, float]:
     return x_l2, x_h1
 
 
-def diagonal_decay(kind: str, k: int, x0: float, t_end: float, step: float = 1e-3) -> DecayFit:
+def diagonal_decay(kind: str, k: int, x0: float, t_end: float) -> DecayFit:
     """Integrate the diagonal flow from (x0, x0) and fit the decay exponent.
 
     On the diagonal the planar field is exactly linear, x' = -(K/2)(x - x*)
@@ -277,7 +276,8 @@ def diagonal_decay(kind: str, k: int, x0: float, t_end: float, step: float = 1e-
     if not x_star < x0 <= 1.0:
         raise ValueError("need x0 in (x*, 1]")
     field = reduced_flow_field(kind, k)
-    trace = rk4_integrate(field, np.array([x0, x0]), step, t_end, np.array([1.0, 0.0]), record_every=10)
+    trace = rk4_integrate(field, np.array([x0, x0]), _DECAY_STEP, t_end, np.array([1.0, 0.0]),
+                          record_every=10)
     drift = float(np.abs(trace.states[:, 0] - trace.states[:, 1]).max())
     if drift > 1e-9 * max(1.0, x0):
         raise RuntimeError(f"trajectory left the diagonal (drift {drift:.3e})")

@@ -36,9 +36,6 @@ class H2GradientBundle:
     grad_i2: np.ndarray
     grad_i3: np.ndarray
 
-    def total(self) -> np.ndarray:
-        return self.grad_i1 + self.grad_i2 + self.grad_i3
-
 
 @dataclass(frozen=True)
 class DescentReport:

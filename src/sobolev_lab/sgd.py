@@ -42,6 +42,8 @@ class SgdConfig:
             raise ValueError("initialization must satisfy |w0 - w*| < |w*|")
         if self.batch_size > self.n_train:
             raise ValueError("batch_size cannot exceed n_train")
+        if self.log_every < 1:
+            raise ValueError("log_every must be >= 1")
 
 
 @dataclass(frozen=True)

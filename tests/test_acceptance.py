@@ -3,9 +3,15 @@
 Each test measures every clause of its criterion and hands the values to
 ``criteria.judge``, which holds the clauses and tolerances; the judged entry
 goes to the terminal reporter (one line per criterion at the end of the run).
-Three criteria encode idealized claims that the exact closed-form fields
-provably violate; those tests fail by design, and the assertion message
-carries the failed clauses with their values and the mechanism.
+Where one subcommand run reproduces a criterion's experiment (c4 ``flow``,
+c6 ``relusq``, c8 ``toeplitz``, c10 ``sgd``, c12 ``chebyshev``), the test runs
+it through the CLI and takes the values ``summarize`` measures from its CSVs,
+adding only what no CSV carries (``seconds``, c12's ``n1_exact``); c9 hands
+its convergence rows to the same extraction.  The other tests draw their own
+samples at the criterion's size.  Three criteria encode idealized claims that
+the exact closed-form fields provably violate; those tests fail by design,
+and the assertion message carries the failed clauses with their values and
+the mechanism.
 """
 
 import math
@@ -14,9 +20,9 @@ import time
 import numpy as np
 
 
+from sobolev_lab import cli, relu1
 from sobolev_lab import multinode as mn
-from sobolev_lab import relu1, relusq
-from sobolev_lab.cli import main as cli_main
+from sobolev_lab.chebdiff import cheb_diff_matrix
 from sobolev_lab.criteria import (MIN_THETA, decay_rel_dev, extreme_dev, judge,
                                   saddle_formula_dev)
 from sobolev_lab.eigs import symmetric_eigs
@@ -25,12 +31,10 @@ from sobolev_lab.mc import (
     McConfig,
     closed_form_grad,
     convergence_study,
-    fit_loglog_slope,
     mc_loss_and_grad,
     mc_multinode_grad,
 )
 from sobolev_lab.ode import rk4_integrate
-from sobolev_lab.sgd import SgdConfig, sgd_run
 
 from conftest import ACCEPTANCE_LOG
 
@@ -43,6 +47,12 @@ def judged(crit_id, **measured):
     entry = ACCEPTANCE_LOG[crit_id] = judge(crit_id, measured)
     assert entry["unmeasured"] == []
     assert entry["status"] == "pass", f"{entry['failed']}; {entry.get('mechanism', '')}"
+
+
+def measured_by_cli(out_dir, crit_id, *argv):
+    """Run one subcommand into ``out_dir``; the values ``summarize`` measures for ``crit_id``."""
+    assert cli.main([*argv, "--out-dir", str(out_dir)]) == 0
+    return cli.summarize(out_dir)["criteria"][crit_id]["measured"]
 
 
 def sample_region_pairs(rng, dim, count, cap=0.999 * math.pi / 2):
@@ -118,21 +128,10 @@ def test_c03_one_step_gd():
            c_zero_angle_dev=abs(c_collinear - 4.0 / 3.0))
 
 
-def test_c04_h1_flow_acceleration():
+def test_c04_h1_flow_acceleration(tmp_path):
     start = time.time()
-    rng = np.random.default_rng(404)
-    w0, ws = basin_pairs(rng, 8, 100)
-    v = {}
-    for kind in ("l2", "h1"):
-        v[kind] = rk4_integrate(
-            lambda s, k=kind: relu1.flow_rhs(k, s, ws), w0, 1e-3, 10.0, ws, record_every=10
-        ).v_values
-    # the L2 side cannot reach the threshold: lambda_max(hess L) = 1/2 bounds
-    # V(10) below by V(0) e^-10 (the mechanism of the judged entry)
-    judged("c4_h1_flow_acceleration", ordering_excess=(v["h1"] - v["l2"]).max(),
-           worst_final_v_h1=v["h1"][-1].max(), worst_final_v_l2=v["l2"][-1].max(),
-           v_l2_spectral_floor=v["l2"][0].max() * math.exp(-10.0),
-           seconds=time.time() - start)
+    measured = measured_by_cli(tmp_path, "c4_h1_flow_acceleration", "flow", "--seed", "404")
+    judged("c4_h1_flow_acceleration", **measured, seconds=time.time() - start)
 
 
 def test_c05_flow_quadratic_forms():
@@ -149,19 +148,10 @@ def test_c05_flow_quadratic_forms():
            min_n14_eig=min_n, max_n5_eig=max_n5)
 
 
-def test_c06_relusq_descent():
-    rng = np.random.default_rng(606)
-    pts, ws = basin_pairs(rng, 4, 1000)
-    worst_ip = -math.inf
-    for w in pts:
-        b = relusq.h2_gradients(w, ws)
-        e = w - ws
-        worst_ip = np.max([worst_ip, -(e @ b.grad_i1), -(e @ b.grad_i2), -(e @ b.grad_i3)])
-    w0, ws2 = basin_pairs(rng, 4, 100, rmin=0.1, rmax=0.7)
-    tr_h2 = rk4_integrate(relusq.h2_flow_field(ws2), w0, 1e-3, 3.0, ws2, record_every=20)
-    tr_i1 = rk4_integrate(relusq.h2_flow_field(ws2, ("i1",)), w0, 1e-3, 3.0, ws2, record_every=20)
-    judged("c6_relusq_descent", worst_inner_product=worst_ip,
-           h2_excess=(tr_h2.v_values - tr_i1.v_values).max())
+def test_c06_relusq_descent(tmp_path):
+    measured = measured_by_cli(tmp_path, "c6_relusq_descent",
+                               "relusq", "--seed", "606", "--t-end", "3")
+    judged("c6_relusq_descent", **measured)
 
 
 def test_c07_multinode_dynamics():
@@ -200,17 +190,9 @@ def test_c07_multinode_dynamics():
            time_ratios=ratios)
 
 
-def test_c08_toeplitz_linearization():
-    eig_devs = {}
-    worst_2x = 0.0
-    for k in (3, 5, 8):
-        jacs = {kind: mn.toeplitz_jacobian(kind, k) for kind in ("l2", "h1")}
-        eigs = np.sort(np.linalg.eigvals(-jacs["l2"]).real)
-        _, expected = mn.toeplitz_linearization(k)
-        eig_devs[k] = float(np.abs(eigs - np.sort(expected)).max())
-        worst_2x = np.maximum(worst_2x, np.abs(jacs["h1"] - 2.0 * jacs["l2"]).max())
-    judged("c8_toeplitz_linearization", worst_eig_dev=np.max(list(eig_devs.values())),
-           h1_vs_2l2_maxdiff=worst_2x, eig_dev_by_k=eig_devs)
+def test_c08_toeplitz_linearization(tmp_path):
+    measured = measured_by_cli(tmp_path, "c8_toeplitz_linearization", "toeplitz")
+    judged("c8_toeplitz_linearization", **measured)
 
 
 def test_c09_mc_verification():
@@ -234,16 +216,11 @@ def test_c09_mc_verification():
         eff = 2 if kind in ("h1_semi", "i3") else dim
         return max(3, math.ceil(50 / eff))
 
-    slopes = {}
-    mse_rise = -math.inf
-    for model, kind in forms:
-        for dim in dims:
-            rows = convergence_study(model, kind, [dim], n_grid,
-                                     trials=trials_for(model, kind, dim), seed=909)
-            cells = sorted((n, mse) for _, n, mse in rows)
-            slopes[f"{model}:{kind}:d{dim}"] = fit_loglog_slope(np.array([n for n, _ in cells]),
-                                                                np.array([m for _, m in cells]))
-            mse_rise = np.maximum(mse_rise, cells[-1][1] - cells[0][1])
+    # convergence.csv rows, measured as ``summarize`` measures them
+    rows = [{"model": model, "kind": kind, "dim": dim, "log2_n": math.log2(n), "mse": mse}
+            for model, kind in forms for dim in dims
+            for _, n, mse in convergence_study(model, kind, [dim], n_grid,
+                                               trials=trials_for(model, kind, dim), seed=909)]
 
     # pointwise agreement at N = 1e6, in standard errors, every closed form
     rng = np.random.default_rng(910)
@@ -263,30 +240,15 @@ def test_c09_mc_verification():
             closed = closed_form_grad(model, kind, w, ws)
             z = float(np.max(np.abs(est.mean - closed) / est.std_error))
             worst_z = np.maximum(worst_z, z)
-    judged("c9_mc_verification",
-           slope_range=[np.min(list(slopes.values())), np.max(list(slopes.values()))],
-           max_mse_rise=mse_rise, worst_z=worst_z, seconds=time.time() - start, slopes=slopes)
+    judged("c9_mc_verification", **cli._measure_c9(rows), worst_z=worst_z,
+           seconds=time.time() - start)
 
 
-def test_c10_empirical_sgd():
+def test_c10_empirical_sgd(tmp_path):
     start = time.time()
-    finals = {"l2": [], "h1": []}
-    kappa_excess = -math.inf
-    for seed in range(12):
-        traces = {}
-        for kind in ("l2", "h1"):
-            traces[kind] = sgd_run(
-                SgdConfig(dim=16, batch_size=64, n_train=10_000, learning_rate=1e-2,
-                          n_steps=3000, seed=seed, loss_kind=kind, log_every=20)
-            )
-            finals[kind].append(traces[kind].err_sq[-1])
-        both = ~(np.isnan(traces["l2"].kappa) | np.isnan(traces["h1"].kappa))
-        gap = traces["h1"].kappa[both] - traces["l2"].kappa[both]
-        kappa_excess = np.maximum(kappa_excess, gap.max())
-    med_l2 = float(np.median(finals["l2"]))
-    med_h1 = float(np.median(finals["h1"]))
-    judged("c10_empirical_sgd", median_gap=med_h1 - med_l2, kappa_excess=kappa_excess,
-           seconds=time.time() - start, median_final_l2=med_l2, median_final_h1=med_h1)
+    measured = measured_by_cli(tmp_path, "c10_empirical_sgd",
+                               "sgd", "--seed", "0", "--steps", "3000")
+    judged("c10_empirical_sgd", **measured, seconds=time.time() - start)
 
 
 def test_c11_linear_model():
@@ -309,39 +271,29 @@ def test_c11_linear_model():
            worst_rel_var_err=worst_rel)
 
 
-def test_c12_chebyshev_diff():
-    from sobolev_lab.chebdiff import cheb_diff_matrix, cheb_points
-
-    worst_ratio = 0.0
-    for n in range(1, 21):
-        x = cheb_points(n)
-        d = cheb_diff_matrix(n)
-        worst = 0.0
-        for k in range(n + 1):
-            expected = k * x ** (k - 1) if k > 0 else np.zeros_like(x)
-            worst = np.maximum(worst, np.abs(d @ x**k - expected).max())
-        worst_ratio = np.maximum(worst_ratio, worst / (n * n))
+def test_c12_chebyshev_diff(tmp_path):
+    measured = measured_by_cli(tmp_path, "c12_chebyshev_diff", "chebyshev")
     exact_n1 = bool(np.array_equal(cheb_diff_matrix(1), np.array([[0.5, -0.5], [0.5, -0.5]])))
-    judged("c12_chebyshev_diff", worst_err_over_n2=worst_ratio, n1_exact=exact_n1)
+    judged("c12_chebyshev_diff", **measured, n1_exact=exact_n1)
 
 
 def test_c13_determinism(tmp_path):
     a, b, c = (tmp_path / x for x in ("a", "b", "c"))
     land = ["landscape", "--dim", "4", "--theta-grid", "24"]
-    assert cli_main(land + ["--out-dir", str(a)]) == 0
-    assert cli_main(land + ["--out-dir", str(b)]) == 0
+    assert cli.main(land + ["--out-dir", str(a)]) == 0
+    assert cli.main(land + ["--out-dir", str(b)]) == 0
     same_land = (a / "landscape.csv").read_bytes() == (b / "landscape.csv").read_bytes()
 
     grad = ["verify-gradients", "--dims", "4,16", "--n-min", "10", "--n-max", "12",
             "--trials", "2", "--forms", "relu:h1"]
-    assert cli_main(grad + ["--out-dir", str(a), "--threads", "1"]) == 0
-    assert cli_main(grad + ["--out-dir", str(c), "--threads", "4"]) == 0
+    assert cli.main(grad + ["--out-dir", str(a), "--threads", "1"]) == 0
+    assert cli.main(grad + ["--out-dir", str(c), "--threads", "4"]) == 0
     same_grad = (a / "convergence.csv").read_bytes() == (c / "convergence.csv").read_bytes()
 
     flow = ["flow", "--kind", "both", "--dim", "4", "--inits", "6", "--t-end", "2",
             "--record-every", "100"]
-    assert cli_main(flow + ["--out-dir", str(b)]) == 0
-    assert cli_main(flow + ["--out-dir", str(c)]) == 0
+    assert cli.main(flow + ["--out-dir", str(b)]) == 0
+    assert cli.main(flow + ["--out-dir", str(c)]) == 0
     same_flow = (b / "flow.csv").read_bytes() == (c / "flow.csv").read_bytes()
 
     judged("c13_determinism", landscape_identical=same_land, convergence_identical=same_grad,

@@ -132,6 +132,9 @@ def test_unknown_config_key_is_validation_error(tmp_path):
 def test_validation_failures_exit_2(tmp_path):
     assert run("landscape", "--dim", "1", "--out-dir", str(tmp_path / "o")) == 2
     assert run("summarize", str(tmp_path / "does-not-exist")) == 2
+    # a zero logging interval is a bad configuration, not an internal error
+    assert run("sgd", "--log-every", "0", "--seeds", "1", "--steps", "5",
+               "--out-dir", str(tmp_path / "s")) == 2
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):

@@ -185,6 +185,29 @@ def test_l2_hessian_symmetric_h1_hessian_carries_known_skew():
         assert np.abs(0.5 * (hh - hh.T) - skew_expected).max() <= 1e-12
 
 
+def test_hessians_are_jacobians_of_the_population_gradients():
+    # an oracle independent of the spectra: central differences of the closed-form
+    # gradients.  hess H is the Jacobian of grad L + grad J itself (rows = gradient
+    # components); its transpose is off by the skew part.
+    rng = np.random.default_rng(31)
+    d, h = 6, 1e-6
+    worst_l2 = worst_h1 = worst_h1_transposed = 0.0
+    for _ in range(50):
+        w, ws = rng.standard_normal(d), rng.standard_normal(d)
+        fwd = [relu1.population_gradients(w + e, ws) for e in h * np.eye(d)]
+        bwd = [relu1.population_gradients(w - e, ws) for e in h * np.eye(d)]
+        jac_l2 = np.stack([(f.grad_l2 - b.grad_l2) / (2 * h) for f, b in zip(fwd, bwd)], axis=1)
+        jac_h1 = np.stack([(f.grad_h1 - b.grad_h1) / (2 * h) for f, b in zip(fwd, bwd)], axis=1)
+        hl, hh = relu1.hessian_matrices(w, ws)
+        worst_l2 = max(worst_l2, np.abs(jac_l2 - hl).max())
+        worst_h1 = max(worst_h1, np.abs(jac_h1 - hh).max())
+        worst_h1_transposed = max(worst_h1_transposed, np.abs(jac_h1.T - hh).max())
+    # measured worst cases: 2.0e-10 (L2), 4.4e-10 (H1), 0.11 (H1 transposed)
+    assert worst_l2 <= 1e-9
+    assert worst_h1 <= 1e-9
+    assert worst_h1_transposed > 1e-2
+
+
 def test_spectra_match_closed_forms_with_bulk_multiplicity():
     rng = np.random.default_rng(29)
     d = 8
