@@ -100,6 +100,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
+    for key, val in cfg.items():  # every count, size and interval; a seed may be any int
+        if isinstance(defaults[key], int) and key != "seed" and val < 1:
+            raise ValueError(f"{key} must be >= 1, got {val}")
     return cfg
 
 
@@ -244,33 +247,38 @@ def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_multinode(cfg: dict, out: Path) -> list[Path]:
-    rng = np.random.default_rng(cfg["seed"])
+    ks = _parse_list(cfg["k_list"], int)
     rows = []
-    for k in _parse_list(cfg["k_list"], int):
+    for k in ks:
         x_l2, x_h1 = mn.saddle_points(k)
         f_l2 = mn.reduced_field("l2", mn.ReducedState(x=x_l2, y=x_l2, k=k))
         f_h1 = mn.reduced_field("h1", mn.ReducedState(x=x_h1, y=x_h1, k=k))
         exp_l2 = mn.diagonal_decay("l2", k, 0.95, t_end=min(30.0 / k, 12.0)).exponent
         exp_h1 = mn.diagonal_decay("h1", k, 0.95, t_end=min(15.0 / k, 6.0)).exponent
+        rows.append([k, x_l2, x_h1, float(np.max(np.abs(f_l2))), float(np.max(np.abs(f_h1))),
+                     exp_l2, exp_h1])
 
-        # convergence of the H1 planar flow from random Omega starts
-        x0 = rng.uniform(0.15, 1.0, size=cfg["starts"])
-        y0 = np.array([rng.uniform(0.0, max(x - 0.05, 0.0)) for x in x0])
-        starts = np.stack([x0, y0], axis=1)
-        trace = rk4_integrate(mn.reduced_flow_field("h1", k), starts, cfg["step"],
-                              cfg["t_end"], np.array([1.0, 0.0]), record_every=100)
-        final_dist = np.sqrt(trace.v_values[-1])
+    # one draw of Omega starts shared by every K, then every K's near-fixed-point
+    # angles; each flow integrates all K as one ensemble with one K per row
+    rng = np.random.default_rng(cfg["seed"])
+    x0 = rng.uniform(0.15, 1.0, size=cfg["starts"])
+    y0 = np.array([rng.uniform(0.0, max(x - 0.05, 0.0)) for x in x0])
+    angs = rng.uniform(0.15, math.pi / 2 - 0.15, size=len(ks) * cfg["ratio_starts"])
 
-        # near-fixed-point time-to-threshold ratio
-        angs = rng.uniform(0.15, math.pi / 2 - 0.15, size=cfg["ratio_starts"])
-        near = np.stack([1.0 - 1e-3 * np.cos(angs), 1e-3 * np.sin(angs)], axis=1)
-        t_l2 = mn.times_to_threshold("l2", k, near, 1e-4, step=cfg["step"])
-        t_h1 = mn.times_to_threshold("h1", k, near, 1e-4, step=cfg["step"])
-        ratios = t_l2 / t_h1
-        rows.append(
-            (k, x_l2, x_h1, float(np.max(np.abs(f_l2))), float(np.max(np.abs(f_h1))),
-             exp_l2, exp_h1, float(np.median(ratios)), float(final_dist.max()))
-        )
+    # convergence of the H1 planar flow from the Omega starts
+    starts = np.tile(np.stack([x0, y0], axis=1), (len(ks), 1))
+    trace = rk4_integrate(mn.reduced_flow_field("h1", np.repeat(ks, cfg["starts"])), starts,
+                          cfg["step"], cfg["t_end"], np.array([1.0, 0.0]), record_every=100)
+    final_dist = np.sqrt(trace.v_values[-1]).reshape(len(ks), -1)
+
+    # near-fixed-point time-to-threshold ratio
+    near = np.stack([1.0 - 1e-3 * np.cos(angs), 1e-3 * np.sin(angs)], axis=1)
+    k_rows = np.repeat(ks, cfg["ratio_starts"])
+    t_l2 = mn.times_to_threshold("l2", k_rows, near, 1e-4, step=cfg["step"])
+    t_h1 = mn.times_to_threshold("h1", k_rows, near, 1e-4, step=cfg["step"])
+    ratios = (t_l2 / t_h1).reshape(len(ks), -1)
+    for row, r, d in zip(rows, ratios, final_dist):
+        row += [float(np.median(r)), float(d.max())]
     path = out / "multinode.csv"
     _write_csv(
         path,
@@ -442,6 +450,7 @@ def _measure_c7(rows):
             ks, _col(rows, "decay_exp_l2"), _col(rows, "decay_exp_h1")).max(),
         "max_final_dist": _col(rows, "max_final_dist").max(),
         "time_ratio_range": [ratios.min(), ratios.max()],
+        "time_ratios": {int(k): r for k, r in zip(ks, ratios)},
     }
 
 
@@ -558,8 +567,10 @@ def cmd_summarize(args) -> list[Path]:
 
 
 def _parse_list(s, conv) -> list:
-    """A comma-separated string or a JSON list, each item through ``conv``."""
+    """A comma-separated string or a JSON list, each item through ``conv``; never empty."""
     items = s if isinstance(s, list) else [tok for tok in s.split(",") if tok.strip()]
+    if not items:
+        raise ValueError(f"empty list {s!r}")
     return [conv(v) for v in items]
 
 

@@ -11,9 +11,10 @@ class SingularPointError(ValueError):
 
 
 class BlowUpError(RuntimeError):
-    """Raised when an ODE trajectory leaves the finite floats.
+    """Raised when an ODE trajectory or an SGD run leaves the finite floats.
 
-    ``time`` carries the first flow time at which a non-finite state was seen.
+    ``time`` carries the first flow time (for SGD, the step) at which a
+    non-finite state, or a non-finite logged SGD error, was seen.
     """
 
     def __init__(self, message: str, time: float):

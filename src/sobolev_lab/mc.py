@@ -313,6 +313,9 @@ def convergence_study(
     independent basin pairs per dim; every cell uses its own substream
     family so cells are statistically independent.
     """
+    dims, n_grid = list(dims), list(n_grid)
+    if trials < 1 or not dims or not n_grid:
+        raise ValueError("convergence_study needs trials >= 1 and non-empty dims and n_grid")
     rows = []
     for dim in dims:
         for trial in range(trials):

@@ -151,22 +151,30 @@ def planar_students(x: float, y: float, k: int) -> np.ndarray:
 # planar reduction
 
 
-def _planar_angles(x, y, k: int):
+def _k_factors(k):
+    """K - 1 and K - 2 as floats: scalars for an int K, arrays for one K per state."""
+    k = np.asarray(k, dtype=float)
+    return k - 1.0, k - 2.0
+
+
+def _planar_angles(x, y, k1, k2):
     """alpha, theta, phi_star and phi of the planar parametrization.
 
-    Broadcasts over x and y.  All three angles are taken in two-argument
-    form; the inverse cosine loses half the digits where the angle is
-    small.  theta = atan2(sqrt(K - 1) |y|, x) keeps its digits next to the
-    fixed point (1, 0), phi_star = atan2(sqrt(x^2 + (K - 2) y^2), y) is its
-    companion, and the inter-student angle phi has sin(phi) / cos(phi)
-    reduced to |x - y| sqrt((x + y)^2 + 2 (K - 2) y^2) / (2 x y + (K - 2) y^2),
-    so it is exactly 0 on the diagonal and exactly pi/2 at (1, 0).
+    ``k1`` and ``k2`` are the factors K - 1 and K - 2 of ``_k_factors``;
+    everything broadcasts over x, y and the factors.  All three angles are
+    taken in two-argument form; the inverse cosine loses half the digits
+    where the angle is small.  theta = atan2(sqrt(K - 1) |y|, x) keeps its
+    digits next to the fixed point (1, 0), phi_star = atan2(sqrt(x^2 +
+    (K - 2) y^2), y) is its companion, and the inter-student angle phi has
+    sin(phi) / cos(phi) reduced to |x - y| sqrt((x + y)^2 + 2 (K - 2) y^2) /
+    (2 x y + (K - 2) y^2), so it is exactly 0 on the diagonal and exactly
+    pi/2 at (1, 0).
     """
-    alpha = 1.0 / np.sqrt(x * x + (k - 1) * y * y)
-    theta = np.arctan2(np.sqrt((k - 1) * y * y), x)
-    phi_star = np.arctan2(np.sqrt(x * x + (k - 2) * y * y), y)
-    phi = np.arctan2(np.abs(x - y) * np.sqrt((x + y) ** 2 + 2 * (k - 2) * y * y),
-                     2 * x * y + (k - 2) * y * y)
+    alpha = 1.0 / np.sqrt(x * x + k1 * y * y)
+    theta = np.arctan2(np.sqrt(k1 * y * y), x)
+    phi_star = np.arctan2(np.sqrt(x * x + k2 * y * y), y)
+    phi = np.arctan2(np.abs(x - y) * np.sqrt((x + y) ** 2 + 2 * k2 * y * y),
+                     2 * x * y + k2 * y * y)
     return alpha, theta, phi_star, phi
 
 
@@ -180,7 +188,7 @@ def _planar_point(state: ReducedState) -> np.ndarray:
 def reduced_angles(state: ReducedState) -> AngleSet:
     """Angles of the planar parametrization at one state."""
     x, y = _planar_point(state)
-    alpha, theta, phi_star, phi = _planar_angles(x, y, state.k)
+    alpha, theta, phi_star, phi = _planar_angles(x, y, *_k_factors(state.k))
     return AngleSet(theta=float(theta), phi_star=float(phi_star), phi=float(phi), alpha_red=float(alpha))
 
 
@@ -190,17 +198,22 @@ def reduced_field(kind: str, state: ReducedState) -> tuple[float, float]:
     return float(xdot), float(ydot)
 
 
-def reduced_flow_field(kind: str, k: int):
-    """The planar field as a closure over stacked states (..., 2) for RK4 ensembles."""
+def reduced_flow_field(kind: str, k):
+    """The planar field as a closure over stacked states (..., 2) for RK4 ensembles.
+
+    ``k`` is one int K for every state, or an integer array with one K per
+    state row (shape (...,)), so ensembles of several K integrate as one.
+    """
     c = _check_kind(kind)
+    k1, k2 = _k_factors(k)
 
     def field(s: np.ndarray) -> np.ndarray:
         x = s[..., 0]
         y = s[..., 1]
-        alpha, theta, phi_star, phi = _planar_angles(x, y, k)
-        first = (k - 1) * (alpha * np.sin(phi_star) - np.sin(phi)) + alpha * np.sin(theta)
-        bx = -(np.pi - theta) + np.pi * x + (np.pi - phi) * (k - 1) * y
-        by = -(np.pi - phi_star) + np.pi * y + (np.pi - phi) * (x + (k - 2) * y)
+        alpha, theta, phi_star, phi = _planar_angles(x, y, k1, k2)
+        first = k1 * (alpha * np.sin(phi_star) - np.sin(phi)) + alpha * np.sin(theta)
+        bx = -(np.pi - theta) + np.pi * x + (np.pi - phi) * k1 * y
+        by = -(np.pi - phi_star) + np.pi * y + (np.pi - phi) * (x + k2 * y)
         return np.stack([(first * x - c * bx), (first * y - c * by)], axis=-1) / TWO_PI
 
     return field
@@ -208,15 +221,16 @@ def reduced_flow_field(kind: str, k: int):
 
 def times_to_threshold(
     kind: str,
-    k: int,
+    k,
     starts: np.ndarray,
     thresh: float,
     step: float = 1e-3,
 ) -> np.ndarray:
     """First flow times at which ||(x, y) - (1, 0)|| drops below ``thresh``.
 
-    Integrates all ``starts`` (m, 2) as one stacked RK4 run; rows that never
-    cross within ``_THRESHOLD_T_MAX`` come back as nan.
+    Integrates all ``starts`` (m, 2) as one stacked RK4 run, with ``k`` one
+    int K or an integer array (m,) of one K per row; rows that never cross
+    within ``_THRESHOLD_T_MAX`` come back as nan.
     """
     field = reduced_flow_field(kind, k)
     s = np.array(starts, dtype=float)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import BlowUpError
 from .geometry import pair_geometry
 from .mc import _FORMS, _relu_grad
 from .relu1 import condition_numbers
@@ -40,8 +41,8 @@ class SgdConfig:
             raise ValueError("loss_kind must be 'l2' or 'h1'")
         if not 0.0 < self.init_radius < 1.0:
             raise ValueError("initialization must satisfy |w0 - w*| < |w*|")
-        if self.batch_size > self.n_train:
-            raise ValueError("batch_size cannot exceed n_train")
+        if not 1 <= self.batch_size <= self.n_train:
+            raise ValueError("batch_size must be in [1, n_train]")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
 
@@ -91,10 +92,13 @@ def sgd_run(cfg: SgdConfig) -> SgdTrace:
         grad = sum(g.mean(axis=0) for g in _relu_grad(batch, w[None], Wstar, parts))[0]
         w = w - cfg.learning_rate * grad
         if not np.all(np.isfinite(w)):
-            raise RuntimeError(f"SGD diverged at step {step}")
+            raise BlowUpError(f"SGD diverged at step {step}", time=float(step))
         if step % cfg.log_every == 0 or step == cfg.n_steps:
+            err = float(np.sum((w - wstar) ** 2))
+            if not math.isfinite(err):
+                raise BlowUpError(f"SGD error overflowed at step {step}", time=float(step))
             steps.append(step)
-            errs.append(float(np.sum((w - wstar) ** 2)))
+            errs.append(err)
             kappas.append(_kappa_at(w, wstar, kind))
     return SgdTrace(
         steps=np.asarray(steps),

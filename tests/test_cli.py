@@ -129,12 +129,27 @@ def test_unknown_config_key_is_validation_error(tmp_path):
     assert run("landscape", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
 
 
-def test_validation_failures_exit_2(tmp_path):
+def test_validation_failures_exit_2(tmp_path, capsys):
     assert run("landscape", "--dim", "1", "--out-dir", str(tmp_path / "o")) == 2
     assert run("summarize", str(tmp_path / "does-not-exist")) == 2
     # a zero logging interval is a bad configuration, not an internal error
     assert run("sgd", "--log-every", "0", "--seeds", "1", "--steps", "5",
                "--out-dir", str(tmp_path / "s")) == 2
+    # a count below 1 or an empty list would write a header-only or nan CSV
+    for argv in (("multinode", "--ratio-starts", "0"),
+                 ("multinode", "--starts", "0"),
+                 ("multinode", "--k-list", ""),
+                 ("flow", "--inits", "0"),
+                 ("verify-gradients", "--trials", "0"),
+                 ("verify-gradients", "--n-min", "5", "--n-max", "3"),
+                 ("sgd", "--batch", "0", "--seeds", "1", "--steps", "3")):
+        assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
+        assert not (tmp_path / "e" / "manifest.json").exists(), argv
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ratio_starts": 0}))
+    assert run("multinode", "--config", str(cfg), "--out-dir", str(tmp_path / "e")) == 2
+    assert "ratio_starts" in capsys.readouterr().err
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):
@@ -144,6 +159,9 @@ def test_numerical_failures_exit_3(tmp_path, capsys):
                "--out-dir", str(tmp_path / "b")) == 3
     # an infinite student is a singular point, not a bad configuration
     assert run("landscape", "--norm-w", "inf", "--theta-grid", "2", "--out-dir", str(tmp_path / "c")) == 3
+    # a diverging SGD run is a blow-up, not a CSV of inf errors
+    assert run("sgd", "--lr", "1e6", "--seeds", "1", "--steps", "50",
+               "--out-dir", str(tmp_path / "d")) == 3
     assert "numerical error:" in capsys.readouterr().err
 
 
@@ -217,6 +235,25 @@ def test_multinode_subcommand_columns(tmp_path):
     # the exact planar field contracts the slow mode faster than the
     # idealized quarter-rate, landing the ratio near 1.6 rather than 2
     assert 1.4 <= float(r["time_ratio_median"]) <= 1.8
+
+
+def test_multinode_rows_do_not_depend_on_the_other_k(tmp_path):
+    # every K shares one draw of Omega starts, and each K's near-fixed-point
+    # angles follow those of the K before it, so adding K = 4 leaves K = 2 alone
+    one, two, four = tmp_path / "one", tmp_path / "two", tmp_path / "four"
+    args = ("multinode", "--starts", "5", "--ratio-starts", "3", "--step", "0.01", "--t-end", "2")
+    assert run(*args, "--k-list", "2", "--out-dir", str(one)) == 0
+    assert run(*args, "--k-list", "2,4", "--out-dir", str(two)) == 0
+    assert run(*args, "--k-list", "4", "--out-dir", str(four)) == 0
+    lines = (two / "multinode.csv").read_text().splitlines()
+    assert lines[:2] == (one / "multinode.csv").read_text().splitlines()
+    rows = read_rows(two / "multinode.csv")
+    assert [r["k"] for r in rows] == ["2", "4"]
+    # K = 4 flows from the same Omega starts as in a run of K = 4 alone
+    (alone,) = read_rows(four / "multinode.csv")
+    assert rows[1]["max_final_dist"] == alone["max_final_dist"]
+    measured = summarize(two)["criteria"]["c7_multinode_dynamics"]["measured"]
+    assert measured["time_ratios"] == {r["k"]: float(r["time_ratio_median"]) for r in rows}
 
 
 def test_multinode_saddle_field_covers_both_components(tmp_path):

@@ -219,6 +219,24 @@ def test_h1_planar_flow_converges_from_omega():
     assert np.sqrt(trace.v_values[-1]).max() < 1e-6
 
 
+def test_per_row_k_matches_per_k_calls_bitwise():
+    # one K per state row lets several K integrate as one ensemble; each row
+    # must come out exactly as in a call with its own K
+    ks = np.array([2, 8, 3, 2, 3, 8, 8])
+    a = np.linspace(0.2, 1.3, ks.size)
+    near = np.stack([1.0 - 0.05 * np.cos(a), 0.05 * np.sin(a)], axis=1)
+    states = np.stack([np.linspace(0.3, 1.0, ks.size), np.linspace(0.0, 0.25, ks.size)], axis=1)
+    for kind in ("l2", "h1"):
+        field = mn.reduced_flow_field(kind, ks)(states)
+        times = mn.times_to_threshold(kind, ks, near, 0.01, step=0.01)
+        for k in (2, 3, 8):
+            rows = ks == k
+            assert np.array_equal(field[rows], mn.reduced_flow_field(kind, k)(states[rows]))
+            assert np.array_equal(times[rows],
+                                  mn.times_to_threshold(kind, k, near[rows], 0.01, step=0.01))
+        assert np.isfinite(times).all()
+
+
 # --------------------------------------------------------------------------
 # cyclic (Toeplitz) parametrization
 

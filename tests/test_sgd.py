@@ -53,6 +53,9 @@ def test_config_validation():
         cfg(loss_kind="h2")
     with pytest.raises(ValueError):
         cfg(batch_size=5000)
+    for batch in (0, -1):
+        with pytest.raises(ValueError, match="batch_size"):
+            cfg(batch_size=batch)
     with pytest.raises(ValueError):
         SgdConfig(dim=4, batch_size=8, n_train=100, learning_rate=0.1,
                   n_steps=10, seed=0, loss_kind="l2", init_radius=1.5)
