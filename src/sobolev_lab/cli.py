@@ -331,13 +331,13 @@ def cmd_sgd(cfg: dict, out: Path) -> list[Path]:
 def cmd_verify_gradients(cfg: dict, out: Path, threads: int = 1) -> list[Path]:
     dims = _parse_list(cfg["dims"], int)
     n_grid = [2**p for p in range(cfg["n_min"], cfg["n_max"] + 1)]
-    rows = []
+    forms = []
     for token in _parse_list(cfg["forms"], str.strip):
         model, kind = token.split(":")
-        table = mc.convergence_study(model, kind, dims, n_grid, cfg["trials"], cfg["seed"],
-                                     threads=threads)
-        for dim, n, mse in table:
-            rows.append((model, kind, dim, int(math.log2(n)), mse))
+        forms.append((model, kind))
+    tables = mc._convergence_tables(forms, dims, n_grid, cfg["trials"], cfg["seed"], threads)
+    rows = [(model, kind, dim, int(math.log2(n)), mse)
+            for (model, kind), table in zip(forms, tables) for dim, n, mse in table]
     path = out / "convergence.csv"
     _write_csv(path, ["model", "kind", "dim", "log2_n", "mse"], rows)
     return [path]

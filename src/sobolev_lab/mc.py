@@ -5,7 +5,9 @@ run with seed s draws from a Philox counter-based generator keyed (s, b),
 and normals come from Box-Muller applied to that block's uniform stream, so
 an estimate depends only on (seed, n_samples, dim) - never on which worker
 thread draws a block or how many workers there are.  Partial block sums are
-reduced in block order, which makes repeated runs bit-identical.
+reduced in block order, which makes repeated runs bit-identical.  Estimates
+of one cell (seed, n_samples, dim) share its draws: each block is drawn once
+and every kernel of the cell is applied to it.
 
 Per-sample gradients use the indicator identities of the closed-form
 derivations (ReLU derivative 1{t>0}), e.g. for the first-order model:
@@ -70,6 +72,71 @@ def block_normals(seed: int, block: int, count: int, dim: int) -> np.ndarray:
     return z[:, :dim]
 
 
+def _block_counts(n: int) -> list[int]:
+    n_blocks = (n + BLOCK - 1) // BLOCK
+    return [BLOCK] * (n_blocks - 1) + [n - BLOCK * (n_blocks - 1)]
+
+
+def _merge(partials: list, counts: list[int], n: int) -> McEstimate:
+    """One estimate from its block partials (sum, centred sum of squares), in block order.
+
+    Block statistics are merged pairwise (Chan, Golub & LeVeque 1979), so the
+    variance stays accurate when |mean| is much larger than the spread; the
+    mean is the plain block-ordered sum over n.
+    """
+    total = partials[0][0].astype(float)
+    m2 = partials[0][1].astype(float)
+    seen = counts[0]
+    for (s, s2), count in zip(partials[1:], counts[1:]):
+        delta = s / count - total / seen
+        m2 = m2 + s2 + delta**2 * (seen * count / (seen + count))
+        total = total + s
+        seen += count
+    mean = total / n
+    var = m2 / (n - 1) if n > 1 else np.zeros_like(mean)
+    return McEstimate(mean=mean, std_error=np.sqrt(var / n), n=n)
+
+
+def _reduce_cells(cells: list[tuple], threads: int) -> list[list[McEstimate]]:
+    """Estimates [cell][kernel] for cells (McConfig, kernels).
+
+    The unit of work is one (cell, block) pair: it draws the block once and
+    applies every kernel of its cell to it.  All units of a call share one
+    thread pool, and each cell's partials are merged per kernel in block order.
+    """
+    counts = [_block_counts(cfg.n_samples) for cfg, _ in cells]
+    units = [(c, b) for c, cell_counts in enumerate(counts) for b in range(len(cell_counts))]
+
+    def work(unit):
+        c, b = unit
+        cfg, kernels = cells[c]
+        count = counts[c][b]
+        x = block_normals(cfg.seed, b, count, cfg.dim)
+        out = []
+        for persample in kernels:
+            vals = persample(x)
+            if np.may_share_memory(vals, x):
+                vals = vals.copy()  # every kernel of the cell reads this block
+            s = vals.sum(axis=0)
+            vals -= s / count
+            out.append((s, np.square(vals, out=vals).sum(axis=0)))
+        return out
+
+    if threads > 1 and len(units) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            partials = list(pool.map(work, units))
+    else:
+        partials = [work(u) for u in units]
+
+    estimates, first = [], 0
+    for (cfg, kernels), cell_counts in zip(cells, counts):
+        blocks = partials[first:first + len(cell_counts)]
+        first += len(cell_counts)
+        estimates.append([_merge([blk[k] for blk in blocks], cell_counts, cfg.n_samples)
+                          for k in range(len(kernels))])
+    return estimates
+
+
 def _reduce_blocks(
     persample: Callable[[np.ndarray], np.ndarray],
     seed: int,
@@ -77,40 +144,8 @@ def _reduce_blocks(
     dim: int,
     threads: int,
 ):
-    """Accumulate (sum, centred sum of squares) over blocks, reduced in block order.
-
-    Block statistics are merged pairwise (Chan, Golub & LeVeque 1979), so the
-    variance stays accurate when |mean| is much larger than the spread; the
-    mean is the plain block-ordered sum over n.
-    """
-    n_blocks = (n + BLOCK - 1) // BLOCK
-    counts = [BLOCK] * (n_blocks - 1) + [n - BLOCK * (n_blocks - 1)]
-
-    def work(b: int):
-        vals = persample(block_normals(seed, b, counts[b], dim))
-        s = vals.sum(axis=0)
-        dev = vals - s / counts[b]
-        return s, np.square(dev, out=dev).sum(axis=0)
-
-    if threads > 1 and n_blocks > 1:
-        partials = [None] * n_blocks
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for b, res in zip(range(n_blocks), pool.map(work, range(n_blocks))):
-                partials[b] = res
-    else:
-        partials = [work(b) for b in range(n_blocks)]
-
-    total = partials[0][0].astype(float)
-    m2 = partials[0][1].astype(float)
-    seen = counts[0]
-    for b, (s, s2) in enumerate(partials[1:], start=1):
-        delta = s / counts[b] - total / seen
-        m2 = m2 + s2 + delta**2 * (seen * counts[b] / (seen + counts[b]))
-        total = total + s
-        seen += counts[b]
-    mean = total / n
-    var = m2 / (n - 1) if n > 1 else np.zeros_like(mean)
-    return McEstimate(mean=mean, std_error=np.sqrt(var / n), n=n)
+    """Estimate of one kernel over n samples of substream ``seed``: a one-cell ``_reduce_cells``."""
+    return _reduce_cells([(McConfig(n_samples=n, seed=seed, dim=dim), (persample,))], threads)[0][0]
 
 
 # --------------------------------------------------------------------------
@@ -298,6 +333,57 @@ def closed_form_grad(model: str, kind: str, w: np.ndarray, wstar: np.ndarray) ->
     return _combine([closed[p] for p in parts], kind == "h2_parts", axis=0)
 
 
+def _basin_pair(model: str, seed: int, dim: int, trial: int):
+    pair_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(dim, trial)))
+    if model == "multinode":
+        return basin_node_pairs(pair_rng, dim, 0.05, 0.95)
+    # a unit teacher keeps per-trial MSE scales comparable: the second-order
+    # gradients scale like the sixth power of the norms, so one large-norm
+    # trial would dominate the average
+    ws, wstar = basin_pairs(pair_rng, dim, 1, 0.05, 0.95)
+    return ws[0], wstar
+
+
+def _convergence_tables(
+    forms: list[tuple[str, str]],
+    dims: Iterable[int],
+    n_grid: Iterable[int],
+    trials: int,
+    seed: int,
+    threads: int = 1,
+) -> list[list[tuple[int, int, float]]]:
+    """``convergence_study`` of every (model, kind) in ``forms``, one table per form.
+
+    A cell's substream seed depends only on (seed, dim, trial, i), so every
+    form's kernel is applied to one draw of each block.
+    """
+    forms = [(model.lower(), kind.lower()) for model, kind in forms]
+    dims, n_grid = list(dims), list(n_grid)
+    if trials < 1 or not forms or not dims or not n_grid:
+        raise ValueError("convergence_study needs trials >= 1 and non-empty dims and n_grid")
+    cells, targets = [], []
+    for dim in dims:
+        for trial in range(trials):
+            pairs = [_basin_pair(model, seed, dim, trial) for model, _ in forms]
+            kernels = [_persample(model, kind, np.atleast_2d(w), np.atleast_2d(wstar), "grad")
+                       for (model, kind), (w, wstar) in zip(forms, pairs)]
+            closed = [closed_form_grad(model, kind, w, wstar)
+                      for (model, kind), (w, wstar) in zip(forms, pairs)]
+            for i, n in enumerate(n_grid):
+                cell_seed = int(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(dim, trial, i)).generate_state(1)[0]
+                )
+                cells.append((McConfig(n_samples=int(n), seed=cell_seed, dim=dim), kernels))
+                targets.append(closed)
+    # average each form's per-trial MSEs cellwise
+    aggs: list[dict[tuple[int, int], list[float]]] = [{} for _ in forms]
+    for (cfg, _), closed, ests in zip(cells, targets, _reduce_cells(cells, threads)):
+        for agg, target, est in zip(aggs, closed, ests):
+            mse = float(np.mean((est.mean - target) ** 2))
+            agg.setdefault((int(cfg.dim), cfg.n_samples), []).append(mse)
+    return [[(dim, n, float(np.mean(v))) for (dim, n), v in sorted(agg.items())] for agg in aggs]
+
+
 def convergence_study(
     model: str,
     kind: str,
@@ -313,40 +399,7 @@ def convergence_study(
     independent basin pairs per dim; every cell uses its own substream
     family so cells are statistically independent.
     """
-    dims, n_grid = list(dims), list(n_grid)
-    if trials < 1 or not dims or not n_grid:
-        raise ValueError("convergence_study needs trials >= 1 and non-empty dims and n_grid")
-    rows = []
-    for dim in dims:
-        for trial in range(trials):
-            pair_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(dim, trial))
-            )
-            if model == "multinode":
-                w, wstar = basin_node_pairs(pair_rng, dim, 0.05, 0.95)
-            else:
-                # a unit teacher keeps per-trial MSE scales comparable: the
-                # second-order gradients scale like the sixth power of the
-                # norms, so one large-norm trial would dominate the average
-                ws, wstar = basin_pairs(pair_rng, dim, 1, 0.05, 0.95)
-                w = ws[0]
-            closed = closed_form_grad(model, kind, w, wstar)
-            for i, n in enumerate(n_grid):
-                cell_seed = int(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(dim, trial, i)).generate_state(1)[0]
-                )
-                cfg = McConfig(n_samples=int(n), seed=cell_seed, dim=dim)
-                if model == "multinode":
-                    est = mc_multinode_grad(w, wstar, kind, cfg, threads=threads)
-                else:
-                    est = mc_loss_and_grad(model, kind, w, wstar, cfg, threads=threads)
-                mse = float(np.mean((est.mean - closed) ** 2))
-                rows.append((int(dim), int(n), mse))
-    # average the per-trial MSEs cellwise
-    agg: dict[tuple[int, int], list[float]] = {}
-    for dim, n, mse in rows:
-        agg.setdefault((dim, n), []).append(mse)
-    return [(dim, n, float(np.mean(v))) for (dim, n), v in sorted(agg.items())]
+    return _convergence_tables([(model, kind)], dims, n_grid, trials, seed, threads)[0]
 
 
 def fit_loglog_slope(ns: np.ndarray, mses: np.ndarray) -> float:

@@ -94,7 +94,8 @@ def sgd_run(cfg: SgdConfig) -> SgdTrace:
         if not np.all(np.isfinite(w)):
             raise BlowUpError(f"SGD diverged at step {step}", time=float(step))
         if step % cfg.log_every == 0 or step == cfg.n_steps:
-            err = float(np.sum((w - wstar) ** 2))
+            with np.errstate(over="ignore"):  # an overflow is reported as a blow-up below
+                err = float(np.sum((w - wstar) ** 2))
             if not math.isfinite(err):
                 raise BlowUpError(f"SGD error overflowed at step {step}", time=float(step))
             steps.append(step)

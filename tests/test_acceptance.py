@@ -28,8 +28,8 @@ from sobolev_lab.eigs import symmetric_eigs
 from sobolev_lab.geometry import basin_node_pairs, basin_pairs, pair_geometry
 from sobolev_lab.mc import (
     McConfig,
+    _convergence_tables,
     closed_form_grad,
-    convergence_study,
     mc_loss_and_grad,
     mc_multinode_grad,
 )
@@ -183,11 +183,21 @@ def test_c09_mc_verification():
         eff = 2 if kind in ("h1_semi", "i3") else dim
         return max(3, math.ceil(50 / eff))
 
+    # one shared-draw pass per (dim, trial count): the forms of a group apply
+    # their kernels to the same blocks, and every table is the one
+    # ``convergence_study`` gives that form alone
+    tables = {}
+    for dim in dims:
+        groups: dict[int, list] = {}
+        for form in forms:
+            groups.setdefault(trials_for(*form, dim), []).append(form)
+        for trials, group in groups.items():
+            shared = _convergence_tables(group, [dim], n_grid, trials, seed=909)
+            tables.update(((form, dim), table) for form, table in zip(group, shared))
+
     # convergence.csv rows, measured as ``summarize`` measures them
     rows = [{"model": model, "kind": kind, "dim": dim, "log2_n": math.log2(n), "mse": mse}
-            for model, kind in forms for dim in dims
-            for _, n, mse in convergence_study(model, kind, [dim], n_grid,
-                                               trials=trials_for(model, kind, dim), seed=909)]
+            for model, kind in forms for dim in dims for _, n, mse in tables[(model, kind), dim]]
 
     # pointwise agreement at N = 1e6, in standard errors, every closed form
     rng = np.random.default_rng(910)

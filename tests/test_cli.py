@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -46,6 +47,23 @@ def test_verify_gradients_header_and_cells(tmp_path):
         ("relu", "l2", "4", str(p)) for p in (10, 11, 12)
     }
     assert all(float(r["mse"]) > 0 for r in rows)
+
+
+def test_verify_gradients_shares_draws_without_moving_a_row(tmp_path):
+    # 2^17 samples span two blocks, so cells have more than one unit
+    forms = ["relu:l2", "relu_sq:i3", "multinode:l2"]
+    args = ("verify-gradients", "--dims", "4", "--n-min", "16", "--n-max", "17", "--trials", "2")
+
+    def body(name, forms, threads):
+        out = tmp_path / name
+        assert run(*args, "--forms", ",".join(forms), "--threads", str(threads),
+                   "--out-dir", str(out)) == 0
+        return (out / "convergence.csv").read_text().splitlines()
+
+    shared = body("t1", forms, 1)
+    assert body("t3", forms, 3) == shared
+    alone = [body(f"alone{i}", [form], 1) for i, form in enumerate(forms)]
+    assert shared == alone[0][:1] + [row for rows in alone for row in rows[1:]]
 
 
 def test_flow_header_and_ordering_property(tmp_path):
@@ -163,6 +181,16 @@ def test_numerical_failures_exit_3(tmp_path, capsys):
     assert run("sgd", "--lr", "1e6", "--seeds", "1", "--steps", "50",
                "--out-dir", str(tmp_path / "d")) == 3
     assert "numerical error:" in capsys.readouterr().err
+
+
+def test_sgd_blow_up_reports_only_the_numerical_error(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("sgd", "--lr", "1e6", "--seeds", "1", "--steps", "50",
+                   "--out-dir", str(tmp_path)) == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error:")
 
 
 def test_tiny_nonzero_student_is_not_singular(tmp_path):

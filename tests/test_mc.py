@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from sobolev_lab import relu1
+from sobolev_lab import mc, relu1
 from sobolev_lab.geometry import basin_node_pairs
 from sobolev_lab.mc import (
     BLOCK,
     McConfig,
+    _convergence_tables,
     _reduce_blocks,
+    _reduce_cells,
     _relu_grad,
     block_normals,
     closed_form_grad,
@@ -59,6 +61,40 @@ def test_std_error_stable_when_mean_dominates():
     vals = np.concatenate([1e8 + block_normals(5, b, c, 2)[:, :1] for b, c in enumerate(counts)])
     ref = np.sqrt(np.sum((vals - vals.mean()) ** 2) / (n - 1) / n)
     assert est.std_error[0] == pytest.approx(ref, rel=1e-6)
+
+
+def test_each_block_is_drawn_once_for_every_form(monkeypatch):
+    drawn = mc.block_normals
+    calls = []
+
+    def counted(seed, block, count, dim):
+        calls.append((seed, block))
+        return drawn(seed, block, count, dim)
+
+    monkeypatch.setattr(mc, "block_normals", counted)
+    n_grid, trials = [100, BLOCK + 5, 2 * BLOCK + 1], 2
+    blocks_per_dim = trials * sum((n + BLOCK - 1) // BLOCK for n in n_grid)
+    forms = [("relu", "l2"), ("relu_sq", "i3"), ("multinode", "l2")]
+    for used in (forms[:1], forms):
+        calls.clear()
+        _convergence_tables(used, [3, 5], n_grid, trials, seed=11, threads=2)
+        assert len(calls) == 2 * blocks_per_dim
+        assert len(set(calls)) == len(calls)
+
+
+def test_kernel_returning_a_view_of_the_block_leaves_it_shared():
+    def view(x):
+        return x[:, :1]
+
+    def other(x):
+        return x.sum(axis=1, keepdims=True)
+
+    cfg = McConfig(n_samples=BLOCK + 9, seed=3, dim=2)
+    alone = {k: _reduce_cells([(cfg, (k,))], threads=1)[0][0] for k in (view, other)}
+    for kernels in ((view, other), (other, view)):
+        for k, est in zip(kernels, _reduce_cells([(cfg, kernels)], threads=2)[0]):
+            assert np.array_equal(est.mean, alone[k].mean)
+            assert np.array_equal(est.std_error, alone[k].std_error)
 
 
 def test_zero_residual_at_teacher_is_exact():
