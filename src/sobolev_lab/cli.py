@@ -204,27 +204,35 @@ def cmd_gd_compare(cfg: dict, out: Path) -> list[Path]:
     return [path]
 
 
-def _flow_rows(fields, w0: np.ndarray, wstar: np.ndarray, cfg: dict) -> list[tuple]:
-    """Integrate each (label, field) from every row of w0; rows (init_id, label, t, v)
-    sorted by (init_id, label)."""
-    rows = []
-    for label, field in fields:
-        trace = rk4_integrate(field, w0, cfg["step"], cfg["t_end"], wstar,
-                              record_every=cfg["record_every"])
-        rows.extend((init_id, label, t, v) for init_id in range(w0.shape[0])
-                    for t, v in zip(trace.times, trace.v_values[:, init_id]))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
+def _flow_rows(labels: list[str], make_field, w0: np.ndarray, wstar: np.ndarray,
+               cfg: dict) -> list[tuple]:
+    """Integrate every row of w0 under every label as one stacked run; rows
+    (init_id, label, t, v) sorted by (init_id, label).
+
+    ``make_field`` takes the label of each stacked row (w0 tiled once per
+    label, in ``labels`` order) and returns the ensemble's field.
+    """
+    m = w0.shape[0]
+    trace = rk4_integrate(make_field(np.repeat(labels, m)), np.tile(w0, (len(labels), 1)),
+                          cfg["step"], cfg["t_end"], wstar, record_every=cfg["record_every"])
+    v = trace.v_values.reshape(len(trace.times), len(labels), m)
+    by_label = sorted(range(len(labels)), key=labels.__getitem__)
+    return [(init_id, labels[j], t, vj) for init_id in range(m) for j in by_label
+            for t, vj in zip(trace.times, v[:, j, init_id])]
 
 
 def cmd_flow(cfg: dict, out: Path) -> list[Path]:
     kinds = ["l2", "h1"] if cfg["kind"] == "both" else [cfg["kind"]]
     rng = np.random.default_rng(cfg["seed"])
     w0, wstar = basin_pairs(rng, cfg["dim"], cfg["inits"])
-    fields = [(kind, lambda s, k=kind: relu1.flow_rhs(k, s, wstar)) for kind in kinds]
+    rows = _flow_rows(kinds, lambda row_kinds: lambda s: relu1.flow_rhs(row_kinds, s, wstar),
+                      w0, wstar, cfg)
     path = out / "flow.csv"
-    _write_csv(path, ["init_id", "kind", "t", "v"], _flow_rows(fields, w0, wstar, cfg))
+    _write_csv(path, ["init_id", "kind", "t", "v"], rows)
     return [path]
+
+
+RELUSQ_VARIANTS = {"h2": ("i1", "i2", "i3"), "i1": ("i1",)}
 
 
 def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
@@ -239,46 +247,49 @@ def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
     _write_csv(descent_path, ["point_id", "ip1", "ip2", "ip3"], rows)
 
     w0, wstar2 = basin_pairs(rng, cfg["dim"], cfg["inits"], rmin=0.1, rmax=0.7)
-    fields = [(variant, relusq.h2_flow_field(wstar2, parts))
-              for variant, parts in (("h2", ("i1", "i2", "i3")), ("i1", ("i1",)))]
+    rows = _flow_rows(list(RELUSQ_VARIANTS), lambda variants: relusq.h2_flow_field(
+        wstar2, [RELUSQ_VARIANTS[v] for v in variants]), w0, wstar2, cfg)
     flow_path = out / "relusq_flow.csv"
-    _write_csv(flow_path, ["init_id", "variant", "t", "v"], _flow_rows(fields, w0, wstar2, cfg))
+    _write_csv(flow_path, ["init_id", "variant", "t", "v"], rows)
     return [descent_path, flow_path]
 
 
 def cmd_multinode(cfg: dict, out: Path) -> list[Path]:
     ks = _parse_list(cfg["k_list"], int)
-    rows = []
-    for k in ks:
-        x_l2, x_h1 = mn.saddle_points(k)
-        f_l2 = mn.reduced_field("l2", mn.ReducedState(x=x_l2, y=x_l2, k=k))
-        f_h1 = mn.reduced_field("h1", mn.ReducedState(x=x_h1, y=x_h1, k=k))
-        exp_l2 = mn.diagonal_decay("l2", k, 0.95, t_end=min(30.0 / k, 12.0)).exponent
-        exp_h1 = mn.diagonal_decay("h1", k, 0.95, t_end=min(15.0 / k, 6.0)).exponent
-        rows.append([k, x_l2, x_h1, float(np.max(np.abs(f_l2))), float(np.max(np.abs(f_h1))),
-                     exp_l2, exp_h1])
+    step = cfg["step"]
 
     # one draw of Omega starts shared by every K, then every K's near-fixed-point
-    # angles; each flow integrates all K as one ensemble with one K per row
+    # angles; every run below, of every K, integrates as one ensemble
     rng = np.random.default_rng(cfg["seed"])
     x0 = rng.uniform(0.15, 1.0, size=cfg["starts"])
     y0 = np.array([rng.uniform(0.0, max(x - 0.05, 0.0)) for x in x0])
     angs = rng.uniform(0.15, math.pi / 2 - 0.15, size=len(ks) * cfg["ratio_starts"])
-
-    # convergence of the H1 planar flow from the Omega starts
-    starts = np.tile(np.stack([x0, y0], axis=1), (len(ks), 1))
-    trace = rk4_integrate(mn.reduced_flow_field("h1", np.repeat(ks, cfg["starts"])), starts,
-                          cfg["step"], cfg["t_end"], np.array([1.0, 0.0]), record_every=100)
-    final_dist = np.sqrt(trace.v_values[-1]).reshape(len(ks), -1)
-
-    # near-fixed-point time-to-threshold ratio
     near = np.stack([1.0 - 1e-3 * np.cos(angs), 1e-3 * np.sin(angs)], axis=1)
     k_rows = np.repeat(ks, cfg["ratio_starts"])
-    t_l2 = mn.times_to_threshold("l2", k_rows, near, 1e-4, step=cfg["step"])
-    t_h1 = mn.times_to_threshold("h1", k_rows, near, 1e-4, step=cfg["step"])
-    ratios = (t_l2 / t_h1).reshape(len(ks), -1)
-    for row, r, d in zip(rows, ratios, final_dist):
-        row += [float(np.median(r)), float(d.max())]
+    decays = [mn.diagonal_rows(kind, k, 0.95, min(horizon / k, cap))
+              for k in ks for kind, horizon, cap in (("l2", 30.0, 12.0), ("h1", 15.0, 6.0))]
+    runs = [
+        # convergence of the H1 planar flow from the Omega starts
+        mn.PlanarRows("h1", np.repeat(ks, cfg["starts"]),
+                      np.tile(np.stack([x0, y0], axis=1), (len(ks), 1)), step, cfg["t_end"]),
+        # near-fixed-point time-to-threshold ratio
+        mn.threshold_rows("l2", k_rows, near, 1e-4, step),
+        mn.threshold_rows("h1", k_rows, near, 1e-4, step),
+        *decays,
+    ]
+    omega, t_l2, t_h1, *decay_runs = mn.planar_flows(runs)
+    final_dist = np.sqrt(omega.final_v).reshape(len(ks), -1)
+    ratios = (t_l2.crossed / t_h1.crossed).reshape(len(ks), -1)
+    exps = np.array([mn.decay_fit(r, run).exponent
+                     for r, run in zip(decays, decay_runs)]).reshape(len(ks), 2)
+
+    rows = []
+    for k, (exp_l2, exp_h1), r, d in zip(ks, exps, ratios, final_dist):
+        x_l2, x_h1 = mn.saddle_points(k)
+        f_l2 = mn.reduced_field("l2", mn.ReducedState(x=x_l2, y=x_l2, k=k))
+        f_h1 = mn.reduced_field("h1", mn.ReducedState(x=x_h1, y=x_h1, k=k))
+        rows.append([k, x_l2, x_h1, float(np.max(np.abs(f_l2))), float(np.max(np.abs(f_h1))),
+                     exp_l2, exp_h1, float(np.median(r)), float(d.max())])
     path = out / "multinode.csv"
     _write_csv(
         path,
@@ -391,13 +402,15 @@ def _col(rows, name) -> np.ndarray:
 
 
 def _traces(rows, label) -> dict[str, np.ndarray]:
-    """V traces (inits, times) per value of the ``label`` column."""
-    by: dict = {}
-    for r in rows:
-        trace = by.setdefault(r[label], {}).setdefault(int(r["init_id"]), [])
-        trace.append((float(r["t"]), float(r["v"])))
-    return {lab: np.array([[v for _, v in sorted(tr)] for _, tr in sorted(d.items())])
-            for lab, d in by.items()}
+    """V traces (inits, times) per value of the ``label`` column, in order of first appearance."""
+    labels = np.array([r[label] for r in rows])
+    init, t, v = _col(rows, "init_id"), _col(rows, "t"), _col(rows, "v")
+    out = {}
+    for lab in dict.fromkeys(labels.tolist()):
+        sel = labels == lab
+        order = np.lexsort((t[sel], init[sel]))
+        out[lab] = v[sel][order].reshape(np.unique(init[sel]).size, -1)
+    return out
 
 
 def _measure_c1(rows):

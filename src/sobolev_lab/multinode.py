@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SingularPointError
+from .exceptions import BlowUpError, SingularPointError
 from .geometry import TWO_PI, _angle_norms
-from .ode import _rk4_step, rk4_integrate
+from .ode import FlowTrace, _rk4_step, _schedule, _v
 
 _THRESHOLD_T_MAX = 120.0  # flow time after which ``times_to_threshold`` gives up on a row
 _DECAY_STEP = 1e-3  # RK4 step of ``diagonal_decay``
+_FIXED_POINT = np.array([1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,14 @@ def _check_kind(kind: str) -> int:
     if kind == "h1":
         return 2
     raise ValueError(f"unknown flow kind {kind!r}")
+
+
+def _kind_factor(kind):
+    """The kind factor c (1 for L2, 2 for H1): an int for one kind name, a
+    float array for an array of names with one per state row."""
+    if isinstance(kind, str):
+        return _check_kind(kind)
+    return np.array([_check_kind(x) for x in kind], dtype=float)
 
 
 # --------------------------------------------------------------------------
@@ -198,13 +207,14 @@ def reduced_field(kind: str, state: ReducedState) -> tuple[float, float]:
     return float(xdot), float(ydot)
 
 
-def reduced_flow_field(kind: str, k):
+def reduced_flow_field(kind, k):
     """The planar field as a closure over stacked states (..., 2) for RK4 ensembles.
 
-    ``k`` is one int K for every state, or an integer array with one K per
-    state row (shape (...,)), so ensembles of several K integrate as one.
+    ``kind`` is one kind name for every state, or an array with one name per
+    state row; ``k`` is one int K, or an integer array with one K per state
+    row (shape (...,)).  Ensembles of several kinds and K integrate as one.
     """
-    c = _check_kind(kind)
+    c = _kind_factor(kind)
     k1, k2 = _k_factors(k)
 
     def field(s: np.ndarray) -> np.ndarray:
@@ -219,8 +229,128 @@ def reduced_flow_field(kind: str, k):
     return field
 
 
+@dataclass(frozen=True)
+class PlanarRows:
+    """One run of the planar flow, to be integrated with others by ``planar_flows``.
+
+    ``starts`` (m, 2) flow under ``kind`` and ``k`` (one value, or an array
+    with one per row) with RK4 step ``step`` up to the horizon ``t_end``.
+    With ``thresh`` > 0 a row stops at the first step that brings it within
+    ``thresh`` of the fixed point (1, 0).  With ``record_every`` > 0 the
+    run's states are recorded every that many steps, as ``rk4_integrate``
+    records them; a recorded run has no threshold.
+    """
+
+    kind: object
+    k: object
+    starts: np.ndarray
+    step: float
+    t_end: float
+    thresh: float = 0.0
+    record_every: int = 0
+
+    def __post_init__(self):
+        starts = np.array(self.starts, dtype=float)
+        if starts.ndim != 2 or starts.shape[1] != 2 or starts.shape[0] < 1:
+            raise ValueError("starts must have shape (m, 2) with m >= 1")
+        if self.record_every and self.thresh:
+            raise ValueError("a recorded run cannot stop at a threshold")
+        if self.record_every < 0 or not self.thresh >= 0.0:
+            raise ValueError("need record_every >= 0 and thresh >= 0")
+        object.__setattr__(self, "starts", starts)
+
+
+@dataclass(frozen=True)
+class PlanarRun:
+    """What ``planar_flows`` gives back for one ``PlanarRows``.
+
+    ``final`` holds each row's state where it stopped, ``crossed`` its first
+    time within the threshold (nan for a row that never got there, or that
+    left the finite floats first), and ``trace`` the recorded states of a
+    recorded run (None otherwise).
+    """
+
+    final: np.ndarray
+    crossed: np.ndarray
+    trace: FlowTrace | None
+
+    @property
+    def final_v(self) -> np.ndarray:
+        return _v(self.final, _FIXED_POINT)
+
+
+def planar_flows(runs: list[PlanarRows]) -> list[PlanarRun]:
+    """Integrate every run as one stacked RK4 ensemble; one ``PlanarRun`` per run.
+
+    Each row steps with its own run's step, kind and K up to its own
+    horizon, taking a short last step when the horizon is not a step
+    multiple (as ``rk4_integrate`` does), or until it crosses its threshold.
+    The loop lasts as long as the longest row, and a row that has stopped
+    keeps its state, so every row comes out as it would in a run of its
+    own.  A row without a threshold that leaves the finite floats raises
+    ``BlowUpError``; a row with one can never cross and stops.
+    """
+    sizes = [r.starts.shape[0] for r in runs]
+    bounds = np.cumsum([0] + sizes)
+
+    def per_row(values) -> np.ndarray:
+        return np.concatenate([np.broadcast_to(v, (n,)) for v, n in zip(values, sizes)])
+
+    kind = per_row([np.asarray(r.kind) for r in runs])
+    k = per_row([r.k for r in runs])
+    step = per_row([float(r.step) for r in runs])
+    n_full, rem = _schedule(step, per_row([float(r.t_end) for r in runs]))
+    n_steps = n_full + (rem > 0.0)
+    thresh = per_row([float(r.thresh) for r in runs])
+    t2 = thresh * thresh
+    stops = thresh > 0.0
+    field = reduced_flow_field(kind, k)
+    recorded = [(i, r.record_every) for i, r in enumerate(runs) if r.record_every]
+    records = {i: [(0.0, runs[i].starts.copy())] for i, _ in recorded}
+
+    s = np.concatenate([r.starts for r in runs])
+    t = np.zeros(s.shape[0])
+    crossed = np.full(s.shape[0], np.nan)
+    done = np.zeros(s.shape[0], dtype=bool)
+    for i in range(int(n_steps.max())):
+        stepping = ~done & (i < n_steps)
+        if not stepping.any():
+            break
+        h = np.where(stepping, np.where(i < n_full, step, rem), 0.0)
+        new = _rk4_step(field, s, h[:, None])
+        t += h
+        finite = np.isfinite(new).all(axis=1)
+        blown = stepping & ~finite
+        if blown.any():
+            if (blown & ~stops).any():
+                t_blow = t[blown & ~stops].min()
+                raise BlowUpError(f"trajectory blew up at t={t_blow:.6g}", time=float(t_blow))
+            stepping &= finite
+            done |= blown
+        s = np.where(stepping[:, None], new, s)
+        hit = stepping & (np.sum((s - _FIXED_POINT) ** 2, axis=-1) < t2)
+        crossed[hit] = t[hit]
+        done |= hit
+        for j, every in recorded:
+            a, b = bounds[j], bounds[j + 1]
+            if i < n_steps[a] and ((i + 1) % every == 0 or i == n_steps[a] - 1):
+                records[j].append((t[a], s[a:b].copy()))
+
+    out = []
+    for j, r in enumerate(runs):
+        a, b = bounds[j], bounds[j + 1]
+        trace = None
+        if j in records:
+            times = np.array([tj for tj, _ in records[j]])
+            states = np.array([sj for _, sj in records[j]])
+            trace = FlowTrace(times=times, states=states, v_values=_v(states, _FIXED_POINT),
+                              target=_FIXED_POINT.copy())
+        out.append(PlanarRun(final=s[a:b], crossed=crossed[a:b], trace=trace))
+    return out
+
+
 def times_to_threshold(
-    kind: str,
+    kind,
     k,
     starts: np.ndarray,
     thresh: float,
@@ -228,25 +358,18 @@ def times_to_threshold(
 ) -> np.ndarray:
     """First flow times at which ||(x, y) - (1, 0)|| drops below ``thresh``.
 
-    Integrates all ``starts`` (m, 2) as one stacked RK4 run, with ``k`` one
-    int K or an integer array (m,) of one K per row; rows that never cross
+    One ``planar_flows`` run of all ``starts`` (m, 2), with ``kind`` and
+    ``k`` one value or an array of one per row; rows that never cross
     within ``_THRESHOLD_T_MAX`` come back as nan.
     """
-    field = reduced_flow_field(kind, k)
-    s = np.array(starts, dtype=float)
-    target = np.array([1.0, 0.0])
-    m = s.shape[0]
-    out = np.full(m, np.nan)
-    alive = np.ones(m, dtype=bool)
-    t = 0.0
-    t2 = thresh * thresh
-    while t < _THRESHOLD_T_MAX and alive.any():
-        s = _rk4_step(field, s, step)
-        t += step
-        crossed = alive & (np.sum((s - target) ** 2, axis=-1) < t2)
-        out[crossed] = t
-        alive &= ~crossed
-    return out
+    return planar_flows([threshold_rows(kind, k, starts, thresh, step)])[0].crossed
+
+
+def threshold_rows(kind, k, starts: np.ndarray, thresh: float, step: float = 1e-3) -> PlanarRows:
+    """The run of ``times_to_threshold``: given up at ``_THRESHOLD_T_MAX``."""
+    if not thresh > 0.0:
+        raise ValueError("thresh must be positive")
+    return PlanarRows(kind, k, starts, step, _THRESHOLD_T_MAX, thresh=thresh)
 
 
 def linearization(k: int) -> LinearizationReport:
@@ -277,28 +400,42 @@ def saddle_points(k: int) -> tuple[float, float]:
     return x_l2, x_h1
 
 
+def diagonal_rows(kind: str, k: int, x0: float, t_end: float) -> PlanarRows:
+    """The run of ``diagonal_decay``: the diagonal flow from (x0, x0) at step
+    ``_DECAY_STEP``, recorded every 10 steps up to ``t_end``."""
+    x_star = saddle_points(k)[_check_kind(kind) - 1]
+    if not x_star < x0 <= 1.0:
+        raise ValueError("need x0 in (x*, 1]")
+    return PlanarRows(kind, k, np.array([[x0, x0]]), _DECAY_STEP, t_end, record_every=10)
+
+
+def decay_fit(rows: PlanarRows, run: PlanarRun) -> DecayFit:
+    """Decay exponent of a ``diagonal_rows`` run from its recorded states.
+
+    The trajectory must stay on the diagonal; any drift beyond integration
+    tolerance is an error.
+    """
+    x0 = float(rows.starts[0, 0])
+    x_star = saddle_points(rows.k)[_check_kind(rows.kind) - 1]
+    states = run.trace.states[:, 0]
+    drift = float(np.abs(states[:, 0] - states[:, 1]).max())
+    if drift > 1e-9 * max(1.0, x0):
+        raise RuntimeError(f"trajectory left the diagonal (drift {drift:.3e})")
+    gap = np.abs(states[:, 0] - x_star)
+    keep = gap > 1e-12
+    slope = float(np.polyfit(run.trace.times[keep], np.log(gap[keep]), 1)[0])
+    return DecayFit(exponent=slope, x_star=x_star, max_diagonal_drift=drift)
+
+
 def diagonal_decay(kind: str, k: int, x0: float, t_end: float) -> DecayFit:
     """Integrate the diagonal flow from (x0, x0) and fit the decay exponent.
 
     On the diagonal the planar field is exactly linear, x' = -(K/2)(x - x*)
     for L2 and x' = -K (x - x*) for H1, so the fitted slope of
-    log|x(t) - x*| recovers -K/2 resp. -K.  The trajectory must stay on the
-    diagonal; any drift beyond integration tolerance is an error.
+    log|x(t) - x*| recovers -K/2 resp. -K.
     """
-    x_l2, x_h1 = saddle_points(k)
-    x_star = x_l2 if kind.lower() == "l2" else x_h1
-    if not x_star < x0 <= 1.0:
-        raise ValueError("need x0 in (x*, 1]")
-    field = reduced_flow_field(kind, k)
-    trace = rk4_integrate(field, np.array([x0, x0]), _DECAY_STEP, t_end, np.array([1.0, 0.0]),
-                          record_every=10)
-    drift = float(np.abs(trace.states[:, 0] - trace.states[:, 1]).max())
-    if drift > 1e-9 * max(1.0, x0):
-        raise RuntimeError(f"trajectory left the diagonal (drift {drift:.3e})")
-    gap = np.abs(trace.states[:, 0] - x_star)
-    keep = gap > 1e-12
-    slope = float(np.polyfit(trace.times[keep], np.log(gap[keep]), 1)[0])
-    return DecayFit(exponent=slope, x_star=x_star, max_diagonal_drift=drift)
+    rows = diagonal_rows(kind, k, x0, t_end)
+    return decay_fit(rows, planar_flows([rows])[0])
 
 
 # --------------------------------------------------------------------------

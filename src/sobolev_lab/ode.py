@@ -52,6 +52,26 @@ def _rk4_step(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _schedule(step, t_end):
+    """Full steps and short last step (n_full, rem) of each (step, t_end), elementwise.
+
+    ``step`` and ``t_end`` are floats or arrays; both must be finite with
+    0 < step <= t_end.  ``rem`` is 0 when ``t_end`` is a step multiple up
+    to 1e-9 of a step.
+    """
+    step = np.asarray(step, dtype=float)
+    t_end = np.asarray(t_end, dtype=float)
+    if not (np.isfinite(step).all() and np.isfinite(t_end).all()):
+        raise ValueError("step and t_end must be finite")
+    if (step <= 0.0).any():
+        raise ValueError("step must be positive")
+    if (t_end <= 0.0).any() or (step > t_end * (1.0 + 1e-12)).any():
+        raise ValueError("need 0 < step <= t_end")
+    n_full = (t_end / step).astype(np.int64)
+    rem = t_end - n_full * step
+    return n_full, np.where(rem < step * 1e-9, 0.0, rem)
+
+
 def rk4_integrate(
     field: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -62,24 +82,18 @@ def rk4_integrate(
 ) -> FlowTrace:
     """Integrate ``dx/dt = field(x)`` from 0 to ``t_end`` with classic RK4.
 
-    ``step`` must be positive and at most ``t_end``; a shorter final step is
-    taken when ``t_end`` is not a step multiple.  Every ``record_every``-th
-    state is recorded (plus the initial and final ones).  Raises
-    ``BlowUpError`` with the offending time if the state leaves the finite
-    floats.
+    ``step`` and ``t_end`` must be finite with 0 < step <= t_end; a shorter
+    final step is taken when ``t_end`` is not a step multiple.  Every
+    ``record_every``-th state is recorded (plus the initial and final ones).
+    Raises ``BlowUpError`` with the offending time if the state leaves the
+    finite floats.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if t_end <= 0.0 or step > t_end * (1.0 + 1e-12):
-        raise ValueError("need 0 < step <= t_end")
+    n_full, rem = _schedule(step, t_end)
+    n_full, rem = int(n_full), float(rem)
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     x = np.array(x0, dtype=float)
     target = np.asarray(target, dtype=float)
-    n_full = int(t_end / step)
-    rem = t_end - n_full * step
-    if rem < step * 1e-9:
-        rem = 0.0
 
     times = [0.0]
     states = [x.copy()]

@@ -141,19 +141,31 @@ def population_gradients(w: np.ndarray, wstar: np.ndarray) -> GradientBundle:
     return GradientBundle(grad_l2=gl, grad_semi=gj, grad_h1=gl + gj)
 
 
-def flow_rhs(kind: str, w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
+def _h1_rows(kind):
+    """Where the kind is "h1": a bool for one kind name, a column (m, 1) for
+    an array of names with one per state row."""
+    if isinstance(kind, str):
+        kind = kind.lower()
+        if kind not in ("l2", "h1"):
+            raise ValueError(f"unknown flow kind {kind!r}")
+        return kind == "h1"
+    kinds = np.asarray(kind)
+    h1 = kinds == "h1"
+    if not (h1 | (kinds == "l2")).all():
+        raise ValueError(f"unknown flow kinds in {sorted(set(kinds.tolist()))}")
+    return h1[:, None]
+
+
+def flow_rhs(kind, w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
     """Negated population gradient of the selected loss; the gradient-flow field.
 
-    ``kind`` is "l2" or "h1".  Accepts stacked (..., d) states so whole
-    ensembles of trajectories integrate in one RK4 run.
+    ``kind`` is "l2" or "h1", or an array of them with one per row of
+    stacked (m, d) states, so whole ensembles of trajectories, of one kind
+    or of both, integrate in one RK4 run.
     """
-    kind = kind.lower()
-    if kind == "l2":
-        return -grad_l2(w, wstar)
-    if kind == "h1":
-        gl, gj = _gradients(w, wstar, ("l2", "semi"))
-        return -(gl + gj)
-    raise ValueError(f"unknown flow kind {kind!r}")
+    h1 = _h1_rows(kind)
+    gl, gj = _gradients(w, wstar, ("l2", "semi"))
+    return -np.where(h1, gl + gj, gl)
 
 
 # --------------------------------------------------------------------------

@@ -106,19 +106,32 @@ def h2_flow_rhs(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...] = _PART
     return h2_flow_field(wstar, parts)(w)
 
 
-def h2_flow_field(wstar: np.ndarray, parts: tuple[str, ...] = _PARTS):
-    """Vectorized closure over stacked states (..., d) for RK4 ensembles."""
+def h2_flow_field(wstar: np.ndarray, parts=_PARTS):
+    """Vectorized closure over stacked states (..., d) for RK4 ensembles.
+
+    ``parts`` names the summed components: one tuple for every state, or a
+    list with one tuple per row of stacked (m, d) states, so flows of
+    several component sets integrate as one ensemble.
+    """
     wstar = np.asarray(wstar, dtype=float)
     if not wstar.any():
         raise SingularPointError("zero teacher")
-    want = set(parts)
-    if not want or not want <= set(_PARTS):
-        raise ValueError("parts must be a nonempty subset of {'i1','i2','i3'}")
-    selected = tuple(p for p in _PARTS if p in want)
+    row_parts = [parts] if not parts or isinstance(parts[0], str) else list(parts)
+    for p in row_parts:
+        if not p or not set(p) <= set(_PARTS):
+            raise ValueError("parts must be a nonempty subset of {'i1','i2','i3'}")
+    selections = [tuple(p for p in _PARTS if p in row) for row in row_parts]
+    sets = list(dict.fromkeys(selections))
+    union = tuple(p for p in _PARTS if any(p in s for s in sets))
+    pick = np.array([sets.index(s) for s in selections])[:, None]
 
     def field(w: np.ndarray) -> np.ndarray:
-        grads = _h2_parts(w, wstar, selected)
-        return -sum(grads[1:], grads[0])
+        grads = dict(zip(union, _h2_parts(w, wstar, union)))
+        out = None
+        for j, sel in enumerate(sets):
+            total = -sum((grads[p] for p in sel[1:]), grads[sel[0]])
+            out = total if out is None else np.where(pick == j, total, out)
+        return out
 
     return field
 

@@ -82,6 +82,17 @@ def test_flow_header_and_ordering_property(tmp_path):
             assert v_h <= v_l + 1e-15
 
 
+def test_flow_of_both_kinds_is_the_union_of_single_kind_runs(tmp_path):
+    # both kinds integrate as one ensemble; every row is the row of its own kind's run
+    args = ("flow", "--dim", "4", "--inits", "3", "--t-end", "0.5005", "--record-every", "100")
+    runs = {kind: tmp_path / kind for kind in ("both", "l2", "h1")}
+    for kind, out in runs.items():
+        assert run(*args, "--kind", kind, "--out-dir", str(out)) == 0
+    both = read_rows(runs["both"] / "flow.csv")
+    for kind in ("l2", "h1"):
+        assert [r for r in both if r["kind"] == kind] == read_rows(runs[kind] / "flow.csv")
+
+
 def test_rerun_is_byte_identical_and_thread_invariant(tmp_path):
     a, b, c = (tmp_path / x for x in ("a", "b", "c"))
     args = ["verify-gradients", "--dims", "4", "--n-min", "10", "--n-max", "11",
@@ -158,6 +169,12 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                  ("multinode", "--starts", "0"),
                  ("multinode", "--k-list", ""),
                  ("flow", "--inits", "0"),
+                 # a horizon or step that is not a finite float
+                 ("flow", "--inits", "2", "--t-end", "inf"),
+                 ("flow", "--inits", "2", "--t-end", "nan"),
+                 ("relusq", "--points", "2", "--inits", "2", "--t-end", "inf"),
+                 ("multinode", "--k-list", "2", "--t-end", "inf"),
+                 ("multinode", "--k-list", "2", "--step", "nan"),
                  ("verify-gradients", "--trials", "0"),
                  ("verify-gradients", "--n-min", "5", "--n-max", "3"),
                  ("sgd", "--batch", "0", "--seeds", "1", "--steps", "3")):

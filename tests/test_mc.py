@@ -236,7 +236,8 @@ def test_grad_oracle_agreement_sweep():
 
 def test_fifty_pairs_million_samples_every_closed_form():
     # every closed-form gradient, 50 random basin pairs across d in
-    # {2, 8, 32}, million-sample estimates, 4 standard errors
+    # {2, 8, 32}, million-sample estimates on two workers (bit-identical to
+    # one), 4 standard errors
     rng = np.random.default_rng(5150)
     forms = [("relu", "l2"), ("relu", "h1_semi"), ("relu", "h1"),
              ("relu_sq", "i1"), ("relu_sq", "i2"), ("relu_sq", "i3")]
@@ -251,14 +252,15 @@ def test_fifty_pairs_million_samples_every_closed_form():
         e *= rng.uniform(0.1, 0.9) / np.linalg.norm(e)
         w = ws + e
         est = mc_loss_and_grad(model, kind, w, ws,
-                               McConfig(n_samples=10**6, seed=7000 + i, dim=dim))
+                               McConfig(n_samples=10**6, seed=7000 + i, dim=dim), threads=2)
         closed = closed_form_grad(model, kind, w, ws)
         worst_z = max(worst_z, float(np.max(np.abs(est.mean - closed) / est.std_error)))
     for i in range(5):
         dim = 4
         W, Wstar = basin_node_pairs(rng, dim, 0.2, 0.8)
         kind = "l2" if i % 2 == 0 else "h1"
-        est = mc_multinode_grad(W, Wstar, kind, McConfig(n_samples=10**6, seed=8000 + i, dim=dim))
+        est = mc_multinode_grad(W, Wstar, kind, McConfig(n_samples=10**6, seed=8000 + i, dim=dim),
+                                threads=2)
         closed = closed_form_grad("multinode", kind, W, Wstar)
         worst_z = max(worst_z, float(np.max(np.abs(est.mean - closed) / est.std_error)))
     assert worst_z <= 4.0, f"worst z-score {worst_z:.2f}"

@@ -5,9 +5,9 @@ import pytest
 
 from sobolev_lab import multinode as mn
 from sobolev_lab import relu1
-from sobolev_lab.exceptions import SingularPointError
+from sobolev_lab.exceptions import BlowUpError, SingularPointError
 from sobolev_lab.mc import McConfig, mc_multinode_grad
-from sobolev_lab.ode import rk4_integrate
+from sobolev_lab.ode import _rk4_step, rk4_integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -219,6 +219,20 @@ def test_h1_planar_flow_converges_from_omega():
     assert np.sqrt(trace.v_values[-1]).max() < 1e-6
 
 
+def _first_crossings(kind, k, starts, thresh, step):
+    """Reference for the crossing rule: a plain loop of RK4 steps over one run."""
+    field = mn.reduced_flow_field(kind, k)
+    s = np.array(starts, dtype=float)
+    out = np.full(s.shape[0], np.nan)
+    t = 0.0
+    while t < mn._THRESHOLD_T_MAX and np.isnan(out).any():
+        s = _rk4_step(field, s, step)
+        t += step
+        hit = np.isnan(out) & (np.sum((s - [1.0, 0.0]) ** 2, axis=-1) < thresh * thresh)
+        out[hit] = t
+    return out
+
+
 def test_per_row_k_matches_per_k_calls_bitwise():
     # one K per state row lets several K integrate as one ensemble; each row
     # must come out exactly as in a call with its own K
@@ -229,12 +243,77 @@ def test_per_row_k_matches_per_k_calls_bitwise():
     for kind in ("l2", "h1"):
         field = mn.reduced_flow_field(kind, ks)(states)
         times = mn.times_to_threshold(kind, ks, near, 0.01, step=0.01)
+        assert np.array_equal(times, _first_crossings(kind, ks, near, 0.01, 0.01))
         for k in (2, 3, 8):
             rows = ks == k
             assert np.array_equal(field[rows], mn.reduced_flow_field(kind, k)(states[rows]))
             assert np.array_equal(times[rows],
                                   mn.times_to_threshold(kind, k, near[rows], 0.01, step=0.01))
         assert np.isfinite(times).all()
+
+
+def test_stacked_planar_runs_match_their_separate_runs_bitwise():
+    # per-row kinds, K, steps and horizons: Omega rows at step 0.01 with a
+    # short last step, threshold rows of both kinds, and diagonal-decay rows
+    # at _DECAY_STEP whose K = 16 H1 horizon 0.9375 is 937.5 steps
+    ks = np.array([2, 16, 3, 16])
+    a = np.linspace(0.2, 1.3, ks.size)
+    near = np.stack([1.0 - 0.05 * np.cos(a), 0.05 * np.sin(a)], axis=1)
+    omega = np.stack([np.linspace(0.3, 1.0, ks.size), np.linspace(0.0, 0.25, ks.size)], axis=1)
+    kinds = np.array(["h1", "l2", "l2", "h1"])
+    decays = [mn.diagonal_rows(kind, k, 0.95, min(horizon / k, cap))
+              for k in (8, 16) for kind, horizon, cap in (("l2", 30.0, 12.0), ("h1", 15.0, 6.0))]
+    assert decays[3].t_end == 0.9375
+    runs = [mn.PlanarRows(kinds, ks, omega, 0.01, 1.005),
+            mn.threshold_rows("l2", ks, near, 0.01, step=0.01),
+            mn.threshold_rows("h1", ks, near, 0.01, step=0.01),
+            *decays]
+    stacked = mn.planar_flows(runs)
+
+    target = np.array([1.0, 0.0])
+    for kind in ("l2", "h1"):
+        rows = kinds == kind
+        alone = rk4_integrate(mn.reduced_flow_field(kind, ks[rows]), omega[rows], 0.01, 1.005,
+                              target)
+        assert np.array_equal(stacked[0].final[rows], alone.final_state)
+        assert np.array_equal(stacked[0].final_v[rows], alone.final_v)
+    for run, kind in zip(stacked[1:3], ("l2", "h1")):
+        assert np.array_equal(run.crossed, _first_crossings(kind, ks, near, 0.01, 0.01))
+        assert run.trace is None
+    for rows, run in zip(decays, stacked[3:]):
+        alone = rk4_integrate(mn.reduced_flow_field(rows.kind, rows.k), rows.starts[0],
+                              mn._DECAY_STEP, rows.t_end, target, record_every=10)
+        assert np.array_equal(run.trace.times, alone.times)
+        assert np.array_equal(run.trace.states[:, 0], alone.states)
+        rate = rows.k * (1.0 if rows.kind == "h1" else 0.5)
+        assert abs(mn.decay_fit(rows, run).exponent + rate) <= 0.02 * rate
+
+
+def test_planar_flows_validates_and_blows_up_like_rk4():
+    start = np.array([[0.9, 0.1]])
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError):
+            mn.planar_flows([mn.PlanarRows("l2", 2, start, 1e-3, bad)])
+        with pytest.raises(ValueError):
+            mn.planar_flows([mn.PlanarRows("l2", 2, start, bad, 1.0)])
+    with pytest.raises(ValueError):
+        mn.PlanarRows("l2", 2, start, 1e-3, 1.0, thresh=0.1, record_every=10)
+    with pytest.raises(ValueError):
+        mn.reduced_flow_field(np.array(["l2", "l3"]), 2)
+    # a huge step leaves the finite floats: an Omega row raises, a threshold row gives up
+    with np.errstate(all="ignore"):
+        with pytest.raises(BlowUpError) as exc:
+            mn.planar_flows([mn.PlanarRows("h1", 8, start, 1.5, 300.0)])
+        with pytest.raises(BlowUpError) as alone:
+            rk4_integrate(mn.reduced_flow_field("h1", 8), start, 1.5, 300.0, np.array([1.0, 0.0]))
+        assert exc.value.time == alone.value.time
+        assert np.isnan(mn.times_to_threshold("h1", 8, start, 1e-4, step=1.5)).all()
+        # the threshold row stops at its last finite state; the other row runs on alone
+        ahead, gave_up = mn.planar_flows([mn.PlanarRows("h1", 8, start, 0.01, 1.0),
+                                          mn.threshold_rows("h1", 8, start, 1e-4, step=1.5)])
+    assert np.isnan(gave_up.crossed).all() and np.isfinite(gave_up.final).all()
+    alone = rk4_integrate(mn.reduced_flow_field("h1", 8), start, 0.01, 1.0, np.array([1.0, 0.0]))
+    assert np.array_equal(ahead.final, alone.final_state)
 
 
 # --------------------------------------------------------------------------

@@ -68,3 +68,7 @@ def test_validates_step_arguments():
         rk4_integrate(lambda x: -x, np.array([1.0]), 0.0, 1.0, np.zeros(1))
     with pytest.raises(ValueError):
         rk4_integrate(lambda x: -x, np.array([1.0]), 2.0, 1.0, np.zeros(1))
+    # a horizon or step that is not a finite float is a bad argument, not an overflow
+    for step, t_end in ((1e-3, math.inf), (1e-3, math.nan), (math.nan, 1.0), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            rk4_integrate(lambda x: -x, np.array([1.0]), step, t_end, np.zeros(1))

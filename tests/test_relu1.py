@@ -329,6 +329,23 @@ def test_h1_flow_trace_dominated_by_l2_flow_trace():
     assert np.all(tr_h1.v_values <= tr_l2.v_values + 1e-15)
 
 
+def test_per_row_kinds_match_single_kind_fields_bitwise():
+    # a stack of both kinds is one field call; each row is the float its
+    # kind's gradients give, and a per-row unknown kind is an error
+    rng = np.random.default_rng(43)
+    ws = rng.standard_normal(5)
+    w = ws + 0.4 * rng.standard_normal((6, 5))
+    kinds = np.array(["l2", "h1", "h1", "l2", "h1", "l2"])
+    stacked = relu1.flow_rhs(kinds, w, ws)
+    gl, gj = relu1.grad_l2(w, ws), relu1.grad_semi(w, ws)
+    assert np.array_equal(stacked[kinds == "l2"], -gl[kinds == "l2"])
+    assert np.array_equal(stacked[kinds == "h1"], -(gl + gj)[kinds == "h1"])
+    for kind in ("l2", "h1"):
+        assert np.array_equal(stacked[kinds == kind], relu1.flow_rhs(kind, w, ws)[kinds == kind])
+    with pytest.raises(ValueError):
+        relu1.flow_rhs(np.array(["l2", "h2"]), w[:2], ws)
+
+
 # --------------------------------------------------------------------------
 # one-step GD comparison
 

@@ -134,3 +134,17 @@ def test_batched_field_matches_pointwise_rhs():
     batched = field(w)
     for i in range(5):
         assert batched[i] == pytest.approx(relusq.h2_flow_rhs(w[i], ws), rel=1e-12)
+
+
+def test_per_row_parts_match_single_set_fields_bitwise():
+    # the relusq experiment integrates h2 and i1 rows as one ensemble; each
+    # row is the float the field of its own component set gives on the same stack
+    rng = np.random.default_rng(11)
+    ws = rng.standard_normal(4)
+    w = ws + 0.3 * rng.standard_normal((6, 4))
+    row_parts = [("i1", "i2", "i3"), ("i1",), ("i1",), ("i3", "i1"), ("i1", "i2", "i3"), ("i2",)]
+    stacked = relusq.h2_flow_field(ws, row_parts)(w)
+    for i, parts in enumerate(row_parts):
+        assert np.array_equal(stacked[i], relusq.h2_flow_field(ws, parts)(w)[i])
+    with pytest.raises(ValueError):
+        relusq.h2_flow_field(ws, [("i1",), ()])
