@@ -71,7 +71,16 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _angle_norms(w: np.ndarray, wstar: np.ndarray):
-    """``angle_between(w, wstar)`` together with the norms |w| and |w*| it reduced."""
+    """Angle in [0, pi] via the two-argument form 2 atan2(|u-v|, |u+v|),
+    together with the norms |w| and |w*| it reduced.
+
+    Unlike plain arccos of the inner product, this stays fully accurate at
+    the collinear configurations the landscape formulas exercise hardest
+    (arccos loses half the digits there), and coincident directions give an
+    exact zero.  Broadcasts over leading axes, so one call covers a stack of
+    states or all pairs of two stacks; 1-d inputs give a float angle.  A
+    zero vector has angle 0 to everything.
+    """
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
     nw, ns = _norm(w), _norm(wstar)
@@ -84,19 +93,6 @@ def _angle_norms(w: np.ndarray, wstar: np.ndarray):
     if np.ndim(across) == 0:  # one pair: libm's scalar atan2 is faster here
         return (0.0 if zero else 2.0 * math.atan2(across, along)), nw, ns
     return np.where(zero, 0.0, 2.0 * np.arctan2(across, along)), nw, ns
-
-
-def angle_between(w: np.ndarray, wstar: np.ndarray) -> float | np.ndarray:
-    """Angle in [0, pi] via the two-argument form 2 atan2(|u-v|, |u+v|).
-
-    Unlike plain arccos of the inner product, this stays fully accurate at
-    the collinear configurations the landscape formulas exercise hardest
-    (arccos loses half the digits there), and coincident directions give an
-    exact zero.  Broadcasts over leading axes, so one call covers a stack of
-    states or all pairs of two stacks; 1-d inputs give a float.  A zero
-    vector has angle 0 to everything.
-    """
-    return _angle_norms(w, wstar)[0]
 
 
 def basin_pairs(rng: np.random.Generator, dim: int, count: int, rmin: float = 0.1, rmax: float = 0.9):

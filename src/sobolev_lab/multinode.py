@@ -14,6 +14,10 @@ kernel: the cyclic field is the per-node field of node 1 evaluated on the
 shifted students, so it is the projection of the full field by
 construction.  Index arithmetic in the t-parametrization is cyclic modulo
 K: the shift group structure forces the wrap.
+
+``planar_flows`` integrates fixed-horizon, threshold-crossing and recorded
+diagonal-decay runs of the planar flow: it builds their per-row kind and K
+field and hands every run to the one RK4 loop in ``ode``.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BlowUpError, SingularPointError
+from .exceptions import SingularPointError
 from .geometry import TWO_PI, _angle_norms
-from .ode import FlowTrace, _rk4_step, _schedule, _v
+from .ode import FlowRun, _check_run, _rk4_rows
 
-_THRESHOLD_T_MAX = 120.0  # flow time after which ``times_to_threshold`` gives up on a row
-_DECAY_STEP = 1e-3  # RK4 step of ``diagonal_decay``
+_THRESHOLD_T_MAX = 120.0  # horizon of a ``threshold_rows`` run: a row not yet within gives up
+_DECAY_STEP = 1e-3  # RK4 step of a ``diagonal_rows`` run
 _FIXED_POINT = np.array([1.0, 0.0])
 
 
@@ -250,123 +254,30 @@ class PlanarRows:
     record_every: int = 0
 
     def __post_init__(self):
-        starts = np.array(self.starts, dtype=float)
-        if starts.ndim != 2 or starts.shape[1] != 2 or starts.shape[0] < 1:
-            raise ValueError("starts must have shape (m, 2) with m >= 1")
-        if self.record_every and self.thresh:
-            raise ValueError("a recorded run cannot stop at a threshold")
-        if self.record_every < 0 or not self.thresh >= 0.0:
-            raise ValueError("need record_every >= 0 and thresh >= 0")
-        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "starts", _check_run(self.starts, self.thresh, self.record_every, 2))
 
 
-@dataclass(frozen=True)
-class PlanarRun:
-    """What ``planar_flows`` gives back for one ``PlanarRows``.
+def planar_flows(runs: list[PlanarRows]) -> list[FlowRun]:
+    """Integrate every run as one stacked RK4 ensemble; one ``FlowRun`` per run.
 
-    ``final`` holds each row's state where it stopped, ``crossed`` its first
-    time within the threshold (nan for a row that never got there, or that
-    left the finite floats first), and ``trace`` the recorded states of a
-    recorded run (None otherwise).
-    """
-
-    final: np.ndarray
-    crossed: np.ndarray
-    trace: FlowTrace | None
-
-    @property
-    def final_v(self) -> np.ndarray:
-        return _v(self.final, _FIXED_POINT)
-
-
-def planar_flows(runs: list[PlanarRows]) -> list[PlanarRun]:
-    """Integrate every run as one stacked RK4 ensemble; one ``PlanarRun`` per run.
-
-    Each row steps with its own run's step, kind and K up to its own
-    horizon, taking a short last step when the horizon is not a step
-    multiple (as ``rk4_integrate`` does), or until it crosses its threshold.
-    The loop lasts as long as the longest row, and a row that has stopped
-    keeps its state, so every row comes out as it would in a run of its
-    own.  A row without a threshold that leaves the finite floats raises
-    ``BlowUpError``; a row with one can never cross and stops.
+    Each row flows under its own run's kind and K, and ``ode._rk4_rows``
+    steps it with its run's step, horizon, threshold around (1, 0) and
+    recording, so every row comes out as it would in a run of its own.
     """
     sizes = [r.starts.shape[0] for r in runs]
-    bounds = np.cumsum([0] + sizes)
 
     def per_row(values) -> np.ndarray:
         return np.concatenate([np.broadcast_to(v, (n,)) for v, n in zip(values, sizes)])
 
     kind = per_row([np.asarray(r.kind) for r in runs])
-    k = per_row([r.k for r in runs])
-    step = per_row([float(r.step) for r in runs])
-    n_full, rem = _schedule(step, per_row([float(r.t_end) for r in runs]))
-    n_steps = n_full + (rem > 0.0)
-    thresh = per_row([float(r.thresh) for r in runs])
-    t2 = thresh * thresh
-    stops = thresh > 0.0
-    field = reduced_flow_field(kind, k)
-    recorded = [(i, r.record_every) for i, r in enumerate(runs) if r.record_every]
-    records = {i: [(0.0, runs[i].starts.copy())] for i, _ in recorded}
-
-    s = np.concatenate([r.starts for r in runs])
-    t = np.zeros(s.shape[0])
-    crossed = np.full(s.shape[0], np.nan)
-    done = np.zeros(s.shape[0], dtype=bool)
-    for i in range(int(n_steps.max())):
-        stepping = ~done & (i < n_steps)
-        if not stepping.any():
-            break
-        h = np.where(stepping, np.where(i < n_full, step, rem), 0.0)
-        new = _rk4_step(field, s, h[:, None])
-        t += h
-        finite = np.isfinite(new).all(axis=1)
-        blown = stepping & ~finite
-        if blown.any():
-            if (blown & ~stops).any():
-                t_blow = t[blown & ~stops].min()
-                raise BlowUpError(f"trajectory blew up at t={t_blow:.6g}", time=float(t_blow))
-            stepping &= finite
-            done |= blown
-        s = np.where(stepping[:, None], new, s)
-        hit = stepping & (np.sum((s - _FIXED_POINT) ** 2, axis=-1) < t2)
-        crossed[hit] = t[hit]
-        done |= hit
-        for j, every in recorded:
-            a, b = bounds[j], bounds[j + 1]
-            if i < n_steps[a] and ((i + 1) % every == 0 or i == n_steps[a] - 1):
-                records[j].append((t[a], s[a:b].copy()))
-
-    out = []
-    for j, r in enumerate(runs):
-        a, b = bounds[j], bounds[j + 1]
-        trace = None
-        if j in records:
-            times = np.array([tj for tj, _ in records[j]])
-            states = np.array([sj for _, sj in records[j]])
-            trace = FlowTrace(times=times, states=states, v_values=_v(states, _FIXED_POINT),
-                              target=_FIXED_POINT.copy())
-        out.append(PlanarRun(final=s[a:b], crossed=crossed[a:b], trace=trace))
-    return out
-
-
-def times_to_threshold(
-    kind,
-    k,
-    starts: np.ndarray,
-    thresh: float,
-    step: float = 1e-3,
-) -> np.ndarray:
-    """First flow times at which ||(x, y) - (1, 0)|| drops below ``thresh``.
-
-    One ``planar_flows`` run of all ``starts`` (m, 2), with ``kind`` and
-    ``k`` one value or an array of one per row; rows that never cross
-    within ``_THRESHOLD_T_MAX`` come back as nan.
-    """
-    return planar_flows([threshold_rows(kind, k, starts, thresh, step)])[0].crossed
+    field = reduced_flow_field(kind, per_row([r.k for r in runs]))
+    return _rk4_rows(field, [(r.starts, r.step, r.t_end, r.thresh, r.record_every) for r in runs],
+                     _FIXED_POINT)
 
 
 def threshold_rows(kind, k, starts: np.ndarray, thresh: float, step: float = 1e-3) -> PlanarRows:
-    """The run of ``times_to_threshold``: given up at ``_THRESHOLD_T_MAX``."""
+    """A run whose rows record their first flow time within ``thresh`` of
+    (1, 0) as ``crossed``; a row still outside at ``_THRESHOLD_T_MAX`` keeps nan."""
     if not thresh > 0.0:
         raise ValueError("thresh must be positive")
     return PlanarRows(kind, k, starts, step, _THRESHOLD_T_MAX, thresh=thresh)
@@ -401,19 +312,21 @@ def saddle_points(k: int) -> tuple[float, float]:
 
 
 def diagonal_rows(kind: str, k: int, x0: float, t_end: float) -> PlanarRows:
-    """The run of ``diagonal_decay``: the diagonal flow from (x0, x0) at step
-    ``_DECAY_STEP``, recorded every 10 steps up to ``t_end``."""
+    """The diagonal flow from (x0, x0) at step ``_DECAY_STEP``, recorded
+    every 10 steps up to ``t_end``; ``decay_fit`` reads its exponent."""
     x_star = saddle_points(k)[_check_kind(kind) - 1]
     if not x_star < x0 <= 1.0:
         raise ValueError("need x0 in (x*, 1]")
     return PlanarRows(kind, k, np.array([[x0, x0]]), _DECAY_STEP, t_end, record_every=10)
 
 
-def decay_fit(rows: PlanarRows, run: PlanarRun) -> DecayFit:
+def decay_fit(rows: PlanarRows, run: FlowRun) -> DecayFit:
     """Decay exponent of a ``diagonal_rows`` run from its recorded states.
 
-    The trajectory must stay on the diagonal; any drift beyond integration
-    tolerance is an error.
+    On the diagonal the planar field is exactly linear, x' = -(K/2)(x - x*)
+    for L2 and x' = -K (x - x*) for H1, so the fitted slope of
+    log|x(t) - x*| recovers -K/2 resp. -K.  The trajectory must stay on the
+    diagonal; any drift beyond integration tolerance is an error.
     """
     x0 = float(rows.starts[0, 0])
     x_star = saddle_points(rows.k)[_check_kind(rows.kind) - 1]
@@ -425,17 +338,6 @@ def decay_fit(rows: PlanarRows, run: PlanarRun) -> DecayFit:
     keep = gap > 1e-12
     slope = float(np.polyfit(run.trace.times[keep], np.log(gap[keep]), 1)[0])
     return DecayFit(exponent=slope, x_star=x_star, max_diagonal_drift=drift)
-
-
-def diagonal_decay(kind: str, k: int, x0: float, t_end: float) -> DecayFit:
-    """Integrate the diagonal flow from (x0, x0) and fit the decay exponent.
-
-    On the diagonal the planar field is exactly linear, x' = -(K/2)(x - x*)
-    for L2 and x' = -K (x - x*) for H1, so the fitted slope of
-    log|x(t) - x*| recovers -K/2 resp. -K.
-    """
-    rows = diagonal_rows(kind, k, x0, t_end)
-    return decay_fit(rows, planar_flows([rows])[0])
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Classic fixed-step fourth-order Runge-Kutta for the gradient flows.
 
 Fixed step (no adaptivity) keeps traces bit-reproducible for regression
-tests.  States may be a single vector ``(d,)`` or a stack ``(m, d)`` of
-independent trajectories sharing the same field; the error tracking
-``v = ||state - target||^2`` is taken along the last axis either way.
+tests.  ``_rk4_rows`` is the one stepping loop: it integrates several runs
+of rows as one stacked ensemble, each run with its own step, horizon, stop
+radius and recording.  ``rk4_integrate`` is its one-run view, and
+``multinode.planar_flows`` hands it every planar run at once.  States may be
+a single vector ``(d,)`` or a stack ``(m, d)`` of independent trajectories
+sharing the same field; the error tracking ``v = ||state - target||^2`` is
+taken along the last axis either way.
 """
 
 from __future__ import annotations
@@ -39,6 +43,23 @@ class FlowTrace:
         return self.v_values[-1]
 
 
+@dataclass(frozen=True)
+class FlowRun:
+    """What the stacked RK4 loop gives back for one run of rows.
+
+    ``final`` holds each row's state where it stopped and ``final_v`` its
+    squared distance to the target, ``crossed`` its first time within the
+    run's stop radius (nan for a row that never got there, or that left the
+    finite floats first), and ``trace`` the recorded states of a recorded
+    run (None otherwise).
+    """
+
+    final: np.ndarray
+    final_v: np.ndarray
+    crossed: np.ndarray
+    trace: FlowTrace | None
+
+
 def _v(state: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.sum((state - target) ** 2, axis=-1)
 
@@ -72,6 +93,107 @@ def _schedule(step, t_end):
     return n_full, np.where(rem < step * 1e-9, 0.0, rem)
 
 
+def _check_run(starts, thresh: float, record_every: int, d: int) -> np.ndarray:
+    """The ``starts`` of one ``_rk4_rows`` run as an (m, d) float stack, m >= 1.
+
+    The stop radius ``thresh`` (0: none) and ``record_every`` (0: not
+    recorded) must be >= 0, and a recorded run cannot have a stop radius.
+    """
+    starts = np.array(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[0] < 1 or starts.shape[1] != d:
+        raise ValueError(f"starts must have shape (m, {d}) with m >= 1")
+    if record_every < 0 or not thresh >= 0.0:
+        raise ValueError("need record_every >= 0 and thresh >= 0")
+    if record_every and thresh:
+        raise ValueError("a recorded run cannot stop at a threshold")
+    return starts
+
+
+def _rk4_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
+              target: np.ndarray) -> list[FlowRun]:
+    """The one RK4 loop: integrate every run as one stacked ensemble; one ``FlowRun`` per run.
+
+    Each run is (starts, step, t_end, thresh, record_every) with starts
+    (m, d); a run of its own may also hold a single state (d,), which the
+    field then receives as (d,) arrays.  Each row steps with its run's step
+    up to its run's horizon, taking a short last step when the horizon is
+    not a step multiple, or until it comes within ``thresh`` > 0 of
+    ``target``.  The loop lasts as long as the longest row, and a row that
+    has stopped keeps its state, so every row comes out as it would in a run
+    of its own.  A run with ``record_every`` > 0 records its states every
+    that many steps, plus the first and last.  A row without a stop radius
+    that leaves the finite floats raises ``BlowUpError`` at the earliest
+    such time; a row with one can never cross and stops.
+    """
+    target = np.array(target, dtype=float)
+    starts = [np.array(r[0], dtype=float) for r in runs]
+    s = np.concatenate(starts)
+    rows = s.shape[:-1]
+    sizes = [x[..., 0].size for x in starts]
+    bounds = np.cumsum([0] + sizes)
+
+    def of_run(x: np.ndarray, j: int) -> np.ndarray:
+        return x if len(runs) == 1 else x[bounds[j]:bounds[j + 1]]
+
+    params = np.array([r[1:4] for r in runs], dtype=float)  # step, t_end, thresh
+    step, t_end, thresh = np.repeat(params, sizes, axis=0).T.reshape((3,) + rows)
+    n_full, rem = _schedule(step, t_end)
+    n_steps = n_full + (rem > 0.0)
+    stops = thresh > 0.0
+    any_stops = stops.any()
+    # a recorded run's rows share one schedule: its first row's steps
+    recorded = [(j, r[4], n_steps.flat[bounds[j]]) for j, r in enumerate(runs) if r[4]]
+    records = {j: [(0.0, starts[j])] for j, _, _ in recorded}
+
+    t = np.zeros(rows)
+    crossed = np.full(rows, np.nan)
+    done = np.zeros(rows, dtype=bool)
+    # a row's step changes only after its full steps, after its last, or at a stop (h = None)
+    changes = set(n_full.ravel().tolist() + n_steps.ravel().tolist())
+    h = None
+    for i in range(int(n_steps.max())):
+        if h is None or i in changes:
+            stepping = ~done & (i < n_steps)
+            if not stepping.any():
+                break
+            h = np.where(stepping, np.where(i < n_full, step, rem), 0.0)
+            # every row stepping alike takes one scalar step: the same floats, fewer array ops
+            alike = stepping.all() and (h == h.flat[0]).all()
+            h_rk4 = h.flat[0] if alike else h[..., None]
+        new = _rk4_step(field, s, h_rk4)
+        t += h
+        if not np.isfinite(new).all():
+            finite = np.isfinite(new).all(axis=-1)
+            blown = stepping & ~finite
+            if (blown & ~stops).any():
+                t_blow = t[blown & ~stops].min()
+                raise BlowUpError(f"trajectory blew up at t={t_blow:.6g}", time=float(t_blow))
+            stepping = stepping & finite
+            done |= blown
+            alike, h = False, None
+        s = new if alike else np.where(stepping[..., None], new, s)
+        if any_stops:
+            hit = stepping & (_v(s, target) < thresh * thresh)
+            if hit.any():
+                crossed[hit] = t[hit]
+                done |= hit
+                h = None
+        for j, every, n in recorded:
+            if i < n and ((i + 1) % every == 0 or i == n - 1):
+                records[j].append((t.flat[bounds[j]], of_run(s, j).copy()))
+
+    out = []
+    for j in range(len(runs)):
+        trace = None
+        if j in records:
+            times = np.array([tj for tj, _ in records[j]])
+            states = np.array([sj for _, sj in records[j]])
+            trace = FlowTrace(times=times, states=states, v_values=_v(states, target), target=target)
+        final = of_run(s, j)
+        out.append(FlowRun(final, _v(final, target), of_run(crossed, j), trace))
+    return out
+
+
 def rk4_integrate(
     field: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -86,33 +208,8 @@ def rk4_integrate(
     final step is taken when ``t_end`` is not a step multiple.  Every
     ``record_every``-th state is recorded (plus the initial and final ones).
     Raises ``BlowUpError`` with the offending time if the state leaves the
-    finite floats.
+    finite floats.  One run of ``_rk4_rows``.
     """
-    n_full, rem = _schedule(step, t_end)
-    n_full, rem = int(n_full), float(rem)
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    x = np.array(x0, dtype=float)
-    target = np.asarray(target, dtype=float)
-
-    times = [0.0]
-    states = [x.copy()]
-    t = 0.0
-    for i in range(n_full + (1 if rem else 0)):
-        h = step if i < n_full else rem
-        x = _rk4_step(field, x, h)
-        t += h
-        if not np.all(np.isfinite(x)):
-            raise BlowUpError(f"trajectory blew up at t={t:.6g}", time=t)
-        if (i + 1) % record_every == 0 or i == n_full + (1 if rem else 0) - 1:
-            times.append(t)
-            states.append(x.copy())
-
-    times_arr = np.asarray(times)
-    states_arr = np.asarray(states)
-    return FlowTrace(
-        times=times_arr,
-        states=states_arr,
-        v_values=_v(states_arr, target),
-        target=target,
-    )
+    return _rk4_rows(field, [(x0, step, t_end, 0.0, record_every)], target)[0].trace

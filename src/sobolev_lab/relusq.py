@@ -78,7 +78,7 @@ def _h2_parts(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...]) -> list[
             sc = np.sin(theta) * np.cos(theta)
             out.append(4.0 * (nw2 * w - (sc / TWO_PI) * ns**2 * w - (nw * ns / TWO_PI) * g1 * wstar))
         else:
-            dot = np.asarray(w @ wstar)[..., None]
+            dot = np.sum(w * wstar, axis=-1)[..., None]
             out.append(4.0 * nw2 * w - (4.0 * (math.pi - theta) / math.pi) * dot * wstar)
     return out
 

@@ -174,8 +174,8 @@ def test_saddles_zero_the_diagonal_field_and_decrease_in_k():
 
 
 def test_diagonal_decay_exponents_k2():
-    fit_l2 = mn.diagonal_decay("l2", 2, x0=0.95, t_end=15.0)
-    fit_h1 = mn.diagonal_decay("h1", 2, x0=0.95, t_end=7.5)
+    decays = [mn.diagonal_rows("l2", 2, 0.95, 15.0), mn.diagonal_rows("h1", 2, 0.95, 7.5)]
+    fit_l2, fit_h1 = map(mn.decay_fit, decays, mn.planar_flows(decays))
     assert abs(fit_l2.exponent + 1.0) <= 0.02  # -K/2
     assert abs(fit_h1.exponent + 2.0) <= 0.04  # -K
     assert fit_l2.max_diagonal_drift <= 1e-9
@@ -233,6 +233,10 @@ def _first_crossings(kind, k, starts, thresh, step):
     return out
 
 
+def _crossings(kind, k, starts, thresh, step):
+    return mn.planar_flows([mn.threshold_rows(kind, k, starts, thresh, step)])[0].crossed
+
+
 def test_per_row_k_matches_per_k_calls_bitwise():
     # one K per state row lets several K integrate as one ensemble; each row
     # must come out exactly as in a call with its own K
@@ -242,13 +246,12 @@ def test_per_row_k_matches_per_k_calls_bitwise():
     states = np.stack([np.linspace(0.3, 1.0, ks.size), np.linspace(0.0, 0.25, ks.size)], axis=1)
     for kind in ("l2", "h1"):
         field = mn.reduced_flow_field(kind, ks)(states)
-        times = mn.times_to_threshold(kind, ks, near, 0.01, step=0.01)
+        times = _crossings(kind, ks, near, 0.01, 0.01)
         assert np.array_equal(times, _first_crossings(kind, ks, near, 0.01, 0.01))
         for k in (2, 3, 8):
             rows = ks == k
             assert np.array_equal(field[rows], mn.reduced_flow_field(kind, k)(states[rows]))
-            assert np.array_equal(times[rows],
-                                  mn.times_to_threshold(kind, k, near[rows], 0.01, step=0.01))
+            assert np.array_equal(times[rows], _crossings(kind, k, near[rows], 0.01, 0.01))
         assert np.isfinite(times).all()
 
 
@@ -296,8 +299,10 @@ def test_planar_flows_validates_and_blows_up_like_rk4():
             mn.planar_flows([mn.PlanarRows("l2", 2, start, 1e-3, bad)])
         with pytest.raises(ValueError):
             mn.planar_flows([mn.PlanarRows("l2", 2, start, bad, 1.0)])
-    with pytest.raises(ValueError):
-        mn.PlanarRows("l2", 2, start, 1e-3, 1.0, thresh=0.1, record_every=10)
+    for bad in (dict(thresh=0.1, record_every=10), dict(thresh=-0.1), dict(thresh=math.nan),
+                dict(record_every=-1)):
+        with pytest.raises(ValueError):
+            mn.PlanarRows("l2", 2, start, 1e-3, 1.0, **bad)
     with pytest.raises(ValueError):
         mn.reduced_flow_field(np.array(["l2", "l3"]), 2)
     # a huge step leaves the finite floats: an Omega row raises, a threshold row gives up
@@ -307,7 +312,7 @@ def test_planar_flows_validates_and_blows_up_like_rk4():
         with pytest.raises(BlowUpError) as alone:
             rk4_integrate(mn.reduced_flow_field("h1", 8), start, 1.5, 300.0, np.array([1.0, 0.0]))
         assert exc.value.time == alone.value.time
-        assert np.isnan(mn.times_to_threshold("h1", 8, start, 1e-4, step=1.5)).all()
+        assert np.isnan(_crossings("h1", 8, start, 1e-4, 1.5)).all()
         # the threshold row stops at its last finite state; the other row runs on alone
         ahead, gave_up = mn.planar_flows([mn.PlanarRows("h1", 8, start, 0.01, 1.0),
                                           mn.threshold_rows("h1", 8, start, 1e-4, step=1.5)])

@@ -68,7 +68,26 @@ def test_validates_step_arguments():
         rk4_integrate(lambda x: -x, np.array([1.0]), 0.0, 1.0, np.zeros(1))
     with pytest.raises(ValueError):
         rk4_integrate(lambda x: -x, np.array([1.0]), 2.0, 1.0, np.zeros(1))
+    with pytest.raises(ValueError):
+        rk4_integrate(lambda x: -x, np.array([1.0]), 1e-3, 1.0, np.zeros(1), record_every=0)
     # a horizon or step that is not a finite float is a bad argument, not an overflow
     for step, t_end in ((1e-3, math.inf), (1e-3, math.nan), (math.nan, 1.0), (math.inf, math.inf)):
         with pytest.raises(ValueError, match="finite"):
             rk4_integrate(lambda x: -x, np.array([1.0]), step, t_end, np.zeros(1))
+
+
+def test_single_state_field_sees_single_states_and_one_step_records_two():
+    shapes = set()
+
+    def field(x):
+        shapes.add(x.shape)
+        return -x
+
+    trace = rk4_integrate(field, np.array([1.0, 2.0]), 0.3, 1.0, np.zeros(2))
+    assert shapes == {(2,)}
+    assert trace.states.shape == (len(trace.times), 2)
+    # one step over 100 stacked rows: the initial and the final state
+    x0 = np.linspace(0.0, 1.0, 200).reshape(100, 2)
+    trace = rk4_integrate(lambda x: -x, x0, 1e-3, 1e-3, np.zeros(2))
+    assert trace.times.tolist() == [0.0, 1e-3]
+    assert trace.states.shape == (2, 100, 2)

@@ -138,7 +138,8 @@ def test_batched_field_matches_pointwise_rhs():
 
 def test_per_row_parts_match_single_set_fields_bitwise():
     # the relusq experiment integrates h2 and i1 rows as one ensemble; each
-    # row is the float the field of its own component set gives on the same stack
+    # row is the float the field of its own component set gives on the same
+    # stack, and on a stack of that row alone
     rng = np.random.default_rng(11)
     ws = rng.standard_normal(4)
     w = ws + 0.3 * rng.standard_normal((6, 4))
@@ -146,5 +147,6 @@ def test_per_row_parts_match_single_set_fields_bitwise():
     stacked = relusq.h2_flow_field(ws, row_parts)(w)
     for i, parts in enumerate(row_parts):
         assert np.array_equal(stacked[i], relusq.h2_flow_field(ws, parts)(w)[i])
+        assert np.array_equal(stacked[i], relusq.h2_flow_field(ws, parts)(w[i:i + 1])[0])
     with pytest.raises(ValueError):
         relusq.h2_flow_field(ws, [("i1",), ()])
