@@ -29,7 +29,7 @@ import numpy as np
 
 from .exceptions import SingularPointError
 from .geometry import TWO_PI, _angle_norms
-from .ode import FlowRun, _check_run, _rk4_rows
+from .ode import FlowRun, _rk4_rows
 
 _THRESHOLD_T_MAX = 120.0  # horizon of a ``threshold_rows`` run: a row not yet within gives up
 _DECAY_STEP = 1e-3  # RK4 step of a ``diagonal_rows`` run
@@ -254,7 +254,14 @@ class PlanarRows:
     record_every: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "starts", _check_run(self.starts, self.thresh, self.record_every, 2))
+        starts = np.array(self.starts, dtype=float)
+        if starts.ndim != 2 or starts.shape[1] != 2 or starts.shape[0] < 1:
+            raise ValueError("starts must have shape (m, 2) with m >= 1")
+        if self.record_every and self.thresh:
+            raise ValueError("a recorded run cannot stop at a threshold")
+        if self.record_every < 0 or not self.thresh >= 0.0:
+            raise ValueError("need record_every >= 0 and thresh >= 0")
+        object.__setattr__(self, "starts", starts)
 
 
 def planar_flows(runs: list[PlanarRows]) -> list[FlowRun]:

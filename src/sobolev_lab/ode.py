@@ -93,22 +93,6 @@ def _schedule(step, t_end):
     return n_full, np.where(rem < step * 1e-9, 0.0, rem)
 
 
-def _check_run(starts, thresh: float, record_every: int, d: int) -> np.ndarray:
-    """The ``starts`` of one ``_rk4_rows`` run as an (m, d) float stack, m >= 1.
-
-    The stop radius ``thresh`` (0: none) and ``record_every`` (0: not
-    recorded) must be >= 0, and a recorded run cannot have a stop radius.
-    """
-    starts = np.array(starts, dtype=float)
-    if starts.ndim != 2 or starts.shape[0] < 1 or starts.shape[1] != d:
-        raise ValueError(f"starts must have shape (m, {d}) with m >= 1")
-    if record_every < 0 or not thresh >= 0.0:
-        raise ValueError("need record_every >= 0 and thresh >= 0")
-    if record_every and thresh:
-        raise ValueError("a recorded run cannot stop at a threshold")
-    return starts
-
-
 def _rk4_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
               target: np.ndarray) -> list[FlowRun]:
     """The one RK4 loop: integrate every run as one stacked ensemble; one ``FlowRun`` per run.
@@ -140,7 +124,6 @@ def _rk4_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
     n_full, rem = _schedule(step, t_end)
     n_steps = n_full + (rem > 0.0)
     stops = thresh > 0.0
-    any_stops = stops.any()
     # a recorded run's rows share one schedule: its first row's steps
     recorded = [(j, r[4], n_steps.flat[bounds[j]]) for j, r in enumerate(runs) if r[4]]
     records = {j: [(0.0, starts[j])] for j, _, _ in recorded}
@@ -148,36 +131,25 @@ def _rk4_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
     t = np.zeros(rows)
     crossed = np.full(rows, np.nan)
     done = np.zeros(rows, dtype=bool)
-    # a row's step changes only after its full steps, after its last, or at a stop (h = None)
-    changes = set(n_full.ravel().tolist() + n_steps.ravel().tolist())
-    h = None
     for i in range(int(n_steps.max())):
-        if h is None or i in changes:
-            stepping = ~done & (i < n_steps)
-            if not stepping.any():
-                break
-            h = np.where(stepping, np.where(i < n_full, step, rem), 0.0)
-            # every row stepping alike takes one scalar step: the same floats, fewer array ops
-            alike = stepping.all() and (h == h.flat[0]).all()
-            h_rk4 = h.flat[0] if alike else h[..., None]
-        new = _rk4_step(field, s, h_rk4)
+        stepping = ~done & (i < n_steps)
+        if not stepping.any():
+            break
+        h = np.where(stepping, np.where(i < n_full, step, rem), 0.0)
+        new = _rk4_step(field, s, h[..., None])
         t += h
-        if not np.isfinite(new).all():
-            finite = np.isfinite(new).all(axis=-1)
-            blown = stepping & ~finite
+        finite = np.isfinite(new).all(axis=-1)
+        blown = stepping & ~finite
+        if blown.any():
             if (blown & ~stops).any():
                 t_blow = t[blown & ~stops].min()
                 raise BlowUpError(f"trajectory blew up at t={t_blow:.6g}", time=float(t_blow))
             stepping = stepping & finite
             done |= blown
-            alike, h = False, None
-        s = new if alike else np.where(stepping[..., None], new, s)
-        if any_stops:
-            hit = stepping & (_v(s, target) < thresh * thresh)
-            if hit.any():
-                crossed[hit] = t[hit]
-                done |= hit
-                h = None
+        s = np.where(stepping[..., None], new, s)
+        hit = stepping & (_v(s, target) < thresh * thresh)
+        crossed[hit] = t[hit]
+        done |= hit
         for j, every, n in recorded:
             if i < n and ((i + 1) % every == 0 or i == n - 1):
                 records[j].append((t.flat[bounds[j]], of_run(s, j).copy()))
