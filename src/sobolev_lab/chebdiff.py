@@ -1,26 +1,14 @@
-"""Derivative-free Sobolev-loss ingredients on 1-d grids.
+"""Chebyshev spectral differentiation on 1-d grids.
 
-Chebyshev collocation points x_j = cos(j pi / n), the spectral
+Chebyshev collocation points x_j = cos(j pi / n) and the spectral
 differentiation matrix (diagonal by the negative-sum trick, which keeps
-row sums at exactly the rounding floor), a second-order finite-difference
-matrix on arbitrary increasing grids, and the gridded first-order loss
-that substitutes D @ target for unavailable target derivatives.
+row sums at exactly the rounding floor): D @ target stands in for
+unavailable target derivatives in a derivative-free Sobolev loss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SpectralGrid:
-    """Chebyshev grid of polynomial order n with its differentiation matrix."""
-
-    n: int
-    points: np.ndarray
-    diff: np.ndarray
 
 
 def cheb_points(n: int) -> np.ndarray:
@@ -45,59 +33,3 @@ def cheb_diff_matrix(n: int) -> np.ndarray:
     d = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
     d -= np.diag(d.sum(axis=1))
     return d
-
-
-def spectral_grid(n: int) -> SpectralGrid:
-    return SpectralGrid(n=n, points=cheb_points(n), diff=cheb_diff_matrix(n))
-
-
-def fdm_diff_matrix(grid: np.ndarray) -> np.ndarray:
-    """Second-order finite-difference first-derivative matrix.
-
-    Three-point central stencils in the interior, one-sided three-point
-    second-order stencils at both ends; exact for quadratics on any
-    strictly increasing grid.
-    """
-    x = np.asarray(grid, dtype=float)
-    if x.ndim != 1 or x.size < 3:
-        raise ValueError("grid needs at least 3 points")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    m = x.size
-    d = np.zeros((m, m))
-
-    def stencil(i, j0, j1, j2):
-        # derivative at x[i] of the quadratic through (x[j0..j2])
-        a, b, c = x[j0], x[j1], x[j2]
-        xi = x[i]
-        d[i, j0] = (2 * xi - b - c) / ((a - b) * (a - c))
-        d[i, j1] = (2 * xi - a - c) / ((b - a) * (b - c))
-        d[i, j2] = (2 * xi - a - b) / ((c - a) * (c - b))
-
-    stencil(0, 0, 1, 2)
-    for i in range(1, m - 1):
-        stencil(i, i - 1, i, i + 1)
-    stencil(m - 1, m - 3, m - 2, m - 1)
-    return d
-
-
-def h1_grid_loss(
-    pred_values: np.ndarray,
-    pred_input_grads: np.ndarray,
-    target_values: np.ndarray,
-    diff: np.ndarray,
-) -> float:
-    """Gridded first-order loss with numerically differentiated targets.
-
-    mean((pred - target)^2) + mean((pred' - D target)^2); the means keep
-    the loss invariant under grid refinement.
-    """
-    pv = np.asarray(pred_values, dtype=float)
-    pg = np.asarray(pred_input_grads, dtype=float)
-    tv = np.asarray(target_values, dtype=float)
-    diff = np.asarray(diff, dtype=float)
-    if not (pv.shape == pg.shape == tv.shape) or pv.ndim != 1:
-        raise ValueError("values and gradients must be equal-length vectors")
-    if diff.shape != (pv.size, pv.size):
-        raise ValueError("differentiation matrix does not match the grid")
-    return float(np.mean((pv - tv) ** 2) + np.mean((pg - diff @ tv) ** 2))

@@ -286,8 +286,8 @@ def cmd_multinode(cfg: dict, out: Path) -> list[Path]:
     rows = []
     for k, (exp_l2, exp_h1), r, d in zip(ks, exps, ratios, final_dist):
         x_l2, x_h1 = mn.saddle_points(k)
-        f_l2 = mn.reduced_field("l2", mn.ReducedState(x=x_l2, y=x_l2, k=k))
-        f_h1 = mn.reduced_field("h1", mn.ReducedState(x=x_h1, y=x_h1, k=k))
+        f_l2 = mn.reduced_flow_field("l2", k)(np.array([x_l2, x_l2]))
+        f_h1 = mn.reduced_flow_field("h1", k)(np.array([x_h1, x_h1]))
         rows.append([k, x_l2, x_h1, float(np.max(np.abs(f_l2))), float(np.max(np.abs(f_h1))),
                      exp_l2, exp_h1, float(np.median(r)), float(d.max())])
     path = out / "multinode.csv"

@@ -57,17 +57,21 @@ def _norm(x: np.ndarray) -> np.ndarray:
     """2-norm over the last axis as ``np.linalg.norm`` computes it, without its
     per-call overhead: a dot product for one vector, a row reduction for a stack.
 
-    A vector whose squared norm underflows or overflows is measured with the
-    scale-safe ``math.hypot`` instead, so a nonzero vector never has norm 0.
+    A nonzero vector whose squared norm underflows or overflows is measured
+    with the scale-safe ``math.hypot`` instead, so it never has norm 0; in a
+    stack only such rows go through it, and a zero row keeps sqrt(0) = 0.
     """
     if x.ndim == 1:
         sq = x.dot(x)
         return np.sqrt(sq) if _TINY <= sq <= _HUGE else np.float64(math.hypot(*x))
     sq = np.add.reduce(x * x, axis=-1)
+    norm = np.sqrt(sq)
     if _TINY <= sq.min() and sq.max() <= _HUGE:
-        return np.sqrt(sq)
-    safe = np.reshape([math.hypot(*r) for r in x.reshape(-1, x.shape[-1])], sq.shape)
-    return np.where((sq >= _TINY) & (sq <= _HUGE), np.sqrt(sq), safe)[()]
+        return norm
+    unsafe = ~((sq >= _TINY) & (sq <= _HUGE))
+    unsafe[unsafe] = x[unsafe].any(axis=-1)
+    norm[unsafe] = [math.hypot(*r) for r in x[unsafe]]
+    return norm
 
 
 def _angle_norms(w: np.ndarray, wstar: np.ndarray):

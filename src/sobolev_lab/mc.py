@@ -326,7 +326,7 @@ def closed_form_grad(model: str, kind: str, w: np.ndarray, wstar: np.ndarray) ->
         return -mn.multinode_gradients(w, wstar, kind)
     if model == "relu":
         b = relu1.population_gradients(w, wstar)
-        closed = {"l2": b.grad_l2, "semi": b.grad_semi}
+        closed = {"l2": b.grad_l2, "semi": b.grad_seminorm}
     else:
         b = relusq.h2_gradients(w, wstar)
         closed = {"i1": b.grad_i1, "i2": b.grad_i2, "i3": b.grad_i3}

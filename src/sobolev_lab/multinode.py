@@ -4,7 +4,8 @@ Teachers {w*_j} are an orthonormal basis; students are cyclic shifts of a
 single coefficient vector in that basis, so the whole flow reduces to the
 coefficients.  Two parametrizations are supported:
 
-* the planar one, w_l = x w*_l + y sum_{m != l} w*_m, state (x, y);
+* the planar one, w_l = x w*_l + y sum_{m != l} w*_m, state (x, y), with
+  the region Omega: x in (0, 1], y in [0, 1], x > y;
 * the cyclic (circulant) one, w_j = P_j w_1 with w_1 = sum_m t_m w*_m and
   P_j the shift by j-1, state t in R^K.
 
@@ -13,7 +14,10 @@ right-hand sides).  The full per-node field and the cyclic field are one
 kernel: the cyclic field is the per-node field of node 1 evaluated on the
 shifted students, so it is the projection of the full field by
 construction.  Index arithmetic in the t-parametrization is cyclic modulo
-K: the shift group structure forces the wrap.
+K: the shift group structure forces the wrap.  Both fields take plain
+arrays: the planar one stacked states (..., 2) through the closure of
+``reduced_flow_field``, the cyclic one the coefficients t through
+``toeplitz_field``.
 
 ``planar_flows`` integrates fixed-horizon, threshold-crossing and recorded
 diagonal-decay runs of the planar flow: it builds their per-row kind and K
@@ -34,45 +38,6 @@ from .ode import FlowRun, _rk4_rows
 _THRESHOLD_T_MAX = 120.0  # horizon of a ``threshold_rows`` run: a row not yet within gives up
 _DECAY_STEP = 1e-3  # RK4 step of a ``diagonal_rows`` run
 _FIXED_POINT = np.array([1.0, 0.0])
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """Planar coordinates of the cyclic parametrization; region Omega is
-    x in (0, 1], y in [0, 1], x > y."""
-
-    x: float
-    y: float
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("reduced dynamics needs k >= 2")
-
-
-@dataclass(frozen=True)
-class ToeplitzState:
-    """First-row coefficients t_1..t_K of the cyclic student initialization."""
-
-    t: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        if self.k < 2 or t.shape != (self.k,):
-            raise ValueError("t must have shape (k,) with k >= 2")
-        object.__setattr__(self, "t", t)
-
-
-@dataclass(frozen=True)
-class AngleSet:
-    """Angles of node 1 against its own teacher (theta), the other teachers
-    (phi_star), and the other students (phi), plus alpha = 1/|w_1|."""
-
-    theta: float
-    phi_star: float
-    phi: float
-    alpha_red: float
 
 
 @dataclass(frozen=True)
@@ -189,26 +154,6 @@ def _planar_angles(x, y, k1, k2):
     phi = np.arctan2(np.abs(x - y) * np.sqrt((x + y) ** 2 + 2 * k2 * y * y),
                      2 * x * y + k2 * y * y)
     return alpha, theta, phi_star, phi
-
-
-def _planar_point(state: ReducedState) -> np.ndarray:
-    """The state as an (x, y) array; the planar field is singular at the origin."""
-    if state.x * state.x + (state.k - 1) * state.y * state.y == 0.0:
-        raise SingularPointError("planar field is singular at the origin")
-    return np.array([state.x, state.y])
-
-
-def reduced_angles(state: ReducedState) -> AngleSet:
-    """Angles of the planar parametrization at one state."""
-    x, y = _planar_point(state)
-    alpha, theta, phi_star, phi = _planar_angles(x, y, *_k_factors(state.k))
-    return AngleSet(theta=float(theta), phi_star=float(phi_star), phi=float(phi), alpha_red=float(alpha))
-
-
-def reduced_field(kind: str, state: ReducedState) -> tuple[float, float]:
-    """The planar flow (xdot, ydot) = -E grad_{x,y} of the selected loss."""
-    xdot, ydot = reduced_flow_field(kind, state.k)(_planar_point(state))
-    return float(xdot), float(ydot)
 
 
 def reduced_flow_field(kind, k):
@@ -351,15 +296,16 @@ def decay_fit(rows: PlanarRows, run: FlowRun) -> DecayFit:
 # cyclic (Toeplitz-style) parametrization
 
 
-def toeplitz_field(kind: str, state: ToeplitzState) -> np.ndarray:
-    """Nonlinear coefficient dynamics tdot, indices cyclic modulo K.
+def toeplitz_field(kind: str, t: np.ndarray) -> np.ndarray:
+    """Nonlinear coefficient dynamics tdot at the coefficients t (K,), indices cyclic modulo K.
 
     The per-node field of node 1 in the teacher basis: the students are the
     cyclic shifts of t and the teachers the identity, so the projection of
     the full field onto the cyclic parametrization holds by construction.
     Only node 1 is evaluated, so the cost stays O(K^2).
     """
-    return _node_field(state.t, cyclic_students(state.t), np.eye(state.k), _check_kind(kind))
+    t = np.asarray(t, dtype=float)
+    return _node_field(t, cyclic_students(t), np.eye(t.shape[0]), _check_kind(kind))
 
 
 _FD_STEP = 1e-6
@@ -372,6 +318,8 @@ def toeplitz_jacobian(kind: str, k: int) -> np.ndarray:
     sides, so the error is O(h), not O(h^2): about 1.6e-7 against the exact
     -(M + E) at the step h = 1e-6 used here.
     """
+    if k < 2:
+        raise ValueError("k must be >= 2")
     h = _FD_STEP
     e1 = np.zeros(k)
     e1[0] = 1.0
@@ -381,8 +329,8 @@ def toeplitz_jacobian(kind: str, k: int) -> np.ndarray:
         dp[m] += h
         dm = e1.copy()
         dm[m] -= h
-        fp = toeplitz_field(kind, ToeplitzState(t=dp, k=k))
-        fm = toeplitz_field(kind, ToeplitzState(t=dm, k=k))
+        fp = toeplitz_field(kind, dp)
+        fm = toeplitz_field(kind, dm)
         jac[:, m] = (fp - fm) / (2.0 * h)
     return jac
 

@@ -131,39 +131,42 @@ def _rk4_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
     t = np.zeros(rows)
     crossed = np.full(rows, np.nan)
     done = np.zeros(rows, dtype=bool)
-    for i in range(int(n_steps.max())):
-        stepping = ~done & (i < n_steps)
-        if not stepping.any():
-            break
-        h = np.where(stepping, np.where(i < n_full, step, rem), 0.0)
-        new = _rk4_step(field, s, h[..., None])
-        t += h
-        finite = np.isfinite(new).all(axis=-1)
-        blown = stepping & ~finite
-        if blown.any():
-            if (blown & ~stops).any():
-                t_blow = t[blown & ~stops].min()
-                raise BlowUpError(f"trajectory blew up at t={t_blow:.6g}", time=float(t_blow))
-            stepping = stepping & finite
-            done |= blown
-        s = np.where(stepping[..., None], new, s)
-        hit = stepping & (_v(s, target) < thresh * thresh)
-        crossed[hit] = t[hit]
-        done |= hit
-        for j, every, n in recorded:
-            if i < n and ((i + 1) % every == 0 or i == n - 1):
-                records[j].append((t.flat[bounds[j]], of_run(s, j).copy()))
+    # a row that leaves the finite floats is caught below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(int(n_steps.max())):
+            stepping = ~done & (i < n_steps)
+            if not stepping.any():
+                break
+            h = np.where(stepping, np.where(i < n_full, step, rem), 0.0)
+            new = _rk4_step(field, s, h[..., None])
+            t += h
+            finite = np.isfinite(new).all(axis=-1)
+            blown = stepping & ~finite
+            if blown.any():
+                if (blown & ~stops).any():
+                    t_blow = t[blown & ~stops].min()
+                    raise BlowUpError(f"trajectory blew up at t={t_blow:.6g}", time=float(t_blow))
+                stepping = stepping & finite
+                done |= blown
+            s = np.where(stepping[..., None], new, s)
+            hit = stepping & (_v(s, target) < thresh * thresh)
+            crossed[hit] = t[hit]
+            done |= hit
+            for j, every, n in recorded:
+                if i < n and ((i + 1) % every == 0 or i == n - 1):
+                    records[j].append((t.flat[bounds[j]], of_run(s, j).copy()))
 
-    out = []
-    for j in range(len(runs)):
-        trace = None
-        if j in records:
-            times = np.array([tj for tj, _ in records[j]])
-            states = np.array([sj for _, sj in records[j]])
-            trace = FlowTrace(times=times, states=states, v_values=_v(states, target), target=target)
-        final = of_run(s, j)
-        out.append(FlowRun(final, _v(final, target), of_run(crossed, j), trace))
-    return out
+        out = []
+        for j in range(len(runs)):
+            trace = None
+            if j in records:
+                times = np.array([tj for tj, _ in records[j]])
+                states = np.array([sj for _, sj in records[j]])
+                trace = FlowTrace(times=times, states=states, v_values=_v(states, target),
+                                  target=target)
+            final = of_run(s, j)
+            out.append(FlowRun(final, _v(final, target), of_run(crossed, j), trace))
+        return out
 
 
 def rk4_integrate(

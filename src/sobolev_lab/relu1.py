@@ -4,7 +4,7 @@ Closed forms for the population gradients of the value loss L, the
 derivative-matching seminorm J, and the combined loss H = L + J; the two
 Hessians with their spectra and condition numbers; the quadratic forms
 governing dV/dt along the gradient flows; the one-step gradient-descent
-comparison; and the convexity-region classifier.
+comparison.
 
 Conventions pinned here and relied on everywhere else:
   grad L = (w - w*)/2 + (theta w* - (|w*|/|w|) sin(theta) w) / (2 pi)
@@ -30,7 +30,6 @@ with a s^2 = alpha sin^2(theta).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -43,10 +42,10 @@ from .geometry import TWO_PI, PairGeometry, _angle_norms, pair_geometry
 
 @dataclass(frozen=True)
 class GradientBundle:
-    """Population gradients at one parameter point; grad_h1 = grad_l2 + grad_semi."""
+    """Population gradients at one parameter point; grad_h1 = grad_l2 + grad_seminorm."""
 
     grad_l2: np.ndarray
-    grad_semi: np.ndarray
+    grad_seminorm: np.ndarray
     grad_h1: np.ndarray
 
 
@@ -85,12 +84,6 @@ class GdCompareReport:
     in_basin: bool
 
 
-class RegionLabel(enum.Enum):
-    INSIDE_S = "inside_S"
-    IN_SPRIME_MINUS_S = "in_Sprime_minus_S"
-    OUTSIDE_SPRIME = "outside_Sprime"
-
-
 # --------------------------------------------------------------------------
 # gradients
 
@@ -103,30 +96,16 @@ def _norms_theta(w: np.ndarray, wstar: np.ndarray):
     return nw, float(ns), theta
 
 
-def _gradients(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...]) -> list[np.ndarray]:
-    """grad L ("l2") and/or grad J ("semi") at w (..., d), in ``parts`` order, from one angle."""
+def _gradients(w: np.ndarray, wstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """grad L and grad J at w (..., d), from one angle."""
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
     nw, ns, theta = _norms_theta(w, wstar)
     t = theta[..., None] if w.ndim > 1 else theta
-    out = []
-    for p in parts:
-        if p == "l2":
-            ratio = (ns / nw)[..., None] if w.ndim > 1 else ns / nw
-            out.append(0.5 * (w - wstar) + (t * wstar - ratio * np.sin(t) * w) / TWO_PI)
-        else:
-            out.append((math.pi - t) / TWO_PI * (w - wstar) + t / TWO_PI * w)
-    return out
-
-
-def grad_l2(w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
-    """Population gradient of the value loss L.  Accepts stacked (..., d) states."""
-    return _gradients(w, wstar, ("l2",))[0]
-
-
-def grad_semi(w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
-    """Population gradient of the derivative-matching seminorm J."""
-    return _gradients(w, wstar, ("semi",))[0]
+    ratio = (ns / nw)[..., None] if w.ndim > 1 else ns / nw
+    gl = 0.5 * (w - wstar) + (t * wstar - ratio * np.sin(t) * w) / TWO_PI
+    gj = (math.pi - t) / TWO_PI * (w - wstar) + t / TWO_PI * w
+    return gl, gj
 
 
 def population_gradients(w: np.ndarray, wstar: np.ndarray) -> GradientBundle:
@@ -137,8 +116,8 @@ def population_gradients(w: np.ndarray, wstar: np.ndarray) -> GradientBundle:
         raise ValueError("w and w* must be 1-d vectors of equal dimension")
     if not wstar.any():  # a norm would underflow to 0 below ~1e-154
         raise ValueError("teacher vector must be nonzero")
-    gl, gj = _gradients(w, wstar, ("l2", "semi"))
-    return GradientBundle(grad_l2=gl, grad_semi=gj, grad_h1=gl + gj)
+    gl, gj = _gradients(w, wstar)
+    return GradientBundle(grad_l2=gl, grad_seminorm=gj, grad_h1=gl + gj)
 
 
 def _h1_rows(kind):
@@ -164,7 +143,7 @@ def flow_rhs(kind, w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
     or of both, integrate in one RK4 run.
     """
     h1 = _h1_rows(kind)
-    gl, gj = _gradients(w, wstar, ("l2", "semi"))
+    gl, gj = _gradients(w, wstar)
     return -np.where(h1, gl + gj, gl)
 
 
@@ -176,7 +155,8 @@ def condition_numbers(geom: PairGeometry) -> tuple[float | None, float | None]:
     """Closed-form condition numbers (kappa_L2, kappa_H1) from pair geometry.
 
     Undefined (None) when the matching minimum eigenvalue 1/2 - 2 a s^2
-    resp. 1 - 3 a s^2 is <= 0.
+    resp. 1 - 3 a s^2 is <= 0, that is outside the strict-convexity region
+    S: sin(theta) < pi |w| / (2 |w*|) resp. S': sin(theta) < 2 pi |w| / (3 |w*|).
     """
     q = geom.alpha_sin_sq
     kl = 1.0 / (1.0 - 4.0 * q) if 1.0 - 4.0 * q > 0.0 else None
@@ -332,7 +312,7 @@ def gd_compare(w: np.ndarray, wstar: np.ndarray, eta: float) -> GdCompareReport:
     w_new_h1 = w - eta * b.grad_h1
     err_l2 = float(np.linalg.norm(w_new_l2 - wstar))
     err_h1 = float(np.linalg.norm(w_new_h1 - wstar))
-    num = -2.0 * float(b.grad_semi @ (w - wstar))
+    num = -2.0 * float(b.grad_seminorm @ (w - wstar))
     den = float(b.grad_l2 @ b.grad_l2) - float(b.grad_h1 @ b.grad_h1)
     max_step_c = num / den if den != 0.0 else math.inf
     in_basin = float(np.linalg.norm(w - wstar)) < float(np.linalg.norm(wstar))
@@ -345,25 +325,3 @@ def gd_compare(w: np.ndarray, wstar: np.ndarray, eta: float) -> GdCompareReport:
         max_step_c=max_step_c,
         in_basin=in_basin,
     )
-
-
-# --------------------------------------------------------------------------
-# convexity regions
-
-
-def basin_classify(w: np.ndarray, wstar: np.ndarray) -> RegionLabel:
-    """Classify w against the strict-convexity regions.
-
-    S  : sin(theta) < pi |w| / (2 |w*|)   (L2 Hessian positive definite)
-    S' : sin(theta) < 2 pi |w| / (3 |w*|) (H1 Hessian positive definite)
-    """
-    geom = pair_geometry(w, wstar)
-    nw, ns = geom.norm_w, geom.norm_wstar
-    if nw == 0.0:
-        return RegionLabel.OUTSIDE_SPRIME
-    s = geom.sin_theta
-    if s < math.pi * nw / (2.0 * ns):
-        return RegionLabel.INSIDE_S
-    if s < TWO_PI * nw / (3.0 * ns):
-        return RegionLabel.IN_SPRIME_MINUS_S
-    return RegionLabel.OUTSIDE_SPRIME

@@ -27,30 +27,12 @@ import numpy as np
 from .exceptions import SingularPointError
 from .geometry import TWO_PI, _angle_norms
 
-_BASIN_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class H2GradientBundle:
     grad_i1: np.ndarray
     grad_i2: np.ndarray
     grad_i3: np.ndarray
-
-
-@dataclass(frozen=True)
-class DescentReport:
-    """Signs of -(w - w*).grad Ij; True means strict descent of V = |w - w*|^2.
-
-    ``degenerate`` marks w == w* (all inner products exactly zero, reported
-    vacuously True); ``guarantee_void`` marks points outside the basin
-    |w - w*| < |w*| where the descent theorem gives no guarantee.
-    """
-
-    descent_i1: bool
-    descent_i2: bool
-    descent_i3: bool
-    degenerate: bool
-    guarantee_void: bool
 
 
 _PARTS = ("i1", "i2", "i3")
@@ -100,12 +82,6 @@ def h2_gradients(w: np.ndarray, wstar: np.ndarray) -> H2GradientBundle:
     return H2GradientBundle(*_h2_parts(w, wstar, _PARTS))
 
 
-def h2_flow_rhs(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...] = _PARTS) -> np.ndarray:
-    """Negated sum of selected component gradients; the H2 (or partial) flow field."""
-    w, wstar = _pair(w, wstar)
-    return h2_flow_field(wstar, parts)(w)
-
-
 def h2_flow_field(wstar: np.ndarray, parts=_PARTS):
     """Vectorized closure over stacked states (..., d) for RK4 ensembles.
 
@@ -134,26 +110,6 @@ def h2_flow_field(wstar: np.ndarray, parts=_PARTS):
         return out
 
     return field
-
-
-def descent_check(w: np.ndarray, wstar: np.ndarray) -> DescentReport:
-    """Evaluate the three descent inner products -(w - w*).grad Ij < 0."""
-    w = np.asarray(w, dtype=float)
-    wstar = np.asarray(wstar, dtype=float)
-    e = w - wstar
-    dist = float(np.linalg.norm(e))
-    ns = float(np.linalg.norm(wstar))
-    if dist <= _BASIN_TOL * max(1.0, ns):
-        return DescentReport(True, True, True, degenerate=True, guarantee_void=False)
-    b = h2_gradients(w, wstar)
-    vals = (-float(e @ b.grad_i1), -float(e @ b.grad_i2), -float(e @ b.grad_i3))
-    return DescentReport(
-        descent_i1=vals[0] < 0.0,
-        descent_i2=vals[1] < 0.0,
-        descent_i3=vals[2] < 0.0,
-        degenerate=False,
-        guarantee_void=dist >= ns,
-    )
 
 
 def descent_quadratic_forms(theta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from sobolev_lab.chebdiff import (
-    cheb_diff_matrix,
-    cheb_points,
-    fdm_diff_matrix,
-    h1_grid_loss,
-    spectral_grid,
-)
+from sobolev_lab.chebdiff import cheb_diff_matrix, cheb_points
 
 
 def test_point_examples():
@@ -72,70 +66,3 @@ def test_second_derivative_spectral_contraction():
         return float(np.abs(d @ (d @ np.sin(5 * x)) - (-25.0 * np.sin(5 * x))).max())
 
     assert err(12) / err(24) >= 1e3
-
-
-def test_spectral_grid_bundles_consistent_pieces():
-    g = spectral_grid(6)
-    assert g.n == 6
-    assert np.array_equal(g.points, cheb_points(6))
-    assert np.array_equal(g.diff, cheb_diff_matrix(6))
-
-
-def test_fdm_constant_and_linear():
-    grid = np.linspace(0.0, 1.0, 11)
-    d = fdm_diff_matrix(grid)
-    assert np.abs(d @ np.ones(11)).max() <= 1e-12
-    assert d @ grid == pytest.approx(np.ones(11), abs=1e-12)
-
-
-def test_fdm_second_order_on_cubic():
-    errs = []
-    for m in (11, 21, 41, 81):
-        grid = np.linspace(0.0, 1.0, m)
-        d = fdm_diff_matrix(grid)
-        errs.append(np.abs(d @ grid**3 - 3 * grid**2)[1:-1].max())
-    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
-    assert all(1.8 <= o <= 2.2 for o in orders)
-
-
-def test_fdm_rejects_bad_grids():
-    with pytest.raises(ValueError):
-        fdm_diff_matrix(np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        fdm_diff_matrix(np.array([0.0, 2.0, 1.0]))
-
-
-def test_fdm_nonuniform_exact_on_quadratics():
-    rng = np.random.default_rng(4)
-    grid = np.sort(rng.uniform(0, 1, 15))
-    d = fdm_diff_matrix(grid)
-    assert d @ grid**2 == pytest.approx(2 * grid, abs=1e-10)
-
-
-def test_grid_loss_zero_at_perfect_fit():
-    g = spectral_grid(8)
-    target = np.sin(g.points)
-    assert h1_grid_loss(target, g.diff @ target, target, g.diff) == 0.0
-
-
-def test_grid_loss_exact_for_linear_target():
-    g = spectral_grid(8)
-    target = g.points  # f(x) = x, f' = 1
-    loss = h1_grid_loss(target, np.ones_like(target), target, g.diff)
-    assert loss <= 1e-12
-
-
-def test_grid_loss_quadratic_in_single_perturbation():
-    g = spectral_grid(7)
-    target = np.cos(g.points)
-    pred = target.copy()
-    delta = 0.37
-    pred[3] += delta
-    loss = h1_grid_loss(pred, g.diff @ target, target, g.diff)
-    assert loss == pytest.approx(delta**2 / (g.n + 1), rel=1e-12)
-
-
-def test_grid_loss_shape_validation():
-    g = spectral_grid(4)
-    with pytest.raises(ValueError):
-        h1_grid_loss(np.ones(4), np.ones(5), np.ones(5), g.diff)

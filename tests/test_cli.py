@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from sobolev_lab import cli, multinode as mn
@@ -175,6 +176,9 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                  ("relusq", "--points", "2", "--inits", "2", "--t-end", "inf"),
                  ("multinode", "--k-list", "2", "--t-end", "inf"),
                  ("multinode", "--k-list", "2", "--step", "nan"),
+                 # the K-node flows need K >= 2
+                 ("toeplitz", "--k-list", "1"),
+                 ("multinode", "--k-list", "1"),
                  ("verify-gradients", "--trials", "0"),
                  ("verify-gradients", "--n-min", "5", "--n-max", "3"),
                  ("sgd", "--batch", "0", "--seeds", "1", "--steps", "3")):
@@ -208,6 +212,24 @@ def test_sgd_blow_up_reports_only_the_numerical_error(tmp_path, capsys):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical error:")
+
+
+def test_flow_blow_up_reports_only_the_numerical_error(tmp_path, capsys):
+    # the RK4 loop catches a row that leaves the finite floats, so numpy's
+    # overflow warnings would only repeat it: an Omega row raises (exit 3),
+    # a threshold row gives up with a nan time (exit 0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("relusq", "--step", "1", "--points", "4", "--inits", "2",
+                   "--out-dir", str(tmp_path / "r")) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert run("multinode", "--step", "2", "--k-list", "8", "--starts", "2",
+                   "--ratio-starts", "1", "--out-dir", str(tmp_path / "m")) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert len(err) == 1 and err[0].startswith("numerical error:")
+    assert capsys.readouterr().err == ""
+    (row,) = read_rows(tmp_path / "m" / "multinode.csv")
+    assert math.isnan(float(row["time_ratio_median"]))
 
 
 def test_tiny_nonzero_student_is_not_singular(tmp_path):
@@ -309,7 +331,7 @@ def test_multinode_saddle_field_covers_both_components(tmp_path):
     (r,) = read_rows(out / "multinode.csv")
     for kind in ("l2", "h1"):
         x = float(r[f"x_saddle_{kind}"])
-        f = mn.reduced_field(kind, mn.ReducedState(x=x, y=x, k=16))
+        f = mn.reduced_flow_field(kind, 16)(np.array([x, x]))
         assert float(r[f"saddle_field_{kind}"]) == max(abs(f[0]), abs(f[1]))
     assert float(r["saddle_field_l2"]) > 0.0
     assert "converged_frac" not in r

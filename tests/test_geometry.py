@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sobolev_lab.geometry import _angle_norms, pair_geometry
+from sobolev_lab.geometry import _angle_norms, _norm, pair_geometry
 
 
 def test_identical_directions_flag_infinite_alpha():
@@ -109,3 +109,22 @@ def test_collinear_pairs(c, v):
     opposite = pair_geometry(-c * ws, ws)
     assert opposite.theta == pytest.approx(math.pi, abs=1e-15)
     assert opposite.alpha_sin_sq <= 1e-15 * opposite.alpha_sin
+
+
+def test_stacked_norm_mixes_zero_tiny_huge_and_ordinary_rows():
+    # a zero row has norm 0 without the scale-safe path; a nonzero row whose
+    # square under- or overflows takes it; every row is the float a stack of
+    # that row alone gives
+    u = np.array([0.6, 0.8, 0.0])
+    rows = np.stack([np.zeros(3), 1e-300 * u, np.array([1.0, -2.0, 2.0]), 1e300 * u, 0.5 * u])
+    with np.errstate(over="ignore"):  # the huge row's square overflows
+        norms = _norm(rows)
+        alone = [(_norm(row[None, :])[0], _norm(row)) for row in rows]
+        stacked = _norm(rows.reshape(1, 5, 3))
+    assert norms[0] == 0.0
+    assert norms[1] == pytest.approx(1e-300, rel=1e-15)
+    assert norms[3] == pytest.approx(1e300, rel=1e-15)
+    assert norms[[2, 4]] == pytest.approx([3.0, 0.5], rel=1e-15)
+    for norm, (in_stack, vector) in zip(norms, alone):
+        assert norm == in_stack == vector
+    np.testing.assert_array_equal(stacked, norms[None, :])

@@ -57,7 +57,7 @@ def test_tiny_nodes_are_not_singular():
         W = mn.cyclic_students(t)
         for kind in ("l2", "h1"):
             g = mn.multinode_gradients(1e-300 * W, np.eye(k), kind)
-            f = mn.toeplitz_field(kind, mn.ToeplitzState(t=1e-300 * t, k=k))
+            f = mn.toeplitz_field(kind, 1e-300 * t)
             assert np.all(np.isfinite(g)) and np.all(np.isfinite(f))
             np.testing.assert_array_equal(f, g[0])
 
@@ -84,39 +84,40 @@ def test_reduced_field_is_projection_of_full_gradient():
             y = rng.uniform(0.0, x - 0.05)
             W = mn.planar_students(x, y, k)
             g = mn.multinode_gradients(W, np.eye(k), "l2")
-            xdot, ydot = mn.reduced_field("l2", mn.ReducedState(x=x, y=y, k=k))
+            xdot, ydot = mn.reduced_flow_field("l2", k)(np.array([x, y]))
             assert abs(g[0, 0] - xdot) <= 1e-10
             assert abs(g[0, 1] - ydot) <= 1e-10
-            xdot_h, ydot_h = mn.reduced_field("h1", mn.ReducedState(x=x, y=y, k=k))
+            xdot_h, ydot_h = mn.reduced_flow_field("h1", k)(np.array([x, y]))
             g_h = mn.multinode_gradients(W, np.eye(k), "h1")
             assert abs(g_h[0, 0] - xdot_h) <= 1e-10
             assert abs(g_h[0, 1] - ydot_h) <= 1e-10
 
 
 def test_reduced_angles_match_cosine_relations():
-    st = mn.ReducedState(x=0.8, y=0.3, k=4)
-    a = mn.reduced_angles(st)
+    alpha_red, theta, phi_star, phi = mn._planar_angles(0.8, 0.3, *mn._k_factors(4))
     alpha = 1.0 / math.sqrt(0.8**2 + 3 * 0.3**2)
-    assert a.alpha_red == pytest.approx(alpha, rel=1e-14)
-    assert math.cos(a.theta) == pytest.approx(alpha * 0.8, rel=1e-12)
-    assert math.cos(a.phi_star) == pytest.approx(alpha * 0.3, rel=1e-12)
-    assert math.cos(a.phi) == pytest.approx(alpha**2 * (2 * 0.8 * 0.3 + 2 * 0.3**2), rel=1e-12)
+    assert alpha_red == pytest.approx(alpha, rel=1e-14)
+    assert math.cos(theta) == pytest.approx(alpha * 0.8, rel=1e-12)
+    assert math.cos(phi_star) == pytest.approx(alpha * 0.3, rel=1e-12)
+    assert math.cos(phi) == pytest.approx(alpha**2 * (2 * 0.8 * 0.3 + 2 * 0.3**2), rel=1e-12)
 
 
 def test_planar_theta_keeps_digits_next_to_fixed_point():
     # arccos(x / |w|) returns exactly 0 at (1, 1e-8); the two-argument form
     # keeps theta = atan(sqrt(K - 1) y / x) to full precision
     for y in (1e-8, 1e-6):
-        theta = mn.reduced_angles(mn.ReducedState(x=1.0, y=y, k=4)).theta
+        theta = mn._planar_angles(1.0, y, *mn._k_factors(4))[1]
         assert theta == pytest.approx(math.atan(math.sqrt(3.0) * y), rel=1e-12)
 
 
 def test_critical_point_and_origin():
     for k in (2, 5):
-        assert mn.reduced_field("l2", mn.ReducedState(x=1.0, y=0.0, k=k)) == (0.0, 0.0)
-        assert mn.reduced_field("h1", mn.ReducedState(x=1.0, y=0.0, k=k)) == (0.0, 0.0)
-    with pytest.raises(SingularPointError):
-        mn.reduced_field("l2", mn.ReducedState(x=0.0, y=0.0, k=2))
+        for kind in ("l2", "h1"):
+            assert np.array_equal(mn.reduced_flow_field(kind, k)(np.array([1.0, 0.0])), [0.0, 0.0])
+    # the field is singular at the origin: it is not finite there, so an RK4
+    # run that reaches it stops or raises BlowUpError
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(mn.reduced_flow_field("l2", 2)(np.zeros(2))).any()
 
 
 def test_batched_field_vanishes_at_large_k_diagonal_saddles():
@@ -130,10 +131,10 @@ def test_batched_field_vanishes_at_large_k_diagonal_saddles():
 
 
 def test_diagonal_field_values_k2():
-    st = mn.ReducedState(x=1.0, y=1.0, k=2)
+    st = np.array([1.0, 1.0])
     x_l2, x_h1 = mn.saddle_points(2)
-    xdot_l2 = mn.reduced_field("l2", st)[0]
-    xdot_h1 = mn.reduced_field("h1", st)[0]
+    xdot_l2 = mn.reduced_flow_field("l2", 2)(st)[0]
+    xdot_h1 = mn.reduced_flow_field("h1", 2)(st)[0]
     assert xdot_l2 == pytest.approx(-(2 / 2) * (1.0 - x_l2), abs=1e-12)  # -0.4658
     assert xdot_h1 == pytest.approx(-2 * (1.0 - x_h1), abs=1e-12)  # -1.0908
     assert xdot_l2 == pytest.approx(-0.4658451, abs=1e-7)
@@ -165,8 +166,8 @@ def test_saddles_zero_the_diagonal_field_and_decrease_in_k():
     prev = (math.inf, math.inf)
     for k in range(2, 65):
         x_l2, x_h1 = mn.saddle_points(k)
-        fx_l2 = mn.reduced_field("l2", mn.ReducedState(x=x_l2, y=x_l2, k=k))
-        fx_h1 = mn.reduced_field("h1", mn.ReducedState(x=x_h1, y=x_h1, k=k))
+        fx_l2 = mn.reduced_flow_field("l2", k)(np.array([x_l2, x_l2]))
+        fx_h1 = mn.reduced_flow_field("h1", k)(np.array([x_h1, x_h1]))
         assert abs(fx_l2[0]) <= 1e-10 and abs(fx_l2[1]) <= 1e-10
         assert abs(fx_h1[0]) <= 1e-10 and abs(fx_h1[1]) <= 1e-10
         assert x_l2 < prev[0] and x_h1 < prev[1]
@@ -183,12 +184,13 @@ def test_diagonal_decay_exponents_k2():
 
 def test_boundary_field_signs():
     for k in (2, 3, 5):
+        field = mn.reduced_flow_field("h1", k)
         for x in np.linspace(0.05, 1.0, 25):
-            assert mn.reduced_field("h1", mn.ReducedState(x=float(x), y=0.0, k=k))[1] >= 0.0
+            assert field(np.array([x, 0.0]))[1] >= 0.0
         for y in np.linspace(0.02, 1.0, 25):
-            assert mn.reduced_field("h1", mn.ReducedState(x=1.0, y=float(y), k=k))[0] < 0.0
+            assert field(np.array([1.0, y]))[0] < 0.0
         for y in np.linspace(0.0, 0.9, 20):
-            fx, fy = mn.reduced_field("h1", mn.ReducedState(x=float(y) + 0.05, y=float(y), k=k))
+            fx, fy = field(np.array([y + 0.05, y]))
             assert fx - fy >= 0.0
 
 
@@ -330,7 +332,7 @@ def test_toeplitz_critical_point():
         e1 = np.zeros(k)
         e1[0] = 1.0
         for kind in ("l2", "h1"):
-            f = mn.toeplitz_field(kind, mn.ToeplitzState(t=e1, k=k))
+            f = mn.toeplitz_field(kind, e1)
             assert np.abs(f).max() == 0.0
 
 
@@ -342,14 +344,14 @@ def test_toeplitz_field_is_projection_of_full_gradient():
         W = mn.cyclic_students(t)
         Wstar = np.eye(k)
         for kind in ("l2", "h1"):
-            f_t = mn.toeplitz_field(kind, mn.ToeplitzState(t=t, k=k))
+            f_t = mn.toeplitz_field(kind, t)
             f_full = mn.multinode_gradients(W, Wstar, kind)[0]
             assert np.abs(f_t - f_full).max() <= 1e-12
 
 
 def test_toeplitz_zero_state_flagged():
     with pytest.raises(SingularPointError):
-        mn.toeplitz_field("l2", mn.ToeplitzState(t=np.zeros(3), k=3))
+        mn.toeplitz_field("l2", np.zeros(3))
 
 
 def test_toeplitz_planar_slice_matches_reduced_field():
@@ -362,8 +364,8 @@ def test_toeplitz_planar_slice_matches_reduced_field():
         t = np.full(k, y)
         t[0] = x
         for kind in ("l2", "h1"):
-            f = mn.toeplitz_field(kind, mn.ToeplitzState(t=t, k=k))
-            xdot, ydot = mn.reduced_field(kind, mn.ReducedState(x=x, y=y, k=k))
+            f = mn.toeplitz_field(kind, t)
+            xdot, ydot = mn.reduced_flow_field(kind, k)(np.array([x, y]))
             assert f[0] == pytest.approx(xdot, abs=1e-12)
             assert f[1:] == pytest.approx(np.full(k - 1, ydot), abs=1e-12)
 

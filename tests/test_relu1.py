@@ -29,13 +29,13 @@ def test_gradients_vanish_at_global_minimum():
     w = np.array([1.0, 0.0])
     b = relu1.population_gradients(w, w)
     assert np.all(b.grad_l2 == 0.0)
-    assert np.all(b.grad_semi == 0.0)
+    assert np.all(b.grad_seminorm == 0.0)
     assert np.all(b.grad_h1 == 0.0)
 
 
 def test_orthogonal_pair_closed_forms():
     b = relu1.population_gradients(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    assert b.grad_semi == pytest.approx([-0.25, 0.5], abs=1e-15)
+    assert b.grad_seminorm == pytest.approx([-0.25, 0.5], abs=1e-15)
     assert b.grad_l2 == pytest.approx([-0.25, 0.5 - 1.0 / TWO_PI], abs=1e-15)
     assert b.grad_l2[1] == pytest.approx(0.3408451, abs=1e-7)
 
@@ -45,7 +45,7 @@ def test_orthogonal_pair_against_mc_oracle():
     ws = np.array([1.0, 0.0])
     closed = relu1.population_gradients(w, ws)
     cfg = McConfig(n_samples=10**6, seed=20240, dim=2)
-    for kind, expected in (("l2", closed.grad_l2), ("h1_semi", closed.grad_semi)):
+    for kind, expected in (("l2", closed.grad_l2), ("h1_semi", closed.grad_seminorm)):
         est = mc_loss_and_grad("relu", kind, w, ws, cfg)
         assert np.all(np.abs(est.mean - expected) <= 3.0 * est.std_error)
 
@@ -54,7 +54,7 @@ def test_collinear_point_drops_angle_terms():
     ws = np.array([0.7, -0.4, 0.2])
     b = relu1.population_gradients(2.0 * ws, ws)
     assert b.grad_l2 == pytest.approx(0.5 * ws, abs=1e-15)
-    assert b.grad_semi == pytest.approx(0.5 * ws, abs=1e-15)
+    assert b.grad_seminorm == pytest.approx(0.5 * ws, abs=1e-15)
 
 
 def test_h1_gradient_is_exact_componentwise_sum():
@@ -62,7 +62,7 @@ def test_h1_gradient_is_exact_componentwise_sum():
     for _ in range(20):
         w, ws = basin_pair(rng, 6)
         b = relu1.population_gradients(w, ws)
-        assert np.array_equal(b.grad_h1, b.grad_l2 + b.grad_semi)
+        assert np.array_equal(b.grad_h1, b.grad_l2 + b.grad_seminorm)
 
 
 def test_zero_student_is_flagged_singular():
@@ -75,10 +75,10 @@ def test_tiny_nonzero_student_is_not_singular():
     u, ws = np.array([0.6, 0.8, 0.0]), np.array([1.0, 0.0, 0.0])
     ref = relu1.population_gradients(1e-100 * u, ws)
     tiny = relu1.population_gradients(1e-300 * u, ws)
-    for got, want in ((tiny.grad_l2, ref.grad_l2), (tiny.grad_semi, ref.grad_semi)):
+    for got, want in ((tiny.grad_l2, ref.grad_l2), (tiny.grad_seminorm, ref.grad_seminorm)):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-99)
-    stacked = relu1.grad_l2(np.stack([1e-300 * u, u]), ws)
-    np.testing.assert_array_equal(stacked[0], tiny.grad_l2)
+    stacked = relu1.flow_rhs("l2", np.stack([1e-300 * u, u]), ws)
+    np.testing.assert_array_equal(stacked[0], -tiny.grad_l2)
 
 
 def test_tiny_nonzero_teacher_is_not_singular():
@@ -87,7 +87,7 @@ def test_tiny_nonzero_teacher_is_not_singular():
     w = np.array([0.6, 0.8])
     tiny = relu1.population_gradients(w, 1e-300 * np.array([1.0, 0.0]))
     np.testing.assert_allclose(tiny.grad_l2, 0.5 * w, rtol=1e-14)
-    np.testing.assert_allclose(tiny.grad_semi, 0.5 * w, rtol=1e-14)
+    np.testing.assert_allclose(tiny.grad_seminorm, 0.5 * w, rtol=1e-14)
     with pytest.raises(ValueError):
         relu1.population_gradients(w, np.zeros(2))
 
@@ -330,18 +330,20 @@ def test_h1_flow_trace_dominated_by_l2_flow_trace():
 
 
 def test_per_row_kinds_match_single_kind_fields_bitwise():
-    # a stack of both kinds is one field call; each row is the float its
-    # kind's gradients give, and a per-row unknown kind is an error
+    # a stack of both kinds is one field call; each row is the float the
+    # field of its own kind gives on the same stack, and its kind's gradient
+    # at that one point to rounding; a per-row unknown kind is an error
     rng = np.random.default_rng(43)
     ws = rng.standard_normal(5)
     w = ws + 0.4 * rng.standard_normal((6, 5))
     kinds = np.array(["l2", "h1", "h1", "l2", "h1", "l2"])
     stacked = relu1.flow_rhs(kinds, w, ws)
-    gl, gj = relu1.grad_l2(w, ws), relu1.grad_semi(w, ws)
-    assert np.array_equal(stacked[kinds == "l2"], -gl[kinds == "l2"])
-    assert np.array_equal(stacked[kinds == "h1"], -(gl + gj)[kinds == "h1"])
     for kind in ("l2", "h1"):
         assert np.array_equal(stacked[kinds == kind], relu1.flow_rhs(kind, w, ws)[kinds == kind])
+    for i, kind in enumerate(kinds):
+        b = relu1.population_gradients(w[i], ws)
+        np.testing.assert_allclose(stacked[i], -(b.grad_h1 if kind == "h1" else b.grad_l2),
+                                   rtol=1e-14, atol=1e-15)
     with pytest.raises(ValueError):
         relu1.flow_rhs(np.array(["l2", "h2"]), w[:2], ws)
 
@@ -390,31 +392,31 @@ def test_gd_compare_flags_outside_basin():
 
 
 # --------------------------------------------------------------------------
-# basin classification
+# convexity regions: S (L2 Hessian positive definite) and S' (H1) are where
+# condition_numbers defines kappa_L2 and kappa_H1
+
+
+def _regions(w, ws):
+    """(in S, in S') from the condition numbers' definedness."""
+    return tuple(k is not None for k in relu1.condition_numbers(pair_geometry(w, ws)))
 
 
 def test_basin_classify_examples():
     ws = np.array([1.0, 0.0])
-    assert relu1.basin_classify(ws, ws) is relu1.RegionLabel.INSIDE_S
+    assert _regions(ws, ws) == (True, True)
     # |w|=1, |w*|=2.5, theta=pi/2: fails both strict inequalities
-    assert (
-        relu1.basin_classify(np.array([0.0, 1.0]), np.array([2.5, 0.0]))
-        is relu1.RegionLabel.OUTSIDE_SPRIME
-    )
+    assert _regions(np.array([0.0, 1.0]), np.array([2.5, 0.0])) == (False, False)
     # |w|=1, |w*|=1.8, theta=pi/2: pi/3.6 < 1 fails S, 2pi/5.4 > 1 passes S'
-    assert (
-        relu1.basin_classify(np.array([0.0, 1.0]), np.array([1.8, 0.0]))
-        is relu1.RegionLabel.IN_SPRIME_MINUS_S
-    )
-    assert relu1.basin_classify(np.zeros(2), ws) is relu1.RegionLabel.OUTSIDE_SPRIME
+    assert _regions(np.array([0.0, 1.0]), np.array([1.8, 0.0])) == (False, True)
+    assert _regions(np.zeros(2), ws) == (False, False)
 
 
 def test_basin_classify_is_scale_invariant_down_to_tiny_pairs():
     w, ws = np.array([0.6, 0.8]), np.array([1.0, 0.0])
-    assert relu1.basin_classify(w, ws) is relu1.RegionLabel.INSIDE_S
-    assert relu1.basin_classify(1e-300 * w, 1e-300 * ws) is relu1.RegionLabel.INSIDE_S
+    assert _regions(w, ws) == (True, True)
+    assert _regions(1e-300 * w, 1e-300 * ws) == (True, True)
     with pytest.raises(ValueError):
-        relu1.basin_classify(w, np.zeros(2))
+        _regions(w, np.zeros(2))
 
 
 def test_region_labels_match_hessian_minimum_eigenvalues():
@@ -424,12 +426,13 @@ def test_region_labels_match_hessian_minimum_eigenvalues():
         ws = rng.standard_normal(3)
         if np.linalg.norm(ws) < 0.1 or pair_geometry(w, ws).sin_theta < 1e-6:
             continue
-        label = relu1.basin_classify(w, ws)
+        in_s, in_sprime = _regions(w, ws)
         rep = relu1.hessians(w, ws)
-        if label is relu1.RegionLabel.INSIDE_S:
+        if in_s:
             assert rep.spectrum_l2.lam_min > -1e-12
-        elif label is relu1.RegionLabel.IN_SPRIME_MINUS_S:
+        else:
             assert rep.spectrum_l2.lam_min < 1e-9
+        if in_sprime:
             assert rep.spectrum_h1.lam_min > -1e-12
         else:
             assert rep.spectrum_h1.lam_min < 1e-9

@@ -82,22 +82,16 @@ def test_tiny_nonzero_teacher_flow_field_is_not_singular():
 
 
 def test_descent_everywhere_on_basin():
+    # -(w - w*).grad Ij < 0 for each component at points 0 < |w - w*| < |w*|
     rng = np.random.default_rng(14)
     for _ in range(1000):
         w, ws = basin_pair(rng, 4)
-        rep = relusq.descent_check(w, ws)
-        assert rep.descent_i1 and rep.descent_i2 and rep.descent_i3
-        assert not rep.degenerate
-        assert not rep.guarantee_void
-
-
-def test_descent_degenerate_and_void_flags():
-    ws = np.array([1.0, 2.0, 0.0])
-    rep = relusq.descent_check(ws.copy(), ws)
-    assert rep.degenerate
-    assert rep.descent_i1 and rep.descent_i2 and rep.descent_i3
-    far = relusq.descent_check(np.array([-3.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-    assert far.guarantee_void
+        e = w - ws
+        assert 0.0 < np.linalg.norm(e) < np.linalg.norm(ws)
+        b = relusq.h2_gradients(w, ws)
+        assert -float(e @ b.grad_i1) < 0.0
+        assert -float(e @ b.grad_i2) < 0.0
+        assert -float(e @ b.grad_i3) < 0.0
 
 
 def test_proof_form_m2_psd_and_m_cone_restricted():
@@ -133,7 +127,8 @@ def test_batched_field_matches_pointwise_rhs():
     w = ws + 0.3 * rng.standard_normal((5, 3))
     batched = field(w)
     for i in range(5):
-        assert batched[i] == pytest.approx(relusq.h2_flow_rhs(w[i], ws), rel=1e-12)
+        b = relusq.h2_gradients(w[i], ws)
+        assert batched[i] == pytest.approx(-(b.grad_i1 + b.grad_i2 + b.grad_i3), rel=1e-12)
 
 
 def test_per_row_parts_match_single_set_fields_bitwise():
