@@ -130,29 +130,33 @@ def planar_students(x: float, y: float, k: int) -> np.ndarray:
 
 
 def _k_factors(k):
-    """K - 1 and K - 2 as floats: scalars for an int K, arrays for one K per state."""
+    """K - 1, K - 2 and 2 (K - 2) as floats: scalars for an int K, arrays for one K per state."""
     k = np.asarray(k, dtype=float)
-    return k - 1.0, k - 2.0
+    return k - 1.0, k - 2.0, 2 * (k - 2.0)
 
 
-def _planar_angles(x, y, k1, k2):
+def _planar_angles(x, y, k1, k2, k2_twice):
     """alpha, theta, phi_star and phi of the planar parametrization.
 
-    ``k1`` and ``k2`` are the factors K - 1 and K - 2 of ``_k_factors``;
-    everything broadcasts over x, y and the factors.  All three angles are
-    taken in two-argument form; the inverse cosine loses half the digits
-    where the angle is small.  theta = atan2(sqrt(K - 1) |y|, x) keeps its
-    digits next to the fixed point (1, 0), phi_star = atan2(sqrt(x^2 +
-    (K - 2) y^2), y) is its companion, and the inter-student angle phi has
-    sin(phi) / cos(phi) reduced to |x - y| sqrt((x + y)^2 + 2 (K - 2) y^2) /
-    (2 x y + (K - 2) y^2), so it is exactly 0 on the diagonal and exactly
-    pi/2 at (1, 0).
+    ``k1``, ``k2`` and ``k2_twice`` are the factors K - 1, K - 2 and
+    2 (K - 2) of ``_k_factors``; everything broadcasts over x, y and the
+    factors.  All three angles are taken in two-argument form; the inverse
+    cosine loses half the digits where the angle is small.  theta =
+    atan2(sqrt(K - 1) |y|, x) keeps its digits next to the fixed point
+    (1, 0), phi_star = atan2(sqrt(x^2 + (K - 2) y^2), y) is its companion,
+    and the inter-student angle phi has sin(phi) / cos(phi) reduced to
+    |x - y| sqrt((x + y)^2 + 2 (K - 2) y^2) / (2 x y + (K - 2) y^2), so it
+    is exactly 0 on the diagonal and exactly pi/2 at (1, 0).  The squares
+    x^2, (K - 1) y^2 and (K - 2) y^2 are each formed once.
     """
-    alpha = 1.0 / np.sqrt(x * x + k1 * y * y)
-    theta = np.arctan2(np.sqrt(k1 * y * y), x)
-    phi_star = np.arctan2(np.sqrt(x * x + k2 * y * y), y)
-    phi = np.arctan2(np.abs(x - y) * np.sqrt((x + y) ** 2 + 2 * k2 * y * y),
-                     2 * x * y + k2 * y * y)
+    xx = x * x
+    k1yy = k1 * y * y
+    k2yy = k2 * y * y
+    alpha = 1.0 / np.sqrt(xx + k1yy)
+    theta = np.arctan2(np.sqrt(k1yy), x)
+    phi_star = np.arctan2(np.sqrt(xx + k2yy), y)
+    phi = np.arctan2(np.abs(x - y) * np.sqrt((x + y) ** 2 + k2_twice * y * y),
+                     2 * x * y + k2yy)
     return alpha, theta, phi_star, phi
 
 
@@ -164,16 +168,21 @@ def reduced_flow_field(kind, k):
     row (shape (...,)).  Ensembles of several kinds and K integrate as one.
     """
     c = _kind_factor(kind)
-    k1, k2 = _k_factors(k)
+    k1, k2, k2_twice = _k_factors(k)
 
     def field(s: np.ndarray) -> np.ndarray:
         x = s[..., 0]
         y = s[..., 1]
-        alpha, theta, phi_star, phi = _planar_angles(x, y, k1, k2)
+        alpha, theta, phi_star, phi = _planar_angles(x, y, k1, k2, k2_twice)
+        pi_phi = np.pi - phi
         first = k1 * (alpha * np.sin(phi_star) - np.sin(phi)) + alpha * np.sin(theta)
-        bx = -(np.pi - theta) + np.pi * x + (np.pi - phi) * k1 * y
-        by = -(np.pi - phi_star) + np.pi * y + (np.pi - phi) * (x + k2 * y)
-        return np.stack([(first * x - c * bx), (first * y - c * by)], axis=-1) / TWO_PI
+        bx = np.pi * x - (np.pi - theta) + pi_phi * k1 * y
+        by = np.pi * y - (np.pi - phi_star) + pi_phi * (x + k2 * y)
+        out = np.empty(first.shape + (2,))
+        np.subtract(first * x, c * bx, out=out[..., 0])
+        np.subtract(first * y, c * by, out=out[..., 1])
+        out /= TWO_PI
+        return out
 
     return field
 
@@ -185,9 +194,10 @@ class PlanarRows:
     ``starts`` (m, 2) flow under ``kind`` and ``k`` (one value, or an array
     with one per row) with RK4 step ``step`` up to the horizon ``t_end``.
     With ``thresh`` > 0 a row stops at the first step that brings it within
-    ``thresh`` of the fixed point (1, 0).  With ``record_every`` > 0 the
-    run's states are recorded every that many steps, as ``rk4_integrate``
-    records them; a recorded run has no threshold.
+    ``thresh`` of the fixed point (1, 0); a row that starts within takes no
+    step.  With ``record_every`` > 0 the run's states are recorded every
+    that many steps, as ``rk4_integrate`` records them; a recorded run has
+    no threshold.
     """
 
     kind: object
@@ -229,7 +239,8 @@ def planar_flows(runs: list[PlanarRows]) -> list[FlowRun]:
 
 def threshold_rows(kind, k, starts: np.ndarray, thresh: float, step: float = 1e-3) -> PlanarRows:
     """A run whose rows record their first flow time within ``thresh`` of
-    (1, 0) as ``crossed``; a row still outside at ``_THRESHOLD_T_MAX`` keeps nan."""
+    (1, 0) as ``crossed`` (0 for a start already within); a row still
+    outside at ``_THRESHOLD_T_MAX`` keeps nan."""
     if not thresh > 0.0:
         raise ValueError("thresh must be positive")
     return PlanarRows(kind, k, starts, step, _THRESHOLD_T_MAX, thresh=thresh)

@@ -3,11 +3,17 @@
 Fixed step (no adaptivity) keeps traces bit-reproducible for regression
 tests.  ``_rk4_rows`` is the one stepping loop: it integrates several runs
 of rows as one stacked ensemble, each run with its own step, horizon, stop
-radius and recording.  ``rk4_integrate`` is its one-run view, and
-``multinode.planar_flows`` hands it every planar run at once.  States may be
-a single vector ``(d,)`` or a stack ``(m, d)`` of independent trajectories
-sharing the same field; the error tracking ``v = ||state - target||^2`` is
-taken along the last axis either way.
+radius and recording.  It recomputes its row bookkeeping (which rows step,
+and their step sizes) only at events: where some row's schedule changes,
+and after a row crossed its stop radius or left the finite floats.  Between
+events a step pays only for the RK4 step, one finiteness test of the whole
+state, the records, the merge of the stepped rows while some row stands
+still, and the stop-radius test while a row with one still steps.
+``rk4_integrate`` is its one-run view, and ``multinode.planar_flows`` hands
+it every planar run at once.  States may be a single vector ``(d,)`` or a
+stack ``(m, d)`` of independent trajectories sharing the same field; the
+error tracking ``v = ||state - target||^2`` is taken along the last axis
+either way.
 """
 
 from __future__ import annotations
@@ -77,8 +83,9 @@ def _schedule(step, t_end):
     """Full steps and short last step (n_full, rem) of each (step, t_end), elementwise.
 
     ``step`` and ``t_end`` are floats or arrays; both must be finite with
-    0 < step <= t_end.  ``rem`` is 0 when ``t_end`` is a step multiple up
-    to 1e-9 of a step.
+    0 < step <= t_end, and t_end / step must be below 2**53, where step
+    counts are still exact floats.  ``rem`` is 0 when ``t_end`` is a step
+    multiple up to 1e-9 of a step.
     """
     step = np.asarray(step, dtype=float)
     t_end = np.asarray(t_end, dtype=float)
@@ -88,7 +95,11 @@ def _schedule(step, t_end):
         raise ValueError("step must be positive")
     if (t_end <= 0.0).any() or (step > t_end * (1.0 + 1e-12)).any():
         raise ValueError("need 0 < step <= t_end")
-    n_full = (t_end / step).astype(np.int64)
+    with np.errstate(over="ignore"):
+        ratio = t_end / step
+    if not (ratio < 2.0**53).all():
+        raise ValueError("step too small for t_end: need t_end / step < 2**53")
+    n_full = ratio.astype(np.int64)
     rem = t_end - n_full * step
     return n_full, np.where(rem < step * 1e-9, 0.0, rem)
 
@@ -102,12 +113,18 @@ def _rk4_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
     field then receives as (d,) arrays.  Each row steps with its run's step
     up to its run's horizon, taking a short last step when the horizon is
     not a step multiple, or until it comes within ``thresh`` > 0 of
-    ``target``.  The loop lasts as long as the longest row, and a row that
-    has stopped keeps its state, so every row comes out as it would in a run
-    of its own.  A run with ``record_every`` > 0 records its states every
-    that many steps, plus the first and last.  A row without a stop radius
-    that leaves the finite floats raises ``BlowUpError`` at the earliest
-    such time; a row with one can never cross and stops.
+    ``target``; a row that starts within crosses at t = 0 and takes no
+    step.  The loop lasts as long as the longest row, and a row that has
+    stopped keeps its state, so every row comes out as it would in a run of
+    its own.  A run with ``record_every`` > 0 records its states every that
+    many steps, plus the first and last.  A row without a stop radius that
+    leaves the finite floats raises ``BlowUpError`` at the earliest such
+    time; a row with one can never cross and stops.
+
+    The row bookkeeping (which rows step, with which step size) is
+    recomputed only at schedule, crossing and blow-up events: a step index
+    where some row takes its short last step or ends, and the step after a
+    row crossed its stop radius or left the finite floats.
     """
     target = np.array(target, dtype=float)
     starts = [np.array(r[0], dtype=float) for r in runs]
@@ -124,34 +141,50 @@ def _rk4_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
     n_full, rem = _schedule(step, t_end)
     n_steps = n_full + (rem > 0.0)
     stops = thresh > 0.0
+    thresh2 = thresh * thresh
+    # the step indices where some row ends or takes its short last step
+    events = set(n_steps.ravel().tolist()) | set(n_full[rem > 0.0].tolist())
     # a recorded run's rows share one schedule: its first row's steps
     recorded = [(j, r[4], n_steps.flat[bounds[j]]) for j, r in enumerate(runs) if r[4]]
     records = {j: [(0.0, starts[j])] for j, _, _ in recorded}
 
     t = np.zeros(rows)
     crossed = np.full(rows, np.nan)
-    done = np.zeros(rows, dtype=bool)
     # a row that leaves the finite floats is caught below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
+        done = stops & (_v(s, target) < thresh2)  # within its stop radius from the start
+        crossed[done] = 0.0
+        changed = True
         for i in range(int(n_steps.max())):
-            stepping = ~done & (i < n_steps)
-            if not stepping.any():
-                break
-            h = np.where(stepping, np.where(i < n_full, step, rem), 0.0)
-            new = _rk4_step(field, s, h[..., None])
+            if changed or i in events:
+                stepping = ~done & (i < n_steps)
+                if not stepping.any():
+                    break
+                h = np.where(stepping, np.where(i < n_full, step, rem), 0.0)
+                h_col = h[..., None]
+                every_row = stepping.all()
+                watch = (stepping & stops).any()
+                changed = False
+            new = _rk4_step(field, s, h_col)
             t += h
-            finite = np.isfinite(new).all(axis=-1)
-            blown = stepping & ~finite
-            if blown.any():
-                if (blown & ~stops).any():
-                    t_blow = t[blown & ~stops].min()
-                    raise BlowUpError(f"trajectory blew up at t={t_blow:.6g}", time=float(t_blow))
-                stepping = stepping & finite
-                done |= blown
-            s = np.where(stepping[..., None], new, s)
-            hit = stepping & (_v(s, target) < thresh * thresh)
-            crossed[hit] = t[hit]
-            done |= hit
+            if not np.isfinite(new).all():
+                blown = stepping & ~np.isfinite(new).all(axis=-1)
+                if blown.any():
+                    if (blown & ~stops).any():
+                        t_blow = t[blown & ~stops].min()
+                        raise BlowUpError(f"trajectory blew up at t={t_blow:.6g}",
+                                          time=float(t_blow))
+                    stepping = stepping & ~blown
+                    done |= blown
+                    every_row = False
+                    changed = True
+            s = new if every_row else np.where(stepping[..., None], new, s)
+            if watch:
+                hit = stepping & (_v(s, target) < thresh2)
+                if hit.any():
+                    crossed[hit] = t[hit]
+                    done |= hit
+                    changed = True
             for j, every, n in recorded:
                 if i < n and ((i + 1) % every == 0 or i == n - 1):
                     records[j].append((t.flat[bounds[j]], of_run(s, j).copy()))

@@ -185,6 +185,18 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
         assert not (tmp_path / "e" / "manifest.json").exists(), argv
     capsys.readouterr()
+    # a step count of 2**53 or more cannot be counted in floats: one error
+    # line and no cast warning, where the flows once integrated nothing
+    for argv in (("flow", "--step", "1e-300", "--t-end", "1", "--inits", "1"),
+                 ("multinode", "--step", "1e-300", "--t-end", "1e-300", "--k-list", "2",
+                  "--starts", "1", "--ratio-starts", "1")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), argv
+        assert not (tmp_path / "e" / "manifest.json").exists(), argv
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ratio_starts": 0}))
     assert run("multinode", "--config", str(cfg), "--out-dir", str(tmp_path / "e")) == 2

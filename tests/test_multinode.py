@@ -120,6 +120,49 @@ def test_critical_point_and_origin():
         assert not np.isfinite(mn.reduced_flow_field("l2", 2)(np.zeros(2))).any()
 
 
+def _field_reference(kind, k, s):
+    """The planar field's expression as first written, kept verbatim: the
+    closure may only rewrite it in ways that keep every rounding."""
+    c = mn._kind_factor(kind)
+    k = np.asarray(k, dtype=float)
+    k1, k2 = k - 1.0, k - 2.0
+    x = s[..., 0]
+    y = s[..., 1]
+    alpha = 1.0 / np.sqrt(x * x + k1 * y * y)
+    theta = np.arctan2(np.sqrt(k1 * y * y), x)
+    phi_star = np.arctan2(np.sqrt(x * x + k2 * y * y), y)
+    phi = np.arctan2(np.abs(x - y) * np.sqrt((x + y) ** 2 + 2 * k2 * y * y),
+                     2 * x * y + k2 * y * y)
+    first = k1 * (alpha * np.sin(phi_star) - np.sin(phi)) + alpha * np.sin(theta)
+    bx = -(np.pi - theta) + np.pi * x + (np.pi - phi) * k1 * y
+    by = -(np.pi - phi_star) + np.pi * y + (np.pi - phi) * (x + k2 * y)
+    return np.stack([(first * x - c * bx), (first * y - c * by)], axis=-1) / TWO_PI
+
+
+def test_planar_field_keeps_its_expression_bitwise():
+    rng = np.random.default_rng(14)
+    diag = np.linspace(0.05, 1.0, 9)
+    a = rng.uniform(0.0, 2 * math.pi, 9)
+    x0 = rng.uniform(0.15, 1.0, 40)
+    states = np.concatenate([
+        [[1.0, 0.0]],
+        np.stack([diag, diag], axis=1),  # the diagonal x = y
+        np.stack([1.0 + 1e-9 * np.cos(a), 1e-9 * np.abs(np.sin(a))], axis=1),
+        np.stack([diag, np.zeros_like(diag)], axis=1),  # y = 0
+        np.stack([x0, x0 * rng.uniform(0.0, 0.95, 40)], axis=1),  # Omega
+    ])
+    m = states.shape[0]
+    ks = rng.choice([2, 3, 8, 16], size=m)
+    kinds = rng.choice(["l2", "h1"], size=m)
+    for kind, k in [(kinds, ks), *((kd, kk) for kd in ("l2", "h1") for kk in (2, 3, 8, 16))]:
+        got = mn.reduced_flow_field(kind, k)(states)
+        assert got.shape == (m, 2)
+        assert np.array_equal(got, _field_reference(kind, k, states)), (kind, k)
+    for kd in ("l2", "h1"):
+        for s in states[:12]:  # a single state (2,) through numpy's scalar path
+            assert np.array_equal(mn.reduced_flow_field(kd, 8)(s), _field_reference(kd, 8, s))
+
+
 def test_batched_field_vanishes_at_large_k_diagonal_saddles():
     # next to the diagonal arccos of the inter-student cosine loses half the
     # digits (residuals ~1e-9 at K = 32); the two-argument angle is exact there
@@ -222,10 +265,12 @@ def test_h1_planar_flow_converges_from_omega():
 
 
 def _first_crossings(kind, k, starts, thresh, step):
-    """Reference for the crossing rule: a plain loop of RK4 steps over one run."""
+    """Reference for the crossing rule: a plain loop of RK4 steps over one run.
+    A start already within ``thresh`` crosses at t = 0."""
     field = mn.reduced_flow_field(kind, k)
     s = np.array(starts, dtype=float)
     out = np.full(s.shape[0], np.nan)
+    out[np.sum((s - [1.0, 0.0]) ** 2, axis=-1) < thresh * thresh] = 0.0
     t = 0.0
     while t < mn._THRESHOLD_T_MAX and np.isnan(out).any():
         s = _rk4_step(field, s, step)
@@ -255,6 +300,19 @@ def test_per_row_k_matches_per_k_calls_bitwise():
             assert np.array_equal(field[rows], mn.reduced_flow_field(kind, k)(states[rows]))
             assert np.array_equal(times[rows], _crossings(kind, k, near[rows], 0.01, 0.01))
         assert np.isfinite(times).all()
+
+
+def test_threshold_row_starting_within_crosses_at_zero_without_a_step():
+    # rows at 1e-6 and 5e-3 from (1, 0) against radii 1e-4 and 1e-2: a row
+    # already within crosses at t = 0 and keeps its start; the others step
+    starts = np.array([[1 - 1e-6, 1e-6], [0.95, 0.05], [1 - 5e-3, 0.0]])
+    for kind in ("l2", "h1"):
+        (run,) = mn.planar_flows([mn.threshold_rows(kind, 4, starts[:1], 1e-4)])
+        assert run.crossed.tolist() == [0.0]
+        assert np.array_equal(run.final, starts[:1])
+        times = _crossings(kind, 4, starts, 1e-2, 0.01)
+        assert times[0] == 0.0 and times[2] == 0.0 and times[1] > 0.0
+        assert np.array_equal(times, _first_crossings(kind, 4, starts, 1e-2, 0.01))
 
 
 def test_stacked_planar_runs_match_their_separate_runs_bitwise():
