@@ -107,10 +107,13 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(ENV_THREADS)
-    return max(1, int(env)) if env else 1
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get(ENV_THREADS)
+        threads = int(env) if env else 1
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 # --------------------------------------------------------------------------
@@ -344,8 +347,10 @@ def cmd_verify_gradients(cfg: dict, out: Path, threads: int = 1) -> list[Path]:
     n_grid = [2**p for p in range(cfg["n_min"], cfg["n_max"] + 1)]
     forms = []
     for token in _parse_list(cfg["forms"], str.strip):
-        model, kind = token.split(":")
-        forms.append((model, kind))
+        form = token.split(":")
+        if len(form) != 2:
+            raise ValueError(f"form {token!r} is not of the shape model:kind")
+        forms.append(tuple(form))
     tables = mc._convergence_tables(forms, dims, n_grid, cfg["trials"], cfg["seed"], threads)
     rows = [(model, kind, dim, int(math.log2(n)), mse)
             for (model, kind), table in zip(forms, tables) for dim, n, mse in table]
@@ -617,9 +622,9 @@ def main(argv=None) -> int:
             paths = cmd_summarize(args)
         else:
             cfg = _resolve(args, args.defaults)
+            extra = {"threads": _threads(args)} if "threads" in args else {}
             out = Path(cfg["out_dir"])
             out.mkdir(parents=True, exist_ok=True)
-            extra = {"threads": _threads(args)} if "threads" in args else {}
             paths = args.runner(cfg, out, **extra)
             _write_manifest(out, args.subcommand, cfg)
     except (SingularPointError, BlowUpError) as exc:

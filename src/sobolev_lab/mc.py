@@ -7,7 +7,8 @@ an estimate depends only on (seed, n_samples, dim) - never on which worker
 thread draws a block or how many workers there are.  Partial block sums are
 reduced in block order, which makes repeated runs bit-identical.  Estimates
 of one cell (seed, n_samples, dim) share its draws: each block is drawn once
-and every kernel of the cell is applied to it.
+and every kernel of the cell is applied to it.  The worker pool takes the
+(cell, block) units largest first; that order never changes a result.
 
 Per-sample gradients use the indicator identities of the closed-form
 derivations (ReLU derivative 1{t>0}), e.g. for the first-order model:
@@ -22,6 +23,12 @@ gradient use it too.  (For the discontinuous-integrand seminorm this expectation
 the defined population gradient; it differs from the gradient of the
 scalar population loss by a boundary term, so finite-difference checks
 are only meaningful for the continuous-integrand losses.)
+
+The seminorm gradient and the second-order "i3" gradient depend on x only
+through the two indicators, so each takes one of three values (0, u, v) in
+span{w, w*}.  Where such a part is estimated on its own, a block's sum and
+centred sum of squares come from the counts of the three cases instead of a
+(B, d) array.
 """
 
 from __future__ import annotations
@@ -97,44 +104,51 @@ def _merge(partials: list, counts: list[int], n: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=np.sqrt(var / n), n=n)
 
 
+class _BlockMoments:
+    """A kernel given by its block moments: ``moments(x)`` is (sum, centred sum of squares)."""
+
+    def __init__(self, moments: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]):
+        self.moments = moments
+
+
+def _array_moments(vals: np.ndarray, x: np.ndarray):
+    """(sum, centred sum of squares) over the rows of per-sample values ``vals`` of block x."""
+    if np.may_share_memory(vals, x):
+        vals = vals.copy()  # every kernel of the cell reads this block
+    s = vals.sum(axis=0)
+    vals -= s / len(vals)
+    return s, np.square(vals, out=vals).sum(axis=0)
+
+
 def _reduce_cells(cells: list[tuple], threads: int) -> list[list[McEstimate]]:
     """Estimates [cell][kernel] for cells (McConfig, kernels).
 
-    The unit of work is one (cell, block) pair: it draws the block once and
-    applies every kernel of its cell to it.  All units of a call share one
-    thread pool, and each cell's partials are merged per kernel in block order.
+    A kernel is a per-sample callable x (B, d) -> values (B, ...), or a
+    ``_BlockMoments``.  The unit of work is one (cell, block) pair: it draws
+    the block once and applies every kernel of its cell to it.  All units of
+    a call share one thread pool, which takes them largest (count x dim)
+    first, and each cell's partials are merged per kernel in block order.
     """
     counts = [_block_counts(cfg.n_samples) for cfg, _ in cells]
-    units = [(c, b) for c, cell_counts in enumerate(counts) for b in range(len(cell_counts))]
+    # a stable sort; the order units run in never changes a result
+    units = sorted(((c, b) for c, cell_counts in enumerate(counts) for b in range(len(cell_counts))),
+                   key=lambda u: -counts[u[0]][u[1]] * cells[u[0]][0].dim)
 
     def work(unit):
         c, b = unit
         cfg, kernels = cells[c]
-        count = counts[c][b]
-        x = block_normals(cfg.seed, b, count, cfg.dim)
-        out = []
-        for persample in kernels:
-            vals = persample(x)
-            if np.may_share_memory(vals, x):
-                vals = vals.copy()  # every kernel of the cell reads this block
-            s = vals.sum(axis=0)
-            vals -= s / count
-            out.append((s, np.square(vals, out=vals).sum(axis=0)))
-        return out
+        x = block_normals(cfg.seed, b, counts[c][b], cfg.dim)
+        return [k.moments(x) if isinstance(k, _BlockMoments) else _array_moments(k(x), x)
+                for k in kernels]
 
     if threads > 1 and len(units) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(work, units))
+            partials = dict(zip(units, pool.map(work, units)))
     else:
-        partials = [work(u) for u in units]
-
-    estimates, first = [], 0
-    for (cfg, kernels), cell_counts in zip(cells, counts):
-        blocks = partials[first:first + len(cell_counts)]
-        first += len(cell_counts)
-        estimates.append([_merge([blk[k] for blk in blocks], cell_counts, cfg.n_samples)
-                          for k in range(len(kernels))])
-    return estimates
+        partials = {unit: work(unit) for unit in units}
+    return [[_merge([partials[c, b][k] for b in range(len(cell_counts))], cell_counts, cfg.n_samples)
+             for k in range(len(kernels))]
+            for c, ((cfg, kernels), cell_counts) in enumerate(zip(cells, counts))]
 
 
 def _reduce_blocks(
@@ -232,33 +246,91 @@ def _part_value(what: str, part: str, w, wstar, dots, x, iw, istar, sw, ss):
     )
 
 
+def _span_moments(w: np.ndarray, wstar: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Block moments of a per-sample value that is 0 where w.x <= 0, u where
+    only w.x > 0, and v where w.x > 0 and w*.x > 0.
+
+    One product x @ [w, w*] gives the counts n00, n10 and n11 of the three
+    cases, so the sum is n10 u + n11 v and the centred sum of squares is
+    sum_t n_t (v_t - sum / count)^2: no (count, d) array, and the sum is
+    exact up to a few roundings.
+    """
+    proj = np.stack([w, wstar], axis=1)
+
+    def moments(x: np.ndarray):
+        p = x @ proj
+        on = p[:, 0] > 0
+        n1 = np.count_nonzero(on)
+        n11 = np.count_nonzero(on & (p[:, 1] > 0))
+        n10, n00 = n1 - n11, len(x) - n1
+        s = n10 * u + n11 * v
+        mean = s / len(x)
+        return s, n00 * mean**2 + n10 * (u - mean) ** 2 + n11 * (v - mean) ** 2
+
+    return moments
+
+
+def _span_values(part: str, w: np.ndarray, wstar: np.ndarray, dots) -> tuple[np.ndarray, np.ndarray]:
+    """The values (u, v) of a span part's per-sample gradient: u where only
+    w.x > 0, v where w.x > 0 and w*.x > 0 (0 where w.x <= 0)."""
+    if part == "semi":  # ``_relu_grad``'s seminorm part at K = 1
+        return w, w - wstar
+    u, v = _part_value("grad", part, w, wstar, dots, None,
+                       np.array([True, True]), np.array([False, True]), None, None)
+    return u, v
+
+
+# Gradient parts that depend on x only through 1{w.x>0} and 1{w*.x>0}, so lie
+# in span{w, w*}; reduced on their own, they reduce from the indicator counts.
+_SPAN_PARTS = ("semi", "i3")
+
+
 def _persample(model: str, kind: str, W: np.ndarray, Wstar: np.ndarray, what: str):
-    """Per-sample kernel of (model, kind) at students W and teachers W* (K, d).
+    """Kernel of (model, kind) at students W and teachers W* (K, d).
 
     First-order gradients are (B, K, d) for "multinode" and (B, d) for "relu";
     everything else is one student: (B, d) gradients, (B,) losses, with a
-    parts axis after the sample axis for "h2_parts".
+    parts axis after the sample axis for "h2_parts".  A single-node gradient
+    part in ``_SPAN_PARTS`` that is not summed with another part (the
+    "h1_semi" and "i3" kinds, and the "i3" row of "h2_parts") is a
+    ``_BlockMoments`` over the indicator counts; every other kernel is a
+    per-sample callable.
     """
     parts = _parts(model, kind)
     stacked = kind == "h2_parts"
-    if what == "grad" and model != "relu_sq":
-        if model == "multinode":
-            return lambda x: _combine(_relu_grad(x, W, Wstar, parts), stacked)
-        return lambda x: _combine([v[:, 0] for v in _relu_grad(x, W, Wstar, parts)], stacked)
+    if what == "grad" and model == "multinode":
+        return lambda x: _combine(_relu_grad(x, W, Wstar, parts), stacked)
     w, wstar = W[0], Wstar[0]
     dots = (float(w @ w), float(w @ wstar), float(wstar @ wstar))
+    alone = stacked or len(parts) == 1  # each part is reduced on its own
+    span = parts[-1] if what == "grad" and alone and parts[-1] in _SPAN_PARTS else None
+    rest = parts[:-1] if span else parts
 
-    def kernel(x: np.ndarray) -> np.ndarray:
-        pw = x @ w
-        ps = x @ wstar
-        iw = pw > 0
-        istar = ps > 0
-        sw = np.where(iw, pw, 0.0)
-        ss = np.where(istar, ps, 0.0)
-        return _combine([_part_value(what, p, w, wstar, dots, x, iw, istar, sw, ss)
-                         for p in parts], stacked)
+    if what == "grad" and model == "relu":
+        def kernel(x: np.ndarray) -> np.ndarray:
+            return _combine([v[:, 0] for v in _relu_grad(x, W, Wstar, rest)], stacked)
+    else:
+        def kernel(x: np.ndarray) -> np.ndarray:
+            pw = x @ w
+            ps = x @ wstar
+            iw = pw > 0
+            istar = ps > 0
+            sw = np.where(iw, pw, 0.0)
+            ss = np.where(istar, ps, 0.0)
+            return _combine([_part_value(what, p, w, wstar, dots, x, iw, istar, sw, ss)
+                             for p in rest], stacked)
 
-    return kernel
+    if span is None:
+        return kernel
+    span_moments = _span_moments(w, wstar, *_span_values(span, w, wstar, dots))
+    if not rest:
+        return _BlockMoments(span_moments)
+
+    def moments(x: np.ndarray):  # "h2_parts": the array parts' rows, then the span part's
+        (s, m2), (s_span, m2_span) = _array_moments(kernel(x), x), span_moments(x)
+        return np.concatenate([s, s_span[None]]), np.concatenate([m2, m2_span[None]])
+
+    return _BlockMoments(moments)
 
 
 def mc_loss_and_grad(

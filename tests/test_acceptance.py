@@ -29,9 +29,9 @@ from sobolev_lab.geometry import basin_node_pairs, basin_pairs, pair_geometry
 from sobolev_lab.mc import (
     McConfig,
     _convergence_tables,
+    _persample,
+    _reduce_cells,
     closed_form_grad,
-    mc_loss_and_grad,
-    mc_multinode_grad,
 )
 
 from conftest import ACCEPTANCE_LOG
@@ -200,24 +200,25 @@ def test_c09_mc_verification():
             for model, kind in forms for dim in dims for _, n, mse in tables[(model, kind), dim]]
 
     # pointwise agreement at N = 1e6, in standard errors, every closed form; the
-    # estimates run on two workers, which moves no value
+    # estimates run in one call on two workers, which moves no value
     rng = np.random.default_rng(910)
-    worst_z = 0.0
+    cells, closed = [], []
     for model, kind in forms:
         for dim in dims:
             cfg = McConfig(n_samples=10**6, seed=int(rng.integers(2**62)), dim=dim)
             if model == "multinode":
                 w, ws = basin_node_pairs(rng, dim, 0.2, 0.8)
-                est = mc_multinode_grad(w, ws, kind, cfg, threads=2)
             else:
                 ws = rng.standard_normal(dim)
                 e = rng.standard_normal(dim)
                 e *= rng.uniform(0.2, 0.8) * np.linalg.norm(ws) / np.linalg.norm(e)
                 w = ws + e
-                est = mc_loss_and_grad(model, kind, w, ws, cfg, threads=2)
-            closed = closed_form_grad(model, kind, w, ws)
-            z = float(np.max(np.abs(est.mean - closed) / est.std_error))
-            worst_z = np.maximum(worst_z, z)
+            cells.append((cfg, (_persample(model, kind, np.atleast_2d(w), np.atleast_2d(ws),
+                                           "grad"),)))
+            closed.append(closed_form_grad(model, kind, w, ws))
+    worst_z = 0.0
+    for [est], target in zip(_reduce_cells(cells, threads=2), closed):
+        worst_z = np.maximum(worst_z, float(np.max(np.abs(est.mean - target) / est.std_error)))
     judged("c9_mc_verification", **cli._measure_c9(rows), worst_z=worst_z,
            seconds=time.time() - start)
 

@@ -159,7 +159,7 @@ def test_unknown_config_key_is_validation_error(tmp_path):
     assert run("landscape", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
 
 
-def test_validation_failures_exit_2(tmp_path, capsys):
+def test_validation_failures_exit_2(tmp_path, capsys, monkeypatch):
     assert run("landscape", "--dim", "1", "--out-dir", str(tmp_path / "o")) == 2
     assert run("summarize", str(tmp_path / "does-not-exist")) == 2
     # a zero logging interval is a bad configuration, not an internal error
@@ -201,6 +201,24 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"ratio_starts": 0}))
     assert run("multinode", "--config", str(cfg), "--out-dir", str(tmp_path / "e")) == 2
     assert "ratio_starts" in capsys.readouterr().err
+    # a worker count below 1, by flag or environment, and a form that is not
+    # model:kind: one error line each, no run
+    small = ("verify-gradients", "--dims", "2", "--n-min", "4", "--n-max", "4", "--trials", "1",
+             "--out-dir", str(tmp_path / "v"))
+    for extra, env, named in ((("--threads", "0"), None, ("threads",)),
+                              (("--threads", "-3"), None, ("threads",)),
+                              ((), "0", ("threads",)),
+                              (("--forms", "relu"), None, ("'relu'", "model:kind")),
+                              (("--forms", "relu:l2,relu_sq:i1:i2"), None,
+                               ("'relu_sq:i1:i2'", "model:kind"))):
+        if env is not None:
+            monkeypatch.setenv(cli.ENV_THREADS, env)
+        assert run(*small, *extra) == 2, (extra, env)
+        monkeypatch.delenv(cli.ENV_THREADS, raising=False)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert all(name in err[0] for name in named), err
+        assert not (tmp_path / "v" / "manifest.json").exists(), extra
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from sobolev_lab.geometry import basin_node_pairs
 from sobolev_lab.mc import (
     BLOCK,
     McConfig,
+    _FORMS,
     _convergence_tables,
+    _persample,
     _reduce_blocks,
     _reduce_cells,
     _relu_grad,
@@ -82,6 +86,31 @@ def test_each_block_is_drawn_once_for_every_form(monkeypatch):
         assert len(set(calls)) == len(calls)
 
 
+def test_tables_are_bit_identical_at_any_thread_count():
+    # every form over dims and block counts that mix unit sizes, so the
+    # largest-first dispatch reorders the units
+    forms = [(model, kind) for model, kinds in _FORMS.items() for kind in kinds]
+    args = (forms, [3, 17], [100, BLOCK + 5, 2 * BLOCK + 1], 1)
+    base = _convergence_tables(*args, seed=19, threads=1)
+    for threads in (2, 3):
+        assert _convergence_tables(*args, seed=19, threads=threads) == base
+
+
+def test_units_run_largest_first(monkeypatch):
+    drawn = mc.block_normals
+    sizes = []
+
+    def counted(seed, block, count, dim):
+        sizes.append(count * dim)
+        return drawn(seed, block, count, dim)
+
+    monkeypatch.setattr(mc, "block_normals", counted)
+    cells = [(McConfig(n_samples=n, seed=s, dim=d), (lambda x: x,))
+             for s, (n, d) in enumerate([(100, 8), (2 * BLOCK + 3, 2), (BLOCK + 1, 8), (7, 40)])]
+    _reduce_cells(cells, threads=1)
+    assert sizes == sorted(sizes, reverse=True) and len(sizes) == 7
+
+
 def test_kernel_returning_a_view_of_the_block_leaves_it_shared():
     def view(x):
         return x[:, :1]
@@ -105,6 +134,57 @@ def test_zero_residual_at_teacher_is_exact():
             est = mc_loss_and_grad(model, "h1", ws, ws, cfg, what=what)
             assert np.all(est.mean == 0.0)
             assert np.all(est.std_error == 0.0)
+    # the span kinds reduce from indicator counts: v = 0 and no sample gives u
+    for model, kind in (("relu", "h1_semi"), ("relu_sq", "i3"), ("relu_sq", "h2_parts")):
+        est = mc_loss_and_grad(model, kind, ws, ws, McConfig(n_samples=BLOCK + 17, seed=1, dim=4))
+        assert np.all(est.mean[-1] == 0.0) and np.all(est.std_error[-1] == 0.0), kind
+
+
+def _exact_moments(vals):
+    """Mean and standard error of each column of ``vals``, with exactly rounded sums."""
+    n = len(vals)
+    mean = np.array([math.fsum(col.tolist()) / n for col in vals.T])
+    m2 = np.array([math.fsum(((col - m) ** 2).tolist()) for col, m in zip(vals.T, mean)])
+    return mean, np.sqrt(m2 / (n - 1) / n)
+
+
+@pytest.mark.parametrize("dim", [4, 64])
+def test_span_kinds_match_an_exactly_rounded_sum(dim):
+    # the same draws summed with math.fsum: the array path is off by ~5e-13
+    # relative to max|mean|, the indicator counts by ~1e-16
+    rng = np.random.default_rng(dim)
+    ws = rng.standard_normal(dim)
+    ws /= np.linalg.norm(ws)
+    w = ws + 0.5 * rng.standard_normal(dim) / math.sqrt(dim)
+    n, counts = 2 * BLOCK + 17, (BLOCK, BLOCK, 17)
+    x = np.concatenate([block_normals(13, b, c, dim) for b, c in enumerate(counts)])
+    on, both = x @ w > 0, (x @ w > 0) & (x @ ws > 0)
+    vals = {
+        ("relu", "h1_semi"): _relu_grad(x, w[None], ws[None], ("semi",))[0][:, 0],
+        ("relu_sq", "i3"): 8.0 * ((on * (w @ w))[:, None] * w - (both * (w @ ws))[:, None] * ws),
+    }
+    for (model, kind), v in vals.items():
+        mean, se = _exact_moments(v)
+        est = mc_loss_and_grad(model, kind, w, ws, McConfig(n_samples=n, seed=13, dim=dim))
+        assert np.max(np.abs(est.mean - mean)) <= 1e-14 * np.max(np.abs(mean)), kind
+        np.testing.assert_allclose(est.std_error, se, rtol=1e-10, atol=0.0)
+
+
+def test_span_values_are_the_per_sample_values():
+    # each sample's array-path gradient is exactly 0, u or v, as its indicators say
+    rng = np.random.default_rng(4)
+    w, ws = rng.standard_normal(6), rng.standard_normal(6)
+    x = block_normals(2, 0, 5000, 6)
+    on, star = x @ w > 0, x @ ws > 0
+    both = on & star
+    dots = (float(w @ w), float(w @ ws), float(ws @ ws))
+    semi = _relu_grad(x, w[None], ws[None], ("semi",))[0][:, 0]
+    i3 = mc._part_value("grad", "i3", w, ws, dots, x, on, star, None, None)
+    for part, vals in (("semi", semi), ("i3", i3)):
+        u, v = mc._span_values(part, w, ws, dots)
+        assert np.all(vals[~on] == 0.0), part
+        assert np.array_equal(vals[on & ~both], np.broadcast_to(u, vals[on & ~both].shape)), part
+        assert np.array_equal(vals[both], np.broadcast_to(v, vals[both].shape)), part
 
 
 def test_seminorm_gradient_example():
@@ -236,13 +316,13 @@ def test_grad_oracle_agreement_sweep():
 
 def test_fifty_pairs_million_samples_every_closed_form():
     # every closed-form gradient, 50 random basin pairs across d in
-    # {2, 8, 32}, million-sample estimates on two workers (bit-identical to
-    # one), 4 standard errors
+    # {2, 8, 32}, million-sample estimates in one call on two workers
+    # (bit-identical to one estimate at a time on one), 4 standard errors
     rng = np.random.default_rng(5150)
     forms = [("relu", "l2"), ("relu", "h1_semi"), ("relu", "h1"),
              ("relu_sq", "i1"), ("relu_sq", "i2"), ("relu_sq", "i3")]
     dims = (2, 8, 32)
-    worst_z = 0.0
+    cells, closed = [], []
     for i in range(45):
         model, kind = forms[i % len(forms)]
         dim = dims[i % len(dims)]
@@ -251,16 +331,17 @@ def test_fifty_pairs_million_samples_every_closed_form():
         e = rng.standard_normal(dim)
         e *= rng.uniform(0.1, 0.9) / np.linalg.norm(e)
         w = ws + e
-        est = mc_loss_and_grad(model, kind, w, ws,
-                               McConfig(n_samples=10**6, seed=7000 + i, dim=dim), threads=2)
-        closed = closed_form_grad(model, kind, w, ws)
-        worst_z = max(worst_z, float(np.max(np.abs(est.mean - closed) / est.std_error)))
+        cells.append((McConfig(n_samples=10**6, seed=7000 + i, dim=dim),
+                      (_persample(model, kind, w[None], ws[None], "grad"),)))
+        closed.append(closed_form_grad(model, kind, w, ws))
     for i in range(5):
         dim = 4
         W, Wstar = basin_node_pairs(rng, dim, 0.2, 0.8)
         kind = "l2" if i % 2 == 0 else "h1"
-        est = mc_multinode_grad(W, Wstar, kind, McConfig(n_samples=10**6, seed=8000 + i, dim=dim),
-                                threads=2)
-        closed = closed_form_grad("multinode", kind, W, Wstar)
-        worst_z = max(worst_z, float(np.max(np.abs(est.mean - closed) / est.std_error)))
+        cells.append((McConfig(n_samples=10**6, seed=8000 + i, dim=dim),
+                      (_persample("multinode", kind, W, Wstar, "grad"),)))
+        closed.append(closed_form_grad("multinode", kind, W, Wstar))
+    worst_z = 0.0
+    for [est], target in zip(_reduce_cells(cells, threads=2), closed):
+        worst_z = max(worst_z, float(np.max(np.abs(est.mean - target) / est.std_error)))
     assert worst_z <= 4.0, f"worst z-score {worst_z:.2f}"
