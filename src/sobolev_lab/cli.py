@@ -107,12 +107,19 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _threads(args) -> int:
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get(ENV_THREADS)
-        threads = int(env) if env else 1
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {args.threads}")
+        return args.threads
+    env = os.environ.get(ENV_THREADS)
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
     if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+        raise ValueError(f"{ENV_THREADS} must be an integer >= 1 (worker threads), got {env!r}")
     return threads
 
 
@@ -158,33 +165,33 @@ FLAG_HELP = {"seed": "base RNG seed (default 0)", "out_dir": "output directory (
 FLOW_KINDS = ["l2", "h1", "both"]
 
 
+# Students per stacked Hessian eigensolve in ``landscape``: a whole grid of
+# d x d matrices at once costs memory that grows with the grid, for no speed
+LANDSCAPE_BLOCK = 32
+
+
 def cmd_landscape(cfg: dict, out: Path) -> list[Path]:
     d = cfg["dim"]
     if d < 2:
         raise ValueError("landscape needs dim >= 2")
+    for key in ("norm_w", "norm_wstar"):
+        # a negative norm flips the pair's angle to pi - theta under the theta column
+        if not cfg[key] >= 0.0:
+            raise ValueError(f"{key} must be >= 0, got {cfg[key]}")
     n = cfg["theta_grid"]
+    thetas = np.arange(1, n + 1) * (math.pi / 2) / (n + 1)
+    ws = np.zeros((n, d))
+    ws[:, 0] = np.cos(thetas) * cfg["norm_w"]
+    ws[:, 1] = np.sin(thetas) * cfg["norm_w"]
+    wstar = np.zeros(d)
+    wstar[0] = cfg["norm_wstar"]
     rows = []
-    for i in range(1, n + 1):
-        theta = i * (math.pi / 2) / (n + 1)
-        w = np.zeros(d)
-        w[0] = math.cos(theta) * cfg["norm_w"]
-        w[1] = math.sin(theta) * cfg["norm_w"]
-        wstar = np.zeros(d)
-        wstar[0] = cfg["norm_wstar"]
-        rep = relu1.hessians(w, wstar)
-        geom = pair_geometry(w, wstar)
-        rows.append(
-            (
-                theta,
-                geom.alpha,
-                rep.kappa_l2,
-                rep.kappa_h1,
-                rep.spectrum_l2.lam_min,
-                rep.spectrum_h1.lam_min,
-                rep.spectrum_l2.lam_max,
-                rep.spectrum_h1.lam_max,
-            )
-        )
+    for lo in range(0, n, LANDSCAPE_BLOCK):
+        block = ws[lo : lo + LANDSCAPE_BLOCK]
+        rep = relu1.hessians(block, wstar)
+        rows += zip(thetas[lo : lo + LANDSCAPE_BLOCK], pair_geometry(block, wstar).alpha,
+                    rep.kappa_l2, rep.kappa_h1, rep.spectrum_l2.lam_min, rep.spectrum_h1.lam_min,
+                    rep.spectrum_l2.lam_max, rep.spectrum_h1.lam_max)
     path = out / "landscape.csv"
     _write_csv(path, ["theta", "alpha", "kappa_l2", "kappa_h1", "lam_min_l2", "lam_min_h1",
                       "lam_max_l2", "lam_max_h1"], rows)
@@ -192,16 +199,16 @@ def cmd_landscape(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_gd_compare(cfg: dict, out: Path) -> list[Path]:
+    factor = cfg["eta_factor"]
+    if not (math.isfinite(factor) and factor > 0.0):
+        raise ValueError(f"eta_factor must be positive and finite, got {factor}")
     rng = np.random.default_rng(cfg["seed"])
     ws, wstar = basin_pairs(rng, cfg["dim"], cfg["points"])
-    rows = []
-    for i, w in enumerate(ws):
-        pre = relu1.gd_compare(w, wstar, 1.0)  # probe C with any eta, then use it
-        eta = cfg["eta_factor"] * pre.max_step_c
-        rep = relu1.gd_compare(w, wstar, eta)
-        rows.append(
-            (i, pair_geometry(w, wstar).theta, rep.max_step_c, eta, rep.err_l2, rep.err_h1, rep.gain_f)
-        )
+    pre = relu1.gd_compare(ws, wstar, 1.0)  # probe C with any eta, then use it
+    eta = factor * pre.max_step_c
+    rep = relu1.gd_compare(ws, wstar, eta)
+    rows = zip(range(len(ws)), pair_geometry(ws, wstar).theta, rep.max_step_c, eta,
+               rep.err_l2, rep.err_h1, rep.gain_f)
     path = out / "gd_compare.csv"
     _write_csv(path, ["point_id", "theta", "max_step_c", "eta", "err_l2", "err_h1", "gain_f"], rows)
     return [path]
@@ -320,23 +327,22 @@ def cmd_toeplitz(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_sgd(cfg: dict, out: Path) -> list[Path]:
-    rows = []
-    for s in range(cfg["seeds"]):
-        for kind in ("l2", "h1"):
-            trace = sgd_mod.sgd_run(
-                sgd_mod.SgdConfig(
-                    dim=cfg["dim"],
-                    batch_size=cfg["batch"],
-                    n_train=cfg["n_train"],
-                    learning_rate=cfg["lr"],
-                    n_steps=cfg["steps"],
-                    seed=cfg["seed"] * 1000 + s,
-                    loss_kind=kind,
-                    log_every=cfg["log_every"],
-                )
-            )
-            for st, err, kap in zip(trace.steps, trace.err_sq, trace.kappa):
-                rows.append((s, kind, int(st), err, kap))
+    runs = [(s, kind) for s in range(cfg["seeds"]) for kind in ("l2", "h1")]
+    traces = sgd_mod.sgd_run([
+        sgd_mod.SgdConfig(
+            dim=cfg["dim"],
+            batch_size=cfg["batch"],
+            n_train=cfg["n_train"],
+            learning_rate=cfg["lr"],
+            n_steps=cfg["steps"],
+            seed=cfg["seed"] * 1000 + s,
+            loss_kind=kind,
+            log_every=cfg["log_every"],
+        )
+        for s, kind in runs
+    ])
+    rows = [(s, kind, int(st), err, kap) for (s, kind), trace in zip(runs, traces)
+            for st, err, kap in zip(trace.steps, trace.err_sq, trace.kappa)]
     path = out / "sgd.csv"
     _write_csv(path, ["seed", "kind", "step", "err_sq", "kappa"], rows)
     return [path]

@@ -1,4 +1,10 @@
-"""Dense eigendecompositions used as the numeric oracle for closed-form spectra."""
+"""Dense eigendecompositions used as the numeric oracle for closed-form spectra.
+
+Each solver takes one matrix (n, n) or a stack (m, n, n) and decomposes a
+stack in one call of numpy's stacked LAPACK routines.  Every matrix of a
+stack keeps its own checks, and its spectrum is bit for bit the one it
+gets alone.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +25,9 @@ class SpectrumReport:
     For symmetric input (``symmetric_eigs``) the eigenvectors are orthonormal
     and the residual ||A v - lam v|| is below 1e-10 ||A||.  ``real_eigs``
     reports the real spectrum of a mildly non-normal matrix; its eigenvectors
-    are unit-norm but in general not orthogonal.
+    are unit-norm but in general not orthogonal.  For a stack of m matrices
+    the eigenvalues are (m, n), the eigenvectors (m, n, n) and the extremes
+    (m,) arrays.
     """
 
     eigenvalues: np.ndarray
@@ -27,20 +35,33 @@ class SpectrumReport:
 
     @property
     def lam_max(self) -> float:
-        return float(self.eigenvalues[0])
+        return _float_or_stack(self.eigenvalues[..., 0])
 
     @property
     def lam_min(self) -> float:
-        return float(self.eigenvalues[-1])
+        return _float_or_stack(self.eigenvalues[..., -1])
 
 
-def _check_square(a: np.ndarray) -> np.ndarray:
+def _float_or_stack(x: np.ndarray):
+    return x if x.ndim else x.item()
+
+
+def _check_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix or stack as floats, and max(1, max|A|) of each matrix."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise SingularPointError("non-finite entries")
-    return a
+    return a, np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+
+
+def _descending(vals: np.ndarray, vecs: np.ndarray) -> SpectrumReport:
+    order = np.argsort(vals, axis=-1)[..., ::-1]
+    if order.ndim == 1:  # plain indexing: a fifth of take_along_axis's overhead
+        return SpectrumReport(eigenvalues=vals[order], eigenvectors=vecs[:, order])
+    return SpectrumReport(eigenvalues=np.take_along_axis(vals, order, -1),
+                          eigenvectors=np.take_along_axis(vecs, order[..., None, :], -1))
 
 
 def symmetric_eigs(a: np.ndarray) -> SpectrumReport:
@@ -52,14 +73,13 @@ def symmetric_eigs(a: np.ndarray) -> SpectrumReport:
     ``real_eigs``) raise ``SingularPointError``: they come from a closed form
     evaluated where it blows up, not from a bad input.
     """
-    a = _check_square(a)
-    scale = max(1.0, float(np.abs(a).max()))
-    asym = float(np.abs(a - a.T).max())
-    if asym > _SYM_TOL * scale:
-        raise ValueError(f"matrix is not symmetric: max|A-A^T| = {asym:.3e}")
-    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
-    order = np.argsort(vals)[::-1]
-    return SpectrumReport(eigenvalues=vals[order], eigenvectors=vecs[:, order])
+    a, scale = _check_square(a)
+    a_t = np.swapaxes(a, -1, -2)
+    asym = np.abs(a - a_t).max(axis=(-2, -1))
+    bad = asym > _SYM_TOL * scale
+    if bad.any():
+        raise ValueError(f"matrix is not symmetric: max|A-A^T| = {asym[bad][0]:.3e}")
+    return _descending(*np.linalg.eigh(0.5 * (a + a_t)))
 
 
 def real_eigs(a: np.ndarray) -> SpectrumReport:
@@ -70,11 +90,9 @@ def real_eigs(a: np.ndarray) -> SpectrumReport:
     Raises ``SingularPointError`` if any eigenvalue carries imaginary mass
     beyond ``_IMAG_TOL`` relative to the matrix magnitude.
     """
-    a = _check_square(a)
+    a, scale = _check_square(a)
     vals, vecs = np.linalg.eig(a)
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(vals.imag).max(initial=0.0)) > _IMAG_TOL * scale:
+    if np.any(np.abs(vals.imag).max(axis=-1, initial=0.0) > _IMAG_TOL * scale):
         raise SingularPointError("matrix has genuinely complex eigenvalues")
-    order = np.argsort(vals.real)[::-1]
-    vecs = vecs.real / np.linalg.norm(vecs.real, axis=0, keepdims=True)
-    return SpectrumReport(eigenvalues=vals.real[order], eigenvectors=vecs[:, order])
+    vecs = vecs.real / np.linalg.norm(vecs.real, axis=-2, keepdims=True)
+    return _descending(vals.real, vecs)

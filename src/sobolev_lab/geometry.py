@@ -31,7 +31,9 @@ class PairGeometry:
     when its value overflows).
     ``alpha_sin`` and ``alpha_sin_sq`` are the cancelled products
     ``alpha*sin(theta)`` and ``alpha*sin(theta)**2``; they are finite for
-    ``norm_w > 0`` even at ``theta == 0``.
+    ``norm_w > 0`` even at ``theta == 0``.  For a stack of pairs every
+    field, and each angle property, is an (m,) array; numpy's sin and cos
+    of an array are bit for bit libm's of each element on the hosts measured.
     """
 
     norm_w: float
@@ -43,11 +45,11 @@ class PairGeometry:
 
     @property
     def sin_theta(self) -> float:
-        return math.sin(self.theta)
+        return np.sin(self.theta) if np.ndim(self.theta) else math.sin(self.theta)
 
     @property
     def cos_theta(self) -> float:
-        return math.cos(self.theta)
+        return np.cos(self.theta) if np.ndim(self.theta) else math.cos(self.theta)
 
 
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
@@ -64,7 +66,12 @@ def _norm(x: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         sq = x.dot(x)
         return np.sqrt(sq) if _TINY <= sq <= _HUGE else np.float64(math.hypot(*x))
-    sq = np.add.reduce(x * x, axis=-1)
+    return _scale_safe_sqrt(x, np.add.reduce(x * x, axis=-1))
+
+
+def _scale_safe_sqrt(x: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """sqrt of the squared norms ``sq`` of the rows of ``x``, with ``math.hypot``
+    for each nonzero row whose square under- or overflowed."""
     norm = np.sqrt(sq)
     if _TINY <= sq.min() and sq.max() <= _HUGE:
         return norm
@@ -72,6 +79,20 @@ def _norm(x: np.ndarray) -> np.ndarray:
     unsafe[unsafe] = x[unsafe].any(axis=-1)
     norm[unsafe] = [math.hypot(*r) for r in x[unsafe]]
     return norm
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each bit for bit ``a.dot(b)`` of its
+    rows: a stacked (1, d) @ (d, 1) product takes the same BLAS dot per row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The one-vector ``_norm`` of each row of an (m, d) stack, bit for bit.
+
+    The caller silences the warning of a square that overflows.
+    """
+    return _scale_safe_sqrt(x, _dots(x, x))
 
 
 def _angle_norms(w: np.ndarray, wstar: np.ndarray):
@@ -122,32 +143,42 @@ def pair_geometry(w: np.ndarray, wstar: np.ndarray) -> PairGeometry:
 
     Requires matching dimensions and a nonzero teacher.  A zero student is
     allowed; its angle is reported as 0 and ``alpha`` as ``inf``.
+
+    ``w`` is one student (d,) or a stack (m, d); ``wstar`` is one teacher
+    (d,) or one per student (m, d).  For a stack every field is an (m,)
+    array, and each row's values are bit for bit those of its pair alone:
+    the norms come from row dot products and each angle from libm's atan2.
     """
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
-    if w.shape != wstar.shape:
+    if w.ndim not in (1, 2) or wstar.shape not in (w.shape, w.shape[-1:]):
         raise ValueError(f"dimension mismatch: {w.shape} vs {wstar.shape}")
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(wstar))):
+    if not (np.isfinite(w).all() and np.isfinite(wstar).all()):
         raise SingularPointError("non-finite entries")
-    theta, nw, ns = _angle_norms(w, wstar)
-    nw, ns = float(nw), float(ns)
-    if ns == 0.0:
-        raise ValueError("teacher vector must be nonzero")
-    s = math.sin(theta)
-    if nw == 0.0:
-        alpha = math.inf
-        alpha_sin = math.inf
-        alpha_sin_sq = math.inf
-    else:
-        alpha_sin = ns / (TWO_PI * nw)
-        alpha_sin_sq = ns * s / (TWO_PI * nw)
-        denom = TWO_PI * nw * s  # underflows to 0 at a subnormal angle
-        alpha = ns / denom if denom > 0.0 else math.inf
-    return PairGeometry(
-        norm_w=nw,
-        norm_wstar=ns,
-        theta=theta,
-        alpha=alpha,
-        alpha_sin=alpha_sin,
-        alpha_sin_sq=alpha_sin_sq,
-    )
+    d = w.shape[-1]
+    teachers = wstar.reshape(-1, d)
+    rows = w.reshape(-1, d)
+    k = len(teachers)
+    # an overflowing square norm is measured by hypot, and the quotients of a
+    # zero student (norm 0, angle 0) are inf, as documented
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        norms = _row_norms(np.concatenate([teachers, rows]))
+        ns, nw = norms[:k], norms[k:]
+        if not ns.all():
+            raise ValueError("teacher vector must be nonzero")
+        zero = nw == 0.0
+        u = rows / (nw + zero)[:, None]  # a zero student stays zero
+        v = teachers / ns[:, None]
+        sides = _row_norms(np.concatenate([u - v, u + v])).tolist()
+        # numpy's arctan2 differs from libm's in the last bit on some inputs
+        theta = np.array([2.0 * math.atan2(a, b) for a, b in zip(sides[:len(rows)], sides[len(rows):])])
+        theta[zero] = 0.0
+        s = np.sin(theta)
+        tw = TWO_PI * nw
+        alpha_sin = ns / tw
+        alpha_sin_sq = ns * s / tw
+        alpha_sin_sq[zero] = math.inf
+        alpha = ns / (tw * s)  # tw * s >= 0 underflows to 0 at a subnormal angle
+    if w.ndim == 1:
+        return PairGeometry(*(f.item(0) for f in (nw, ns, theta, alpha, alpha_sin, alpha_sin_sq)))
+    return PairGeometry(nw, np.broadcast_to(ns, nw.shape), theta, alpha, alpha_sin, alpha_sin_sq)

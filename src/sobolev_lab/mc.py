@@ -202,20 +202,25 @@ def _relu_grad(x: np.ndarray, W: np.ndarray, Wstar: np.ndarray, parts: tuple[str
       "l2":   r 1{w_j.x>0} x
       "semi": 1{w_j.x>0} (sum_k 1{w_k.x>0} w_k - sum_k 1{w*_k.x>0} w*_k)
     which for K = 1 are the single-node value and seminorm gradients.
+
+    Leading axes stack independent problems: x (..., B, d) with W and W*
+    (..., K, d) give parts (..., B, K, d), and each problem's slice is bit
+    for bit what its 2-d arrays give alone.
     """
-    pw = x @ W.T  # (B, K)
-    ps = x @ Wstar.T
+    pw = x @ np.swapaxes(W, -1, -2)  # (..., B, K)
+    ps = x @ np.swapaxes(Wstar, -1, -2)
     on = pw > 0
     out = []
     for p in parts:
         if p == "l2":
-            resid = np.maximum(pw, 0.0).sum(axis=1) - np.maximum(ps, 0.0).sum(axis=1)
-            out.append((resid[:, None] * on)[:, :, None] * x[:, None, :])
+            resid = np.maximum(pw, 0.0).sum(axis=-1) - np.maximum(ps, 0.0).sum(axis=-1)
+            out.append((resid[..., None] * on)[..., None] * x[..., :, None, :])
         else:
             # both node sums in one matmul over the 2K indicators
             iw = on.astype(float)
-            semi = np.concatenate([iw, ps > 0], axis=1) @ np.concatenate([W, -Wstar])
-            out.append(iw[:, :, None] * semi[:, None, :])
+            semi = (np.concatenate([iw, ps > 0], axis=-1)
+                    @ np.concatenate([W, -Wstar], axis=-2))
+            out.append(iw[..., None] * semi[..., None, :])
     return out
 
 

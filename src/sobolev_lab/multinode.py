@@ -118,13 +118,6 @@ def cyclic_students(t: np.ndarray) -> np.ndarray:
     return t[(k[None, :] - k[:, None]) % t.shape[0]]
 
 
-def planar_students(x: float, y: float, k: int) -> np.ndarray:
-    """Students of the planar parametrization: t = (x, y, ..., y) shifted."""
-    t = np.full(k, y, dtype=float)
-    t[0] = x
-    return cyclic_students(t)
-
-
 # --------------------------------------------------------------------------
 # planar reduction
 

@@ -16,6 +16,11 @@ with u = w*/|w*|, v = w/|w|, alpha = |w*|/(2 pi |w| sin(theta)).
 The ReLU derivative at 0 uses the subgradient choice 1{t>0}; the event has
 measure zero under Gaussian inputs.
 
+The Hessians, their spectra and the GD comparison take one student (d,) or
+a stack (m, d) against one teacher (d,), and return stacks with a leading
+axis of length m.  A row's value does not depend on its stack: each row of
+a stack is bit for bit the one-student result.
+
 Note: hess L is symmetric, but hess H as written carries the skew part
 alpha cos(theta) (v g^T - g v^T)/..., g = u - cos(theta) v.  It is a
 non-normal matrix with a real semisimple spectrum {1, 1 - alpha sin^2
@@ -37,7 +42,7 @@ import numpy as np
 
 from .eigs import SpectrumReport, real_eigs, symmetric_eigs
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, PairGeometry, _angle_norms, pair_geometry
+from .geometry import TWO_PI, PairGeometry, _angle_norms, _dots, pair_geometry
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,8 @@ class HessianReport:
 
     ``kappa_l2`` / ``kappa_h1`` are ``None`` (undefined) when the matching
     minimum eigenvalue is <= 0, i.e. outside the strict-convexity region.
+    For a stack of m students the matrices are (m, d, d), the spectra hold
+    stacks and each kappa is an (m,) array with nan where undefined.
     """
 
     hess_l2: np.ndarray
@@ -72,7 +79,8 @@ class GdCompareReport:
     ``gain_f = err_l2 - err_h1`` and ``max_step_c`` is the largest stepsize
     for which the squared-error improvement is guaranteed positive.  The
     guarantee holds only inside the basin; ``in_basin`` is False when the
-    report was computed outside it (values still returned).
+    report was computed outside it (values still returned).  For a stack
+    of m points every field has a leading axis of length m.
     """
 
     w_new_l2: np.ndarray
@@ -96,11 +104,8 @@ def _norms_theta(w: np.ndarray, wstar: np.ndarray):
     return nw, float(ns), theta
 
 
-def _gradients(w: np.ndarray, wstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """grad L and grad J at w (..., d), from one angle."""
-    w = np.asarray(w, dtype=float)
-    wstar = np.asarray(wstar, dtype=float)
-    nw, ns, theta = _norms_theta(w, wstar)
+def _gradients(w: np.ndarray, wstar: np.ndarray, nw, ns, theta) -> tuple[np.ndarray, np.ndarray]:
+    """grad L and grad J at w (..., d), from its norms and angle (one per row)."""
     t = theta[..., None] if w.ndim > 1 else theta
     ratio = (ns / nw)[..., None] if w.ndim > 1 else ns / nw
     gl = 0.5 * (w - wstar) + (t * wstar - ratio * np.sin(t) * w) / TWO_PI
@@ -116,7 +121,7 @@ def population_gradients(w: np.ndarray, wstar: np.ndarray) -> GradientBundle:
         raise ValueError("w and w* must be 1-d vectors of equal dimension")
     if not wstar.any():  # a norm would underflow to 0 below ~1e-154
         raise ValueError("teacher vector must be nonzero")
-    gl, gj = _gradients(w, wstar)
+    gl, gj = _gradients(w, wstar, *_norms_theta(w, wstar))
     return GradientBundle(grad_l2=gl, grad_seminorm=gj, grad_h1=gl + gj)
 
 
@@ -143,7 +148,9 @@ def flow_rhs(kind, w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
     or of both, integrate in one RK4 run.
     """
     h1 = _h1_rows(kind)
-    gl, gj = _gradients(w, wstar)
+    w = np.asarray(w, dtype=float)
+    wstar = np.asarray(wstar, dtype=float)
+    gl, gj = _gradients(w, wstar, *_norms_theta(w, wstar))
     return -np.where(h1, gl + gj, gl)
 
 
@@ -151,17 +158,23 @@ def flow_rhs(kind, w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
 # Hessians
 
 
+def _inverse_where_positive(x):
+    """1 / x where x > 0; elsewhere None for one pair and nan in a stack."""
+    if np.ndim(x) == 0:
+        return 1.0 / x if x > 0.0 else None
+    return np.divide(1.0, x, out=np.full_like(x, math.nan), where=x > 0.0)
+
+
 def condition_numbers(geom: PairGeometry) -> tuple[float | None, float | None]:
     """Closed-form condition numbers (kappa_L2, kappa_H1) from pair geometry.
 
-    Undefined (None) when the matching minimum eigenvalue 1/2 - 2 a s^2
-    resp. 1 - 3 a s^2 is <= 0, that is outside the strict-convexity region
-    S: sin(theta) < pi |w| / (2 |w*|) resp. S': sin(theta) < 2 pi |w| / (3 |w*|).
+    Undefined (None, or nan in a stack) when the matching minimum eigenvalue
+    1/2 - 2 a s^2 resp. 1 - 3 a s^2 is <= 0, that is outside the
+    strict-convexity region S: sin(theta) < pi |w| / (2 |w*|) resp.
+    S': sin(theta) < 2 pi |w| / (3 |w*|).
     """
     q = geom.alpha_sin_sq
-    kl = 1.0 / (1.0 - 4.0 * q) if 1.0 - 4.0 * q > 0.0 else None
-    kh = 1.0 / (1.0 - 3.0 * q) if 1.0 - 3.0 * q > 0.0 else None
-    return kl, kh
+    return _inverse_where_positive(1.0 - 4.0 * q), _inverse_where_positive(1.0 - 3.0 * q)
 
 
 def closed_form_eigs(geom: PairGeometry) -> dict[str, float]:
@@ -178,24 +191,38 @@ def closed_form_eigs(geom: PairGeometry) -> dict[str, float]:
 
 
 def hessian_matrices(w: np.ndarray, wstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble hess L and hess H exactly as defined (hess H is not symmetrized)."""
+    """Assemble hess L and hess H exactly as defined (hess H is not symmetrized).
+
+    ``w`` is one student (d,) or a stack (m, d) against one teacher (d,);
+    a stack gives (m, d, d) stacks, and each matrix is bit for bit the one
+    its row gives alone.
+    """
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
-    geom = pair_geometry(w, wstar)
-    if geom.norm_w == 0.0 or geom.sin_theta == 0.0:
+    return _hessian_matrices(w, wstar, pair_geometry(w, wstar))
+
+
+def _hessian_matrices(w: np.ndarray, wstar: np.ndarray, geom: PairGeometry):
+    """``hessian_matrices`` from the pair geometry ``geom`` of (w, w*)."""
+    if np.any(geom.norm_w == 0.0) or np.any(geom.sin_theta == 0.0):
         raise SingularPointError("Hessian formulas are singular at theta = 0 or w = 0")
-    d = w.shape[0]
+    d = w.shape[-1]
     if d < 2:
         raise ValueError("Hessians need dimension >= 2")
-    u = wstar / geom.norm_wstar
-    v = w / geom.norm_w
+    nw, ns, cos, sin, alpha = map(np.asarray, (geom.norm_w, geom.norm_wstar, geom.cos_theta,
+                                                geom.sin_theta, geom.alpha))
+    u = wstar / ns[..., None]
+    v = w / nw[..., None]
+    uu = u[..., :, None] * u[..., None, :]
     eye = np.eye(d)
-    proj = eye - np.outer(v, v)
-    s2 = geom.sin_theta**2
-    base_l = np.outer(u, u) - geom.cos_theta * np.outer(v, u) + s2 * eye
-    base_h = 2.0 * np.outer(u, u) - geom.cos_theta * np.outer(v, u) + s2 * eye
-    hl = 0.5 * eye - geom.alpha * (base_l @ proj)
-    hh = eye - geom.alpha * (base_h @ proj)
+    proj = eye - v[..., :, None] * v[..., None, :]
+    # libm's pow, as Python's float ** takes it; numpy's square rounds
+    # differently in the last bit on about 1 input in 1000
+    s2_eye = np.float_power(sin, 2)[..., None, None] * eye
+    cos_vu = cos[..., None, None] * (v[..., :, None] * u[..., None, :])
+    alpha = alpha[..., None, None]
+    hl = 0.5 * eye - alpha * ((uu - cos_vu + s2_eye) @ proj)
+    hh = eye - alpha * ((2.0 * uu - cos_vu + s2_eye) @ proj)
     return hl, hh
 
 
@@ -204,10 +231,13 @@ def hessians(w: np.ndarray, wstar: np.ndarray) -> HessianReport:
 
     The L2 Hessian must come out symmetric (checked to 1e-12); the H1
     Hessian is deliberately left with its skew part and decomposed with the
-    general real eigensolver.
+    general real eigensolver.  A stack of students (m, d) gives a report of
+    stacks, one row per student, each bit for bit its student's report.
     """
-    hl, hh = hessian_matrices(w, wstar)
+    w = np.asarray(w, dtype=float)
+    wstar = np.asarray(wstar, dtype=float)
     geom = pair_geometry(w, wstar)
+    hl, hh = _hessian_matrices(w, wstar, geom)
     spec_l = symmetric_eigs(hl)
     spec_h = real_eigs(hh)
     kl, kh = condition_numbers(geom)
@@ -295,33 +325,42 @@ def gd_quadratic_forms(theta: float) -> tuple[np.ndarray, ...]:
 # one-step GD comparison
 
 
-def gd_compare(w: np.ndarray, wstar: np.ndarray, eta: float) -> GdCompareReport:
+def gd_compare(w: np.ndarray, wstar: np.ndarray, eta) -> GdCompareReport:
     """Take one GD step of stepsize eta under L2 and under H1 and compare errors.
 
     ``max_step_c = -2 grad J . (w - w*) / (|grad L|^2 - |grad H|^2)``; for
     0 < eta < C the squared H1-error is strictly below the squared L2-error
     whenever w != w* lies in the basin.  Outside the basin the numbers are
     still computed but the guarantee is void (``in_basin`` False).
+
+    ``w`` is one point (d,) or a stack (m, d) against one teacher (d,), and
+    ``eta`` one stepsize or one per row.  A stack gives a report of stacks,
+    each row bit for bit the report of its point alone.
     """
-    if eta <= 0.0:
+    eta = np.asarray(eta, dtype=float)
+    if np.any(eta <= 0.0):
         raise ValueError("stepsize must be positive")
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
-    b = population_gradients(w, wstar)
-    w_new_l2 = w - eta * b.grad_l2
-    w_new_h1 = w - eta * b.grad_h1
-    err_l2 = float(np.linalg.norm(w_new_l2 - wstar))
-    err_h1 = float(np.linalg.norm(w_new_h1 - wstar))
-    num = -2.0 * float(b.grad_seminorm @ (w - wstar))
-    den = float(b.grad_l2 @ b.grad_l2) - float(b.grad_h1 @ b.grad_h1)
-    max_step_c = num / den if den != 0.0 else math.inf
-    in_basin = float(np.linalg.norm(w - wstar)) < float(np.linalg.norm(wstar))
-    return GdCompareReport(
-        w_new_l2=w_new_l2,
-        w_new_h1=w_new_h1,
-        err_l2=err_l2,
-        err_h1=err_h1,
-        gain_f=err_l2 - err_h1,
-        max_step_c=max_step_c,
-        in_basin=in_basin,
-    )
+    geom = pair_geometry(w, wstar)
+    if np.any(geom.norm_w == 0.0):
+        raise SingularPointError("closed-form gradients are singular at w = 0")
+    gl, gj = _gradients(w, wstar, geom.norm_w, geom.norm_wstar, geom.theta)
+    gh = gl + gj
+    step = eta[..., None] if eta.ndim else eta
+    w_new_l2 = w - step * gl
+    w_new_h1 = w - step * gh
+    e, e_l2, e_h1 = w - wstar, w_new_l2 - wstar, w_new_h1 - wstar
+    # each norm as np.linalg.norm takes it: the square root of a dot product
+    err_l2 = np.sqrt(_dots(e_l2, e_l2))
+    err_h1 = np.sqrt(_dots(e_h1, e_h1))
+    num = -2.0 * _dots(gj, e)
+    den = _dots(gl, gl) - _dots(gh, gh)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        max_step_c = np.where(den != 0.0, num / den, math.inf)
+    in_basin = np.sqrt(_dots(e, e)) < np.sqrt(_dots(wstar, wstar))
+    fields = {"err_l2": err_l2, "err_h1": err_h1, "gain_f": err_l2 - err_h1,
+              "max_step_c": max_step_c, "in_basin": in_basin}
+    if w.ndim == 1:
+        fields = {key: val.item() for key, val in fields.items()}
+    return GdCompareReport(w_new_l2=w_new_l2, w_new_h1=w_new_h1, **fields)

@@ -7,14 +7,17 @@ so they match the population conventions, i.e. both terms carry the 1/2
 factor, and the analytic condition-number formulas apply unchanged along
 the trajectory.
 
-The dataset is drawn once per run; minibatches are sampled without
-replacement within each epoch (fresh shuffle per epoch).
+The dataset is drawn once per seed; minibatches are sampled without
+replacement within each epoch (fresh shuffle per epoch).  Any number of
+runs that share every setting but seed and loss kind step together as one
+ensemble: each step is one pass over stacks with a leading runs axis, and
+no run's numbers depend on the others in its ensemble.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,51 +63,72 @@ class SgdTrace:
     wstar: np.ndarray
 
 
-def _kappa_at(w: np.ndarray, wstar: np.ndarray, kind: str) -> float:
-    geom = pair_geometry(w, wstar)
-    kl, kh = condition_numbers(geom)
-    val = kl if kind == "l2" else kh
-    return val if val is not None else math.nan
+def sgd_run(cfg: SgdConfig | Sequence[SgdConfig]) -> SgdTrace | list[SgdTrace]:
+    """Run SGD per the config and log error/conditioning every ``log_every`` steps.
 
+    A sequence of configs that differ only in seed and loss kind runs as one
+    ensemble, stepped as stacks of shape (runs, ...), and gives one trace per
+    config.  Configs with one seed share its draws (w*, w0, the dataset and
+    every shuffle), which are drawn once; each trace is bit for bit the one
+    its config gives alone.  The first step at which any run leaves the
+    finite floats raises ``BlowUpError``.
+    """
+    cfgs = [cfg] if isinstance(cfg, SgdConfig) else list(cfg)
+    first = cfgs[0]
+    if any(replace(c, seed=first.seed, loss_kind=first.loss_kind) != first for c in cfgs):
+        raise ValueError("an SGD ensemble's configs may differ only in seed and loss_kind")
+    seeds = list(dict.fromkeys(c.seed for c in cfgs))
+    run_seed = np.array([seeds.index(c.seed) for c in cfgs])
+    h1 = np.array([c.loss_kind.lower() == "h1" for c in cfgs])
+    n, dim, batch = first.n_train, first.dim, first.batch_size
 
-def sgd_run(cfg: SgdConfig) -> SgdTrace:
-    """Run SGD per the config and log error/conditioning every ``log_every`` steps."""
-    kind = cfg.loss_kind.lower()
-    rng = np.random.default_rng(cfg.seed)
-    wstar = rng.standard_normal(cfg.dim)
-    wstar /= np.linalg.norm(wstar)
-    e = rng.standard_normal(cfg.dim)
-    e *= cfg.init_radius / np.linalg.norm(e)
-    w = wstar + e
-    X = rng.standard_normal((cfg.n_train, cfg.dim))
-    Wstar = wstar[None]
-    parts = _FORMS["relu"][kind]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    wstar = np.empty((len(seeds), dim))
+    w0 = np.empty((len(seeds), dim))
+    X = np.empty((len(seeds), n, dim))
+    for rng, ws, w, x in zip(rngs, wstar, w0, X):
+        ws[:] = rng.standard_normal(dim)
+        ws /= np.linalg.norm(ws)
+        e = rng.standard_normal(dim)
+        e *= first.init_radius / np.linalg.norm(e)
+        w[:] = ws + e
+        rng.standard_normal((n, dim), out=x)
+    wstar, w = wstar[run_seed], w0[run_seed]
+    Wstar = wstar[:, None]
 
-    order = rng.permutation(cfg.n_train)
+    def shuffles():
+        return np.stack([rng.permutation(n) for rng in rngs])[run_seed]
+
+    def log(step):
+        with np.errstate(over="ignore"):  # an overflow is reported as a blow-up below
+            err = np.sum((w - wstar) ** 2, axis=-1)
+        if not np.all(np.isfinite(err)):
+            raise BlowUpError(f"SGD error overflowed at step {step}", time=float(step))
+        kl, kh = condition_numbers(pair_geometry(w, wstar))
+        steps.append(step)
+        errs.append(err)
+        kappas.append(np.where(h1, kh, kl))
+
+    order = shuffles()
     pos = 0
-    steps, errs, kappas = [0], [float(np.sum((w - wstar) ** 2))], [_kappa_at(w, wstar, kind)]
-    for step in range(1, cfg.n_steps + 1):
-        if pos + cfg.batch_size > cfg.n_train:
-            order = rng.permutation(cfg.n_train)
+    steps, errs, kappas = [], [], []
+    log(0)
+    for step in range(1, first.n_steps + 1):
+        if pos + batch > n:
+            order = shuffles()
             pos = 0
-        batch = X[order[pos : pos + cfg.batch_size]]
-        pos += cfg.batch_size
-        grad = sum(g.mean(axis=0) for g in _relu_grad(batch, w[None], Wstar, parts))[0]
-        w = w - cfg.learning_rate * grad
+        x = X[run_seed[:, None], order[:, pos : pos + batch]]  # (runs, batch, dim)
+        pos += batch
+        # a diverging run overflows on its way out; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_l2, g_semi = (g.mean(axis=1)[:, 0]
+                            for g in _relu_grad(x, w[:, None], Wstar, _FORMS["relu"]["h1"]))
+            w = w - first.learning_rate * np.where(h1[:, None], g_l2 + g_semi, g_l2)
         if not np.all(np.isfinite(w)):
             raise BlowUpError(f"SGD diverged at step {step}", time=float(step))
-        if step % cfg.log_every == 0 or step == cfg.n_steps:
-            with np.errstate(over="ignore"):  # an overflow is reported as a blow-up below
-                err = float(np.sum((w - wstar) ** 2))
-            if not math.isfinite(err):
-                raise BlowUpError(f"SGD error overflowed at step {step}", time=float(step))
-            steps.append(step)
-            errs.append(err)
-            kappas.append(_kappa_at(w, wstar, kind))
-    return SgdTrace(
-        steps=np.asarray(steps),
-        err_sq=np.asarray(errs),
-        kappa=np.asarray(kappas),
-        w_final=w,
-        wstar=wstar,
-    )
+        if step % first.log_every == 0 or step == first.n_steps:
+            log(step)
+    errs, kappas = np.array(errs), np.array(kappas)
+    traces = [SgdTrace(steps=np.asarray(steps), err_sq=errs[:, r], kappa=kappas[:, r],
+                       w_final=w[r], wstar=wstar[r]) for r in range(len(cfgs))]
+    return traces[0] if isinstance(cfg, SgdConfig) else traces

@@ -8,6 +8,7 @@ import pytest
 
 from sobolev_lab import cli, multinode as mn
 from sobolev_lab.cli import _write_csv, main, summarize
+from sobolev_lab.sgd import SgdConfig, sgd_run
 
 
 def run(*argv):
@@ -181,7 +182,16 @@ def test_validation_failures_exit_2(tmp_path, capsys, monkeypatch):
                  ("multinode", "--k-list", "1"),
                  ("verify-gradients", "--trials", "0"),
                  ("verify-gradients", "--n-min", "5", "--n-max", "3"),
-                 ("sgd", "--batch", "0", "--seeds", "1", "--steps", "3")):
+                 ("sgd", "--batch", "0", "--seeds", "1", "--steps", "3"),
+                 # a stepsize factor that is not positive and finite
+                 ("gd-compare", "--points", "3", "--eta-factor", "inf"),
+                 ("gd-compare", "--points", "3", "--eta-factor", "nan"),
+                 ("gd-compare", "--points", "3", "--eta-factor", "0"),
+                 ("gd-compare", "--points", "3", "--eta-factor", "-1"),
+                 # a negative norm would put pi - theta under the theta column
+                 ("landscape", "--theta-grid", "2", "--norm-w", "-1"),
+                 ("landscape", "--theta-grid", "2", "--norm-wstar", "-1"),
+                 ("landscape", "--theta-grid", "2", "--norm-w", "nan")):
         assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
         assert not (tmp_path / "e" / "manifest.json").exists(), argv
     capsys.readouterr()
@@ -208,6 +218,7 @@ def test_validation_failures_exit_2(tmp_path, capsys, monkeypatch):
     for extra, env, named in ((("--threads", "0"), None, ("threads",)),
                               (("--threads", "-3"), None, ("threads",)),
                               ((), "0", ("threads",)),
+                              ((), "x", (cli.ENV_THREADS, "integer >= 1")),
                               (("--forms", "relu"), None, ("'relu'", "model:kind")),
                               (("--forms", "relu:l2,relu_sq:i1:i2"), None,
                                ("'relu_sq:i1:i2'", "model:kind"))):
@@ -308,6 +319,21 @@ def test_sgd_and_linear_and_toeplitz_subcommands(tmp_path):
     assert len(trows) == 3
     # the exact Jacobian carries couplings the idealized matrix drops
     assert float(trows[0]["h1_vs_2l2_maxdiff"]) > 0.1
+
+
+def test_sgd_rows_are_the_lone_runs(tmp_path):
+    # the subcommand steps every (seed, kind) run as one ensemble
+    assert run("sgd", "--seeds", "2", "--steps", "60", "--n-train", "200", "--batch", "16",
+               "--dim", "5", "--log-every", "7", "--seed", "3", "--out-dir", str(tmp_path)) == 0
+    expected = []
+    for s in range(2):
+        for kind in ("l2", "h1"):
+            trace = sgd_run(SgdConfig(dim=5, batch_size=16, n_train=200, learning_rate=1e-2,
+                                      n_steps=60, seed=3000 + s, loss_kind=kind, log_every=7))
+            expected += [[str(s), kind, str(st), cli._fmt(e), cli._fmt(k)]
+                         for st, e, k in zip(trace.steps, trace.err_sq, trace.kappa)]
+    with open(tmp_path / "sgd.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == expected
 
 
 def test_relusq_subcommand_descent_holds(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sobolev_lab.eigs import real_eigs, symmetric_eigs
+from sobolev_lab.exceptions import SingularPointError
 
 
 def test_identity_spectrum():
@@ -60,3 +61,36 @@ def test_real_eigs_on_nonnormal_matrix_with_real_spectrum():
 def test_real_eigs_rejects_rotation():
     with pytest.raises(ValueError, match="complex"):
         real_eigs(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
+def test_stacked_spectra_are_the_one_matrix_spectra():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 9, 9))
+    sym = 0.5 * (a + np.swapaxes(a, -1, -2))
+    # real spectra of non-normal matrices: similarity transforms of diagonals
+    q = np.eye(9) + 0.3 * rng.standard_normal((6, 9, 9))
+    nonnormal = q @ (rng.uniform(-2.0, 2.0, (6, 9))[:, :, None] * np.linalg.inv(q))
+    for solve, stack in ((symmetric_eigs, sym), (real_eigs, nonnormal)):
+        rep = solve(stack)
+        assert rep.eigenvalues.shape == (6, 9) and rep.eigenvectors.shape == (6, 9, 9)
+        for i, m in enumerate(stack):
+            one = solve(m)
+            assert np.array_equal(rep.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(rep.eigenvectors[i], one.eigenvectors)
+            assert rep.lam_max[i] == one.lam_max and rep.lam_min[i] == one.lam_min
+
+
+def test_stacks_check_every_matrix():
+    good = np.stack([np.eye(3), np.diag([3.0, 2.0, 1.0])])
+    bad_entry = good.copy()
+    bad_entry[1, 0, 2] = np.inf
+    for solve in (symmetric_eigs, real_eigs):
+        with pytest.raises(SingularPointError, match="non-finite"):
+            solve(bad_entry)
+    asym = good.copy()
+    asym[1, 0, 2] = 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
+        symmetric_eigs(asym)
+    rotation = np.stack([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])])
+    with pytest.raises(SingularPointError, match="complex"):
+        real_eigs(rotation)

@@ -128,3 +128,28 @@ def test_stacked_norm_mixes_zero_tiny_huge_and_ordinary_rows():
     for norm, (in_stack, vector) in zip(norms, alone):
         assert norm == in_stack == vector
     np.testing.assert_array_equal(stacked, norms[None, :])
+
+
+def test_stacked_pair_geometry_rows_are_the_one_pair_values():
+    # bit for bit, over zero, tiny, huge, collinear, opposite and right-angle
+    # students, against one teacher and against one teacher per row
+    rng = np.random.default_rng(8)
+    ws = np.array([0.6, -0.8, 0.0])
+    rows = np.stack([rng.standard_normal(3), np.zeros(3), 1e-300 * rng.standard_normal(3),
+                     1e300 * rng.standard_normal(3), 2.0 * ws, -3.0 * ws, np.array([0.8, 0.6, 0.5])])
+    teachers = rng.standard_normal(rows.shape)
+    for teacher in (ws, teachers):
+        g = pair_geometry(rows, teacher)
+        for i, w in enumerate(rows):
+            one = pair_geometry(w, teacher if teacher.ndim == 1 else teacher[i])
+            for field in ("norm_w", "norm_wstar", "theta", "alpha", "alpha_sin", "alpha_sin_sq",
+                          "sin_theta", "cos_theta"):
+                assert np.array_equal(getattr(g, field)[i], getattr(one, field)), (i, field)
+            # and the angle and norms of the flow fields' one-vector path
+            with np.errstate(over="ignore"):  # its dot product of the huge row overflows
+                flow_path = _angle_norms(w, teacher if teacher.ndim == 1 else teacher[i])
+            assert (one.theta, one.norm_w, one.norm_wstar) == flow_path, i
+    with pytest.raises(ValueError, match="dimension"):
+        pair_geometry(rows, teachers[:2])
+    with pytest.raises(ValueError, match="nonzero"):
+        pair_geometry(rows[:2], np.stack([ws, np.zeros(3)]))

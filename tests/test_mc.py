@@ -292,6 +292,17 @@ def test_first_order_kernel_matches_per_node_loop():
         np.testing.assert_allclose(semi[:, j], on * total, rtol=0.0, atol=1e-14)
 
 
+def test_first_order_kernel_with_leading_axes_is_its_2d_slices():
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((3, 2, 50, 4))
+    W, Wstar = rng.standard_normal((3, 2, 2, 4)), rng.standard_normal((3, 2, 2, 4))
+    stacked = _relu_grad(x, W, Wstar, ("l2", "semi"))
+    for idx in np.ndindex(3, 2):
+        for part, alone in zip(stacked, _relu_grad(x[idx], W[idx], Wstar[idx], ("l2", "semi"))):
+            assert part.shape == (3, 2, 50, 2, 4)
+            assert np.array_equal(part[idx], alone), idx
+
+
 def test_one_node_multinode_estimate_is_the_relu_estimate():
     # one first-order kernel serves both estimators; with K = 1 they coincide
     w = np.array([0.3, -1.0, 0.5])

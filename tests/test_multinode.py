@@ -76,13 +76,20 @@ def test_cyclic_closure_of_gradients():
                 assert np.abs(g[j] - np.roll(g[0], j)).max() <= 1e-12
 
 
+def planar_students(x: float, y: float, k: int) -> np.ndarray:
+    """Students of the planar parametrization: t = (x, y, ..., y) shifted."""
+    t = np.full(k, y, dtype=float)
+    t[0] = x
+    return mn.cyclic_students(t)
+
+
 def test_reduced_field_is_projection_of_full_gradient():
     rng = np.random.default_rng(5)
     for k in (2, 3, 5, 32):
         for _ in range(10):
             x = rng.uniform(0.3, 1.0)
             y = rng.uniform(0.0, x - 0.05)
-            W = mn.planar_students(x, y, k)
+            W = planar_students(x, y, k)
             g = mn.multinode_gradients(W, np.eye(k), "l2")
             xdot, ydot = mn.reduced_flow_field("l2", k)(np.array([x, y]))
             assert abs(g[0, 0] - xdot) <= 1e-10

@@ -233,6 +233,89 @@ def test_hessians_reject_singular_and_1d_inputs():
         relu1.hessians(np.array([1.0]), np.array([2.0]))
 
 
+def _mixed_stack(rng, d):
+    """A teacher and students at random, near-collinear, tiny, huge and
+    right-angle positions, each row at a different scale of the same kind."""
+    ws = rng.standard_normal(d)
+    ws /= np.linalg.norm(ws)
+    rows = [basin_pair(rng, d)[0] for _ in range(4)]
+    rows += [(1.0 + 0.3 * k) * ws + 10.0 ** (-3 - k) * rng.standard_normal(d) for k in range(2)]
+    rows += [1e-160 * rng.standard_normal(d), 1e153 * rng.standard_normal(d)]
+    perp = rng.standard_normal(d)
+    perp -= (perp @ ws) * ws
+    rows.append(perp)  # theta = pi/2 up to rounding
+    return np.array(rows), ws
+
+
+@pytest.mark.parametrize("d", [2, 6, 32])
+def test_stacked_rows_are_the_one_vector_calls(d):
+    # bit for bit: each row of a stack gives the numbers it gives alone
+    ws_stack, ws = _mixed_stack(np.random.default_rng(d), d)
+    hl, hh = relu1.hessian_matrices(ws_stack, ws)
+    rep = relu1.hessians(ws_stack, ws)
+    eta = np.linspace(0.1, 1.0, len(ws_stack))
+    gd = relu1.gd_compare(ws_stack, ws, eta)
+    for i, w in enumerate(ws_stack):
+        one_l, one_h = relu1.hessian_matrices(w, ws)
+        assert np.array_equal(hl[i], one_l) and np.array_equal(hh[i], one_h), i
+        one = relu1.hessians(w, ws)
+        for stacked, alone in ((rep.spectrum_l2, one.spectrum_l2), (rep.spectrum_h1, one.spectrum_h1)):
+            assert np.array_equal(stacked.eigenvalues[i], alone.eigenvalues), i
+            assert np.array_equal(stacked.eigenvectors[i], alone.eigenvectors), i
+        for stacked, alone in ((rep.kappa_l2, one.kappa_l2), (rep.kappa_h1, one.kappa_h1)):
+            assert (math.isnan(stacked[i]) and alone is None) or stacked[i] == alone, i
+        one_gd = relu1.gd_compare(w, ws, eta[i])
+        for field in ("w_new_l2", "w_new_h1", "err_l2", "err_h1", "gain_f", "max_step_c", "in_basin"):
+            assert np.array_equal(getattr(gd, field)[i], getattr(one_gd, field)), (i, field)
+
+
+def _one_pair_reference(w, ws, eta):
+    """Hessians and GD numbers of one pair from Python-float scalars, np.outer,
+    np.linalg.norm and the flow path's gradients: the arithmetic that every
+    row of a stack must reproduce bit for bit."""
+    g = pair_geometry(w, ws)
+    u, v = ws / g.norm_wstar, w / g.norm_w
+    eye = np.eye(len(w))
+    proj = eye - np.outer(v, v)
+    s2 = g.sin_theta**2
+    hl = 0.5 * eye - g.alpha * ((np.outer(u, u) - g.cos_theta * np.outer(v, u) + s2 * eye) @ proj)
+    hh = eye - g.alpha * ((2.0 * np.outer(u, u) - g.cos_theta * np.outer(v, u) + s2 * eye) @ proj)
+    b = relu1.population_gradients(w, ws)
+    num = -2.0 * float(b.grad_seminorm @ (w - ws))
+    den = float(b.grad_l2 @ b.grad_l2) - float(b.grad_h1 @ b.grad_h1)
+    errs = [float(np.linalg.norm(w - eta * grad - ws)) for grad in (b.grad_l2, b.grad_h1)]
+    return hl, hh, errs, num / den
+
+
+def test_stacked_rows_keep_the_one_pair_arithmetic():
+    # numpy's square and libm's pow (Python's float **) differ in the last bit
+    # on about 1 input in 1000, as numpy's arctan2 and libm's atan2 do on more:
+    # the stack holds such angles, and every row must take libm's value
+    rng = np.random.default_rng(77)
+    ws = np.array([0.6, 0.8])
+    stack = ws + rng.uniform(0.1, 0.9, (4000, 1)) * rng.standard_normal((4000, 2))
+    sin = pair_geometry(stack, ws).sin_theta
+    assert np.any(np.array([math.sin(t) ** 2 for t in pair_geometry(stack, ws).theta]) != sin * sin)
+    eta = np.full(len(stack), 0.7)
+    hl, hh = relu1.hessian_matrices(stack, ws)
+    gd = relu1.gd_compare(stack, ws, eta)
+    for i, w in enumerate(stack):
+        ref_l, ref_h, (err_l2, err_h1), c = _one_pair_reference(w, ws, eta[i])
+        assert np.array_equal(hl[i], ref_l) and np.array_equal(hh[i], ref_h), i
+        assert (gd.err_l2[i], gd.err_h1[i], gd.max_step_c[i]) == (err_l2, err_h1, c), i
+
+
+def test_stacked_hessians_reject_a_singular_row():
+    ws = np.array([1.0, 0.0, 0.0])
+    stack = np.array([[0.3, 0.9, 0.1], [2.0, 0.0, 0.0], [0.5, -0.4, 0.2]])
+    with pytest.raises(SingularPointError):
+        relu1.hessians(stack, ws)
+    with pytest.raises(SingularPointError):
+        relu1.gd_compare(np.array([[0.3, 0.9, 0.1], [0.0, 0.0, 0.0]]), ws, 0.5)
+    with pytest.raises(ValueError, match="positive"):
+        relu1.gd_compare(stack, ws, np.array([0.1, 0.0, 0.2]))
+
+
 def test_kappa_undefined_outside_convexity_region():
     # sin(theta)|w*|/|w| beyond pi/2 pushes the L2 minimum eigenvalue below 0
     w, ws = unit_pair_at_angle(1.2, norm_w=0.5, norm_wstar=2.0)

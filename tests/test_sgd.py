@@ -48,6 +48,20 @@ def test_kappa_traces_ordered_at_matched_steps():
         assert np.all(th.kappa[both] <= tl.kappa[both] + 1e-12)
 
 
+@pytest.mark.parametrize("dim,batch", [(8, 32), (1, 5)])
+def test_ensemble_traces_are_the_lone_runs(dim, batch):
+    # both kinds of a seed share its draws; every trace is bit for bit its lone run
+    cfgs = [cfg(dim=dim, batch_size=batch, n_train=300, n_steps=90, seed=s, loss_kind=k)
+            for s in (4, 0) for k in ("h1", "l2")]
+    for c, trace in zip(cfgs, sgd_run(cfgs)):
+        alone = sgd_run(c)
+        assert np.array_equal(trace.steps, alone.steps)
+        assert np.array_equal(trace.err_sq, alone.err_sq)
+        assert np.array_equal(trace.kappa, alone.kappa, equal_nan=True)
+        assert np.array_equal(trace.w_final, alone.w_final)
+        assert np.array_equal(trace.wstar, alone.wstar)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         cfg(loss_kind="h2")
@@ -59,3 +73,5 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SgdConfig(dim=4, batch_size=8, n_train=100, learning_rate=0.1,
                   n_steps=10, seed=0, loss_kind="l2", init_radius=1.5)
+    with pytest.raises(ValueError, match="ensemble"):
+        sgd_run([cfg(), cfg(seed=1, loss_kind="h1"), cfg(learning_rate=0.1)])
