@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, criteria, mc, multinode as mn, relu1, relusq, sgd as sgd_mod
 from .chebdiff import cheb_diff_matrix, cheb_points
 from .exceptions import BlowUpError, SingularPointError
-from .geometry import basin_pairs, pair_geometry
+from .geometry import _plane_coordinates, basin_pairs, pair_geometry
 from .linear import LinearProblem, conditioning, variance_study
 from .ode import rk4_integrate
 
@@ -216,15 +216,21 @@ def cmd_gd_compare(cfg: dict, out: Path) -> list[Path]:
 
 def _flow_rows(labels: list[str], make_field, w0: np.ndarray, wstar: np.ndarray,
                cfg: dict) -> list[tuple]:
-    """Integrate every row of w0 under every label as one stacked run; rows
-    (init_id, label, t, v) sorted by (init_id, label).
+    """Integrate every row of w0 under every label as one stacked run in the
+    plane span{w0, w*}; rows (init_id, label, t, v) sorted by (init_id, label).
 
-    ``make_field`` takes the label of each stacked row (w0 tiled once per
-    label, in ``labels`` order) and returns the ensemble's field.
+    Every single-node gradient is a combination of w and w*, so each
+    trajectory stays in that plane.  Each start maps to plane coordinates
+    p0 = (w0.u, |w0 - (w0.u) u|), u = w*/|w*|, and the teacher to
+    p* = (|w*|, 0); the (m, 2) ensemble is integrated and V = |p - p*|^2,
+    which equals |w - w*|^2, recorded.  ``make_field`` takes the label of
+    each stacked row (p0 tiled once per label, in ``labels`` order) and
+    |w*|, and returns the ensemble's plane field.
     """
     m = w0.shape[0]
-    trace = rk4_integrate(make_field(np.repeat(labels, m)), np.tile(w0, (len(labels), 1)),
-                          cfg["step"], cfg["t_end"], wstar, record_every=cfg["record_every"])
+    p0, pstar = _plane_coordinates(w0, wstar)
+    trace = rk4_integrate(make_field(np.repeat(labels, m), pstar[0]), np.tile(p0, (len(labels), 1)),
+                          cfg["step"], cfg["t_end"], pstar, record_every=cfg["record_every"])
     v = trace.v_values.reshape(len(trace.times), len(labels), m)
     by_label = sorted(range(len(labels)), key=labels.__getitem__)
     return [(init_id, labels[j], t, vj) for init_id in range(m) for j in by_label
@@ -235,8 +241,7 @@ def cmd_flow(cfg: dict, out: Path) -> list[Path]:
     kinds = ["l2", "h1"] if cfg["kind"] == "both" else [cfg["kind"]]
     rng = np.random.default_rng(cfg["seed"])
     w0, wstar = basin_pairs(rng, cfg["dim"], cfg["inits"])
-    rows = _flow_rows(kinds, lambda row_kinds: lambda s: relu1.flow_rhs(row_kinds, s, wstar),
-                      w0, wstar, cfg)
+    rows = _flow_rows(kinds, relu1.plane_flow_field, w0, wstar, cfg)
     path = out / "flow.csv"
     _write_csv(path, ["init_id", "kind", "t", "v"], rows)
     return [path]
@@ -248,17 +253,14 @@ RELUSQ_VARIANTS = {"h2": ("i1", "i2", "i3"), "i1": ("i1",)}
 def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
     rng = np.random.default_rng(cfg["seed"])
     ws, wstar = basin_pairs(rng, cfg["dim"], cfg["points"])
-    rows = []
-    for i, w in enumerate(ws):
-        b = relusq.h2_gradients(w, wstar)
-        e = w - wstar
-        rows.append((i, -float(e @ b.grad_i1), -float(e @ b.grad_i2), -float(e @ b.grad_i3)))
+    ips = relusq.descent_inner_products(ws, wstar)
     descent_path = out / "relusq_descent.csv"
-    _write_csv(descent_path, ["point_id", "ip1", "ip2", "ip3"], rows)
+    _write_csv(descent_path, ["point_id", "ip1", "ip2", "ip3"],
+               ((i, *row) for i, row in enumerate(ips)))
 
     w0, wstar2 = basin_pairs(rng, cfg["dim"], cfg["inits"], rmin=0.1, rmax=0.7)
-    rows = _flow_rows(list(RELUSQ_VARIANTS), lambda variants: relusq.h2_flow_field(
-        wstar2, [RELUSQ_VARIANTS[v] for v in variants]), w0, wstar2, cfg)
+    rows = _flow_rows(list(RELUSQ_VARIANTS), lambda variants, norm_wstar: relusq.h2_plane_field(
+        norm_wstar, [RELUSQ_VARIANTS[v] for v in variants]), w0, wstar2, cfg)
     flow_path = out / "relusq_flow.csv"
     _write_csv(flow_path, ["init_id", "variant", "t", "v"], rows)
     return [descent_path, flow_path]
@@ -327,6 +329,8 @@ def cmd_toeplitz(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_sgd(cfg: dict, out: Path) -> list[Path]:
+    if not cfg["lr"] > 0.0:  # a zero or negative rate never descends
+        raise ValueError(f"lr must be positive, got {cfg['lr']}")
     runs = [(s, kind) for s in range(cfg["seeds"]) for kind in ("l2", "h1")]
     traces = sgd_mod.sgd_run([
         sgd_mod.SgdConfig(

@@ -71,14 +71,17 @@ def symmetric_eigs(a: np.ndarray) -> SpectrumReport:
     magnitude).  Backed by LAPACK's symmetric solver; non-convergence
     surfaces as ``np.linalg.LinAlgError``.  Non-finite entries (here and in
     ``real_eigs``) raise ``SingularPointError``: they come from a closed form
-    evaluated where it blows up, not from a bad input.
+    evaluated where it blows up, not from a bad input.  So does an asymmetry
+    beyond the tolerance: the closed forms handed in are symmetric in exact
+    arithmetic, and the L2 Hessian's rounding asymmetry grows like
+    alpha ~ 1/sin(theta) next to collinearity.
     """
     a, scale = _check_square(a)
     a_t = np.swapaxes(a, -1, -2)
     asym = np.abs(a - a_t).max(axis=(-2, -1))
     bad = asym > _SYM_TOL * scale
     if bad.any():
-        raise ValueError(f"matrix is not symmetric: max|A-A^T| = {asym[bad][0]:.3e}")
+        raise SingularPointError(f"matrix is not symmetric: max|A-A^T| = {asym[bad][0]:.3e}")
     return _descending(*np.linalg.eigh(0.5 * (a + a_t)))
 
 

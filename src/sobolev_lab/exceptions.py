@@ -3,7 +3,8 @@
 
 class SingularPointError(ValueError):
     """Raised where a closed form is singular (zero parameter vector, zero angle,
-    non-finite entries, ...) or a Hessian spectrum comes out complex.
+    non-finite entries, ...), where its value overflows the floats, or where
+    a Hessian's rounding breaks its symmetry or its spectrum comes out complex.
 
     Callers that need a value at such points fall back to the Monte-Carlo
     oracle or to the cancelled limit forms.

@@ -9,6 +9,10 @@ them) plus the coupling coefficient
 which blows up at collinearity.  The products alpha*sin(theta) and
 alpha*sin^2(theta) stay finite there, so they are carried in cancelled
 form and alpha itself is reported as ``inf`` rather than raising.
+
+Every single-node gradient is a combination of w and w*, so a gradient
+flow stays in the plane span{w0, w*}; ``_plane_coordinates`` maps a pair
+into that plane and ``_plane_angle_norms`` measures plane points.
 """
 
 from __future__ import annotations
@@ -118,6 +122,32 @@ def _angle_norms(w: np.ndarray, wstar: np.ndarray):
     if np.ndim(across) == 0:  # one pair: libm's scalar atan2 is faster here
         return (0.0 if zero else 2.0 * math.atan2(across, along)), nw, ns
     return np.where(zero, 0.0, 2.0 * np.arctan2(across, along)), nw, ns
+
+
+def _plane_coordinates(w: np.ndarray, wstar: np.ndarray):
+    """Students w (..., d) and their teacher w* (d,) in coordinates of the plane span{w, w*}.
+
+    Each student becomes p = (a, b) with a = w.u along u = w*/|w*| and
+    b = |w - a u| >= 0 across it, and the teacher becomes p* = (|w*|, 0),
+    so |p - p*| = |w - w*| and the angle and norms of (p, p*) are those of
+    (w, w*), up to rounding.
+    """
+    ns = _norm(wstar)
+    u = wstar / ns
+    a = _dots(w, u)
+    return np.stack([a, _norm(w - a[..., None] * u)], axis=-1), np.array([ns, 0.0])
+
+
+def _plane_angle_norms(p: np.ndarray):
+    """Angle theta = atan2(|b|, a) in [0, pi] of plane points p = (a, b) (..., 2)
+    against a teacher on the first axis, and their norms |p| = hypot(a, b).
+
+    The plane counterpart of ``_angle_norms``: no row reduction, and hypot
+    neither under- nor overflows.  A point and its mirror image (a, -b) get
+    the same angle.
+    """
+    a, b = p[..., 0], p[..., 1]
+    return np.arctan2(np.abs(b), a), np.hypot(a, b)
 
 
 def basin_pairs(rng: np.random.Generator, dim: int, count: int, rmin: float = 0.1, rmax: float = 0.9):

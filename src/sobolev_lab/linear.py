@@ -16,6 +16,7 @@ explicitly (it cancels only for unit noise).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,8 +40,9 @@ class LinearProblem:
         w = np.asarray(self.wstar, dtype=float)
         if X.ndim != 2 or w.ndim != 1 or X.shape[1] != w.shape[0]:
             raise ValueError("design must be (N, d) with wstar of length d")
-        if self.noise_sigma < 0 or self.ridge_lambda < 0:
-            raise ValueError("noise_sigma and ridge_lambda must be >= 0")
+        if not (0.0 <= self.noise_sigma < math.inf and 0.0 <= self.ridge_lambda < math.inf):
+            raise ValueError(f"noise_sigma and ridge_lambda must be finite and >= 0, got "
+                             f"{self.noise_sigma} and {self.ridge_lambda}")
         object.__setattr__(self, "x_matrix", X)
         object.__setattr__(self, "wstar", w)
 
@@ -90,7 +92,7 @@ def conditioning(p: LinearProblem) -> tuple[float, float]:
 def variance_formulas(p: LinearProblem) -> tuple[float, float]:
     """Closed-form in-sample variances sigma^2 d and sigma^2 sum s^2/(s+lam)^2."""
     s = p._gram_eigs
-    sig2 = p.noise_sigma**2
+    sig2 = p.noise_sigma * p.noise_sigma  # inf where it overflows, which variance_study reports
     return sig2 * p.x_matrix.shape[1], float(sig2 * np.sum(s**2 / (s + p.ridge_lambda) ** 2))
 
 
@@ -100,29 +102,36 @@ def variance_study(
     """Empirical in-sample variances over fresh noise draws vs the formulas.
 
     Returns (var_l2, var_h1, formula_l2, formula_h1) where the empirical
-    values average |X (w_hat - w*)|^2 over ``trials`` label draws.
+    values average |X (w_hat - w*)|^2 over ``trials`` label draws.  Raises
+    ``SingularPointError`` where one of them overflows the floats.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
     X = p.x_matrix
     n = X.shape[0]
-    f_l2, f_h1 = variance_formulas(p)  # raises on a numerically singular Gram matrix
-    g = p.gram()
-    g_ridge = g + p.ridge_lambda * np.eye(g.shape[0])
-    y_clean = X @ p.wstar
-    acc_l2 = 0.0
-    acc_h1 = 0.0
-    chunk = max(1, min(trials, 10_000_000 // max(n, 1)))
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        eps = p.noise_sigma * rng.standard_normal((m, n))
-        ys = y_clean[None, :] + eps
-        xty = ys @ X  # (m, d)
-        w_l2 = np.linalg.solve(g, xty.T).T
-        w_h1 = np.linalg.solve(g_ridge, (xty + p.ridge_lambda * p.wstar[None, :]).T).T
-        acc_l2 += float(np.sum((X @ (w_l2 - p.wstar).T) ** 2))
-        acc_h1 += float(np.sum((X @ (w_h1 - p.wstar).T) ** 2))
-        done += m
-    return acc_l2 / trials, acc_h1 / trials, f_l2, f_h1
+    # an overflow is reported below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_l2, f_h1 = variance_formulas(p)  # raises on a numerically singular Gram matrix
+        g = p.gram()
+        g_ridge = g + p.ridge_lambda * np.eye(g.shape[0])
+        y_clean = X @ p.wstar
+        acc_l2 = 0.0
+        acc_h1 = 0.0
+        chunk = max(1, min(trials, 10_000_000 // max(n, 1)))
+        done = 0
+        while done < trials:
+            m = min(chunk, trials - done)
+            eps = p.noise_sigma * rng.standard_normal((m, n))
+            ys = y_clean[None, :] + eps
+            xty = ys @ X  # (m, d)
+            w_l2 = np.linalg.solve(g, xty.T).T
+            w_h1 = np.linalg.solve(g_ridge, (xty + p.ridge_lambda * p.wstar[None, :]).T).T
+            acc_l2 += float(np.sum((X @ (w_l2 - p.wstar).T) ** 2))
+            acc_h1 += float(np.sum((X @ (w_h1 - p.wstar).T) ** 2))
+            done += m
+    out = (acc_l2 / trials, acc_h1 / trials, f_l2, f_h1)
+    if not all(map(math.isfinite, out)):
+        raise SingularPointError(f"in-sample variances overflow the floats at noise_sigma = "
+                                 f"{p.noise_sigma:g}")
+    return out

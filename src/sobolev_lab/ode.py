@@ -124,7 +124,11 @@ def _rk4_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
     The row bookkeeping (which rows step, with which step size) is
     recomputed only at schedule, crossing and blow-up events: a step index
     where some row takes its short last step or ends, and the step after a
-    row crossed its stop radius or left the finite floats.
+    row crossed its stop radius or left the finite floats.  While every
+    stepping row has the same step size, the RK4 step takes it as one float
+    (each row's arithmetic is the same as with a column of sizes); a row
+    that stands still then takes a trial step whose result is discarded,
+    so it keeps its state bit for bit.
     """
     target = np.array(target, dtype=float)
     starts = [np.array(r[0], dtype=float) for r in runs]
@@ -161,11 +165,14 @@ def _rk4_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
                 if not stepping.any():
                     break
                 h = np.where(stepping, np.where(i < n_full, step, rem), 0.0)
-                h_col = h[..., None]
+                hs = h[stepping]
+                # one float when the stepping rows share it; the merge below
+                # discards the trial step of a row that stands still
+                h_step = hs[0].item() if (hs == hs[0]).all() else h[..., None]
                 every_row = stepping.all()
                 watch = (stepping & stops).any()
                 changed = False
-            new = _rk4_step(field, s, h_col)
+            new = _rk4_step(field, s, h_step)
             t += h
             if not np.isfinite(new).all():
                 blown = stepping & ~np.isfinite(new).all(axis=-1)

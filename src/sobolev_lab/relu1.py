@@ -16,6 +16,12 @@ with u = w*/|w*|, v = w/|w|, alpha = |w*|/(2 pi |w| sin(theta)).
 The ReLU derivative at 0 uses the subgradient choice 1{t>0}; the event has
 measure zero under Gaussian inputs.
 
+Both gradients are combinations of w and w*, so a gradient flow stays in
+the plane span{w0, w*} (the reduction behind Tian's 2017 single-node
+dynamics).  ``flow_rhs`` is the field on d-dimensional states;
+``plane_flow_field`` is the same arithmetic on (m, 2) plane coordinates,
+with the angle and norm of each row taken without a row reduction.
+
 The Hessians, their spectra and the GD comparison take one student (d,) or
 a stack (m, d) against one teacher (d,), and return stacks with a leading
 axis of length m.  A row's value does not depend on its stack: each row of
@@ -42,7 +48,8 @@ import numpy as np
 
 from .eigs import SpectrumReport, real_eigs, symmetric_eigs
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, PairGeometry, _angle_norms, _dots, pair_geometry
+from .geometry import (TWO_PI, PairGeometry, _angle_norms, _dots, _plane_angle_norms,
+                       pair_geometry)
 
 
 @dataclass(frozen=True)
@@ -96,11 +103,16 @@ class GdCompareReport:
 # gradients
 
 
+def _check_nonzero(nw) -> None:
+    """Raise where a student norm is 0: the gradients divide by |w|."""
+    if not np.all(nw):
+        raise SingularPointError("closed-form gradients are singular at w = 0")
+
+
 def _norms_theta(w: np.ndarray, wstar: np.ndarray):
     """Batched norms and two-argument angle; w may be (..., d), wstar is (d,)."""
     theta, nw, ns = _angle_norms(w, wstar)
-    if np.any(nw == 0.0):
-        raise SingularPointError("closed-form gradients are singular at w = 0")
+    _check_nonzero(nw)
     return nw, float(ns), theta
 
 
@@ -108,8 +120,9 @@ def _gradients(w: np.ndarray, wstar: np.ndarray, nw, ns, theta) -> tuple[np.ndar
     """grad L and grad J at w (..., d), from its norms and angle (one per row)."""
     t = theta[..., None] if w.ndim > 1 else theta
     ratio = (ns / nw)[..., None] if w.ndim > 1 else ns / nw
-    gl = 0.5 * (w - wstar) + (t * wstar - ratio * np.sin(t) * w) / TWO_PI
-    gj = (math.pi - t) / TWO_PI * (w - wstar) + t / TWO_PI * w
+    e = w - wstar
+    gl = 0.5 * e + (t * wstar - ratio * np.sin(t) * w) / TWO_PI
+    gj = (math.pi - t) / TWO_PI * e + t / TWO_PI * w
     return gl, gj
 
 
@@ -150,8 +163,35 @@ def flow_rhs(kind, w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
     h1 = _h1_rows(kind)
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
-    gl, gj = _gradients(w, wstar, *_norms_theta(w, wstar))
+    return _flow(h1, w, wstar, *_norms_theta(w, wstar))
+
+
+def _flow(h1, w: np.ndarray, wstar: np.ndarray, nw, ns, theta) -> np.ndarray:
+    """-grad H where ``h1`` holds and -grad L elsewhere, at w with its norms and angle."""
+    gl, gj = _gradients(w, wstar, nw, ns, theta)
     return -np.where(h1, gl + gj, gl)
+
+
+def plane_flow_field(kind, norm_wstar: float):
+    """``flow_rhs`` as a closure over plane points p = (a, b) (m, 2) of span{w0, w*}.
+
+    The teacher is p* = (|w*|, 0), ``norm_wstar`` its norm; a student maps
+    there by ``geometry._plane_coordinates``.  Each evaluation takes the
+    angle and norm of every row from ``geometry._plane_angle_norms`` and
+    then the d-dimensional gradient arithmetic, so a plane trajectory is the
+    d-dimensional one up to rounding.  ``kind`` is as for ``flow_rhs``; its
+    row mask is built once, here.
+    """
+    h1 = _h1_rows(kind)
+    ns = float(norm_wstar)
+    pstar = np.array([ns, 0.0])
+
+    def field(p: np.ndarray) -> np.ndarray:
+        theta, nw = _plane_angle_norms(p)
+        _check_nonzero(nw)
+        return _flow(h1, p, pstar, nw, ns, theta)
+
+    return field
 
 
 # --------------------------------------------------------------------------
@@ -343,8 +383,7 @@ def gd_compare(w: np.ndarray, wstar: np.ndarray, eta) -> GdCompareReport:
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
     geom = pair_geometry(w, wstar)
-    if np.any(geom.norm_w == 0.0):
-        raise SingularPointError("closed-form gradients are singular at w = 0")
+    _check_nonzero(geom.norm_w)
     gl, gj = _gradients(w, wstar, geom.norm_w, geom.norm_wstar, geom.theta)
     gh = gl + gj
     step = eta[..., None] if eta.ndim else eta

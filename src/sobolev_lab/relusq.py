@@ -15,6 +15,12 @@ gradients under N(0, I) inputs are, with theta the student/teacher angle,
 
 The |w*|^2 (squared) coefficient in grad I1 is the dimensionally
 consistent one and is the version the Monte-Carlo oracle confirms.
+
+All three gradients are combinations of w and w*, so a flow of any
+component set stays in the plane span{w0, w*}.  ``h2_flow_field`` is the
+field on d-dimensional states; ``h2_plane_field`` is the same arithmetic
+on (m, 2) plane coordinates, with the angle and norm of each row taken
+without a row reduction.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, _angle_norms
+from .geometry import TWO_PI, _angle_norms, _dots, _plane_angle_norms, pair_geometry
 
 
 @dataclass(frozen=True)
@@ -46,10 +52,11 @@ def _coeffs(theta):
     return rest + st * ct, 2.0 * st + tail, st + tail
 
 
-def _h2_parts(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...]) -> list[np.ndarray]:
-    """Gradients of the selected components at stacked states w (..., d), in ``parts`` order."""
-    theta, nw, ns = _angle_norms(w, wstar)
-    theta, nw, ns = np.asarray(theta)[..., None], nw[..., None], float(ns)
+def _h2_parts(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...],
+              theta, nw, ns) -> list[np.ndarray]:
+    """Gradients of the selected components at stacked states w (..., d), in ``parts`` order,
+    from the angle ``theta`` and norm ``nw`` of each state and the teacher norm ``ns``."""
+    theta, nw, ns = np.asarray(theta)[..., None], np.asarray(nw)[..., None], float(ns)
     g, h, g1 = _coeffs(theta)
     nw2 = nw**2
     out = []
@@ -79,7 +86,49 @@ def _pair(w: np.ndarray, wstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def h2_gradients(w: np.ndarray, wstar: np.ndarray) -> H2GradientBundle:
     """Closed-form gradients of the three second-order loss components."""
     w, wstar = _pair(w, wstar)
-    return H2GradientBundle(*_h2_parts(w, wstar, _PARTS))
+    return H2GradientBundle(*_h2_parts(w, wstar, _PARTS, *_angle_norms(w, wstar)))
+
+
+def descent_inner_products(ws: np.ndarray, wstar: np.ndarray) -> np.ndarray:
+    """-(w - w*) . grad I_k of each student of a stack ws (m, d), as an (m, 3) array.
+
+    One stacked pass: the angles and norms come from ``pair_geometry`` and
+    the inner products from row dot products, so each row is bit for bit
+    the one its student gives through ``h2_gradients``.
+    """
+    ws = np.asarray(ws, dtype=float)
+    wstar = np.asarray(wstar, dtype=float)
+    geom = pair_geometry(ws, wstar)
+    if not geom.norm_w.all():
+        raise SingularPointError("second-order closed forms are singular at zero vectors")
+    e = ws - wstar
+    grads = _h2_parts(ws, wstar, _PARTS, geom.theta, geom.norm_w, geom.norm_wstar[0])
+    return np.stack([-_dots(e, g) for g in grads], axis=-1)
+
+
+def _parts_field(wstar: np.ndarray, parts, angle_norms):
+    """The summed-components field over stacked states, each state's angle
+    and norms (theta, |w|, |w*|) taken by ``angle_norms``; ``parts`` as for
+    ``h2_flow_field``.  The row masks are built once, here."""
+    row_parts = [parts] if not parts or isinstance(parts[0], str) else list(parts)
+    for p in row_parts:
+        if not p or not set(p) <= set(_PARTS):
+            raise ValueError("parts must be a nonempty subset of {'i1','i2','i3'}")
+    selections = [tuple(p for p in _PARTS if p in row) for row in row_parts]
+    sets = list(dict.fromkeys(selections))
+    union = tuple(p for p in _PARTS if any(p in s for s in sets))
+    pick = np.array([sets.index(s) for s in selections])[:, None]
+    masks = [None] + [pick == j for j in range(1, len(sets))]
+
+    def field(w: np.ndarray) -> np.ndarray:
+        grads = dict(zip(union, _h2_parts(w, wstar, union, *angle_norms(w))))
+        out = None
+        for sel, mask in zip(sets, masks):
+            total = -sum((grads[p] for p in sel[1:]), grads[sel[0]])
+            out = total if out is None else np.where(mask, total, out)
+        return out
+
+    return field
 
 
 def h2_flow_field(wstar: np.ndarray, parts=_PARTS):
@@ -92,24 +141,22 @@ def h2_flow_field(wstar: np.ndarray, parts=_PARTS):
     wstar = np.asarray(wstar, dtype=float)
     if not wstar.any():
         raise SingularPointError("zero teacher")
-    row_parts = [parts] if not parts or isinstance(parts[0], str) else list(parts)
-    for p in row_parts:
-        if not p or not set(p) <= set(_PARTS):
-            raise ValueError("parts must be a nonempty subset of {'i1','i2','i3'}")
-    selections = [tuple(p for p in _PARTS if p in row) for row in row_parts]
-    sets = list(dict.fromkeys(selections))
-    union = tuple(p for p in _PARTS if any(p in s for s in sets))
-    pick = np.array([sets.index(s) for s in selections])[:, None]
+    return _parts_field(wstar, parts, lambda w: _angle_norms(w, wstar))
 
-    def field(w: np.ndarray) -> np.ndarray:
-        grads = dict(zip(union, _h2_parts(w, wstar, union)))
-        out = None
-        for j, sel in enumerate(sets):
-            total = -sum((grads[p] for p in sel[1:]), grads[sel[0]])
-            out = total if out is None else np.where(pick == j, total, out)
-        return out
 
-    return field
+def h2_plane_field(norm_wstar: float, parts=_PARTS):
+    """``h2_flow_field`` as a closure over plane points p = (a, b) (m, 2) of span{w0, w*}.
+
+    The teacher is p* = (|w*|, 0), ``norm_wstar`` its norm; a student maps
+    there by ``geometry._plane_coordinates``.  Each evaluation takes the
+    angle and norm of every row from ``geometry._plane_angle_norms`` and
+    then the d-dimensional component arithmetic, so a plane trajectory is
+    the d-dimensional one up to rounding.
+    """
+    ns = float(norm_wstar)
+    if ns == 0.0:
+        raise SingularPointError("zero teacher")
+    return _parts_field(np.array([ns, 0.0]), parts, lambda p: (*_plane_angle_norms(p), ns))
 
 
 def descent_quadratic_forms(theta: float) -> tuple[np.ndarray, np.ndarray]:

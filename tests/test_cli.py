@@ -191,7 +191,11 @@ def test_validation_failures_exit_2(tmp_path, capsys, monkeypatch):
                  # a negative norm would put pi - theta under the theta column
                  ("landscape", "--theta-grid", "2", "--norm-w", "-1"),
                  ("landscape", "--theta-grid", "2", "--norm-wstar", "-1"),
-                 ("landscape", "--theta-grid", "2", "--norm-w", "nan")):
+                 ("landscape", "--theta-grid", "2", "--norm-w", "nan"),
+                 # a noise level that is not finite, a rate that never descends
+                 ("linear", "--sigma", "inf"),
+                 ("sgd", "--lr", "0", "--seeds", "1", "--steps", "3"),
+                 ("sgd", "--lr", "-1", "--seeds", "1", "--steps", "3")):
         assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
         assert not (tmp_path / "e" / "manifest.json").exists(), argv
     capsys.readouterr()
@@ -243,6 +247,14 @@ def test_numerical_failures_exit_3(tmp_path, capsys):
     assert run("sgd", "--lr", "1e6", "--seeds", "1", "--steps", "50",
                "--out-dir", str(tmp_path / "d")) == 3
     assert "numerical error:" in capsys.readouterr().err
+    # variances that overflow the floats: one numerical error line, no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("linear", "--sigma", "1e300", "--trials", "10",
+                   "--out-dir", str(tmp_path / "e")) == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error:")
 
 
 def test_sgd_blow_up_reports_only_the_numerical_error(tmp_path, capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sobolev_lab.geometry import _angle_norms, _norm, pair_geometry
+from sobolev_lab.geometry import (_angle_norms, _norm, _plane_angle_norms, _plane_coordinates,
+                                  basin_pairs, pair_geometry)
 
 
 def test_identical_directions_flag_infinite_alpha():
@@ -153,3 +154,27 @@ def test_stacked_pair_geometry_rows_are_the_one_pair_values():
         pair_geometry(rows, teachers[:2])
     with pytest.raises(ValueError, match="nonzero"):
         pair_geometry(rows[:2], np.stack([ws, np.zeros(3)]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 32])
+def test_plane_coordinates_keep_distance_angle_and_norms(d):
+    rng = np.random.default_rng(d)
+    w0, ws = basin_pairs(rng, d, 50)
+    ws = 1.7 * ws
+    p0, pstar = _plane_coordinates(w0, ws)
+    assert p0.shape == (50, 2) and (p0[:, 1] >= 0.0).all()
+    assert pstar[0] == _norm(ws) and pstar[1] == 0.0
+    dist = np.sqrt(np.sum((w0 - ws) ** 2, axis=-1))
+    np.testing.assert_allclose(np.sqrt(np.sum((p0 - pstar) ** 2, axis=-1)), dist, rtol=4e-16 * d)
+    theta, nw = _plane_angle_norms(p0)
+    ref_theta, ref_nw, _ = _angle_norms(w0, ws)
+    np.testing.assert_allclose(nw, ref_nw, rtol=4e-16 * d)
+    np.testing.assert_allclose(theta, ref_theta, rtol=1e-14, atol=1e-15)
+
+
+def test_plane_angle_is_mirror_symmetric_and_exact_on_the_axis():
+    p = np.array([[2.0, 0.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 0.0], [1e-300, 1e-300], [3e300, 4e300]])
+    theta, nw = _plane_angle_norms(p)
+    assert theta[0] == 0.0 and theta[3] == math.pi
+    assert theta[1] == theta[2] == theta[4] == math.pi / 4
+    assert nw.tolist() == [2.0, math.sqrt(2.0), math.sqrt(2.0), 1.0, math.hypot(1e-300, 1e-300), 5e300]

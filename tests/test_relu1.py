@@ -6,7 +6,7 @@ import pytest
 from sobolev_lab import relu1
 from sobolev_lab.eigs import symmetric_eigs
 from sobolev_lab.exceptions import SingularPointError
-from sobolev_lab.geometry import pair_geometry
+from sobolev_lab.geometry import _plane_coordinates, pair_geometry
 from sobolev_lab.mc import McConfig, mc_loss_and_grad
 from sobolev_lab.ode import rk4_integrate
 
@@ -305,6 +305,19 @@ def test_stacked_rows_keep_the_one_pair_arithmetic():
         assert (gd.err_l2[i], gd.err_h1[i], gd.max_step_c[i]) == (err_l2, err_h1, c), i
 
 
+def test_near_collinear_hessian_asymmetry_is_a_singular_point():
+    # hess L is symmetric in exact arithmetic; its rounding asymmetry grows
+    # like alpha ~ 1/sin(theta) and, this close to the teacher's line, passes
+    # the solver's tolerance: a numerical condition, not a bad input
+    for d in (2, 8, 32):
+        rng = np.random.default_rng(0)
+        ws = rng.standard_normal(d)
+        ws /= np.linalg.norm(ws)
+        w = 1.3 * ws + 1e-7 * rng.standard_normal(d)
+        with pytest.raises(SingularPointError, match="not symmetric"):
+            relu1.hessians(w, ws)
+
+
 def test_stacked_hessians_reject_a_singular_row():
     ws = np.array([1.0, 0.0, 0.0])
     stack = np.array([[0.3, 0.9, 0.1], [2.0, 0.0, 0.0], [0.5, -0.4, 0.2]])
@@ -429,6 +442,27 @@ def test_per_row_kinds_match_single_kind_fields_bitwise():
                                    rtol=1e-14, atol=1e-15)
     with pytest.raises(ValueError):
         relu1.flow_rhs(np.array(["l2", "h2"]), w[:2], ws)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 32])
+def test_plane_flow_traces_match_the_d_dimensional_traces(d, plane_starts):
+    # every gradient lies in span{w, w*}, so the (m, 2) plane flow is the
+    # d-dimensional one up to rounding, for both kinds, on and next to the
+    # teacher's line; a start on the line stays on it
+    w0, ws = plane_starts(d, seed=50 + d)
+    m = len(w0)
+    p0, pstar = _plane_coordinates(w0, ws)
+    assert p0[m - 2, 1] <= 1e-15
+    p0[m - 2, 1] = 0.0
+    kinds = np.repeat(["l2", "h1"], m)
+    full = rk4_integrate(lambda s: relu1.flow_rhs(kinds, s, ws), np.tile(w0, (2, 1)), 1e-2, 3.0, ws,
+                         record_every=10)
+    plane = rk4_integrate(relu1.plane_flow_field(kinds, pstar[0]), np.tile(p0, (2, 1)), 1e-2, 3.0,
+                          pstar, record_every=10)
+    assert np.abs(plane.v_values - full.v_values).max() <= 1e-13
+    assert (plane.states[:, [m - 2, 2 * m - 2], 1] == 0.0).all()
+    with pytest.raises(SingularPointError):
+        relu1.plane_flow_field("l2", 1.0)(np.array([[0.5, 0.0], [0.0, 0.0]]))
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from sobolev_lab import relusq
 from sobolev_lab.eigs import symmetric_eigs
 from sobolev_lab.exceptions import SingularPointError
+from sobolev_lab.geometry import _plane_coordinates, basin_pairs
 from sobolev_lab.mc import McConfig, mc_loss_and_grad
 from sobolev_lab.ode import rk4_integrate
 
@@ -145,3 +146,37 @@ def test_per_row_parts_match_single_set_fields_bitwise():
         assert np.array_equal(stacked[i], relusq.h2_flow_field(ws, parts)(w[i:i + 1])[0])
     with pytest.raises(ValueError):
         relusq.h2_flow_field(ws, [("i1",), ()])
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 32])
+def test_plane_flow_traces_match_the_d_dimensional_traces(d, plane_starts):
+    # both components sets of the relusq experiment, in one ensemble, on and
+    # next to the teacher's line: the (m, 2) plane flow is the d-dimensional
+    # one up to rounding, and a start on the line stays on it
+    w0, ws = plane_starts(d, seed=60 + d)
+    m = len(w0)
+    p0, pstar = _plane_coordinates(w0, ws)
+    p0[m - 2, 1] = 0.0
+    parts = [("i1", "i2", "i3")] * m + [("i1",)] * m
+    full = rk4_integrate(relusq.h2_flow_field(ws, parts), np.tile(w0, (2, 1)), 1e-2, 3.0, ws,
+                         record_every=10)
+    plane = rk4_integrate(relusq.h2_plane_field(pstar[0], parts), np.tile(p0, (2, 1)), 1e-2, 3.0,
+                          pstar, record_every=10)
+    assert np.abs(plane.v_values - full.v_values).max() <= 1e-13
+    assert (plane.states[:, [m - 2, 2 * m - 2], 1] == 0.0).all()
+    with pytest.raises(SingularPointError):
+        relusq.h2_plane_field(0.0)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 9, 32])
+def test_stacked_descent_rows_are_the_one_pair_rows(d):
+    for seed in range(6):
+        ws, wstar = basin_pairs(np.random.default_rng(seed), d, 40)
+        stacked = relusq.descent_inner_products(ws, wstar)
+        assert stacked.shape == (40, 3)
+        for w, row in zip(ws, stacked):
+            b = relusq.h2_gradients(w, wstar)
+            e = w - wstar
+            assert np.array_equal(row, [-float(e @ g) for g in (b.grad_i1, b.grad_i2, b.grad_i3)])
+    with pytest.raises(SingularPointError):
+        relusq.descent_inner_products(np.zeros((2, 3)), np.ones(3))
