@@ -189,7 +189,7 @@ def cmd_landscape(cfg: dict, out: Path) -> list[Path]:
     for lo in range(0, n, LANDSCAPE_BLOCK):
         block = ws[lo : lo + LANDSCAPE_BLOCK]
         rep = relu1.hessians(block, wstar)
-        rows += zip(thetas[lo : lo + LANDSCAPE_BLOCK], pair_geometry(block, wstar).alpha,
+        rows += zip(thetas[lo : lo + LANDSCAPE_BLOCK], rep.geometry.alpha,
                     rep.kappa_l2, rep.kappa_h1, rep.spectrum_l2.lam_min, rep.spectrum_h1.lam_min,
                     rep.spectrum_l2.lam_max, rep.spectrum_h1.lam_max)
     path = out / "landscape.csv"
@@ -205,7 +205,8 @@ def cmd_gd_compare(cfg: dict, out: Path) -> list[Path]:
     rng = np.random.default_rng(cfg["seed"])
     ws, wstar = basin_pairs(rng, cfg["dim"], cfg["points"])
     pre = relu1.gd_compare(ws, wstar, 1.0)  # probe C with any eta, then use it
-    eta = factor * pre.max_step_c
+    with np.errstate(over="ignore"):  # gd_compare reports a step that leaves the floats
+        eta = factor * pre.max_step_c
     rep = relu1.gd_compare(ws, wstar, eta)
     rows = zip(range(len(ws)), pair_geometry(ws, wstar).theta, rep.max_step_c, eta,
                rep.err_l2, rep.err_h1, rep.gain_f)
@@ -373,12 +374,11 @@ def cmd_linear(cfg: dict, out: Path) -> list[Path]:
     rng = np.random.default_rng(cfg["seed"])
     X = rng.standard_normal((cfg["n"], cfg["dim"]))
     wstar = rng.standard_normal(cfg["dim"])
-    rows = []
-    for lam in _parse_list(cfg["lambdas"], float):
-        p = LinearProblem(x_matrix=X, wstar=wstar, noise_sigma=cfg["sigma"], ridge_lambda=lam)
-        kl, kh = conditioning(p)
-        ve_l2, ve_h1, vf_l2, vf_h1 = variance_study(p, cfg["trials"], cfg["seed"] + 1)
-        rows.append((lam, kl, kh, ve_l2, ve_h1, vf_l2, vf_h1))
+    problems = [LinearProblem(x_matrix=X, wstar=wstar, noise_sigma=cfg["sigma"], ridge_lambda=lam)
+                for lam in _parse_list(cfg["lambdas"], float)]
+    # one study: every lambda shares the noise draws and the least-squares fits
+    studies = variance_study(problems, cfg["trials"], cfg["seed"] + 1)
+    rows = [(p.ridge_lambda, *conditioning(p), *study) for p, study in zip(problems, studies)]
     path = out / "linear.csv"
     _write_csv(
         path,

@@ -12,20 +12,25 @@ Both are unbiased; their in-sample prediction variances are
 
 with s_i the eigenvalues of X^T X.  The sigma^2 factor is carried
 explicitly (it cancels only for unit noise).
+
+Both estimators come from one batched solve, ``_estimators``: a single
+label vector is its one-row case, and a variance study solves every noise
+draw of a chunk, for every ridge lambda, with it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import LinAlgError, cholesky
 
 from .exceptions import SingularPointError
 
 _MIN_GRAM_EIG = 1e-10
+_CHUNK_ENTRIES = 10_000_000  # noise entries drawn at once by ``variance_study``
 
 
 @dataclass(frozen=True)
@@ -58,13 +63,14 @@ class LinearProblem:
         return s
 
 
-def _chol_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        L = cholesky(a)
-    except LinAlgError as exc:
-        raise SingularPointError("Gram matrix is singular") from exc
-    y = np.linalg.solve(L, b)
-    return np.linalg.solve(L.T, y)
+def _estimators(g: np.ndarray, xty: np.ndarray, wstar: np.ndarray, lambdas) -> tuple:
+    """Both estimators for the label products xty = Y X (m, d), one row per
+    label vector: w_l2 (m, d) from the Gram matrix g, and a generator of one
+    w_h1 (m, d) per ridge lambda in ``lambdas`` (so one is held at a time),
+    each a batched ``np.linalg.solve``."""
+    eye = np.eye(g.shape[0])
+    w_l2 = np.linalg.solve(g, xty.T).T
+    return w_l2, (np.linalg.solve(g + lam * eye, (xty + lam * wstar).T).T for lam in lambdas)
 
 
 def fit_estimators(p: LinearProblem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,13 +79,8 @@ def fit_estimators(p: LinearProblem, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     if y.shape != (p.x_matrix.shape[0],):
         raise ValueError("y must have one entry per design row")
     p._gram_eigs  # raises on a numerically singular Gram matrix
-    g = p.gram()
-    xty = p.x_matrix.T @ y
-    w_l2 = _chol_solve(g, xty)
-    w_h1 = _chol_solve(
-        g + p.ridge_lambda * np.eye(g.shape[0]), xty + p.ridge_lambda * p.wstar
-    )
-    return w_l2, w_h1
+    w_l2, (w_h1,) = _estimators(p.gram(), (y @ p.x_matrix)[None, :], p.wstar, [p.ridge_lambda])
+    return w_l2[0], w_h1[0]
 
 
 def conditioning(p: LinearProblem) -> tuple[float, float]:
@@ -96,42 +97,54 @@ def variance_formulas(p: LinearProblem) -> tuple[float, float]:
     return sig2 * p.x_matrix.shape[1], float(sig2 * np.sum(s**2 / (s + p.ridge_lambda) ** 2))
 
 
-def variance_study(
-    p: LinearProblem, trials: int, seed: int
-) -> tuple[float, float, float, float]:
+def variance_study(p: LinearProblem | Sequence[LinearProblem], trials: int,
+                   seed: int) -> tuple[float, ...] | list[tuple[float, ...]]:
     """Empirical in-sample variances over fresh noise draws vs the formulas.
 
     Returns (var_l2, var_h1, formula_l2, formula_h1) where the empirical
     values average |X (w_hat - w*)|^2 over ``trials`` label draws.  Raises
     ``SingularPointError`` where one of them overflows the floats.
+
+    A sequence of problems that differ only in ``ridge_lambda`` is one
+    study and gives one tuple per problem: each chunk's noise, X^T y and
+    least-squares fit are formed once, and only the ridge solve and its
+    residual run per lambda, so each tuple is bit for bit the one its
+    problem gives alone.
     """
+    probs = [p] if isinstance(p, LinearProblem) else list(p)
+    if not probs:
+        raise ValueError("variance_study needs at least one problem")
+    first = probs[0]
+    if any(not (np.array_equal(q.x_matrix, first.x_matrix) and np.array_equal(q.wstar, first.wstar)
+                and q.noise_sigma == first.noise_sigma) for q in probs):
+        raise ValueError("a variance study's problems may differ only in ridge_lambda")
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
-    X = p.x_matrix
+    X, wstar, sigma = first.x_matrix, first.wstar, first.noise_sigma
+    lambdas = [q.ridge_lambda for q in probs]
     n = X.shape[0]
     # an overflow is reported below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        f_l2, f_h1 = variance_formulas(p)  # raises on a numerically singular Gram matrix
-        g = p.gram()
-        g_ridge = g + p.ridge_lambda * np.eye(g.shape[0])
-        y_clean = X @ p.wstar
+        # raises on a numerically singular Gram matrix
+        formulas = [variance_formulas(q) for q in probs]
+        g = first.gram()
+        y_clean = X @ wstar
         acc_l2 = 0.0
-        acc_h1 = 0.0
-        chunk = max(1, min(trials, 10_000_000 // max(n, 1)))
+        acc_h1 = [0.0] * len(probs)
+        chunk = max(1, min(trials, _CHUNK_ENTRIES // max(n, 1)))
         done = 0
         while done < trials:
             m = min(chunk, trials - done)
-            eps = p.noise_sigma * rng.standard_normal((m, n))
+            eps = sigma * rng.standard_normal((m, n))
             ys = y_clean[None, :] + eps
-            xty = ys @ X  # (m, d)
-            w_l2 = np.linalg.solve(g, xty.T).T
-            w_h1 = np.linalg.solve(g_ridge, (xty + p.ridge_lambda * p.wstar[None, :]).T).T
-            acc_l2 += float(np.sum((X @ (w_l2 - p.wstar).T) ** 2))
-            acc_h1 += float(np.sum((X @ (w_h1 - p.wstar).T) ** 2))
+            w_l2, w_h1 = _estimators(g, ys @ X, wstar, lambdas)
+            acc_l2 += float(np.sum((X @ (w_l2 - wstar).T) ** 2))
+            for i, w in enumerate(w_h1):
+                acc_h1[i] += float(np.sum((X @ (w - wstar).T) ** 2))
             done += m
-    out = (acc_l2 / trials, acc_h1 / trials, f_l2, f_h1)
-    if not all(map(math.isfinite, out)):
+    outs = [(acc_l2 / trials, acc / trials, *f) for acc, f in zip(acc_h1, formulas)]
+    if not all(math.isfinite(v) for out in outs for v in out):
         raise SingularPointError(f"in-sample variances overflow the floats at noise_sigma = "
-                                 f"{p.noise_sigma:g}")
-    return out
+                                 f"{sigma:g}")
+    return outs[0] if isinstance(p, LinearProblem) else outs

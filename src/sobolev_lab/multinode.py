@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, _angle_norms
+from .geometry import TWO_PI, _angle_norms, _dots
 from .ode import FlowRun, _rk4_rows
 
 _THRESHOLD_T_MAX = 120.0  # horizon of a ``threshold_rows`` run: a row not yet within gives up
@@ -88,13 +88,22 @@ def _node_field(Wj: np.ndarray, W: np.ndarray, Wstar: np.ndarray, c: int) -> np.
 
     The H1 field (c = 2) doubles the (pi - angle) teacher/student terms but
     not the sine terms.  Angles and norms come from one scale-safe reduction.
+    W (K, d) is one student set shared by every node; W (m, K, d) gives each
+    node row of Wj (m, d) its own set, and each row's sums over the K
+    students are then its own vector-matrix product and dot product, so a
+    row comes out bit for bit as it does alone.
     """
     ts, nj, ns = _angle_norms(Wj[..., None, :], Wstar)
     tt, _, nw = _angle_norms(Wj[..., None, :], W)
     if not (nj.all() and nw.all() and ns.all()):
         raise SingularPointError("zero node weight")
-    pull = c * ((math.pi - ts) @ Wstar - (math.pi - tt) @ W)
-    sines = np.sin(ts) @ ns - np.sin(tt) @ nw
+    if W.ndim == 2:
+        pull = c * ((math.pi - ts) @ Wstar - (math.pi - tt) @ W)
+        sines = np.sin(ts) @ ns - np.sin(tt) @ nw
+    else:
+        pull = c * ((math.pi - ts)[..., None, :] @ Wstar
+                    - (math.pi - tt)[..., None, :] @ W)[..., 0, :]
+        sines = _dots(np.sin(ts), ns) - _dots(np.sin(tt), nw)
     return (pull + sines[..., None] / nj * Wj) / TWO_PI
 
 
@@ -112,10 +121,15 @@ def multinode_gradients(W: np.ndarray, Wstar: np.ndarray, kind: str) -> np.ndarr
 
 
 def cyclic_students(t: np.ndarray) -> np.ndarray:
-    """Students (K, K) in teacher coordinates: row j is t cyclically shifted by j."""
+    """Students (..., K, K) in teacher coordinates of coefficients t (..., K):
+    row j is t cyclically shifted by j.
+
+    A stack comes out C-contiguous (a fancy index on the last axis would not
+    be), so each student set's row reductions run as they do alone.
+    """
     t = np.asarray(t, dtype=float)
-    k = np.arange(t.shape[0])
-    return t[(k[None, :] - k[:, None]) % t.shape[0]]
+    k = np.arange(t.shape[-1])
+    return np.take(t, (k[None, :] - k[:, None]) % t.shape[-1], axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -306,13 +320,18 @@ def toeplitz_field(kind: str, t: np.ndarray) -> np.ndarray:
     The per-node field of node 1 in the teacher basis: the students are the
     cyclic shifts of t and the teachers the identity, so the projection of
     the full field onto the cyclic parametrization holds by construction.
-    Only node 1 is evaluated, so the cost stays O(K^2).
+    Only node 1 is evaluated, so the cost stays O(K^2).  A stack t (m, K)
+    gives one tdot per row, each bit for bit its one-vector call; a zero
+    row anywhere raises ``SingularPointError``.
     """
     t = np.asarray(t, dtype=float)
-    return _node_field(t, cyclic_students(t), np.eye(t.shape[0]), _check_kind(kind))
+    return _node_field(t, cyclic_students(t), np.eye(t.shape[-1]), _check_kind(kind))
 
 
 _FD_STEP = 1e-6
+# entries of the (points, K, K) temporaries of one stacked ``toeplitz_field``
+# call in ``toeplitz_jacobian``: K = 64 stays one call, K = 300 takes 11 points
+_JACOBIAN_BLOCK = 2**20
 
 
 def toeplitz_jacobian(kind: str, k: int) -> np.ndarray:
@@ -320,23 +339,20 @@ def toeplitz_jacobian(kind: str, k: int) -> np.ndarray:
 
     The |delta|-type cone terms of the field do not cancel between the two
     sides, so the error is O(h), not O(h^2): about 1.6e-7 against the exact
-    -(M + E) at the step h = 1e-6 used here.
+    -(M + E) at the step h = 1e-6 used here.  The 2K points e_1 +- h e_m
+    are evaluated as stacks of at most ``_JACOBIAN_BLOCK // K**2`` rows.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     h = _FD_STEP
     e1 = np.zeros(k)
     e1[0] = 1.0
-    jac = np.zeros((k, k))
-    for m in range(k):
-        dp = e1.copy()
-        dp[m] += h
-        dm = e1.copy()
-        dm[m] -= h
-        fp = toeplitz_field(kind, dp)
-        fm = toeplitz_field(kind, dm)
-        jac[:, m] = (fp - fm) / (2.0 * h)
-    return jac
+    step = h * np.eye(k)
+    points = np.concatenate([e1 + step, e1 - step])  # rows e_1 + h e_m, then e_1 - h e_m
+    per_call = max(1, _JACOBIAN_BLOCK // (k * k))
+    f = np.concatenate([toeplitz_field(kind, points[lo : lo + per_call])
+                        for lo in range(0, 2 * k, per_call)])
+    return ((f[:k] - f[k:]) / (2.0 * h)).T.copy()  # column m from the pair e_1 +- h e_m
 
 
 def toeplitz_linearization(k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,7 @@ import numpy as np
 from .eigs import SpectrumReport, real_eigs, symmetric_eigs
 from .exceptions import SingularPointError
 from .geometry import (TWO_PI, PairGeometry, _angle_norms, _dots, _plane_angle_norms,
-                       pair_geometry)
+                       _row_norms, pair_geometry)
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ class HessianReport:
     minimum eigenvalue is <= 0, i.e. outside the strict-convexity region.
     For a stack of m students the matrices are (m, d, d), the spectra hold
     stacks and each kappa is an (m,) array with nan where undefined.
+    ``geometry`` is the pair geometry the report was formed from.
     """
 
     hess_l2: np.ndarray
@@ -77,6 +78,7 @@ class HessianReport:
     spectrum_h1: SpectrumReport
     kappa_l2: float | None
     kappa_h1: float | None
+    geometry: PairGeometry
 
 
 @dataclass(frozen=True)
@@ -288,6 +290,7 @@ def hessians(w: np.ndarray, wstar: np.ndarray) -> HessianReport:
         spectrum_h1=spec_h,
         kappa_l2=kl,
         kappa_h1=kh,
+        geometry=geom,
     )
 
 
@@ -371,7 +374,9 @@ def gd_compare(w: np.ndarray, wstar: np.ndarray, eta) -> GdCompareReport:
     ``max_step_c = -2 grad J . (w - w*) / (|grad L|^2 - |grad H|^2)``; for
     0 < eta < C the squared H1-error is strictly below the squared L2-error
     whenever w != w* lies in the basin.  Outside the basin the numbers are
-    still computed but the guarantee is void (``in_basin`` False).
+    still computed but the guarantee is void (``in_basin`` False).  A step
+    whose point or error leaves the finite floats raises
+    ``SingularPointError``; an error whose square overflows is still taken.
 
     ``w`` is one point (d,) or a stack (m, d) against one teacher (d,), and
     ``eta`` one stepsize or one per row.  A stack gives a report of stacks,
@@ -387,12 +392,17 @@ def gd_compare(w: np.ndarray, wstar: np.ndarray, eta) -> GdCompareReport:
     gl, gj = _gradients(w, wstar, geom.norm_w, geom.norm_wstar, geom.theta)
     gh = gl + gj
     step = eta[..., None] if eta.ndim else eta
-    w_new_l2 = w - step * gl
-    w_new_h1 = w - step * gh
-    e, e_l2, e_h1 = w - wstar, w_new_l2 - wstar, w_new_h1 - wstar
-    # each norm as np.linalg.norm takes it: the square root of a dot product
-    err_l2 = np.sqrt(_dots(e_l2, e_l2))
-    err_h1 = np.sqrt(_dots(e_h1, e_h1))
+    # a step or an error that leaves the floats raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_new_l2 = w - step * gl
+        w_new_h1 = w - step * gh
+        e, e_l2, e_h1 = w - wstar, w_new_l2 - wstar, w_new_h1 - wstar
+        # each norm as np.linalg.norm takes it, the square root of a dot
+        # product, and math.hypot's where that square overflows
+        err_l2, err_h1 = _row_norms(np.stack([e_l2, e_h1]).reshape(-1, w.shape[-1])).reshape(
+            2, *w.shape[:-1])
+    if not (np.isfinite(err_l2).all() and np.isfinite(err_h1).all()):
+        raise SingularPointError(f"a GD step of stepsize up to {eta.max():g} leaves the floats")
     num = -2.0 * _dots(gj, e)
     den = _dots(gl, gl) - _dots(gh, gh)
     with np.errstate(divide="ignore", invalid="ignore"):

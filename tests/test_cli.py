@@ -255,6 +255,21 @@ def test_numerical_failures_exit_3(tmp_path, capsys):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical error:")
+    # a stepsize whose squared errors overflow still has finite errors; a
+    # stepped point that leaves the floats is one numerical error line
+    for factor, code in (("1e160", 0), ("1e200", 0), ("1e300", 0), ("1e308", 3)):
+        out = tmp_path / f"g{factor}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("gd-compare", "--eta-factor", factor, "--out-dir", str(out)) == code, factor
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], factor
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == []
+            for r in read_rows(out / "gd_compare.csv"):
+                assert all(math.isfinite(float(r[c])) for c in ("err_l2", "err_h1", "gain_f")), r
+        else:
+            assert len(err) == 1 and err[0].startswith("numerical error:"), err
 
 
 def test_sgd_blow_up_reports_only_the_numerical_error(tmp_path, capsys):

@@ -120,3 +120,35 @@ def test_singular_design_rejected():
         conditioning(p)
     with pytest.raises(ValueError):
         fit_estimators(p, np.ones(5))
+
+
+def _lambda_ensemble(lambdas, sigma, n=30, d=4):
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((n, d))
+    ws = rng.standard_normal(d)
+    return [LinearProblem(x_matrix=X, wstar=ws, noise_sigma=sigma, ridge_lambda=lam)
+            for lam in lambdas]
+
+
+def test_lambda_ensemble_equals_its_lone_studies(monkeypatch):
+    for sigma in (1.3, 0.0):
+        probs = _lambda_ensemble([0.0, 0.5, 2.0], sigma)
+        assert variance_study(probs, 50, 5) == [variance_study(p, 50, 5) for p in probs]
+    # 30 design rows per trial and room for 20 trials: 50 trials take three chunks
+    monkeypatch.setattr("sobolev_lab.linear._CHUNK_ENTRIES", 600)
+    probs = _lambda_ensemble([0.0, 1.0], 1.0)
+    assert variance_study(probs, 50, 6) == [variance_study(p, 50, 6) for p in probs]
+
+
+def test_lambda_ensemble_may_differ_only_in_lambda():
+    base = _lambda_ensemble([1.0], 1.0)[0]
+    for other in (LinearProblem(x_matrix=2.0 * base.x_matrix, wstar=base.wstar,
+                                noise_sigma=1.0, ridge_lambda=2.0),
+                  LinearProblem(x_matrix=base.x_matrix, wstar=-base.wstar,
+                                noise_sigma=1.0, ridge_lambda=2.0),
+                  LinearProblem(x_matrix=base.x_matrix, wstar=base.wstar,
+                                noise_sigma=0.5, ridge_lambda=2.0)):
+        with pytest.raises(ValueError):
+            variance_study([base, other], 10, 0)
+    with pytest.raises(ValueError):
+        variance_study([], 10, 0)

@@ -457,3 +457,60 @@ def test_toeplitz_exact_jacobian_carries_extra_couplings():
         for j in range(1, k):
             extra[j, (k - j) % k] = 1.0 / TWO_PI
         assert np.abs(-jac - (m_ideal + extra)).max() <= 1e-6
+
+
+def _fd_points(k):
+    h = mn._FD_STEP
+    e1 = np.zeros(k)
+    e1[0] = 1.0
+    return np.concatenate([e1 + h * np.eye(k), e1 - h * np.eye(k)])
+
+
+def test_stacked_toeplitz_rows_equal_their_one_vector_calls():
+    rng = np.random.default_rng(12)
+    for k in (2, 3, 5, 8, 16, 32, 64):
+        stack = np.concatenate([rng.uniform(-0.3, 0.9, size=(5, k)), _fd_points(k)])
+        for kind in ("l2", "h1"):
+            f = mn.toeplitz_field(kind, stack)
+            assert f.shape == stack.shape
+            for row, t in zip(f, stack):
+                assert np.array_equal(row, mn.toeplitz_field(kind, t)), (k, kind)
+
+
+def _column_loop_jacobian(kind, k):
+    # the one-column-at-a-time central difference the stacked version replaced
+    h = mn._FD_STEP
+    e1 = np.zeros(k)
+    e1[0] = 1.0
+    jac = np.zeros((k, k))
+    for m in range(k):
+        dp = e1.copy()
+        dp[m] += h
+        dm = e1.copy()
+        dm[m] -= h
+        jac[:, m] = (mn.toeplitz_field(kind, dp) - mn.toeplitz_field(kind, dm)) / (2.0 * h)
+    return jac
+
+
+def test_toeplitz_jacobian_equals_the_column_loop(monkeypatch):
+    for k in (2, 3, 8, 17):
+        for kind in ("l2", "h1"):
+            assert np.array_equal(mn.toeplitz_jacobian(kind, k), _column_loop_jacobian(kind, k))
+    # 3 points per stacked call: 2K = 10 rows split into blocks of 3, 3, 3 and 1
+    monkeypatch.setattr(mn, "_JACOBIAN_BLOCK", 3 * 5 * 5)
+    calls = []
+    field = mn.toeplitz_field
+    monkeypatch.setattr(mn, "toeplitz_field",
+                        lambda kind, t: calls.append(len(t)) or field(kind, t))
+    for kind in ("l2", "h1"):
+        assert np.array_equal(mn.toeplitz_jacobian(kind, 5), _column_loop_jacobian(kind, 5))
+    assert calls[:4] == [3, 3, 3, 1]
+
+
+def test_zero_row_anywhere_in_a_toeplitz_stack_flagged():
+    stack = np.random.default_rng(13).uniform(0.1, 0.9, size=(4, 5))
+    for r in range(len(stack)):
+        bad = stack.copy()
+        bad[r] = 0.0
+        with pytest.raises(SingularPointError):
+            mn.toeplitz_field("h1", bad)
