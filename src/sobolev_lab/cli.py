@@ -25,17 +25,19 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, criteria, mc, multinode as mn, relu1, relusq, sgd as sgd_mod
 from .chebdiff import cheb_diff_matrix, cheb_points
 from .exceptions import BlowUpError, SingularPointError
-from .geometry import _plane_coordinates, basin_pairs, pair_geometry
+from .geometry import _plane_coordinates, basin_pairs
 from .linear import LinearProblem, conditioning, variance_study
 from .ode import rk4_integrate
 
-ENV_THREADS = "SOBOLEV_LAB_THREADS"
+# a key that a variable sets where neither a flag nor --config does
+ENV = {"threads": "SOBOLEV_LAB_THREADS"}
 
 
 def _fmt(x) -> str:
@@ -71,98 +73,117 @@ def _write_manifest(out_dir: Path, subcommand: str, cfg: dict) -> None:
 
 def _accepts(default, val) -> bool:
     """Whether a --config value has the type of the flag that ``default`` declares."""
-    if isinstance(val, bool):
-        return False
-    if isinstance(default, float):
-        return isinstance(val, (int, float))
-    if isinstance(default, str) and "," in default:  # a comma list may also be a JSON list
-        return isinstance(val, (str, list))
-    return isinstance(val, type(default))
+    if isinstance(default, list) and isinstance(val, list):  # and so has each item
+        return all(_accepts(default[0], v) for v in val)
+    # a float may be given as an int, and a comma list as a JSON list
+    kinds = {float: (int, float), list: (str, list)}.get(type(default), type(default))
+    return not isinstance(val, bool) and isinstance(val, kinds)
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < --config JSON < explicit CLI flags; a JSON value must have its flag's type."""
-    cfg = dict(defaults)
+def _rule(rules: dict, key: str, default):
+    """``key``'s rule: its entry in ``rules``, else its type's (a list's items' type)."""
+    return rules.get(key, TYPE_RULES.get(type(default[0] if isinstance(default, list) else default)))
+
+
+def _resolve(args: argparse.Namespace, defaults: dict, rules: dict) -> dict:
+    """defaults < its ENV variable < --config JSON < explicit CLI flags.  A JSON value must
+    have its flag's type; a list becomes a list, and each value or item must obey its rule."""
+    given = {}
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
+            given = json.load(fh)
+        if not isinstance(given, dict):
             raise ValueError(f"{args.config} must hold one JSON object")
-        unknown = set(file_cfg) - set(defaults)
+        unknown = set(given) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, val in file_cfg.items():
+        for key, val in given.items():
             if not _accepts(defaults[key], val):
-                raise ValueError(f"config key {key!r} must be {type(defaults[key]).__name__}, "
-                                 f"got {val!r}")
-        cfg.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
-    for key, val in cfg.items():  # every count, size and interval; a seed may be any int
-        if isinstance(defaults[key], int) and key != "seed" and val < 1:
-            raise ValueError(f"{key} must be >= 1, got {val}")
+                raise ValueError(f"config key {key!r} must have the type of its default "
+                                 f"{defaults[key]!r}, got {val!r}")
+    given.update((key, getattr(args, key)) for key in defaults if getattr(args, key) is not None)
+    cfg = {**defaults, **given}
+    for key, var in ENV.items():  # an integer key
+        raw = os.environ.get(var)
+        if key in defaults and key not in given and raw:
+            rule = _rule(rules, key, defaults[key])
+            try:
+                cfg[key] = int(raw)
+            except ValueError:
+                cfg[key] = None
+            if cfg[key] is None or not rule.admits(cfg[key]):
+                raise ValueError(f"{var} must be {rule.text}, got {raw!r}")
+    for key, default in defaults.items():
+        is_list = isinstance(default, list)
+        if is_list:
+            cfg[key] = _parse_list(cfg[key], type(default[0]))
+        rule = _rule(rules, key, default)
+        for val in cfg[key] if is_list else [cfg[key]]:
+            if rule is not None and not rule.admits(val):
+                raise ValueError(f"{key}{' items' * is_list} must be {rule.text}, got {val!r}")
     return cfg
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {args.threads}")
-        return args.threads
-    env = os.environ.get(ENV_THREADS)
-    if not env:
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{ENV_THREADS} must be an integer >= 1 (worker threads), got {env!r}")
-    return threads
 
 
 # --------------------------------------------------------------------------
 # subcommands
 
 
-# One row per experiment subcommand: name -> (help, defaults).  Each key
-# ``foo_bar`` of the defaults, and of COMMON, is the flag ``--foo-bar`` typed
-# as its default and a key ``--config`` may set.  The runner is the module
-# function ``cmd_<name with - as _>(cfg, out)``, looked up when the parser is
-# built; ``main`` resolves cfg, makes ``out`` and writes the manifest.
+class Rule(NamedTuple):
+    """The legal values of a flag: ``text`` states them, ``admits`` tests one."""
+    text: str
+    admits: Callable[[Any], bool]
+
+
+TYPE_RULES = {int: Rule("an integer >= 1", lambda v: v >= 1),
+              float: Rule("a finite float > 0", lambda v: 0.0 < v < math.inf)}
+AT_LEAST_2 = Rule("an integer >= 2", lambda v: v >= 2)
+NON_NEGATIVE = Rule("a finite float >= 0", lambda v: 0.0 <= v < math.inf)
+# a negative norm puts pi - theta under the theta column; an infinite one is singular
+NORM = Rule("a float >= 0 or inf", lambda v: v >= 0.0)
+
+
+# One row per experiment subcommand: name -> (help, defaults, rules).  Each key
+# ``foo_bar`` of the defaults, and of COMMON, is the flag ``--foo-bar`` typed as
+# its default (a comma list for a list) and a key ``--config`` may set; its legal
+# values are its ``rules`` entry, else its (items') type's in TYPE_RULES.  The
+# runner is the module function ``cmd_<name with - as _>(cfg, out)``, looked up
+# when the parser is built; ``main`` resolves cfg, makes ``out`` and writes the manifest.
 EXPERIMENTS = {
     "landscape": ("condition numbers and spectra over a theta grid",
-                  {"dim": 2, "theta_grid": 64, "norm_w": 1.0, "norm_wstar": 1.0}),
+                  {"dim": 2, "theta_grid": 64, "norm_w": 1.0, "norm_wstar": 1.0},
+                  {"dim": AT_LEAST_2, "norm_w": NORM, "norm_wstar": NORM}),
     "gd-compare": ("one-step GD comparison at random basin points",
-                   {"dim": 8, "points": 500, "eta_factor": 0.9}),
+                   {"dim": 8, "points": 500, "eta_factor": 0.9}, {}),
     "flow": ("single-node gradient-flow traces",
              {"kind": "both", "dim": 8, "inits": 100, "step": 1e-3, "t_end": 10.0,
-              "record_every": 10}),
+              "record_every": 10},
+             {"kind": Rule("one of l2, h1, both", ("l2", "h1", "both").__contains__)}),
     "relusq": ("second-order descent checks and flows",
                {"dim": 4, "points": 1000, "inits": 100, "step": 1e-3, "t_end": 4.0,
-                "record_every": 20}),
+                "record_every": 20}, {}),
     "multinode": ("planar multi-node dynamics",
-                  {"k_list": "2,4,8", "starts": 100, "ratio_starts": 20, "step": 1e-3,
-                   "t_end": 60.0}),
-    "toeplitz": ("cyclic-coefficient field Jacobians", {"k_list": "3,5,8"}),
+                  {"k_list": [2, 4, 8], "starts": 100, "ratio_starts": 20, "step": 1e-3,
+                   "t_end": 60.0}, {"k_list": AT_LEAST_2}),
+    "toeplitz": ("cyclic-coefficient field Jacobians", {"k_list": [3, 5, 8]}, {"k_list": AT_LEAST_2}),
     "sgd": ("empirical SGD traces with conditioning",
             {"dim": 16, "lr": 1e-2, "batch": 64, "n_train": 10000, "steps": 2000, "seeds": 12,
-             "log_every": 20}),
+             "log_every": 20}, {"lr": Rule("a float > 0 or inf", lambda v: v > 0.0)}),
     # estimators whose per-sample gradients live in span{w, w*} have ~2
     # effective dof per trial, so their slope fits need ~25 trials; the
-    # x-valued estimators are tame at any of the default dims
+    # x-valued estimators are tame at any of the default dims.  threads is
+    # the Monte-Carlo worker cap and never affects results.
     "verify-gradients": ("MC convergence study of the closed forms",
-                         {"dims": "4,16,64", "n_min": 10, "n_max": 17, "trials": 25,
-                          "forms": "relu:l2,relu:h1_semi,relu_sq:i1,relu_sq:i2,relu_sq:i3,multinode:l2"}),
+                         {"dims": [4, 16, 64], "n_min": 10, "n_max": 17, "trials": 25,
+                          "forms": ["relu:l2", "relu:h1_semi", "relu_sq:i1", "relu_sq:i2",
+                                    "relu_sq:i3", "multinode:l2"], "threads": 1},
+                         {"forms": Rule("of the shape model:kind", lambda v: v.count(":") == 1)}),
     "linear": ("linear-model conditioning and variances",
-               {"n": 200, "dim": 8, "sigma": 1.0, "lambdas": "0.5,1.0,2.0", "trials": 10000}),
-    "chebyshev": ("differentiation-matrix exactness sweep", {"n_max": 20}),
+               {"n": 200, "dim": 8, "sigma": 1.0, "lambdas": [0.5, 1.0, 2.0], "trials": 10000},
+               {"sigma": NON_NEGATIVE, "lambdas": NON_NEGATIVE}),
+    "chebyshev": ("differentiation-matrix exactness sweep", {"n_max": 20}, {}),
 }
 COMMON = {"seed": 0, "out_dir": "out"}
-FLAG_HELP = {"seed": "base RNG seed (default 0)", "out_dir": "output directory (default ./out)"}
-FLOW_KINDS = ["l2", "h1", "both"]
+COMMON_RULES = {"seed": Rule("any integer", lambda v: True)}
 
 
 # Students per stacked Hessian eigensolve in ``landscape``: a whole grid of
@@ -172,12 +193,6 @@ LANDSCAPE_BLOCK = 32
 
 def cmd_landscape(cfg: dict, out: Path) -> list[Path]:
     d = cfg["dim"]
-    if d < 2:
-        raise ValueError("landscape needs dim >= 2")
-    for key in ("norm_w", "norm_wstar"):
-        # a negative norm flips the pair's angle to pi - theta under the theta column
-        if not cfg[key] >= 0.0:
-            raise ValueError(f"{key} must be >= 0, got {cfg[key]}")
     n = cfg["theta_grid"]
     thetas = np.arange(1, n + 1) * (math.pi / 2) / (n + 1)
     ws = np.zeros((n, d))
@@ -199,16 +214,11 @@ def cmd_landscape(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_gd_compare(cfg: dict, out: Path) -> list[Path]:
-    factor = cfg["eta_factor"]
-    if not (math.isfinite(factor) and factor > 0.0):
-        raise ValueError(f"eta_factor must be positive and finite, got {factor}")
     rng = np.random.default_rng(cfg["seed"])
     ws, wstar = basin_pairs(rng, cfg["dim"], cfg["points"])
-    pre = relu1.gd_compare(ws, wstar, 1.0)  # probe C with any eta, then use it
-    with np.errstate(over="ignore"):  # gd_compare reports a step that leaves the floats
-        eta = factor * pre.max_step_c
-    rep = relu1.gd_compare(ws, wstar, eta)
-    rows = zip(range(len(ws)), pair_geometry(ws, wstar).theta, rep.max_step_c, eta,
+    # each point steps eta_factor times its own bound C
+    rep = relu1.gd_compare(ws, wstar, cfg["eta_factor"], relative=True)
+    rows = zip(range(len(ws)), rep.geometry.theta, rep.max_step_c, rep.eta,
                rep.err_l2, rep.err_h1, rep.gain_f)
     path = out / "gd_compare.csv"
     _write_csv(path, ["point_id", "theta", "max_step_c", "eta", "err_l2", "err_h1", "gain_f"], rows)
@@ -268,7 +278,7 @@ def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_multinode(cfg: dict, out: Path) -> list[Path]:
-    ks = _parse_list(cfg["k_list"], int)
+    ks = cfg["k_list"]
     step = cfg["step"]
 
     # one draw of Omega starts shared by every K, then every K's near-fixed-point
@@ -304,23 +314,18 @@ def cmd_multinode(cfg: dict, out: Path) -> list[Path]:
         rows.append([k, x_l2, x_h1, float(np.max(np.abs(f_l2))), float(np.max(np.abs(f_h1))),
                      exp_l2, exp_h1, float(np.median(r)), float(d.max())])
     path = out / "multinode.csv"
-    _write_csv(
-        path,
-        ["k", "x_saddle_l2", "x_saddle_h1", "saddle_field_l2", "saddle_field_h1",
-         "decay_exp_l2", "decay_exp_h1", "time_ratio_median", "max_final_dist"],
-        rows,
-    )
+    _write_csv(path, ["k", "x_saddle_l2", "x_saddle_h1", "saddle_field_l2", "saddle_field_h1",
+                      "decay_exp_l2", "decay_exp_h1", "time_ratio_median", "max_final_dist"], rows)
     return [path]
 
 
 def cmd_toeplitz(cfg: dict, out: Path) -> list[Path]:
     rows = []
-    for k in _parse_list(cfg["k_list"], int):
+    for k in cfg["k_list"]:
         j_l2 = mn.toeplitz_jacobian("l2", k)
         j_h1 = mn.toeplitz_jacobian("h1", k)
         eigs = np.sort(np.linalg.eigvals(-j_l2).real)
-        _, expected = mn.toeplitz_linearization(k)
-        expected = np.sort(expected)
+        expected = np.sort(mn.toeplitz_linearization(k)[1])
         maxdiff = float(np.abs(j_h1 - 2.0 * j_l2).max())
         for i in range(k):
             rows.append((k, i, float(eigs[i]), float(expected[i]), maxdiff))
@@ -330,8 +335,6 @@ def cmd_toeplitz(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_sgd(cfg: dict, out: Path) -> list[Path]:
-    if not cfg["lr"] > 0.0:  # a zero or negative rate never descends
-        raise ValueError(f"lr must be positive, got {cfg['lr']}")
     runs = [(s, kind) for s in range(cfg["seeds"]) for kind in ("l2", "h1")]
     traces = sgd_mod.sgd_run([
         sgd_mod.SgdConfig(
@@ -353,16 +356,11 @@ def cmd_sgd(cfg: dict, out: Path) -> list[Path]:
     return [path]
 
 
-def cmd_verify_gradients(cfg: dict, out: Path, threads: int = 1) -> list[Path]:
-    dims = _parse_list(cfg["dims"], int)
+def cmd_verify_gradients(cfg: dict, out: Path) -> list[Path]:
     n_grid = [2**p for p in range(cfg["n_min"], cfg["n_max"] + 1)]
-    forms = []
-    for token in _parse_list(cfg["forms"], str.strip):
-        form = token.split(":")
-        if len(form) != 2:
-            raise ValueError(f"form {token!r} is not of the shape model:kind")
-        forms.append(tuple(form))
-    tables = mc._convergence_tables(forms, dims, n_grid, cfg["trials"], cfg["seed"], threads)
+    forms = [tuple(form.split(":")) for form in cfg["forms"]]
+    tables = mc._convergence_tables(forms, cfg["dims"], n_grid, cfg["trials"], cfg["seed"],
+                                    cfg["threads"])
     rows = [(model, kind, dim, int(math.log2(n)), mse)
             for (model, kind), table in zip(forms, tables) for dim, n, mse in table]
     path = out / "convergence.csv"
@@ -375,16 +373,13 @@ def cmd_linear(cfg: dict, out: Path) -> list[Path]:
     X = rng.standard_normal((cfg["n"], cfg["dim"]))
     wstar = rng.standard_normal(cfg["dim"])
     problems = [LinearProblem(x_matrix=X, wstar=wstar, noise_sigma=cfg["sigma"], ridge_lambda=lam)
-                for lam in _parse_list(cfg["lambdas"], float)]
+                for lam in cfg["lambdas"]]
     # one study: every lambda shares the noise draws and the least-squares fits
     studies = variance_study(problems, cfg["trials"], cfg["seed"] + 1)
     rows = [(p.ridge_lambda, *conditioning(p), *study) for p, study in zip(problems, studies)]
     path = out / "linear.csv"
-    _write_csv(
-        path,
-        ["lambda", "kappa_l2", "kappa_h1", "var_l2_emp", "var_h1_emp", "var_l2_formula", "var_h1_formula"],
-        rows,
-    )
+    _write_csv(path, ["lambda", "kappa_l2", "kappa_h1", "var_l2_emp", "var_h1_emp",
+                      "var_l2_formula", "var_h1_formula"], rows)
     return [path]
 
 
@@ -596,7 +591,7 @@ def cmd_summarize(args) -> list[Path]:
 
 def _parse_list(s, conv) -> list:
     """A comma-separated string or a JSON list, each item through ``conv``; never empty."""
-    items = s if isinstance(s, list) else [tok for tok in s.split(",") if tok.strip()]
+    items = s if isinstance(s, list) else [tok.strip() for tok in s.split(",") if tok.strip()]
     if not items:
         raise ValueError(f"empty list {s!r}")
     return [conv(v) for v in items]
@@ -609,17 +604,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="subcommand", required=True)
-    for name, (help_, defaults) in EXPERIMENTS.items():
+    for name, (help_, defaults, rules) in EXPERIMENTS.items():
         sp = sub.add_parser(name, help=help_)
-        defaults = {**defaults, **COMMON}
-        for key, default in defaults.items():
-            if key == "seed" and name == "verify-gradients":
-                sp.add_argument("--threads", type=int,
-                                help=f"worker cap (or ${ENV_THREADS}); never affects results")
-            sp.add_argument("--" + key.replace("_", "-"), type=type(default), help=FLAG_HELP.get(key),
-                            choices=FLOW_KINDS if key == "kind" else None)
+        defaults, rules = {**defaults, **COMMON}, {**rules, **COMMON_RULES}
+        for key, default in defaults.items():  # --help states each flag's rule and default
+            rule = _rule(rules, key, default)
+            legal = type(default).__name__ if rule is None else rule.text
+            if isinstance(default, list):
+                legal, default = f"comma list, each {legal}", ",".join(map(str, default))
+            env = f", or ${ENV[key]}" if key in ENV else ""
+            sp.add_argument("--" + key.replace("_", "-"), type=type(default),
+                            help=f"{legal} (default {default}{env})")
         sp.add_argument("--config", help="JSON file with defaults; explicit flags override it")
-        sp.set_defaults(runner=globals()["cmd_" + name.replace("-", "_")], defaults=defaults)
+        sp.set_defaults(runner=globals()["cmd_" + name.replace("-", "_")], defaults=defaults,
+                        rules=rules)
     sp = sub.add_parser("summarize", help="evaluate acceptance checks from CSVs in a directory")
     sp.add_argument("out_dir")
     return p
@@ -631,11 +629,10 @@ def main(argv=None) -> int:
         if args.subcommand == "summarize":
             paths = cmd_summarize(args)
         else:
-            cfg = _resolve(args, args.defaults)
-            extra = {"threads": _threads(args)} if "threads" in args else {}
+            cfg = _resolve(args, args.defaults, args.rules)
             out = Path(cfg["out_dir"])
             out.mkdir(parents=True, exist_ok=True)
-            paths = args.runner(cfg, out, **extra)
+            paths = args.runner(cfg, out)
             _write_manifest(out, args.subcommand, cfg)
     except (SingularPointError, BlowUpError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -61,26 +61,26 @@ _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 def _norm(x: np.ndarray) -> np.ndarray:
     """2-norm over the last axis as ``np.linalg.norm`` computes it, without its
-    per-call overhead: a dot product for one vector, a row reduction for a stack.
+    per-call overhead: ``_row_norms`` for one vector, a row reduction for a stack.
 
     A nonzero vector whose squared norm underflows or overflows is measured
     with the scale-safe ``math.hypot`` instead, so it never has norm 0; in a
     stack only such rows go through it, and a zero row keeps sqrt(0) = 0.
     """
     if x.ndim == 1:
-        sq = x.dot(x)
-        return np.sqrt(sq) if _TINY <= sq <= _HUGE else np.float64(math.hypot(*x))
+        return _row_norms(x)
     return _scale_safe_sqrt(x, np.add.reduce(x * x, axis=-1))
 
 
 def _scale_safe_sqrt(x: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """sqrt of the squared norms ``sq`` of the rows of ``x``, with ``math.hypot``
-    for each nonzero row whose square under- or overflowed."""
+    """sqrt of the squared norms ``sq`` of one vector or the rows of a stack ``x``,
+    with ``math.hypot`` for each nonzero row whose square under- or overflowed."""
     norm = np.sqrt(sq)
     if _TINY <= sq.min() and sq.max() <= _HUGE:
         return norm
-    unsafe = ~((sq >= _TINY) & (sq <= _HUGE))
-    unsafe[unsafe] = x[unsafe].any(axis=-1)
+    unsafe = ~((sq >= _TINY) & (sq <= _HUGE)) & x.any(axis=-1)
+    if x.ndim == 1:
+        return np.float64(math.hypot(*x)) if unsafe else norm
     norm[unsafe] = [math.hypot(*r) for r in x[unsafe]]
     return norm
 
@@ -92,11 +92,13 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """The one-vector ``_norm`` of each row of an (m, d) stack, bit for bit.
-
-    The caller silences the warning of a square that overflows.
+    """The norm of one vector (d,), or of each row of a stack (..., d), each
+    the square root of its own dot product; a row whose square under- or
+    overflows is measured by ``math.hypot`` instead, without a warning.
     """
-    return _scale_safe_sqrt(x, _dots(x, x))
+    with np.errstate(over="ignore"):
+        sq = _dots(x, x)
+    return _scale_safe_sqrt(x, sq)
 
 
 def _angle_norms(w: np.ndarray, wstar: np.ndarray):

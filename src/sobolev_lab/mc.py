@@ -413,6 +413,8 @@ def closed_form_grad(model: str, kind: str, w: np.ndarray, wstar: np.ndarray) ->
 def _basin_pair(model: str, seed: int, dim: int, trial: int):
     pair_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(dim, trial)))
     if model == "multinode":
+        if dim < 2:  # two orthonormal teachers
+            raise ValueError(f"multinode forms need dim >= 2, got {dim}")
         return basin_node_pairs(pair_rng, dim, 0.05, 0.95)
     # a unit teacher keeps per-trial MSE scales comparable: the second-order
     # gradients scale like the sixth power of the norms, so one large-norm

@@ -41,19 +41,6 @@ _FIXED_POINT = np.array([1.0, 0.0])
 
 
 @dataclass(frozen=True)
-class LinearizationReport:
-    """Idealized near-fixed-point linearization of the planar flows.
-
-    ``m3`` is the 2x2 matrix with closed-form eigenvalues {1/4, (K+1)/4};
-    the H1 field linearizes to twice the L2 one in this idealization.
-    """
-
-    m3: np.ndarray
-    eigs_l2: tuple[float, float]
-    eigs_h1: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class DecayFit:
     """Least-squares exponent of log|x(t) - x*| along the diagonal flow."""
 
@@ -253,24 +240,6 @@ def threshold_rows(kind, k, starts: np.ndarray, thresh: float, step: float = 1e-
     return PlanarRows(kind, k, starts, step, _THRESHOLD_T_MAX, thresh=thresh)
 
 
-def linearization(k: int) -> LinearizationReport:
-    """The idealized planar linearization matrix and its closed-form eigenvalues.
-
-    Eigenvalues of the (non-symmetric) 2x2 come from its characteristic
-    polynomial: {1/4, (K+1)/4}; the H1 pair is doubled.  This is the
-    textbook approximation that drops the first-order variation of the sine
-    sums; the exact field's Jacobian differs from -m3 by O(1/2pi) entries.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    m3 = np.array([[0.5, (k - 1) / 4.0], [0.25, k / 4.0]])
-    tr = m3[0, 0] + m3[1, 1]
-    det = m3[0, 0] * m3[1, 1] - m3[0, 1] * m3[1, 0]
-    disc = math.sqrt(tr * tr - 4.0 * det)
-    lo, hi = (tr - disc) / 2.0, (tr + disc) / 2.0
-    return LinearizationReport(m3=m3, eigs_l2=(lo, hi), eigs_h1=(2.0 * lo, 2.0 * hi))
-
-
 def saddle_points(k: int) -> tuple[float, float]:
     """Diagonal saddle coordinates x*_{L2} and x*_{H1} in closed form."""
     if k < 2:
@@ -358,9 +327,10 @@ def toeplitz_jacobian(kind: str, k: int) -> np.ndarray:
 def toeplitz_linearization(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Idealized linearization matrix M = I/4 + ones/4 and its eigenvalues.
 
-    Closed-form spectrum {(K+1)/4} + {1/4 with multiplicity K-1}; same
-    caveat as ``linearization``: the exact field's Jacobian at the critical
-    point e_1 carries extra O(1/2pi) couplings that this matrix drops.
+    Closed-form spectrum {(K+1)/4} + {1/4 with multiplicity K-1}.  This is
+    the textbook approximation that drops the first-order variation of the
+    sine sums: the exact field's Jacobian at the critical point e_1
+    (``toeplitz_jacobian``) carries extra O(1/2pi) couplings.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

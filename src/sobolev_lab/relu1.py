@@ -88,8 +88,9 @@ class GdCompareReport:
     ``gain_f = err_l2 - err_h1`` and ``max_step_c`` is the largest stepsize
     for which the squared-error improvement is guaranteed positive.  The
     guarantee holds only inside the basin; ``in_basin`` is False when the
-    report was computed outside it (values still returned).  For a stack
-    of m points every field has a leading axis of length m.
+    report was computed outside it (values still returned).  ``eta`` is the
+    stepsize taken and ``geometry`` the pair geometry of the points.  For a
+    stack of m points every field has a leading axis of length m.
     """
 
     w_new_l2: np.ndarray
@@ -98,7 +99,9 @@ class GdCompareReport:
     err_h1: float
     gain_f: float
     max_step_c: float
+    eta: float
     in_basin: bool
+    geometry: PairGeometry
 
 
 # --------------------------------------------------------------------------
@@ -368,7 +371,7 @@ def gd_quadratic_forms(theta: float) -> tuple[np.ndarray, ...]:
 # one-step GD comparison
 
 
-def gd_compare(w: np.ndarray, wstar: np.ndarray, eta) -> GdCompareReport:
+def gd_compare(w: np.ndarray, wstar: np.ndarray, eta, relative: bool = False) -> GdCompareReport:
     """Take one GD step of stepsize eta under L2 and under H1 and compare errors.
 
     ``max_step_c = -2 grad J . (w - w*) / (|grad L|^2 - |grad H|^2)``; for
@@ -379,37 +382,38 @@ def gd_compare(w: np.ndarray, wstar: np.ndarray, eta) -> GdCompareReport:
     ``SingularPointError``; an error whose square overflows is still taken.
 
     ``w`` is one point (d,) or a stack (m, d) against one teacher (d,), and
-    ``eta`` one stepsize or one per row.  A stack gives a report of stacks,
-    each row bit for bit the report of its point alone.
+    ``eta`` one stepsize or one per row; with ``relative`` each row steps
+    ``eta`` times its own ``max_step_c`` instead.  A stack gives a report of
+    stacks, each row bit for bit the report of its point alone.
     """
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta <= 0.0):
-        raise ValueError("stepsize must be positive")
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
     geom = pair_geometry(w, wstar)
     _check_nonzero(geom.norm_w)
     gl, gj = _gradients(w, wstar, geom.norm_w, geom.norm_wstar, geom.theta)
     gh = gl + gj
+    e = w - wstar
+    num = -2.0 * _dots(gj, e)
+    den = _dots(gl, gl) - _dots(gh, gh)
+    # a bound or stepsize that leaves the floats makes a step that raises below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        max_step_c = np.where(den != 0.0, num / den, math.inf)
+        eta = eta * max_step_c if relative else np.asarray(eta, dtype=float)
+    if np.any(eta <= 0.0):
+        raise ValueError("stepsize must be positive")
     step = eta[..., None] if eta.ndim else eta
-    # a step or an error that leaves the floats raises below
     with np.errstate(over="ignore", invalid="ignore"):
         w_new_l2 = w - step * gl
         w_new_h1 = w - step * gh
-        e, e_l2, e_h1 = w - wstar, w_new_l2 - wstar, w_new_h1 - wstar
-        # each norm as np.linalg.norm takes it, the square root of a dot
-        # product, and math.hypot's where that square overflows
-        err_l2, err_h1 = _row_norms(np.stack([e_l2, e_h1]).reshape(-1, w.shape[-1])).reshape(
-            2, *w.shape[:-1])
+    # each norm as np.linalg.norm takes it, the square root of a dot
+    # product, and math.hypot's where that square overflows
+    err_l2, err_h1 = _row_norms(np.stack([w_new_l2, w_new_h1]) - wstar)
     if not (np.isfinite(err_l2).all() and np.isfinite(err_h1).all()):
         raise SingularPointError(f"a GD step of stepsize up to {eta.max():g} leaves the floats")
-    num = -2.0 * _dots(gj, e)
-    den = _dots(gl, gl) - _dots(gh, gh)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        max_step_c = np.where(den != 0.0, num / den, math.inf)
     in_basin = np.sqrt(_dots(e, e)) < np.sqrt(_dots(wstar, wstar))
     fields = {"err_l2": err_l2, "err_h1": err_h1, "gain_f": err_l2 - err_h1,
-              "max_step_c": max_step_c, "in_basin": in_basin}
+              "max_step_c": max_step_c, "eta": np.broadcast_to(eta, max_step_c.shape),
+              "in_basin": in_basin}
     if w.ndim == 1:
         fields = {key: val.item() for key, val in fields.items()}
-    return GdCompareReport(w_new_l2=w_new_l2, w_new_h1=w_new_h1, **fields)
+    return GdCompareReport(w_new_l2=w_new_l2, w_new_h1=w_new_h1, geometry=geom, **fields)

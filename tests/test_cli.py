@@ -1,14 +1,23 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sobolev_lab import cli, multinode as mn
 from sobolev_lab.cli import _write_csv, main, summarize
 from sobolev_lab.sgd import SgdConfig, sgd_run
+
+THREADS_VAR = cli.ENV["threads"]
 
 
 def run(*argv):
@@ -108,22 +117,76 @@ def test_rerun_is_byte_identical_and_thread_invariant(tmp_path):
 
 
 def test_every_subcommand_is_built_from_its_table_row(tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.ENV_THREADS, raising=False)
-    for name, (_, defaults) in cli.EXPERIMENTS.items():
+    monkeypatch.delenv(THREADS_VAR, raising=False)
+    for name, (_, defaults, rules) in cli.EXPERIMENTS.items():
         keys = set(defaults) | set(cli.COMMON)
-        dests = set(vars(cli.build_parser().parse_args([name]))) - {"subcommand", "runner", "defaults"}
-        # only verify-gradients has Monte-Carlo workers to cap
-        threads = name == "verify-gradients"
-        assert dests == keys | {"config"} | ({"threads"} if threads else set()), name
+        assert set(rules) <= set(defaults), name
+        parser_keys = {"subcommand", "runner", "defaults", "rules"}
+        dests = set(vars(cli.build_parser().parse_args([name]))) - parser_keys
+        assert dests == keys | {"config"}, name
         # the runner is read from the module when the parser is built, so a
         # patched cmd_* (as the span tracer installs) is the one that runs
         calls = []
         monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"),
-                            lambda cfg, out, **kw: calls.append(kw) or [])
+                            lambda cfg, out: calls.append(cfg) or [])
         out = tmp_path / name
         assert run(name, "--out-dir", str(out)) == 0
-        assert calls == [{"threads": 1} if threads else {}], name
-        assert set(json.loads((out / "manifest.json").read_text())["config"]) == keys, name
+        # the manifest records the resolved configuration the runner got
+        assert [json.loads((out / "manifest.json").read_text())["config"]] == calls, name
+        assert set(calls[0]) == keys, name
+
+
+def test_help_states_each_flags_rule_and_default(capsys):
+    for argv, flag, text in ((["multinode"], "--k-list", "comma list, each an integer >= 2 "
+                              "(default 2,4,8)"),
+                             (["landscape"], "--norm-w", "a float >= 0 or inf (default 1.0)"),
+                             (["gd-compare"], "--eta-factor", "a finite float > 0 (default 0.9)"),
+                             (["verify-gradients"], "--threads",
+                              f"an integer >= 1 (default 1, or ${THREADS_VAR})"),
+                             (["flow"], "--kind", "one of l2, h1, both (default both)")):
+        with pytest.raises(SystemExit):
+            run(*argv, "--help")
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"{flag} {flag[2:].upper().replace('-', '_')} {text}" in out, (flag, out)
+
+
+SMALL = {
+    "landscape": ("--theta-grid", "3"),
+    "gd-compare": ("--points", "3"),
+    "flow": ("--inits", "2", "--t-end", "0.01", "--dim", "3", "--record-every", "5"),
+    "relusq": ("--points", "3", "--inits", "2", "--t-end", "0.01"),
+    "multinode": ("--k-list", "2", "--starts", "2", "--ratio-starts", "1", "--t-end", "0.01"),
+    "toeplitz": ("--k-list", "3"),
+    "sgd": ("--seeds", "1", "--steps", "5", "--n-train", "100", "--batch", "8"),
+    "verify-gradients": ("--dims", "2", "--n-min", "4", "--n-max", "5", "--trials", "1",
+                         "--forms", "relu:l2,multinode:l2"),
+    "linear": ("--trials", "10", "--n", "20", "--dim", "3"),
+    "chebyshev": ("--n-max", "3"),
+}
+
+
+def test_manifest_config_reproduces_the_run(tmp_path, monkeypatch):
+    # every resolved key, threads included, lands in the manifest, and the
+    # manifest's config fed back through --config gives the same CSV bodies
+    monkeypatch.setenv(THREADS_VAR, "2")
+    assert set(SMALL) == set(cli.EXPERIMENTS)
+    for name, argv in SMALL.items():
+        first, again = tmp_path / name / "first", tmp_path / name / "again"
+        assert run(name, *argv, "--seed", "3", "--out-dir", str(first)) == 0, name
+        config = json.loads((first / "manifest.json").read_text())["config"]
+        cfg = tmp_path / name / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv(THREADS_VAR, "1")  # the recorded threads beat the variable
+        assert run(name, "--config", str(cfg), "--out-dir", str(again)) == 0, name
+        monkeypatch.setenv(THREADS_VAR, "2")
+        replayed = json.loads((again / "manifest.json").read_text())["config"]
+        assert replayed == {**config, "out_dir": str(again)}, name
+        csvs = sorted(p.name for p in first.glob("*.csv"))
+        assert csvs and csvs == sorted(p.name for p in again.glob("*.csv")), name
+        for fname in csvs:
+            assert (first / fname).read_bytes() == (again / fname).read_bytes(), (name, fname)
+        if "threads" in config:
+            assert config["threads"] == 2, name
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -170,6 +233,12 @@ def test_validation_failures_exit_2(tmp_path, capsys, monkeypatch):
     for argv in (("multinode", "--ratio-starts", "0"),
                  ("multinode", "--starts", "0"),
                  ("multinode", "--k-list", ""),
+                 # a list item below its rule
+                 ("multinode", "--k-list", "2,-1"),
+                 ("toeplitz", "--k-list", "0"),
+                 ("verify-gradients", "--dims", "0", "--n-min", "4", "--n-max", "4", "--trials", "1"),
+                 ("linear", "--lambdas", "1,-0.5"),
+                 ("flow", "--kind", "l1", "--inits", "2"),
                  ("flow", "--inits", "0"),
                  # a horizon or step that is not a finite float
                  ("flow", "--inits", "2", "--t-end", "inf"),
@@ -212,28 +281,91 @@ def test_validation_failures_exit_2(tmp_path, capsys, monkeypatch):
         assert len(err) == 1 and err[0].startswith("error:"), argv
         assert not (tmp_path / "e" / "manifest.json").exists(), argv
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"ratio_starts": 0}))
-    assert run("multinode", "--config", str(cfg), "--out-dir", str(tmp_path / "e")) == 2
-    assert "ratio_starts" in capsys.readouterr().err
+    # a count below 1, a list item below its rule or of the wrong type
+    for entry, named in (({"ratio_starts": 0}, "ratio_starts"), ({"k_list": [2, 0]}, "k_list"),
+                         ({"k_list": [2.7]}, "k_list"), ({"k_list": [True]}, "k_list")):
+        cfg.write_text(json.dumps(entry))
+        assert run("multinode", "--config", str(cfg), "--out-dir", str(tmp_path / "e")) == 2
+        assert named in capsys.readouterr().err
+    # an item that breaks its rule is named with the rule, as is a
+    # dimension too small for the two teachers of a multinode form
+    mc_small = ("verify-gradients", "--n-min", "4", "--n-max", "4", "--trials", "1")
+    for argv, named in ((("multinode", "--k-list", "0"), ("k_list", "integer >= 2")),
+                        ((*mc_small, "--dims", "0"), ("dims", "integer >= 1")),
+                        ((*mc_small, "--dims", "1", "--forms", "multinode:l2"),
+                         ("multinode", "dim >= 2"))):
+        assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and all(name in err[0] for name in named), err
     # a worker count below 1, by flag or environment, and a form that is not
     # model:kind: one error line each, no run
     small = ("verify-gradients", "--dims", "2", "--n-min", "4", "--n-max", "4", "--trials", "1",
              "--out-dir", str(tmp_path / "v"))
     for extra, env, named in ((("--threads", "0"), None, ("threads",)),
                               (("--threads", "-3"), None, ("threads",)),
-                              ((), "0", ("threads",)),
-                              ((), "x", (cli.ENV_THREADS, "integer >= 1")),
+                              ((), "0", (THREADS_VAR, "integer >= 1")),
+                              ((), "x", (THREADS_VAR, "integer >= 1")),
                               (("--forms", "relu"), None, ("'relu'", "model:kind")),
                               (("--forms", "relu:l2,relu_sq:i1:i2"), None,
                                ("'relu_sq:i1:i2'", "model:kind"))):
         if env is not None:
-            monkeypatch.setenv(cli.ENV_THREADS, env)
+            monkeypatch.setenv(THREADS_VAR, env)
         assert run(*small, *extra) == 2, (extra, env)
-        monkeypatch.delenv(cli.ENV_THREADS, raising=False)
+        monkeypatch.delenv(THREADS_VAR, raising=False)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert all(name in err[0] for name in named), err
         assert not (tmp_path / "v" / "manifest.json").exists(), extra
+
+
+EDGES = {float: ("0", "-1", "1e-300", "5e-324", "1e300", "inf", "-inf", "nan"),
+         int: ("-1", "0", "1", "2")}
+
+
+def _edge_cases():
+    """(subcommand, --flag=value or None, SOBOLEV_LAB_THREADS or None): every
+    number and list item of every table row at each edge value, and the
+    worker count from the flag or the variable."""
+    cases = []
+    for name, (_, defaults, _) in cli.EXPERIMENTS.items():
+        for key, default in {**defaults, **cli.COMMON}.items():
+            kind = type(default[0]) if isinstance(default, list) else type(default)
+            cases += [(name, f"--{key.replace('_', '-')}={v}", None) for v in EDGES.get(kind, ())]
+    cases += [("verify-gradients", "--threads=x", None)]
+    cases += [("verify-gradients", None, v) for v in ("0", "1", "2", "x")]
+    return cases
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_edge_cases()))
+# a K of 0 once divided by zero (exit 1); a dimension of 0 warned in the
+# multinode form's pair draw; a variable that is no integer
+@example(("multinode", "--k-list=0", None))
+@example(("verify-gradients", "--dims=0", None))
+@example(("verify-gradients", None, "x"))
+def test_any_edge_value_exits_0_2_or_3_without_a_warning(case):
+    # argparse reads a bare -inf as an option, hence --flag=value; its own
+    # exit (a value that is not a number) counts as exit 2 and prints usage
+    name, flag, env = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+            warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        os.environ.pop(THREADS_VAR, None)
+        if env is not None:
+            os.environ[THREADS_VAR] = env
+        out = Path(tmp) / "out"
+        parsed = True
+        try:
+            code = run(name, *SMALL[name], *[flag] * (flag is not None), "--out-dir", str(out))
+        except SystemExit as exc:
+            code, parsed = exc.code, False
+        wrote_manifest = (out / "manifest.json").exists()
+    assert code in (0, 2, 3), (case, err.getvalue())
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], case
+    if code != 0:
+        assert not wrote_manifest, case
+        assert len(err.getvalue().splitlines()) == 1 or not parsed, (case, err.getvalue())
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sobolev_lab.geometry import (_angle_norms, _norm, _plane_angle_norms, _plane_coordinates,
-                                  basin_pairs, pair_geometry)
+from sobolev_lab import relu1
+from sobolev_lab.geometry import (_angle_norms, _dots, _norm, _plane_angle_norms,
+                                  _plane_coordinates, _row_norms, basin_pairs, pair_geometry)
 
 
 def test_identical_directions_flag_infinite_alpha():
@@ -129,6 +130,26 @@ def test_stacked_norm_mixes_zero_tiny_huge_and_ordinary_rows():
     for norm, (in_stack, vector) in zip(norms, alone):
         assert norm == in_stack == vector
     np.testing.assert_array_equal(stacked, norms[None, :])
+
+
+def test_row_norms_of_one_vector_whose_square_leaves_the_floats():
+    # a (d,) vector takes the scale-safe path as a stack's row does, and the
+    # overflow of its square is handled, not warned about (the suite turns
+    # every RuntimeWarning into an error)
+    for x in (np.array([3e200, 4e200]), np.array([3e-200, 4e-200])):
+        assert _row_norms(x) == math.hypot(*x) == _row_norms(x[None, :])[0]
+        assert _norm(x) == _row_norms(x)
+    assert _row_norms(np.zeros(3)) == 0.0
+    # an ordinary vector: the square root of its one dot product
+    x = np.random.default_rng(5).standard_normal(7)
+    assert _row_norms(x) == np.sqrt(x.dot(x)) == np.sqrt(_dots(x, x))
+
+
+def test_gradients_of_a_huge_student_do_not_warn():
+    # the one-vector norm of |w| ~ 5e200 went through a dot product that
+    # overflowed with a warning before its hypot fallback
+    bundle = relu1.population_gradients(np.array([3e200, 4e200]), np.array([1.0, 0.5]))
+    assert np.isfinite(bundle.grad_h1).all()
 
 
 def test_stacked_pair_geometry_rows_are_the_one_pair_values():

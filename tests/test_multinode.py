@@ -191,18 +191,6 @@ def test_diagonal_field_values_k2():
     assert xdot_h1 == pytest.approx(-1.0908451, abs=1e-7)
 
 
-def test_linearization_matrix_eigenvalues():
-    for k in (2, 3, 7):
-        rep = mn.linearization(k)
-        assert rep.eigs_l2 == pytest.approx((0.25, (k + 1) / 4.0), abs=1e-12)
-        assert rep.eigs_h1 == pytest.approx((0.5, (k + 1) / 2.0), abs=1e-12)
-        # characteristic polynomial of the returned matrix confirms the pair
-        tr = rep.m3[0, 0] + rep.m3[1, 1]
-        det = float(np.linalg.det(rep.m3))
-        for lam in rep.eigs_l2:
-            assert abs(lam * lam - tr * lam + det) <= 1e-10
-
-
 def test_saddle_points_closed_form_k2():
     x_l2, x_h1 = mn.saddle_points(2)
     # (1 + 3 pi / 4) / (2 pi) and (1 + 3 pi / 2) / (4 pi)

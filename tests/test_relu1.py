@@ -265,7 +265,8 @@ def test_stacked_rows_are_the_one_vector_calls(d):
         for stacked, alone in ((rep.kappa_l2, one.kappa_l2), (rep.kappa_h1, one.kappa_h1)):
             assert (math.isnan(stacked[i]) and alone is None) or stacked[i] == alone, i
         one_gd = relu1.gd_compare(w, ws, eta[i])
-        for field in ("w_new_l2", "w_new_h1", "err_l2", "err_h1", "gain_f", "max_step_c", "in_basin"):
+        for field in ("w_new_l2", "w_new_h1", "err_l2", "err_h1", "gain_f", "max_step_c", "eta",
+                      "in_basin"):
             assert np.array_equal(getattr(gd, field)[i], getattr(one_gd, field)), (i, field)
 
 
@@ -500,6 +501,24 @@ def test_gd_compare_guarantee_on_random_basin_points():
         assert rep.in_basin
         assert rep.gain_f > 0.0
         assert rep.err_h1 <= rep.err_l2 - rep.gain_f + 1e-15
+
+
+def test_gd_compare_relative_step_is_the_probe_then_step_pair():
+    # a relative stepsize is eta times each row's own C, bit for bit the
+    # report of a probe call for C and a call at that stepsize; the report
+    # carries the pair geometry it was formed from
+    rng = np.random.default_rng(54)
+    ws = rng.standard_normal(5)
+    stack = np.stack([basin_pair(rng, 5)[0] for _ in range(6)])
+    for w in (stack, stack[0]):
+        rep = relu1.gd_compare(w, ws, 0.9, relative=True)
+        c = relu1.gd_compare(w, ws, 1.0).max_step_c
+        two = relu1.gd_compare(w, ws, 0.9 * np.asarray(c))
+        for field in ("w_new_l2", "w_new_h1", "err_l2", "err_h1", "gain_f", "max_step_c", "eta",
+                      "in_basin"):
+            assert np.array_equal(getattr(rep, field), getattr(two, field)), field
+        assert np.array_equal(rep.eta, 0.9 * np.asarray(c))
+        assert np.array_equal(rep.geometry.theta, pair_geometry(w, ws).theta)
 
 
 def test_gd_compare_flags_outside_basin():
