@@ -183,7 +183,7 @@ EXPERIMENTS = {
     "chebyshev": ("differentiation-matrix exactness sweep", {"n_max": 20}, {}),
 }
 COMMON = {"seed": 0, "out_dir": "out"}
-COMMON_RULES = {"seed": Rule("any integer", lambda v: True)}
+COMMON_RULES = {"seed": Rule("an integer >= 0", lambda v: v >= 0)}
 
 
 # Students per stacked Hessian eigensolve in ``landscape``: a whole grid of

@@ -69,7 +69,9 @@ def _norm(x: np.ndarray) -> np.ndarray:
     """
     if x.ndim == 1:
         return _row_norms(x)
-    return _scale_safe_sqrt(x, np.add.reduce(x * x, axis=-1))
+    with np.errstate(over="ignore"):
+        sq = np.add.reduce(x * x, axis=-1)
+    return _scale_safe_sqrt(x, sq)
 
 
 def _scale_safe_sqrt(x: np.ndarray, sq: np.ndarray) -> np.ndarray:

@@ -10,6 +10,16 @@ of one cell (seed, n_samples, dim) share its draws: each block is drawn once
 and every kernel of the cell is applied to it.  The worker pool takes the
 (cell, block) units largest first; that order never changes a result.
 
+A unit streams its block: it draws the rows in ordered chunks of about
+CHUNK doubles from the block's one generator and folds each chunk into
+every kernel's partial before drawing the next, so it never holds a whole
+block.  The chunks are the rows of one whole-block draw, and each chunk's
+first row carries the running sum, so a gradient mean is bit for bit that
+of a one-pass block sum (numpy sums a (B, ...) array's rows in order; a
+(B,) loss or a d = 1 gradient it sums pairwise, so those means move in the
+last bits).  The centred sums of squares of chunks, and then of blocks,
+are merged with Chan, Golub & LeVeque's update.
+
 Per-sample gradients use the indicator identities of the closed-form
 derivations (ReLU derivative 1{t>0}), e.g. for the first-order model:
 
@@ -35,7 +45,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -44,6 +54,10 @@ from . import relu1, relusq
 from .geometry import basin_node_pairs, basin_pairs
 
 BLOCK = 65536
+CHUNK = 1 << 16  # doubles per chunk of a block's normals
+# A product of fewer rows with a few columns can take BLAS's small-matrix
+# kernel, which rounds otherwise than the whole block's product.
+MIN_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -68,15 +82,36 @@ class McEstimate:
     n: int
 
 
-def block_normals(seed: int, block: int, count: int, dim: int) -> np.ndarray:
-    """Standard normals (count, dim) from substream (seed, block) via Box-Muller."""
+def _chunk_rows(dim: int) -> int:
+    """Rows of a chunk at ``dim``: the largest power of two with at most CHUNK
+    doubles, and at least MIN_CHUNK_ROWS."""
+    return max(1 << max((CHUNK // dim).bit_length() - 1, 0), MIN_CHUNK_ROWS)
+
+
+def _normal_chunks(seed: int, block: int, count: int, dim: int) -> Iterator[np.ndarray]:
+    """Standard normals of substream (seed, block) via Box-Muller, in consecutive row chunks.
+
+    Chunk i starts at row i * ``_chunk_rows(dim)`` and has that many rows; the
+    last also takes a shorter remainder, so no chunk is a short tail.  The
+    ``gen.random`` calls continue one Philox stream and Box-Muller maps each
+    row on its own, so the chunks are the rows of one whole-block draw.
+    """
     gen = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, block]))
     n_pairs = (dim + 1) // 2
-    u = gen.random((count, n_pairs, 2))
-    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))  # 1-u in (0,1]: log stays finite
-    a = 2.0 * np.pi * u[..., 1]
-    z = np.concatenate([r * np.cos(a), r * np.sin(a)], axis=1)
-    return z[:, :dim]
+    rows = _chunk_rows(dim)
+    start = 0
+    while start < count:
+        size = count - start if count - start < 2 * rows else rows
+        u = gen.random((size, n_pairs, 2))
+        r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))  # 1-u in (0,1]: log stays finite
+        a = 2.0 * np.pi * u[..., 1]
+        yield np.concatenate([r * np.cos(a), r * np.sin(a)], axis=1)[:, :dim]
+        start += size
+
+
+def block_normals(seed: int, block: int, count: int, dim: int) -> np.ndarray:
+    """Standard normals (count, dim) of substream (seed, block): its chunks, concatenated."""
+    return np.concatenate(list(_normal_chunks(seed, block, count, dim)))
 
 
 def _block_counts(n: int) -> list[int]:
@@ -84,19 +119,25 @@ def _block_counts(n: int) -> list[int]:
     return [BLOCK] * (n_blocks - 1) + [n - BLOCK * (n_blocks - 1)]
 
 
+def _chan_m2(m2_a, sum_a, n_a: int, m2_b, sum_b, n_b: int):
+    """Centred sum of squares of two merged sample sets from each one's sum and
+    centred sum of squares (Chan, Golub & LeVeque 1979): accurate when |mean|
+    is much larger than the spread."""
+    delta = sum_b / n_b - sum_a / n_a
+    return m2_a + m2_b + delta**2 * (n_a * n_b / (n_a + n_b))
+
+
 def _merge(partials: list, counts: list[int], n: int) -> McEstimate:
     """One estimate from its block partials (sum, centred sum of squares), in block order.
 
-    Block statistics are merged pairwise (Chan, Golub & LeVeque 1979), so the
-    variance stays accurate when |mean| is much larger than the spread; the
-    mean is the plain block-ordered sum over n.
+    The mean is the plain block-ordered sum over n; the centred sums of
+    squares are merged with ``_chan_m2``.
     """
     total = partials[0][0].astype(float)
     m2 = partials[0][1].astype(float)
     seen = counts[0]
     for (s, s2), count in zip(partials[1:], counts[1:]):
-        delta = s / count - total / seen
-        m2 = m2 + s2 + delta**2 * (seen * count / (seen + count))
+        m2 = _chan_m2(m2, total, seen, s2, s, count)
         total = total + s
         seen += count
     mean = total / n
@@ -104,31 +145,107 @@ def _merge(partials: list, counts: list[int], n: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=np.sqrt(var / n), n=n)
 
 
-class _BlockMoments:
-    """A kernel given by its block moments: ``moments(x)`` is (sum, centred sum of squares)."""
+class _Kernel:
+    """A kernel streamed over the chunks of a unit's block.
 
-    def __init__(self, moments: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]):
-        self.moments = moments
+    ``fold(acc, x)`` folds chunk x into the unit's accumulator (None before
+    the first chunk); ``moments(acc, count)`` is the unit's (sum, centred sum
+    of squares) over its ``count`` samples.
+    """
 
 
-def _array_moments(vals: np.ndarray, x: np.ndarray):
-    """(sum, centred sum of squares) over the rows of per-sample values ``vals`` of block x."""
-    if np.may_share_memory(vals, x):
-        vals = vals.copy()  # every kernel of the cell reads this block
-    s = vals.sum(axis=0)
-    vals -= s / len(vals)
-    return s, np.square(vals, out=vals).sum(axis=0)
+class _Values(_Kernel):
+    """A kernel given per sample: ``f(x)`` maps a chunk x (B, d) to values (B, ...).
+
+    The accumulator is (sum, centred sum of squares, rows).  numpy sums the
+    rows of a (B, ...) array in order, so adding the running sum to a chunk's
+    first row continues the block's row-ordered sum bit for bit; each chunk's
+    centred sum of squares is merged in with ``_chan_m2``.
+    """
+
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray]):
+        self.f = f
+
+    def fold(self, acc, x: np.ndarray):
+        vals = self.f(x)
+        if np.may_share_memory(vals, x):
+            vals = vals.copy()  # every kernel of the cell reads this chunk
+        rows = len(vals)
+        if acc is None:
+            total = s = vals.sum(axis=0)
+        else:
+            first = vals[0].copy()
+            vals[0] += acc[0]
+            total = vals.sum(axis=0)
+            vals[0] = first
+            s = total - acc[0]
+        vals -= s / rows
+        m2 = np.square(vals, out=vals).sum(axis=0)
+        if acc is None:
+            return total, m2, rows
+        return total, _chan_m2(acc[1], acc[0], acc[2], m2, s, rows), acc[2] + rows
+
+    def moments(self, acc, count: int):
+        return acc[0], acc[1]
+
+
+class _SpanCounts(_Kernel):
+    """A per-sample value that is 0 where w.x <= 0, u where only w.x > 0, and v
+    where w.x > 0 and w*.x > 0, reduced from the counts of the three cases.
+
+    One product x @ [w, w*] per chunk gives the counts n1 (w.x > 0) and n11
+    (both), which add up over the unit; then the sum is n10 u + n11 v and the
+    centred sum of squares is sum_t n_t (v_t - sum / count)^2: no (B, d)
+    array, and the sum is exact up to a few roundings.
+    """
+
+    def __init__(self, w: np.ndarray, wstar: np.ndarray, u: np.ndarray, v: np.ndarray):
+        self.proj = np.stack([w, wstar], axis=1)
+        self.u, self.v = u, v
+
+    def fold(self, acc, x: np.ndarray):
+        p = x @ self.proj
+        on = p[:, 0] > 0
+        n1, n11 = acc or (0, 0)
+        return n1 + np.count_nonzero(on), n11 + np.count_nonzero(on & (p[:, 1] > 0))
+
+    def moments(self, acc, count: int):
+        n1, n11 = acc
+        n10, n00 = n1 - n11, count - n1
+        u, v = self.u, self.v
+        s = n10 * u + n11 * v
+        mean = s / count
+        return s, n00 * mean**2 + n10 * (u - mean) ** 2 + n11 * (v - mean) ** 2
+
+
+class _WithSpanRow(_Kernel):
+    """"h2_parts" with its span part: the array parts' rows, then the span part's row."""
+
+    def __init__(self, values: _Values, span: _SpanCounts):
+        self.values, self.span = values, span
+
+    def fold(self, acc, x: np.ndarray):
+        a, b = acc or (None, None)
+        return self.values.fold(a, x), self.span.fold(b, x)
+
+    def moments(self, acc, count: int):
+        (s, m2), (s_span, m2_span) = (self.values.moments(acc[0], count),
+                                      self.span.moments(acc[1], count))
+        return np.concatenate([s, s_span[None]]), np.concatenate([m2, m2_span[None]])
 
 
 def _reduce_cells(cells: list[tuple], threads: int) -> list[list[McEstimate]]:
     """Estimates [cell][kernel] for cells (McConfig, kernels).
 
     A kernel is a per-sample callable x (B, d) -> values (B, ...), or a
-    ``_BlockMoments``.  The unit of work is one (cell, block) pair: it draws
-    the block once and applies every kernel of its cell to it.  All units of
-    a call share one thread pool, which takes them largest (count x dim)
-    first, and each cell's partials are merged per kernel in block order.
+    ``_Kernel``.  The unit of work is one (cell, block) pair: it draws the
+    block's chunks in order and folds each chunk into every kernel of its
+    cell before drawing the next.  All units of a call share one thread pool,
+    which takes them largest (count x dim) first, and each cell's partials
+    are merged per kernel in block order.
     """
+    cells = [(cfg, [k if isinstance(k, _Kernel) else _Values(k) for k in kernels])
+             for cfg, kernels in cells]
     counts = [_block_counts(cfg.n_samples) for cfg, _ in cells]
     # a stable sort; the order units run in never changes a result
     units = sorted(((c, b) for c, cell_counts in enumerate(counts) for b in range(len(cell_counts))),
@@ -137,9 +254,10 @@ def _reduce_cells(cells: list[tuple], threads: int) -> list[list[McEstimate]]:
     def work(unit):
         c, b = unit
         cfg, kernels = cells[c]
-        x = block_normals(cfg.seed, b, counts[c][b], cfg.dim)
-        return [k.moments(x) if isinstance(k, _BlockMoments) else _array_moments(k(x), x)
-                for k in kernels]
+        accs = [None] * len(kernels)
+        for x in _normal_chunks(cfg.seed, b, counts[c][b], cfg.dim):
+            accs = [k.fold(acc, x) for k, acc in zip(kernels, accs)]
+        return [k.moments(acc, counts[c][b]) for k, acc in zip(kernels, accs)]
 
     if threads > 1 and len(units) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -251,30 +369,6 @@ def _part_value(what: str, part: str, w, wstar, dots, x, iw, istar, sw, ss):
     )
 
 
-def _span_moments(w: np.ndarray, wstar: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Block moments of a per-sample value that is 0 where w.x <= 0, u where
-    only w.x > 0, and v where w.x > 0 and w*.x > 0.
-
-    One product x @ [w, w*] gives the counts n00, n10 and n11 of the three
-    cases, so the sum is n10 u + n11 v and the centred sum of squares is
-    sum_t n_t (v_t - sum / count)^2: no (count, d) array, and the sum is
-    exact up to a few roundings.
-    """
-    proj = np.stack([w, wstar], axis=1)
-
-    def moments(x: np.ndarray):
-        p = x @ proj
-        on = p[:, 0] > 0
-        n1 = np.count_nonzero(on)
-        n11 = np.count_nonzero(on & (p[:, 1] > 0))
-        n10, n00 = n1 - n11, len(x) - n1
-        s = n10 * u + n11 * v
-        mean = s / len(x)
-        return s, n00 * mean**2 + n10 * (u - mean) ** 2 + n11 * (v - mean) ** 2
-
-    return moments
-
-
 def _span_values(part: str, w: np.ndarray, wstar: np.ndarray, dots) -> tuple[np.ndarray, np.ndarray]:
     """The values (u, v) of a span part's per-sample gradient: u where only
     w.x > 0, v where w.x > 0 and w*.x > 0 (0 where w.x <= 0)."""
@@ -298,13 +392,13 @@ def _persample(model: str, kind: str, W: np.ndarray, Wstar: np.ndarray, what: st
     parts axis after the sample axis for "h2_parts".  A single-node gradient
     part in ``_SPAN_PARTS`` that is not summed with another part (the
     "h1_semi" and "i3" kinds, and the "i3" row of "h2_parts") is a
-    ``_BlockMoments`` over the indicator counts; every other kernel is a
-    per-sample callable.
+    ``_SpanCounts`` over the indicator counts; every other part is a
+    per-sample ``_Values``.
     """
     parts = _parts(model, kind)
     stacked = kind == "h2_parts"
     if what == "grad" and model == "multinode":
-        return lambda x: _combine(_relu_grad(x, W, Wstar, parts), stacked)
+        return _Values(lambda x: _combine(_relu_grad(x, W, Wstar, parts), stacked))
     w, wstar = W[0], Wstar[0]
     dots = (float(w @ w), float(w @ wstar), float(wstar @ wstar))
     alone = stacked or len(parts) == 1  # each part is reduced on its own
@@ -326,16 +420,9 @@ def _persample(model: str, kind: str, W: np.ndarray, Wstar: np.ndarray, what: st
                              for p in rest], stacked)
 
     if span is None:
-        return kernel
-    span_moments = _span_moments(w, wstar, *_span_values(span, w, wstar, dots))
-    if not rest:
-        return _BlockMoments(span_moments)
-
-    def moments(x: np.ndarray):  # "h2_parts": the array parts' rows, then the span part's
-        (s, m2), (s_span, m2_span) = _array_moments(kernel(x), x), span_moments(x)
-        return np.concatenate([s, s_span[None]]), np.concatenate([m2, m2_span[None]])
-
-    return _BlockMoments(moments)
+        return _Values(kernel)
+    counted = _SpanCounts(w, wstar, *_span_values(span, w, wstar, dots))
+    return _WithSpanRow(_Values(kernel), counted) if rest else counted
 
 
 def mc_loss_and_grad(

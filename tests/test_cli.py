@@ -264,7 +264,10 @@ def test_validation_failures_exit_2(tmp_path, capsys, monkeypatch):
                  # a noise level that is not finite, a rate that never descends
                  ("linear", "--sigma", "inf"),
                  ("sgd", "--lr", "0", "--seeds", "1", "--steps", "3"),
-                 ("sgd", "--lr", "-1", "--seeds", "1", "--steps", "3")):
+                 ("sgd", "--lr", "-1", "--seeds", "1", "--steps", "3"),
+                 # a negative seed, where the subcommand draws and where it does not
+                 ("linear", "--trials", "2", "--seed=-1"),
+                 ("chebyshev", "--n-max", "3", "--seed=-1")):
         assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
         assert not (tmp_path / "e" / "manifest.json").exists(), argv
     capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,14 +69,14 @@ def test_std_error_stable_when_mean_dominates():
 
 
 def test_each_block_is_drawn_once_for_every_form(monkeypatch):
-    drawn = mc.block_normals
+    drawn = mc._normal_chunks
     calls = []
 
     def counted(seed, block, count, dim):
         calls.append((seed, block))
         return drawn(seed, block, count, dim)
 
-    monkeypatch.setattr(mc, "block_normals", counted)
+    monkeypatch.setattr(mc, "_normal_chunks", counted)
     n_grid, trials = [100, BLOCK + 5, 2 * BLOCK + 1], 2
     blocks_per_dim = trials * sum((n + BLOCK - 1) // BLOCK for n in n_grid)
     forms = [("relu", "l2"), ("relu_sq", "i3"), ("multinode", "l2")]
@@ -97,18 +98,113 @@ def test_tables_are_bit_identical_at_any_thread_count():
 
 
 def test_units_run_largest_first(monkeypatch):
-    drawn = mc.block_normals
+    drawn = mc._normal_chunks
     sizes = []
 
     def counted(seed, block, count, dim):
         sizes.append(count * dim)
         return drawn(seed, block, count, dim)
 
-    monkeypatch.setattr(mc, "block_normals", counted)
+    monkeypatch.setattr(mc, "_normal_chunks", counted)
     cells = [(McConfig(n_samples=n, seed=s, dim=d), (lambda x: x,))
              for s, (n, d) in enumerate([(100, 8), (2 * BLOCK + 3, 2), (BLOCK + 1, 8), (7, 40)])]
     _reduce_cells(cells, threads=1)
     assert sizes == sorted(sizes, reverse=True) and len(sizes) == 7
+
+
+def _whole_block_normals(seed, block, count, dim):
+    """Box-Muller over one whole-block draw of substream (seed, block); the
+    products are written into one array instead of concatenated, which keeps
+    their bits and saves a block of memory."""
+    gen = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, block]))
+    n_pairs = (dim + 1) // 2
+    u = gen.random((count, n_pairs, 2))
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
+    a = 2.0 * np.pi * u[..., 1]
+    del u
+    z = np.empty((count, 2 * n_pairs))
+    np.multiply(r, np.cos(a), out=z[:, :n_pairs])
+    np.multiply(r, np.sin(a), out=z[:, n_pairs:])
+    return z[:, :dim]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 63, 64, 65, 200])
+def test_chunks_are_the_rows_of_one_whole_block_draw(dim):
+    rows = mc._chunk_rows(dim)
+    assert rows & (rows - 1) == 0 and BLOCK % rows == 0
+    for count in (1, 17, 1023, 1024, 1025, BLOCK):
+        whole = _whole_block_normals(dim, 3, count, dim)
+        start = 0
+        for z in mc._normal_chunks(dim, 3, count, dim):
+            # every chunk starts at a multiple of the chunk size; only the last
+            # differs from it, and then it is longer, or the whole of a short block
+            assert start % rows == 0
+            assert len(z) == rows or start + len(z) == count and len(z) < 2 * rows
+            assert len(z) >= rows or start == 0
+            assert np.array_equal(z, whole[start:start + len(z)]), (count, start)
+            start += len(z)
+        assert start == count
+        assert np.array_equal(block_normals(dim, 3, count, dim), whole)
+
+
+def _one_shot(kernel, x):
+    """(sum, centred sum of squares) of one whole block in one pass: numpy's
+    row-ordered sum of the per-sample values, and a span part's counts."""
+    if isinstance(kernel, mc._SpanCounts):
+        return kernel.moments(kernel.fold(None, x), len(x))
+    if isinstance(kernel, mc._WithSpanRow):
+        (s, m2), (s_span, m2_span) = _one_shot(kernel.values, x), _one_shot(kernel.span, x)
+        return np.concatenate([s, s_span[None]]), np.concatenate([m2, m2_span[None]])
+    vals = kernel.f(x)
+    s = vals.sum(axis=0)
+    vals -= s / len(vals)
+    return s, np.square(vals, out=vals).sum(axis=0)
+
+
+@pytest.mark.parametrize("dim", [3, 64, 65, 200])
+def test_streamed_means_are_the_one_shot_block_means(dim):
+    # a tail shorter than a chunk is folded into the chunk before it, so
+    # every product runs on wide chunks, and the means keep their bits.  At
+    # d = 200 a one-shot 65536-row reference of the K-node h1 form holds
+    # ~0.8 GB, so n stops at 5000 there (chunks of 1024 rows, a 1928-row tail)
+    ns = (1023, 1024, 1025, 5000) + (() if dim == 200 else (BLOCK + 17, 2 * BLOCK + 1))
+    forms = [(model, kind) for model, kinds in _FORMS.items() for kind in kinds]
+    kernels = []
+    for model, kind in forms:
+        w, wstar = mc._basin_pair(model, dim, dim, 0)
+        kernels.append(_persample(model, kind, np.atleast_2d(w), np.atleast_2d(wstar), "grad"))
+    for i, n in enumerate(ns):
+        cfg = McConfig(n_samples=n, seed=100 * dim + i, dim=dim)
+        counts = mc._block_counts(n)
+        partials = [[] for _ in kernels]
+        for b, count in enumerate(counts):
+            x = _whole_block_normals(cfg.seed, b, count, dim)
+            for k, kernel in enumerate(kernels):
+                partials[k].append(_one_shot(kernel, x))
+            del x
+        for (model, kind), part, est in zip(forms, partials, _reduce_cells([(cfg, kernels)], 1)[0]):
+            ref = mc._merge(part, counts, n)
+            assert np.array_equal(est.mean, ref.mean), (model, kind, n)
+            np.testing.assert_allclose(est.std_error, ref.std_error, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{model}:{kind} n={n}")
+
+
+def test_a_block_streams_in_small_chunks():
+    # one 65536 x 64 cell of the benchmark's six forms; a whole-block pass peaked at ~128 MiB
+    forms = [("relu", "l2"), ("relu", "h1_semi"), ("relu_sq", "i1"), ("relu_sq", "i2"),
+             ("relu_sq", "i3"), ("multinode", "l2")]
+    kernels = []
+    for model, kind in forms:
+        w, wstar = mc._basin_pair(model, 1, 64, 0)
+        kernels.append(_persample(model, kind, np.atleast_2d(w), np.atleast_2d(wstar), "grad"))
+    cfg = McConfig(n_samples=BLOCK, seed=1, dim=64)
+    tracemalloc.start()
+    try:
+        _reduce_cells([(cfg, kernels)], threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_kernel_returning_a_view_of_the_block_leaves_it_shared():

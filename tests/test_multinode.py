@@ -62,6 +62,17 @@ def test_tiny_nodes_are_not_singular():
             np.testing.assert_array_equal(f, g[0])
 
 
+def test_huge_nodes_do_not_warn():
+    # node norms near 1e200 square past the floats in the stacked norm; the
+    # field is positively homogeneous of degree 1 in (W, W*)
+    U = np.array([[0.3, 0.4, 0.1], [0.0, 0.2, 0.5]])
+    Wstar = np.eye(3)[:2]
+    for kind in ("l2", "h1"):
+        g = mn.multinode_gradients(1e200 * U, Wstar, kind)
+        np.testing.assert_allclose(g, 1e200 * mn.multinode_gradients(U, 1e-200 * Wstar, kind),
+                                   rtol=1e-14)
+
+
 def test_cyclic_closure_of_gradients():
     # on the cyclic parametrization every node field is the shift of node 1's
     rng = np.random.default_rng(4)
