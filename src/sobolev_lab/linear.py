@@ -13,9 +13,8 @@ Both are unbiased; their in-sample prediction variances are
 with s_i the eigenvalues of X^T X.  The sigma^2 factor is carried
 explicitly (it cancels only for unit noise).
 
-Both estimators come from one batched solve, ``_estimators``: a single
-label vector is its one-row case, and a variance study solves every noise
-draw of a chunk, for every ridge lambda, with it.
+Both estimators come from one batched solve, ``_estimators``: a variance
+study solves every noise draw of a chunk, for every ridge lambda, with it.
 """
 
 from __future__ import annotations
@@ -71,16 +70,6 @@ def _estimators(g: np.ndarray, xty: np.ndarray, wstar: np.ndarray, lambdas) -> t
     eye = np.eye(g.shape[0])
     w_l2 = np.linalg.solve(g, xty.T).T
     return w_l2, (np.linalg.solve(g + lam * eye, (xty + lam * wstar).T).T for lam in lambdas)
-
-
-def fit_estimators(p: LinearProblem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both closed-form estimators for one label vector y."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (p.x_matrix.shape[0],):
-        raise ValueError("y must have one entry per design row")
-    p._gram_eigs  # raises on a numerically singular Gram matrix
-    w_l2, (w_h1,) = _estimators(p.gram(), (y @ p.x_matrix)[None, :], p.wstar, [p.ridge_lambda])
-    return w_l2[0], w_h1[0]
 
 
 def conditioning(p: LinearProblem) -> tuple[float, float]:

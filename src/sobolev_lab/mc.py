@@ -13,12 +13,12 @@ and every kernel of the cell is applied to it.  The worker pool takes the
 A unit streams its block: it draws the rows in ordered chunks of about
 CHUNK doubles from the block's one generator and folds each chunk into
 every kernel's partial before drawing the next, so it never holds a whole
-block.  The chunks are the rows of one whole-block draw, and each chunk's
-first row carries the running sum, so a gradient mean is bit for bit that
-of a one-pass block sum (numpy sums a (B, ...) array's rows in order; a
-(B,) loss or a d = 1 gradient it sums pairwise, so those means move in the
-last bits).  The centred sums of squares of chunks, and then of blocks,
-are merged with Chan, Golub & LeVeque's update.
+block.  The chunks are the rows of one whole-block draw, and each gradient
+chunk's first row carries the running sum, so a gradient mean is bit for
+bit that of a one-pass block sum (numpy sums a (B, ...) array's rows in
+order).  numpy sums a (B,) loss pairwise, so a loss chunk is summed on its
+own and added to the running sum.  The centred sums of squares of chunks,
+and then of blocks, are merged with Chan, Golub & LeVeque's update.
 
 Per-sample gradients use the indicator identities of the closed-form
 derivations (ReLU derivative 1{t>0}), e.g. for the first-order model:
@@ -36,9 +36,9 @@ are only meaningful for the continuous-integrand losses.)
 
 The seminorm gradient and the second-order "i3" gradient depend on x only
 through the two indicators, so each takes one of three values (0, u, v) in
-span{w, w*}.  Where such a part is estimated on its own, a block's sum and
-centred sum of squares come from the counts of the three cases instead of a
-(B, d) array.
+span{w, w*}.  For the kinds that are such a part alone ("h1_semi" and
+"i3"), a block's sum and centred sum of squares come from the counts of the
+three cases instead of a (B, d) array.
 """
 
 from __future__ import annotations
@@ -159,8 +159,10 @@ class _Values(_Kernel):
 
     The accumulator is (sum, centred sum of squares, rows).  numpy sums the
     rows of a (B, ...) array in order, so adding the running sum to a chunk's
-    first row continues the block's row-ordered sum bit for bit; each chunk's
-    centred sum of squares is merged in with ``_chan_m2``.
+    first row continues the block's row-ordered sum bit for bit.  A (B,)
+    array numpy sums pairwise, where the carried sum would cost digits, so
+    its chunk sum is added to the total instead.  Each chunk's centred sum
+    of squares is merged in with ``_chan_m2``.
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray]):
@@ -173,6 +175,9 @@ class _Values(_Kernel):
         rows = len(vals)
         if acc is None:
             total = s = vals.sum(axis=0)
+        elif vals.ndim == 1:
+            s = vals.sum()
+            total = acc[0] + s
         else:
             first = vals[0].copy()
             vals[0] += acc[0]
@@ -218,22 +223,6 @@ class _SpanCounts(_Kernel):
         return s, n00 * mean**2 + n10 * (u - mean) ** 2 + n11 * (v - mean) ** 2
 
 
-class _WithSpanRow(_Kernel):
-    """"h2_parts" with its span part: the array parts' rows, then the span part's row."""
-
-    def __init__(self, values: _Values, span: _SpanCounts):
-        self.values, self.span = values, span
-
-    def fold(self, acc, x: np.ndarray):
-        a, b = acc or (None, None)
-        return self.values.fold(a, x), self.span.fold(b, x)
-
-    def moments(self, acc, count: int):
-        (s, m2), (s_span, m2_span) = (self.values.moments(acc[0], count),
-                                      self.span.moments(acc[1], count))
-        return np.concatenate([s, s_span[None]]), np.concatenate([m2, m2_span[None]])
-
-
 def _reduce_cells(cells: list[tuple], threads: int) -> list[list[McEstimate]]:
     """Estimates [cell][kernel] for cells (McConfig, kernels).
 
@@ -269,28 +258,16 @@ def _reduce_cells(cells: list[tuple], threads: int) -> list[list[McEstimate]]:
             for c, ((cfg, kernels), cell_counts) in enumerate(zip(cells, counts))]
 
 
-def _reduce_blocks(
-    persample: Callable[[np.ndarray], np.ndarray],
-    seed: int,
-    n: int,
-    dim: int,
-    threads: int,
-):
-    """Estimate of one kernel over n samples of substream ``seed``: a one-cell ``_reduce_cells``."""
-    return _reduce_cells([(McConfig(n_samples=n, seed=seed, dim=dim), (persample,))], threads)[0][0]
-
-
 # --------------------------------------------------------------------------
 # per-sample kernels
 
-# Every (model, kind) as the component parts it sums; "h2_parts" stacks its
-# parts instead.  First-order parts: the value gradient "l2" and the seminorm
-# gradient "semi" (relu losses use the same names); second-order parts: the
-# value, input-gradient and input-Hessian mismatches "i1", "i2", "i3".
+# Every (model, kind) as the component parts it sums.  First-order parts:
+# the value gradient "l2" and the seminorm gradient "semi" (relu losses use
+# the same names); second-order parts: the value, input-gradient and
+# input-Hessian mismatches "i1", "i2", "i3".
 _FORMS = {
     "relu": {"l2": ("l2",), "h1_semi": ("semi",), "h1": ("l2", "semi")},
-    "relu_sq": {"i1": ("i1",), "i2": ("i2",), "i3": ("i3",), "h1": ("i1", "i2"),
-                "h2_parts": ("i1", "i2", "i3")},
+    "relu_sq": {"i1": ("i1",), "i2": ("i2",), "i3": ("i3",), "h1": ("i1", "i2")},
     "multinode": {"l2": ("l2",), "h1": ("l2", "semi")},
 }
 
@@ -303,10 +280,8 @@ def _parts(model: str, kind: str) -> tuple[str, ...]:
     return _FORMS[model][kind]
 
 
-def _combine(vals: list[np.ndarray], stacked: bool, axis: int = 1) -> np.ndarray:
-    """The sum of the parts, or their stack along ``axis``."""
-    if stacked:
-        return np.stack(vals, axis=axis)
+def _combine(vals: list[np.ndarray]) -> np.ndarray:
+    """The sum of the parts, in order."""
     out = vals[0]
     for v in vals[1:]:
         out = out + v
@@ -380,7 +355,8 @@ def _span_values(part: str, w: np.ndarray, wstar: np.ndarray, dots) -> tuple[np.
 
 
 # Gradient parts that depend on x only through 1{w.x>0} and 1{w*.x>0}, so lie
-# in span{w, w*}; reduced on their own, they reduce from the indicator counts.
+# in span{w, w*}; a kind that is one of them alone reduces from the
+# indicator counts.
 _SPAN_PARTS = ("semi", "i3")
 
 
@@ -388,26 +364,22 @@ def _persample(model: str, kind: str, W: np.ndarray, Wstar: np.ndarray, what: st
     """Kernel of (model, kind) at students W and teachers W* (K, d).
 
     First-order gradients are (B, K, d) for "multinode" and (B, d) for "relu";
-    everything else is one student: (B, d) gradients, (B,) losses, with a
-    parts axis after the sample axis for "h2_parts".  A single-node gradient
-    part in ``_SPAN_PARTS`` that is not summed with another part (the
-    "h1_semi" and "i3" kinds, and the "i3" row of "h2_parts") is a
-    ``_SpanCounts`` over the indicator counts; every other part is a
-    per-sample ``_Values``.
+    everything else is one student: (B, d) gradients, (B,) losses.  The
+    gradient of a single-node kind that is one part in ``_SPAN_PARTS`` alone
+    ("h1_semi", "i3") is a ``_SpanCounts`` over the indicator counts; every
+    other kernel is a per-sample ``_Values``.
     """
     parts = _parts(model, kind)
-    stacked = kind == "h2_parts"
     if what == "grad" and model == "multinode":
-        return _Values(lambda x: _combine(_relu_grad(x, W, Wstar, parts), stacked))
+        return _Values(lambda x: _combine(_relu_grad(x, W, Wstar, parts)))
     w, wstar = W[0], Wstar[0]
     dots = (float(w @ w), float(w @ wstar), float(wstar @ wstar))
-    alone = stacked or len(parts) == 1  # each part is reduced on its own
-    span = parts[-1] if what == "grad" and alone and parts[-1] in _SPAN_PARTS else None
-    rest = parts[:-1] if span else parts
+    if what == "grad" and len(parts) == 1 and parts[0] in _SPAN_PARTS:
+        return _SpanCounts(w, wstar, *_span_values(parts[0], w, wstar, dots))
 
     if what == "grad" and model == "relu":
         def kernel(x: np.ndarray) -> np.ndarray:
-            return _combine([v[:, 0] for v in _relu_grad(x, W, Wstar, rest)], stacked)
+            return _combine([v[:, 0] for v in _relu_grad(x, W, Wstar, parts)])
     else:
         def kernel(x: np.ndarray) -> np.ndarray:
             pw = x @ w
@@ -417,12 +389,8 @@ def _persample(model: str, kind: str, W: np.ndarray, Wstar: np.ndarray, what: st
             sw = np.where(iw, pw, 0.0)
             ss = np.where(istar, ps, 0.0)
             return _combine([_part_value(what, p, w, wstar, dots, x, iw, istar, sw, ss)
-                             for p in rest], stacked)
-
-    if span is None:
-        return _Values(kernel)
-    counted = _SpanCounts(w, wstar, *_span_values(span, w, wstar, dots))
-    return _WithSpanRow(_Values(kernel), counted) if rest else counted
+                             for p in parts])
+    return _Values(kernel)
 
 
 def mc_loss_and_grad(
@@ -437,8 +405,8 @@ def mc_loss_and_grad(
     """Unbiased Monte-Carlo estimate of a population loss or its w-gradient.
 
     ``model`` is "relu" or "relu_sq"; ``kind`` is "l2", "h1_semi" or "h1"
-    (for relu_sq also "i1"/"i2"/"i3" and "h2_parts", the latter stacking
-    the three component estimates).  ``what`` selects "grad" or "loss".
+    for relu, and "i1", "i2", "i3" or "h1" (= i1 + i2) for relu_sq.  ``what``
+    selects "grad" or "loss".  A one-cell ``_reduce_cells``.
     """
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
@@ -452,7 +420,7 @@ def mc_loss_and_grad(
     if model == "multinode":
         raise ValueError("multinode estimates come from mc_multinode_grad")
     kernel = _persample(model, kind.lower(), w[None], wstar[None], what)
-    return _reduce_blocks(kernel, cfg.seed, cfg.n_samples, cfg.dim, threads)
+    return _reduce_cells([(cfg, (kernel,))], threads)[0][0]
 
 
 def mc_multinode_grad(
@@ -471,7 +439,7 @@ def mc_multinode_grad(
     if W.ndim != 2 or W.shape != Wstar.shape or W.shape[1] != cfg.dim:
         raise ValueError("W and W* must both have shape (K, dim)")
     kernel = _persample("multinode", kind.lower(), W, Wstar, "grad")
-    return _reduce_blocks(kernel, cfg.seed, cfg.n_samples, cfg.dim, threads)
+    return _reduce_cells([(cfg, (kernel,))], threads)[0][0]
 
 
 # --------------------------------------------------------------------------
@@ -494,7 +462,7 @@ def closed_form_grad(model: str, kind: str, w: np.ndarray, wstar: np.ndarray) ->
     else:
         b = relusq.h2_gradients(w, wstar)
         closed = {"i1": b.grad_i1, "i2": b.grad_i2, "i3": b.grad_i3}
-    return _combine([closed[p] for p in parts], kind == "h2_parts", axis=0)
+    return _combine([closed[p] for p in parts])
 
 
 def _basin_pair(model: str, seed: int, dim: int, trial: int):
@@ -518,15 +486,18 @@ def _convergence_tables(
     seed: int,
     threads: int = 1,
 ) -> list[list[tuple[int, int, float]]]:
-    """``convergence_study`` of every (model, kind) in ``forms``, one table per form.
+    """MSE between closed forms and MC estimates on a (dim, n) grid, one table per
+    (model, kind) in ``forms``.
 
-    A cell's substream seed depends only on (seed, dim, trial, i), so every
+    A table has rows (dim, n, mse) with the MSE averaged over ``trials``
+    independent basin pairs per dim.  A cell's substream seed depends only on
+    (seed, dim, trial, i), so cells are statistically independent and every
     form's kernel is applied to one draw of each block.
     """
     forms = [(model.lower(), kind.lower()) for model, kind in forms]
     dims, n_grid = list(dims), list(n_grid)
     if trials < 1 or not forms or not dims or not n_grid:
-        raise ValueError("convergence_study needs trials >= 1 and non-empty dims and n_grid")
+        raise ValueError("a convergence study needs trials >= 1 and non-empty dims and n_grid")
     cells, targets = [], []
     for dim in dims:
         for trial in range(trials):
@@ -548,24 +519,6 @@ def _convergence_tables(
             mse = float(np.mean((est.mean - target) ** 2))
             agg.setdefault((int(cfg.dim), cfg.n_samples), []).append(mse)
     return [[(dim, n, float(np.mean(v))) for (dim, n), v in sorted(agg.items())] for agg in aggs]
-
-
-def convergence_study(
-    model: str,
-    kind: str,
-    dims: Iterable[int],
-    n_grid: Iterable[int],
-    trials: int,
-    seed: int,
-    threads: int = 1,
-) -> list[tuple[int, int, float]]:
-    """MSE between closed forms and MC estimates on a (dim, n) grid.
-
-    Returns rows (dim, n, mse) with the MSE averaged over ``trials``
-    independent basin pairs per dim; every cell uses its own substream
-    family so cells are statistically independent.
-    """
-    return _convergence_tables([(model, kind)], dims, n_grid, trials, seed, threads)[0]
 
 
 def fit_loglog_slope(ns: np.ndarray, mses: np.ndarray) -> float:

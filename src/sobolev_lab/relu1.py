@@ -18,9 +18,9 @@ measure zero under Gaussian inputs.
 
 Both gradients are combinations of w and w*, so a gradient flow stays in
 the plane span{w0, w*} (the reduction behind Tian's 2017 single-node
-dynamics).  ``flow_rhs`` is the field on d-dimensional states;
-``plane_flow_field`` is the same arithmetic on (m, 2) plane coordinates,
-with the angle and norm of each row taken without a row reduction.
+dynamics).  ``plane_flow_field`` is the flow field on (m, 2) plane
+coordinates: the gradient arithmetic of d-dimensional states, with the
+angle and norm of each row taken without a row reduction.
 
 The Hessians, their spectra and the GD comparison take one student (d,) or
 a stack (m, d) against one teacher (d,), and return stacks with a leading
@@ -158,34 +158,18 @@ def _h1_rows(kind):
     return h1[:, None]
 
 
-def flow_rhs(kind, w: np.ndarray, wstar: np.ndarray) -> np.ndarray:
-    """Negated population gradient of the selected loss; the gradient-flow field.
-
-    ``kind`` is "l2" or "h1", or an array of them with one per row of
-    stacked (m, d) states, so whole ensembles of trajectories, of one kind
-    or of both, integrate in one RK4 run.
-    """
-    h1 = _h1_rows(kind)
-    w = np.asarray(w, dtype=float)
-    wstar = np.asarray(wstar, dtype=float)
-    return _flow(h1, w, wstar, *_norms_theta(w, wstar))
-
-
-def _flow(h1, w: np.ndarray, wstar: np.ndarray, nw, ns, theta) -> np.ndarray:
-    """-grad H where ``h1`` holds and -grad L elsewhere, at w with its norms and angle."""
-    gl, gj = _gradients(w, wstar, nw, ns, theta)
-    return -np.where(h1, gl + gj, gl)
-
-
 def plane_flow_field(kind, norm_wstar: float):
-    """``flow_rhs`` as a closure over plane points p = (a, b) (m, 2) of span{w0, w*}.
+    """Negated population gradient of the selected loss, the gradient-flow
+    field, as a closure over plane points p = (a, b) (m, 2) of span{w0, w*}.
 
-    The teacher is p* = (|w*|, 0), ``norm_wstar`` its norm; a student maps
-    there by ``geometry._plane_coordinates``.  Each evaluation takes the
-    angle and norm of every row from ``geometry._plane_angle_norms`` and
-    then the d-dimensional gradient arithmetic, so a plane trajectory is the
-    d-dimensional one up to rounding.  ``kind`` is as for ``flow_rhs``; its
-    row mask is built once, here.
+    ``kind`` is "l2" or "h1", or an array of them with one per row of the
+    stacked states, so whole ensembles of trajectories, of one kind or of
+    both, integrate in one RK4 run; its row mask is built once, here.  The
+    teacher is p* = (|w*|, 0), ``norm_wstar`` its norm; a student maps there
+    by ``geometry._plane_coordinates``.  Each evaluation takes the angle and
+    norm of every row from ``geometry._plane_angle_norms`` and then the
+    d-dimensional gradient arithmetic, so a plane trajectory is the
+    d-dimensional one up to rounding.
     """
     h1 = _h1_rows(kind)
     ns = float(norm_wstar)
@@ -194,7 +178,8 @@ def plane_flow_field(kind, norm_wstar: float):
     def field(p: np.ndarray) -> np.ndarray:
         theta, nw = _plane_angle_norms(p)
         _check_nonzero(nw)
-        return _flow(h1, p, pstar, nw, ns, theta)
+        gl, gj = _gradients(p, pstar, nw, ns, theta)
+        return -np.where(h1, gl + gj, gl)  # -grad H where h1 holds, -grad L elsewhere
 
     return field
 

@@ -17,10 +17,10 @@ The |w*|^2 (squared) coefficient in grad I1 is the dimensionally
 consistent one and is the version the Monte-Carlo oracle confirms.
 
 All three gradients are combinations of w and w*, so a flow of any
-component set stays in the plane span{w0, w*}.  ``h2_flow_field`` is the
-field on d-dimensional states; ``h2_plane_field`` is the same arithmetic
-on (m, 2) plane coordinates, with the angle and norm of each row taken
-without a row reduction.
+component set stays in the plane span{w0, w*}.  ``h2_plane_field`` is the
+flow field on (m, 2) plane coordinates: the component arithmetic of
+d-dimensional states, with the angle and norm of each row taken without a
+row reduction.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def _coeffs(theta):
     return rest + st * ct, 2.0 * st + tail, st + tail
 
 
-def _h2_parts(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...],
-              theta, nw, ns) -> list[np.ndarray]:
+def _component_grads(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...],
+                     theta, nw, ns) -> list[np.ndarray]:
     """Gradients of the selected components at stacked states w (..., d), in ``parts`` order,
     from the angle ``theta`` and norm ``nw`` of each state and the teacher norm ``ns``."""
     theta, nw, ns = np.asarray(theta)[..., None], np.asarray(nw)[..., None], float(ns)
@@ -86,7 +86,7 @@ def _pair(w: np.ndarray, wstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def h2_gradients(w: np.ndarray, wstar: np.ndarray) -> H2GradientBundle:
     """Closed-form gradients of the three second-order loss components."""
     w, wstar = _pair(w, wstar)
-    return H2GradientBundle(*_h2_parts(w, wstar, _PARTS, *_angle_norms(w, wstar)))
+    return H2GradientBundle(*_component_grads(w, wstar, _PARTS, *_angle_norms(w, wstar)))
 
 
 def descent_inner_products(ws: np.ndarray, wstar: np.ndarray) -> np.ndarray:
@@ -102,14 +102,27 @@ def descent_inner_products(ws: np.ndarray, wstar: np.ndarray) -> np.ndarray:
     if not geom.norm_w.all():
         raise SingularPointError("second-order closed forms are singular at zero vectors")
     e = ws - wstar
-    grads = _h2_parts(ws, wstar, _PARTS, geom.theta, geom.norm_w, geom.norm_wstar[0])
+    grads = _component_grads(ws, wstar, _PARTS, geom.theta, geom.norm_w, geom.norm_wstar[0])
     return np.stack([-_dots(e, g) for g in grads], axis=-1)
 
 
-def _parts_field(wstar: np.ndarray, parts, angle_norms):
-    """The summed-components field over stacked states, each state's angle
-    and norms (theta, |w|, |w*|) taken by ``angle_norms``; ``parts`` as for
-    ``h2_flow_field``.  The row masks are built once, here."""
+def h2_plane_field(norm_wstar: float, parts=_PARTS):
+    """The negated sum of the selected component gradients, the flow field, as a
+    closure over plane points p = (a, b) (m, 2) of span{w0, w*}.
+
+    ``parts`` names the summed components: one tuple for every state, or a
+    list with one tuple per row of the stacked states, so flows of several
+    component sets integrate as one ensemble; the row masks are built once,
+    here.  The teacher is p* = (|w*|, 0), ``norm_wstar`` its norm; a student
+    maps there by ``geometry._plane_coordinates``.  Each evaluation takes the
+    angle and norm of every row from ``geometry._plane_angle_norms`` and
+    then the d-dimensional component arithmetic, so a plane trajectory is
+    the d-dimensional one up to rounding.
+    """
+    ns = float(norm_wstar)
+    if ns == 0.0:
+        raise SingularPointError("zero teacher")
+    pstar = np.array([ns, 0.0])
     row_parts = [parts] if not parts or isinstance(parts[0], str) else list(parts)
     for p in row_parts:
         if not p or not set(p) <= set(_PARTS):
@@ -120,43 +133,15 @@ def _parts_field(wstar: np.ndarray, parts, angle_norms):
     pick = np.array([sets.index(s) for s in selections])[:, None]
     masks = [None] + [pick == j for j in range(1, len(sets))]
 
-    def field(w: np.ndarray) -> np.ndarray:
-        grads = dict(zip(union, _h2_parts(w, wstar, union, *angle_norms(w))))
+    def field(p: np.ndarray) -> np.ndarray:
+        grads = dict(zip(union, _component_grads(p, pstar, union, *_plane_angle_norms(p), ns)))
         out = None
         for sel, mask in zip(sets, masks):
-            total = -sum((grads[p] for p in sel[1:]), grads[sel[0]])
+            total = -sum((grads[q] for q in sel[1:]), grads[sel[0]])
             out = total if out is None else np.where(mask, total, out)
         return out
 
     return field
-
-
-def h2_flow_field(wstar: np.ndarray, parts=_PARTS):
-    """Vectorized closure over stacked states (..., d) for RK4 ensembles.
-
-    ``parts`` names the summed components: one tuple for every state, or a
-    list with one tuple per row of stacked (m, d) states, so flows of
-    several component sets integrate as one ensemble.
-    """
-    wstar = np.asarray(wstar, dtype=float)
-    if not wstar.any():
-        raise SingularPointError("zero teacher")
-    return _parts_field(wstar, parts, lambda w: _angle_norms(w, wstar))
-
-
-def h2_plane_field(norm_wstar: float, parts=_PARTS):
-    """``h2_flow_field`` as a closure over plane points p = (a, b) (m, 2) of span{w0, w*}.
-
-    The teacher is p* = (|w*|, 0), ``norm_wstar`` its norm; a student maps
-    there by ``geometry._plane_coordinates``.  Each evaluation takes the
-    angle and norm of every row from ``geometry._plane_angle_norms`` and
-    then the d-dimensional component arithmetic, so a plane trajectory is
-    the d-dimensional one up to rounding.
-    """
-    ns = float(norm_wstar)
-    if ns == 0.0:
-        raise SingularPointError("zero teacher")
-    return _parts_field(np.array([ns, 0.0]), parts, lambda p: (*_plane_angle_norms(p), ns))
 
 
 def descent_quadratic_forms(theta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -185,7 +185,7 @@ def test_c09_mc_verification():
 
     # one shared-draw pass per (dim, trial count): the forms of a group apply
     # their kernels to the same blocks, and every table is the one
-    # ``convergence_study`` gives that form alone
+    # ``_convergence_tables`` gives that form alone
     tables = {}
     for dim in dims:
         groups: dict[int, list] = {}

@@ -310,7 +310,9 @@ def test_validation_failures_exit_2(tmp_path, capsys, monkeypatch):
                               ((), "x", (THREADS_VAR, "integer >= 1")),
                               (("--forms", "relu"), None, ("'relu'", "model:kind")),
                               (("--forms", "relu:l2,relu_sq:i1:i2"), None,
-                               ("'relu_sq:i1:i2'", "model:kind"))):
+                               ("'relu_sq:i1:i2'", "model:kind")),
+                              # the parts of relu_sq are three kinds, not one
+                              (("--forms", "relu_sq:h2_parts"), None, ("'h2_parts'",))):
         if env is not None:
             monkeypatch.setenv(THREADS_VAR, env)
         assert run(*small, *extra) == 2, (extra, env)

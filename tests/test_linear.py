@@ -3,11 +3,17 @@ import pytest
 
 from sobolev_lab.linear import (
     LinearProblem,
+    _estimators,
     conditioning,
-    fit_estimators,
     variance_formulas,
     variance_study,
 )
+
+
+def fits(p, ys):
+    """Both estimators (m, d) for label rows ys (m, N), from one batched ``_estimators`` call."""
+    w_l2, (w_h1,) = _estimators(p.gram(), np.atleast_2d(ys) @ p.x_matrix, p.wstar, [p.ridge_lambda])
+    return w_l2, w_h1
 
 
 def orthogonal_design():
@@ -24,7 +30,7 @@ def test_lambda_zero_makes_estimators_coincide():
     ws = rng.standard_normal(4)
     p = LinearProblem(x_matrix=X, wstar=ws, noise_sigma=1.0, ridge_lambda=0.0)
     y = X @ ws + rng.standard_normal(30)
-    w_l2, w_h1 = fit_estimators(p, y)
+    w_l2, w_h1 = fits(p, y)
     assert w_l2 == pytest.approx(w_h1, abs=1e-12)
 
 
@@ -33,7 +39,7 @@ def test_noiseless_labels_recover_teacher():
     X = rng.standard_normal((25, 3))
     ws = rng.standard_normal(3)
     p = LinearProblem(x_matrix=X, wstar=ws, noise_sigma=0.0, ridge_lambda=0.7)
-    w_l2, w_h1 = fit_estimators(p, X @ ws)
+    w_l2, w_h1 = fits(p, X @ ws)
     assert np.abs(w_l2 - ws).max() <= 1e-10
     assert np.abs(w_h1 - ws).max() <= 1e-10
 
@@ -97,18 +103,9 @@ def test_estimators_unbiased():
     X = rng.standard_normal((30, 3))
     ws = rng.standard_normal(3)
     p = LinearProblem(x_matrix=X, wstar=ws, noise_sigma=1.0, ridge_lambda=1.5)
-    acc_l2 = np.zeros(3)
-    acc_h1 = np.zeros(3)
     trials = 10_000
-    samples_l2 = []
-    samples_h1 = []
-    for _ in range(trials):
-        y = X @ ws + rng.standard_normal(30)
-        w_l2, w_h1 = fit_estimators(p, y)
-        samples_l2.append(w_l2)
-        samples_h1.append(w_h1)
-    for samples in (samples_l2, samples_h1):
-        arr = np.asarray(samples)
+    ys = X @ ws + rng.standard_normal((trials, 30))
+    for arr in fits(p, ys):
         se = arr.std(axis=0, ddof=1) / np.sqrt(trials)
         assert np.all(np.abs(arr.mean(axis=0) - ws) <= 4.0 * se)
 
@@ -119,7 +116,7 @@ def test_singular_design_rejected():
     with pytest.raises(ValueError):
         conditioning(p)
     with pytest.raises(ValueError):
-        fit_estimators(p, np.ones(5))
+        variance_study(p, trials=2, seed=0)
 
 
 def _lambda_ensemble(lambdas, sigma, n=30, d=4):

@@ -12,12 +12,10 @@ from sobolev_lab.mc import (
     _FORMS,
     _convergence_tables,
     _persample,
-    _reduce_blocks,
     _reduce_cells,
     _relu_grad,
     block_normals,
     closed_form_grad,
-    convergence_study,
     fit_loglog_slope,
     mc_loss_and_grad,
     mc_multinode_grad,
@@ -61,7 +59,8 @@ def test_estimate_independent_of_chunking_and_threads():
 def test_std_error_stable_when_mean_dominates():
     # sum-of-squares minus n mean^2 cancels catastrophically at |mean| / std = 1e8
     n = 2 * BLOCK + 17
-    est = _reduce_blocks(lambda x: 1e8 + x[:, :1], seed=5, n=n, dim=2, threads=1)
+    [[est]] = _reduce_cells([(McConfig(n_samples=n, seed=5, dim=2), (lambda x: 1e8 + x[:, :1],))],
+                            threads=1)
     counts = (BLOCK, BLOCK, 17)
     vals = np.concatenate([1e8 + block_normals(5, b, c, 2)[:, :1] for b, c in enumerate(counts)])
     ref = np.sqrt(np.sum((vals - vals.mean()) ** 2) / (n - 1) / n)
@@ -152,9 +151,6 @@ def _one_shot(kernel, x):
     row-ordered sum of the per-sample values, and a span part's counts."""
     if isinstance(kernel, mc._SpanCounts):
         return kernel.moments(kernel.fold(None, x), len(x))
-    if isinstance(kernel, mc._WithSpanRow):
-        (s, m2), (s_span, m2_span) = _one_shot(kernel.values, x), _one_shot(kernel.span, x)
-        return np.concatenate([s, s_span[None]]), np.concatenate([m2, m2_span[None]])
     vals = kernel.f(x)
     s = vals.sum(axis=0)
     vals -= s / len(vals)
@@ -231,9 +227,9 @@ def test_zero_residual_at_teacher_is_exact():
             assert np.all(est.mean == 0.0)
             assert np.all(est.std_error == 0.0)
     # the span kinds reduce from indicator counts: v = 0 and no sample gives u
-    for model, kind in (("relu", "h1_semi"), ("relu_sq", "i3"), ("relu_sq", "h2_parts")):
+    for model, kind in (("relu", "h1_semi"), ("relu_sq", "i3")):
         est = mc_loss_and_grad(model, kind, ws, ws, McConfig(n_samples=BLOCK + 17, seed=1, dim=4))
-        assert np.all(est.mean[-1] == 0.0) and np.all(est.std_error[-1] == 0.0), kind
+        assert np.all(est.mean == 0.0) and np.all(est.std_error == 0.0), kind
 
 
 def _exact_moments(vals):
@@ -264,6 +260,29 @@ def test_span_kinds_match_an_exactly_rounded_sum(dim):
         est = mc_loss_and_grad(model, kind, w, ws, McConfig(n_samples=n, seed=13, dim=dim))
         assert np.max(np.abs(est.mean - mean)) <= 1e-14 * np.max(np.abs(mean)), kind
         np.testing.assert_allclose(est.std_error, se, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [3, 64])
+def test_loss_means_match_an_exactly_rounded_sum(dim):
+    # numpy sums a (B,) chunk pairwise; carrying the running sum into its
+    # first row put a loss mean ~1e-14 relative from math.fsum of the same draws
+    rng = np.random.default_rng(dim)
+    ws = rng.standard_normal(dim)
+    ws /= np.linalg.norm(ws)
+    w = ws + 0.5 * rng.standard_normal(dim) / math.sqrt(dim)
+    n, counts = 3 * BLOCK + 5, (BLOCK, BLOCK, BLOCK, 5)
+    forms = [(model, kind) for model in ("relu", "relu_sq") for kind in _FORMS[model]]
+    kernels = [_persample(model, kind, w[None], ws[None], "loss") for model, kind in forms]
+    vals = [[] for _ in forms]
+    for b, c in enumerate(counts):
+        x = block_normals(13, b, c, dim)
+        for v, kernel in zip(vals, kernels):
+            v.append(kernel.f(x))
+    ests = _reduce_cells([(McConfig(n_samples=n, seed=13, dim=dim), kernels)], threads=1)[0]
+    for (model, kind), v, est in zip(forms, vals, ests):
+        exact = math.fsum(np.concatenate(v).tolist()) / n
+        assert est.mean.shape == () and est.mean > 0.0, (model, kind)
+        assert abs(est.mean - exact) <= 1e-15 * exact, (model, kind, est.mean / exact - 1.0)
 
 
 def test_span_values_are_the_per_sample_values():
@@ -307,18 +326,6 @@ def test_loss_values_match_closed_forms():
     assert abs(est_j.mean - j_closed) <= 4.0 * est_j.std_error
 
 
-def test_h2_parts_shapes():
-    w = np.array([0.5, 0.2])
-    ws = np.array([1.0, 0.0])
-    cfg = McConfig(n_samples=10_000, seed=2, dim=2)
-    grad = mc_loss_and_grad("relu_sq", "h2_parts", w, ws, cfg)
-    assert grad.mean.shape == (3, 2)
-    assert grad.std_error.shape == (3, 2)
-    loss = mc_loss_and_grad("relu_sq", "h2_parts", w, ws, cfg, what="loss")
-    assert loss.mean.shape == (3,)
-    assert np.all(loss.mean > 0)
-
-
 def test_multinode_estimator_shape_and_determinism():
     Wstar = np.eye(3)[:2]
     W = Wstar + 0.2
@@ -330,8 +337,8 @@ def test_multinode_estimator_shape_and_determinism():
 
 
 def test_mse_halves_when_samples_double():
-    rows = convergence_study("relu", "l2", dims=[4], n_grid=[2**10, 2**12, 2**14],
-                             trials=4, seed=77)
+    [rows] = _convergence_tables([("relu", "l2")], dims=[4], n_grid=[2**10, 2**12, 2**14],
+                                 trials=4, seed=77)
     by_n = {n: mse for _, n, mse in rows}
     assert by_n[2**14] < by_n[2**10]
     slope = fit_loglog_slope(np.array(sorted(by_n)), np.array([by_n[n] for n in sorted(by_n)]))
@@ -344,6 +351,10 @@ def test_validation_errors():
         mc_loss_and_grad("relu", "nope", np.ones(2), np.ones(2), cfg)
     with pytest.raises(ValueError):
         mc_loss_and_grad("gelu", "l2", np.ones(2), np.ones(2), cfg)
+    # the first-order names are not relu_sq kinds, and the parts are not one kind
+    for kind in ("l2", "h1_semi", "h2_parts"):
+        with pytest.raises(ValueError, match=kind):
+            mc_loss_and_grad("relu_sq", kind, np.ones(2), np.ones(2), cfg)
     with pytest.raises(ValueError):
         mc_loss_and_grad("relu", "l2", np.ones(3), np.ones(3), cfg)
     with pytest.raises(ValueError):
@@ -357,19 +368,6 @@ def test_tiny_nonzero_teacher_is_estimated():
     assert np.all(np.isfinite(est.mean))
     with pytest.raises(ValueError):
         mc_loss_and_grad("relu", "l2", np.ones(2), np.zeros(2), cfg)
-
-
-def test_relu_sq_stacked_parts_are_the_part_estimates():
-    w = np.array([0.4, 0.8])
-    ws = np.array([1.0, 0.0])
-    cfg = McConfig(n_samples=20_000, seed=6, dim=2)
-    parts = mc_loss_and_grad("relu_sq", "h2_parts", w, ws, cfg)
-    for row, kind in enumerate(("i1", "i2", "i3")):
-        assert np.array_equal(parts.mean[row], mc_loss_and_grad("relu_sq", kind, w, ws, cfg).mean)
-    # the first-order names are not relu_sq kinds
-    for kind in ("l2", "h1_semi"):
-        with pytest.raises(ValueError):
-            mc_loss_and_grad("relu_sq", kind, w, ws, cfg)
 
 
 def test_first_order_kernel_matches_per_node_loop():

@@ -24,9 +24,10 @@ def test_single_node_reduces_to_flow_rhs():
     rng = np.random.default_rng(2)
     ws = rng.standard_normal(5)
     w = ws + 0.4 * rng.standard_normal(5)
-    for kind in ("l2", "h1"):
+    b = relu1.population_gradients(w, ws)
+    for kind, grad in (("l2", b.grad_l2), ("h1", b.grad_h1)):
         full = mn.multinode_gradients(w[None, :], ws[None, :], kind)[0]
-        assert full == pytest.approx(relu1.flow_rhs(kind, w, ws), abs=1e-14)
+        assert full == pytest.approx(-grad, abs=1e-14)
 
 
 def test_matches_mc_oracle_k2():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sobolev_lab import multinode as mn
 from sobolev_lab import relu1
 from sobolev_lab.eigs import symmetric_eigs
 from sobolev_lab.exceptions import SingularPointError
@@ -77,8 +78,9 @@ def test_tiny_nonzero_student_is_not_singular():
     tiny = relu1.population_gradients(1e-300 * u, ws)
     for got, want in ((tiny.grad_l2, ref.grad_l2), (tiny.grad_seminorm, ref.grad_seminorm)):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-99)
-    stacked = relu1.flow_rhs("l2", np.stack([1e-300 * u, u]), ws)
-    np.testing.assert_array_equal(stacked[0], -tiny.grad_l2)
+    # u and w* = e1 span the first two axes, so those are the plane coordinates
+    stacked = relu1.plane_flow_field("l2", 1.0)(np.stack([1e-300 * u[:2], u[:2]]))
+    np.testing.assert_allclose(stacked[0], -tiny.grad_l2[:2], rtol=1e-14, atol=1e-314)
 
 
 def test_tiny_nonzero_teacher_is_not_singular():
@@ -394,11 +396,13 @@ def test_n_matrices_signs_on_grid():
 
 
 def test_flow_rhs_zero_at_minimum_and_doubles_at_collinearity():
-    ws = np.array([0.5, 1.5, -1.0])
-    assert np.all(relu1.flow_rhs("l2", ws, ws) == 0.0)
-    assert np.all(relu1.flow_rhs("h1", ws, ws) == 0.0)
-    w = 1.7 * ws
-    assert relu1.flow_rhs("h1", w, ws) == pytest.approx(2.0 * relu1.flow_rhs("l2", w, ws), abs=1e-15)
+    ns = float(np.linalg.norm([0.5, 1.5, -1.0]))
+    pstar = np.array([[ns, 0.0]])
+    l2, h1 = relu1.plane_flow_field("l2", ns), relu1.plane_flow_field("h1", ns)
+    assert np.all(l2(pstar) == 0.0)
+    assert np.all(h1(pstar) == 0.0)
+    p = 1.7 * pstar
+    assert h1(p) == pytest.approx(2.0 * l2(p), abs=1e-15)
 
 
 def test_flow_rhs_descent_chain_on_basin():
@@ -407,11 +411,13 @@ def test_flow_rhs_descent_chain_on_basin():
     rng = np.random.default_rng(37)
     for _ in range(1000):
         w, ws = basin_pair(rng, 4)
-        e = w - ws
+        p, pstar = _plane_coordinates(w, ws)
+        e = p - pstar
         theta = pair_geometry(w, ws).theta
         lam = relu1.flow_quadratic_forms(theta)[2]
-        lhs = float(e @ relu1.flow_rhs("h1", w, ws))
-        rhs = float(e @ relu1.flow_rhs("l2", w, ws)) - lam * (
+        f_h1, f_l2 = relu1.plane_flow_field(np.array(["h1", "l2"]), pstar[0])(np.stack([p, p]))
+        lhs = float(e @ f_h1)
+        rhs = float(e @ f_l2) - lam * (
             float(w @ w) + float(ws @ ws)
         ) / (4.0 * math.pi)
         assert lhs <= rhs + 1e-12
@@ -421,43 +427,49 @@ def test_flow_rhs_descent_chain_on_basin():
 def test_h1_flow_trace_dominated_by_l2_flow_trace():
     rng = np.random.default_rng(41)
     w0, ws = basin_pair(rng, 8, rmin=0.5, rmax=0.5)
-    tr_l2 = rk4_integrate(lambda s: relu1.flow_rhs("l2", s, ws), w0, 1e-3, 5.0, ws, record_every=50)
-    tr_h1 = rk4_integrate(lambda s: relu1.flow_rhs("h1", s, ws), w0, 1e-3, 5.0, ws, record_every=50)
+    p0, pstar = _plane_coordinates(w0, ws)
+    tr_l2, tr_h1 = (rk4_integrate(relu1.plane_flow_field(kind, pstar[0]), p0, 1e-3, 5.0, pstar,
+                                  record_every=50) for kind in ("l2", "h1"))
     assert np.all(tr_h1.v_values <= tr_l2.v_values + 1e-15)
 
 
 def test_per_row_kinds_match_single_kind_fields_bitwise():
     # a stack of both kinds is one field call; each row is the float the
     # field of its own kind gives on the same stack, and its kind's gradient
-    # at that one point to rounding; a per-row unknown kind is an error
+    # at that one point to rounding; a per-row unknown kind is an error.  In
+    # d = 2 with w* on the first axis a student is its own plane point, also
+    # below that axis
     rng = np.random.default_rng(43)
-    ws = rng.standard_normal(5)
-    w = ws + 0.4 * rng.standard_normal((6, 5))
+    ws = np.array([1.3, 0.0])
+    w = ws + 0.4 * rng.standard_normal((6, 2))
     kinds = np.array(["l2", "h1", "h1", "l2", "h1", "l2"])
-    stacked = relu1.flow_rhs(kinds, w, ws)
+    stacked = relu1.plane_flow_field(kinds, ws[0])(w)
     for kind in ("l2", "h1"):
-        assert np.array_equal(stacked[kinds == kind], relu1.flow_rhs(kind, w, ws)[kinds == kind])
+        alone = relu1.plane_flow_field(kind, ws[0])(w)
+        assert np.array_equal(stacked[kinds == kind], alone[kinds == kind])
     for i, kind in enumerate(kinds):
         b = relu1.population_gradients(w[i], ws)
         np.testing.assert_allclose(stacked[i], -(b.grad_h1 if kind == "h1" else b.grad_l2),
                                    rtol=1e-14, atol=1e-15)
     with pytest.raises(ValueError):
-        relu1.flow_rhs(np.array(["l2", "h2"]), w[:2], ws)
+        relu1.plane_flow_field(np.array(["l2", "h2"]), ws[0])
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 32])
 def test_plane_flow_traces_match_the_d_dimensional_traces(d, plane_starts):
     # every gradient lies in span{w, w*}, so the (m, 2) plane flow is the
     # d-dimensional one up to rounding, for both kinds, on and next to the
-    # teacher's line; a start on the line stays on it
+    # teacher's line; a start on the line stays on it.  The d-dimensional
+    # field is the K = 1 case of the K-node field, with its own arithmetic
     w0, ws = plane_starts(d, seed=50 + d)
     m = len(w0)
     p0, pstar = _plane_coordinates(w0, ws)
     assert p0[m - 2, 1] <= 1e-15
     p0[m - 2, 1] = 0.0
     kinds = np.repeat(["l2", "h1"], m)
-    full = rk4_integrate(lambda s: relu1.flow_rhs(kinds, s, ws), np.tile(w0, (2, 1)), 1e-2, 3.0, ws,
-                         record_every=10)
+    c = np.where(kinds == "h1", 2, 1)[:, None]  # kind factor of each row
+    full = rk4_integrate(lambda s: mn._node_field(s, s[:, None, :], ws[None], c),
+                         np.tile(w0, (2, 1)), 1e-2, 3.0, ws, record_every=10)
     plane = rk4_integrate(relu1.plane_flow_field(kinds, pstar[0]), np.tile(p0, (2, 1)), 1e-2, 3.0,
                           pstar, record_every=10)
     assert np.abs(plane.v_values - full.v_values).max() <= 1e-13

@@ -50,9 +50,10 @@ def test_gradients_match_mc_oracle():
     ws = np.array([1.0, 0.0])
     closed = relusq.h2_gradients(w, ws)
     cfg = McConfig(n_samples=10**6, seed=2718, dim=2)
-    est = mc_loss_and_grad("relu_sq", "h2_parts", w, ws, cfg)
-    stacked = np.stack([closed.grad_i1, closed.grad_i2, closed.grad_i3])
-    assert np.all(np.abs(est.mean - stacked) <= 4.0 * est.std_error)
+    for kind in ("i1", "i2", "i3"):
+        est = mc_loss_and_grad("relu_sq", kind, w, ws, cfg)
+        target = getattr(closed, "grad_" + kind)
+        assert np.all(np.abs(est.mean - target) <= 4.0 * est.std_error), kind
 
 
 def test_zero_vectors_flagged_singular():
@@ -73,13 +74,16 @@ def test_tiny_nonzero_student_is_not_singular():
 
 
 def test_tiny_nonzero_teacher_flow_field_is_not_singular():
-    # w*.w* underflows to 0 at |w*| = 1e-300; the field's zero-teacher check must not.
-    # As w* -> 0 the three gradients tend to 3, 4 and 4 |w|^2 w.
+    # w*.w* underflows to 0 at |w*| = 1e-300; the zero-teacher checks must not.
+    # As w* -> 0 the three gradients tend to 3, 4 and 4 |w|^2 w.  With w* on
+    # the first axis of d = 2, a student is its own plane point.
     w = np.array([0.6, 0.8])
-    f = relusq.h2_flow_field(1e-300 * np.array([1.0, 0.0]))(np.stack([w, 2.0 * w]))
+    f = relusq.h2_plane_field(1e-300)(np.stack([w, 2.0 * w]))
     np.testing.assert_allclose(f, -11.0 * np.stack([w, 8.0 * w]), rtol=1e-14)
+    b = relusq.h2_gradients(2.0 * w, 1e-300 * np.array([1.0, 0.0]))
+    np.testing.assert_allclose(b.grad_i1 + b.grad_i2 + b.grad_i3, 88.0 * w, rtol=1e-14)
     with pytest.raises(SingularPointError):
-        relusq.h2_flow_field(np.zeros(2))
+        relusq.h2_plane_field(0.0)
 
 
 def test_descent_everywhere_on_basin():
@@ -116,16 +120,20 @@ def test_h2_flow_stays_below_value_only_flow():
     dirs = rng.standard_normal((20, 4))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     w0 = ws + rng.uniform(0.1, 0.7, size=20)[:, None] * dirs
-    tr_h2 = rk4_integrate(relusq.h2_flow_field(ws), w0, 1e-3, 3.0, ws, record_every=50)
-    tr_i1 = rk4_integrate(relusq.h2_flow_field(ws, ("i1",)), w0, 1e-3, 3.0, ws, record_every=50)
+    p0, pstar = _plane_coordinates(w0, ws)
+    tr_h2 = rk4_integrate(relusq.h2_plane_field(pstar[0]), p0, 1e-3, 3.0, pstar, record_every=50)
+    tr_i1 = rk4_integrate(relusq.h2_plane_field(pstar[0], ("i1",)), p0, 1e-3, 3.0, pstar,
+                          record_every=50)
     assert np.all(tr_h2.v_values <= tr_i1.v_values + 1e-15)
 
 
 def test_batched_field_matches_pointwise_rhs():
+    # in d = 2 with w* on the first axis a student is its own plane point,
+    # also below that axis
     rng = np.random.default_rng(7)
-    ws = rng.standard_normal(3)
-    field = relusq.h2_flow_field(ws)
-    w = ws + 0.3 * rng.standard_normal((5, 3))
+    ws = np.array([1.2, 0.0])
+    field = relusq.h2_plane_field(ws[0])
+    w = ws + 0.3 * rng.standard_normal((5, 2))
     batched = field(w)
     for i in range(5):
         b = relusq.h2_gradients(w[i], ws)
@@ -139,27 +147,34 @@ def test_per_row_parts_match_single_set_fields_bitwise():
     rng = np.random.default_rng(11)
     ws = rng.standard_normal(4)
     w = ws + 0.3 * rng.standard_normal((6, 4))
+    p, pstar = _plane_coordinates(w, ws)
     row_parts = [("i1", "i2", "i3"), ("i1",), ("i1",), ("i3", "i1"), ("i1", "i2", "i3"), ("i2",)]
-    stacked = relusq.h2_flow_field(ws, row_parts)(w)
+    stacked = relusq.h2_plane_field(pstar[0], row_parts)(p)
     for i, parts in enumerate(row_parts):
-        assert np.array_equal(stacked[i], relusq.h2_flow_field(ws, parts)(w)[i])
-        assert np.array_equal(stacked[i], relusq.h2_flow_field(ws, parts)(w[i:i + 1])[0])
+        assert np.array_equal(stacked[i], relusq.h2_plane_field(pstar[0], parts)(p)[i])
+        assert np.array_equal(stacked[i], relusq.h2_plane_field(pstar[0], parts)(p[i:i + 1])[0])
     with pytest.raises(ValueError):
-        relusq.h2_flow_field(ws, [("i1",), ()])
+        relusq.h2_plane_field(pstar[0], [("i1",), ()])
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 32])
 def test_plane_flow_traces_match_the_d_dimensional_traces(d, plane_starts):
     # both components sets of the relusq experiment, in one ensemble, on and
     # next to the teacher's line: the (m, 2) plane flow is the d-dimensional
-    # one up to rounding, and a start on the line stays on it
+    # one, row by row through ``h2_gradients``, up to rounding, and a start
+    # on the line stays on it
     w0, ws = plane_starts(d, seed=60 + d)
     m = len(w0)
     p0, pstar = _plane_coordinates(w0, ws)
     p0[m - 2, 1] = 0.0
     parts = [("i1", "i2", "i3")] * m + [("i1",)] * m
-    full = rk4_integrate(relusq.h2_flow_field(ws, parts), np.tile(w0, (2, 1)), 1e-2, 3.0, ws,
-                         record_every=10)
+
+    def rows_field(w):
+        grads = [relusq.h2_gradients(row, ws) for row in w]
+        return np.stack([-sum(getattr(b, "grad_" + q) for q in sel)
+                         for b, sel in zip(grads, parts)])
+
+    full = rk4_integrate(rows_field, np.tile(w0, (2, 1)), 1e-2, 3.0, ws, record_every=10)
     plane = rk4_integrate(relusq.h2_plane_field(pstar[0], parts), np.tile(p0, (2, 1)), 1e-2, 3.0,
                           pstar, record_every=10)
     assert np.abs(plane.v_values - full.v_values).max() <= 1e-13
