@@ -21,7 +21,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,9 +34,6 @@ from .exceptions import BlowUpError, SingularPointError
 from .geometry import _plane_coordinates, basin_pairs
 from .linear import LinearProblem, conditioning, variance_study
 from .ode import rk4_integrate
-
-# a key that a variable sets where neither a flag nor --config does
-ENV = {"threads": "SOBOLEV_LAB_THREADS"}
 
 
 def _fmt(x) -> str:
@@ -86,7 +82,7 @@ def _rule(rules: dict, key: str, default):
 
 
 def _resolve(args: argparse.Namespace, defaults: dict, rules: dict) -> dict:
-    """defaults < its ENV variable < --config JSON < explicit CLI flags.  A JSON value must
+    """defaults < --config JSON < explicit CLI flags.  A JSON value must
     have its flag's type; a list becomes a list, and each value or item must obey its rule."""
     given = {}
     if args.config:
@@ -103,16 +99,6 @@ def _resolve(args: argparse.Namespace, defaults: dict, rules: dict) -> dict:
                                  f"{defaults[key]!r}, got {val!r}")
     given.update((key, getattr(args, key)) for key in defaults if getattr(args, key) is not None)
     cfg = {**defaults, **given}
-    for key, var in ENV.items():  # an integer key
-        raw = os.environ.get(var)
-        if key in defaults and key not in given and raw:
-            rule = _rule(rules, key, defaults[key])
-            try:
-                cfg[key] = int(raw)
-            except ValueError:
-                cfg[key] = None
-            if cfg[key] is None or not rule.admits(cfg[key]):
-                raise ValueError(f"{var} must be {rule.text}, got {raw!r}")
     for key, default in defaults.items():
         is_list = isinstance(default, list)
         if is_list:
@@ -140,6 +126,8 @@ AT_LEAST_2 = Rule("an integer >= 2", lambda v: v >= 2)
 NON_NEGATIVE = Rule("a finite float >= 0", lambda v: 0.0 <= v < math.inf)
 # a negative norm puts pi - theta under the theta column; an infinite one is singular
 NORM = Rule("a float >= 0 or inf", lambda v: v >= 0.0)
+# a teacher of norm 0 has no angle to a student; a learning rate of 0 never descends
+POSITIVE_OR_INF = Rule("a float > 0 or inf", lambda v: v > 0.0)
 
 
 # One row per experiment subcommand: name -> (help, defaults, rules).  Each key
@@ -151,7 +139,7 @@ NORM = Rule("a float >= 0 or inf", lambda v: v >= 0.0)
 EXPERIMENTS = {
     "landscape": ("condition numbers and spectra over a theta grid",
                   {"dim": 2, "theta_grid": 64, "norm_w": 1.0, "norm_wstar": 1.0},
-                  {"dim": AT_LEAST_2, "norm_w": NORM, "norm_wstar": NORM}),
+                  {"dim": AT_LEAST_2, "norm_w": NORM, "norm_wstar": POSITIVE_OR_INF}),
     "gd-compare": ("one-step GD comparison at random basin points",
                    {"dim": 8, "points": 500, "eta_factor": 0.9}, {}),
     "flow": ("single-node gradient-flow traces",
@@ -167,7 +155,7 @@ EXPERIMENTS = {
     "toeplitz": ("cyclic-coefficient field Jacobians", {"k_list": [3, 5, 8]}, {"k_list": AT_LEAST_2}),
     "sgd": ("empirical SGD traces with conditioning",
             {"dim": 16, "lr": 1e-2, "batch": 64, "n_train": 10000, "steps": 2000, "seeds": 12,
-             "log_every": 20}, {"lr": Rule("a float > 0 or inf", lambda v: v > 0.0)}),
+             "log_every": 20}, {"lr": POSITIVE_OR_INF}),
     # estimators whose per-sample gradients live in span{w, w*} have ~2
     # effective dof per trial, so their slope fits need ~25 trials; the
     # x-valued estimators are tame at any of the default dims.  threads is
@@ -612,9 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
             legal = type(default).__name__ if rule is None else rule.text
             if isinstance(default, list):
                 legal, default = f"comma list, each {legal}", ",".join(map(str, default))
-            env = f", or ${ENV[key]}" if key in ENV else ""
             sp.add_argument("--" + key.replace("_", "-"), type=type(default),
-                            help=f"{legal} (default {default}{env})")
+                            help=f"{legal} (default {default})")
         sp.add_argument("--config", help="JSON file with defaults; explicit flags override it")
         sp.set_defaults(runner=globals()["cmd_" + name.replace("-", "_")], defaults=defaults,
                         rules=rules)

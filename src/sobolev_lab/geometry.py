@@ -9,6 +9,8 @@ them) plus the coupling coefficient
 which blows up at collinearity.  The products alpha*sin(theta) and
 alpha*sin^2(theta) stay finite there, so they are carried in cancelled
 form and alpha itself is reported as ``inf`` rather than raising.
+``pair_geometry`` is the one reduction of single-node pairs, and one pair
+is the one-row case of a stack; ``_angle_norms`` serves the K-node field.
 
 Every single-node gradient is a combination of w and w*, so a gradient
 flow stays in the plane span{w0, w*}; ``_plane_coordinates`` maps a pair
@@ -60,15 +62,13 @@ _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
-    """2-norm over the last axis as ``np.linalg.norm`` computes it, without its
-    per-call overhead: ``_row_norms`` for one vector, a row reduction for a stack.
+    """2-norm over the last axis as ``np.linalg.norm(x, axis=-1)`` computes it,
+    a row reduction, without its per-call overhead.
 
-    A nonzero vector whose squared norm underflows or overflows is measured
-    with the scale-safe ``math.hypot`` instead, so it never has norm 0; in a
-    stack only such rows go through it, and a zero row keeps sqrt(0) = 0.
+    A nonzero row whose squared norm underflows or overflows is measured
+    with the scale-safe ``math.hypot`` instead, so it never has norm 0; only
+    such rows go through it, and a zero row keeps sqrt(0) = 0.
     """
-    if x.ndim == 1:
-        return _row_norms(x)
     with np.errstate(over="ignore"):
         sq = np.add.reduce(x * x, axis=-1)
     return _scale_safe_sqrt(x, sq)
@@ -111,8 +111,9 @@ def _angle_norms(w: np.ndarray, wstar: np.ndarray):
     the collinear configurations the landscape formulas exercise hardest
     (arccos loses half the digits there), and coincident directions give an
     exact zero.  Broadcasts over leading axes, so one call covers a stack of
-    states or all pairs of two stacks; 1-d inputs give a float angle.  A
-    zero vector has angle 0 to everything.
+    states or all pairs of two stacks, as the K-node field takes them; a
+    single pair goes through ``pair_geometry``.  A zero vector has angle 0
+    to everything.
     """
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
@@ -123,8 +124,6 @@ def _angle_norms(w: np.ndarray, wstar: np.ndarray):
     v = wstar / (ns + s_zero)[..., None]
     across, along = _norm(u - v), _norm(u + v)
     zero = w_zero | s_zero
-    if np.ndim(across) == 0:  # one pair: libm's scalar atan2 is faster here
-        return (0.0 if zero else 2.0 * math.atan2(across, along)), nw, ns
     return np.where(zero, 0.0, 2.0 * np.arctan2(across, along)), nw, ns
 
 
@@ -136,7 +135,7 @@ def _plane_coordinates(w: np.ndarray, wstar: np.ndarray):
     so |p - p*| = |w - w*| and the angle and norms of (p, p*) are those of
     (w, w*), up to rounding.
     """
-    ns = _norm(wstar)
+    ns = _row_norms(wstar)
     u = wstar / ns
     a = _dots(w, u)
     return np.stack([a, _norm(w - a[..., None] * u)], axis=-1), np.array([ns, 0.0])

@@ -48,8 +48,7 @@ import numpy as np
 
 from .eigs import SpectrumReport, real_eigs, symmetric_eigs
 from .exceptions import SingularPointError
-from .geometry import (TWO_PI, PairGeometry, _angle_norms, _dots, _plane_angle_norms,
-                       _row_norms, pair_geometry)
+from .geometry import TWO_PI, PairGeometry, _dots, _plane_angle_norms, _row_norms, pair_geometry
 
 
 @dataclass(frozen=True)
@@ -114,13 +113,6 @@ def _check_nonzero(nw) -> None:
         raise SingularPointError("closed-form gradients are singular at w = 0")
 
 
-def _norms_theta(w: np.ndarray, wstar: np.ndarray):
-    """Batched norms and two-argument angle; w may be (..., d), wstar is (d,)."""
-    theta, nw, ns = _angle_norms(w, wstar)
-    _check_nonzero(nw)
-    return nw, float(ns), theta
-
-
 def _gradients(w: np.ndarray, wstar: np.ndarray, nw, ns, theta) -> tuple[np.ndarray, np.ndarray]:
     """grad L and grad J at w (..., d), from its norms and angle (one per row)."""
     t = theta[..., None] if w.ndim > 1 else theta
@@ -137,9 +129,9 @@ def population_gradients(w: np.ndarray, wstar: np.ndarray) -> GradientBundle:
     wstar = np.asarray(wstar, dtype=float)
     if w.shape != wstar.shape or w.ndim != 1:
         raise ValueError("w and w* must be 1-d vectors of equal dimension")
-    if not wstar.any():  # a norm would underflow to 0 below ~1e-154
-        raise ValueError("teacher vector must be nonzero")
-    gl, gj = _gradients(w, wstar, *_norms_theta(w, wstar))
+    geom = pair_geometry(w, wstar)
+    _check_nonzero(geom.norm_w)
+    gl, gj = _gradients(w, wstar, geom.norm_w, geom.norm_wstar, geom.theta)
     return GradientBundle(grad_l2=gl, grad_seminorm=gj, grad_h1=gl + gj)
 
 
@@ -313,14 +305,17 @@ def flow_quadratic_forms(theta: float) -> tuple[np.ndarray, np.ndarray, float]:
 
 def gd_quadratic_forms(theta: float) -> tuple[np.ndarray, ...]:
     """The five 2x2 forms N1..N5 of the one-step GD comparison, as functions
-    of theta, acting on p = (|w*|, |w|):
+    of theta in [0, pi/2), acting on p = (|w*|, |w|):
 
       eta^2 |grad L|^2          = (eta^2/4 pi^2) p^T N1 p
       -2 eta grad L . (w - w*)  = -(eta/2 pi)    p^T N2 p
       eta^2 |grad H|^2          = (eta^2/4 pi^2) p^T N3 p
       -2 eta grad H . (w - w*)  = -(eta/2 pi)    p^T N4 p
       N5 = N1 - N3 (negative semidefinite on the basin angles).
+
+    N2 is the form of 2 grad L . (w - w*), the M1 of ``flow_quadratic_forms``.
     """
+    n2 = flow_quadratic_forms(theta)[0]
     ct, st = math.cos(theta), math.sin(theta)
     s2t = math.sin(2 * theta)
     tm = theta - math.pi
@@ -328,12 +323,6 @@ def gd_quadratic_forms(theta: float) -> tuple[np.ndarray, ...]:
         [
             [tm**2 + st**2 - tm * s2t, math.pi * tm * ct - math.pi * st],
             [math.pi * tm * ct - math.pi * st, math.pi**2],
-        ]
-    )
-    n2 = np.array(
-        [
-            [s2t + TWO_PI - 2 * theta, (theta - TWO_PI) * ct - st],
-            [(theta - TWO_PI) * ct - st, TWO_PI],
         ]
     )
     n3 = np.array(

@@ -16,6 +16,9 @@ gradients under N(0, I) inputs are, with theta the student/teacher angle,
 The |w*|^2 (squared) coefficient in grad I1 is the dimensionally
 consistent one and is the version the Monte-Carlo oracle confirms.
 
+``h2_gradients`` takes one student or a stack against one teacher, each
+pair reduced by ``geometry.pair_geometry``.
+
 All three gradients are combinations of w and w*, so a flow of any
 component set stays in the plane span{w0, w*}.  ``h2_plane_field`` is the
 flow field on (m, 2) plane coordinates: the component arithmetic of
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, _angle_norms, _dots, _plane_angle_norms, pair_geometry
+from .geometry import TWO_PI, _dots, _plane_angle_norms, pair_geometry
 
 
 @dataclass(frozen=True)
@@ -72,38 +75,31 @@ def _component_grads(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...],
     return out
 
 
-def _pair(w: np.ndarray, wstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One student/teacher pair as float vectors; zero vectors are singular."""
+def h2_gradients(w: np.ndarray, wstar: np.ndarray) -> H2GradientBundle:
+    """Closed-form gradients of the three second-order loss components.
+
+    ``w`` is one student (d,) or a stack (m, d) against one teacher (d,); a
+    stack gives (m, d) gradients, each row bit for bit its student's alone,
+    as the angle and norms come from ``pair_geometry``.
+    """
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
-    if w.shape != wstar.shape or w.ndim != 1:
-        raise ValueError("w and w* must be 1-d vectors of equal dimension")
-    if not (w.any() and wstar.any()):  # a norm would underflow to 0 below ~1e-154
+    if w.ndim not in (1, 2) or wstar.shape != w.shape[-1:]:
+        raise ValueError(f"dimension mismatch: {w.shape} vs {wstar.shape}")
+    if not (wstar.any() and w.any(axis=-1).all()):
         raise SingularPointError("second-order closed forms are singular at zero vectors")
-    return w, wstar
-
-
-def h2_gradients(w: np.ndarray, wstar: np.ndarray) -> H2GradientBundle:
-    """Closed-form gradients of the three second-order loss components."""
-    w, wstar = _pair(w, wstar)
-    return H2GradientBundle(*_component_grads(w, wstar, _PARTS, *_angle_norms(w, wstar)))
+    geom = pair_geometry(w, wstar)
+    ns = np.ravel(geom.norm_wstar)[0]  # one teacher: one norm for every row
+    return H2GradientBundle(*_component_grads(w, wstar, _PARTS, geom.theta, geom.norm_w, ns))
 
 
 def descent_inner_products(ws: np.ndarray, wstar: np.ndarray) -> np.ndarray:
-    """-(w - w*) . grad I_k of each student of a stack ws (m, d), as an (m, 3) array.
-
-    One stacked pass: the angles and norms come from ``pair_geometry`` and
-    the inner products from row dot products, so each row is bit for bit
-    the one its student gives through ``h2_gradients``.
-    """
+    """-(w - w*) . grad I_k of each student of a stack ws (m, d), as an (m, 3) array:
+    one stacked ``h2_gradients`` call, then row dot products."""
     ws = np.asarray(ws, dtype=float)
-    wstar = np.asarray(wstar, dtype=float)
-    geom = pair_geometry(ws, wstar)
-    if not geom.norm_w.all():
-        raise SingularPointError("second-order closed forms are singular at zero vectors")
-    e = ws - wstar
-    grads = _component_grads(ws, wstar, _PARTS, geom.theta, geom.norm_w, geom.norm_wstar[0])
-    return np.stack([-_dots(e, g) for g in grads], axis=-1)
+    b = h2_gradients(ws, wstar)
+    e = ws - np.asarray(wstar, dtype=float)
+    return np.stack([-_dots(e, g) for g in (b.grad_i1, b.grad_i2, b.grad_i3)], axis=-1)
 
 
 def h2_plane_field(norm_wstar: float, parts=_PARTS):

@@ -26,6 +26,8 @@ from .geometry import pair_geometry
 from .mc import _FORMS, _relu_grad
 from .relu1 import condition_numbers
 
+_INIT_RADIUS = 0.8  # |w0 - w*| as a fraction of |w*|, inside the basin |w0 - w*| < |w*|
+
 
 @dataclass(frozen=True)
 class SgdConfig:
@@ -37,13 +39,10 @@ class SgdConfig:
     seed: int
     loss_kind: str  # "l2" or "h1"
     log_every: int = 10
-    init_radius: float = 0.8  # |w0 - w*| as a fraction of |w*|, must be < 1
 
     def __post_init__(self):
         if self.loss_kind.lower() not in ("l2", "h1"):
             raise ValueError("loss_kind must be 'l2' or 'h1'")
-        if not 0.0 < self.init_radius < 1.0:
-            raise ValueError("initialization must satisfy |w0 - w*| < |w*|")
         if not 1 <= self.batch_size <= self.n_train:
             raise ValueError("batch_size must be in [1, n_train]")
         if self.log_every < 1:
@@ -90,7 +89,7 @@ def sgd_run(cfg: SgdConfig | Sequence[SgdConfig]) -> SgdTrace | list[SgdTrace]:
         ws[:] = rng.standard_normal(dim)
         ws /= np.linalg.norm(ws)
         e = rng.standard_normal(dim)
-        e *= first.init_radius / np.linalg.norm(e)
+        e *= _INIT_RADIUS / np.linalg.norm(e)
         w[:] = ws + e
         rng.standard_normal((n, dim), out=x)
     wstar, w = wstar[run_seed], w0[run_seed]

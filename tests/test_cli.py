@@ -3,11 +3,9 @@ import csv
 import io
 import json
 import math
-import os
 import tempfile
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from sobolev_lab import cli, multinode as mn
 from sobolev_lab.cli import _write_csv, main, summarize
 from sobolev_lab.sgd import SgdConfig, sgd_run
-
-THREADS_VAR = cli.ENV["threads"]
 
 
 def run(*argv):
@@ -116,8 +112,14 @@ def test_rerun_is_byte_identical_and_thread_invariant(tmp_path):
     assert body_a == (c / "convergence.csv").read_bytes()
 
 
+def test_threads_come_only_from_the_flag_or_config(tmp_path, monkeypatch):
+    # the worker count is a key like any other: no environment variable sets it
+    monkeypatch.setenv("SOBOLEV_LAB_THREADS", "x")
+    assert run("verify-gradients", *SMALL["verify-gradients"], "--out-dir", str(tmp_path)) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["threads"] == 1
+
+
 def test_every_subcommand_is_built_from_its_table_row(tmp_path, monkeypatch):
-    monkeypatch.delenv(THREADS_VAR, raising=False)
     for name, (_, defaults, rules) in cli.EXPERIMENTS.items():
         keys = set(defaults) | set(cli.COMMON)
         assert set(rules) <= set(defaults), name
@@ -140,9 +142,9 @@ def test_help_states_each_flags_rule_and_default(capsys):
     for argv, flag, text in ((["multinode"], "--k-list", "comma list, each an integer >= 2 "
                               "(default 2,4,8)"),
                              (["landscape"], "--norm-w", "a float >= 0 or inf (default 1.0)"),
+                             (["landscape"], "--norm-wstar", "a float > 0 or inf (default 1.0)"),
                              (["gd-compare"], "--eta-factor", "a finite float > 0 (default 0.9)"),
-                             (["verify-gradients"], "--threads",
-                              f"an integer >= 1 (default 1, or ${THREADS_VAR})"),
+                             (["verify-gradients"], "--threads", "an integer >= 1 (default 1)"),
                              (["flow"], "--kind", "one of l2, h1, both (default both)")):
         with pytest.raises(SystemExit):
             run(*argv, "--help")
@@ -165,20 +167,19 @@ SMALL = {
 }
 
 
-def test_manifest_config_reproduces_the_run(tmp_path, monkeypatch):
+def test_manifest_config_reproduces_the_run(tmp_path):
     # every resolved key, threads included, lands in the manifest, and the
     # manifest's config fed back through --config gives the same CSV bodies
-    monkeypatch.setenv(THREADS_VAR, "2")
     assert set(SMALL) == set(cli.EXPERIMENTS)
     for name, argv in SMALL.items():
+        if "threads" in cli.EXPERIMENTS[name][1]:
+            argv = (*argv, "--threads", "2")
         first, again = tmp_path / name / "first", tmp_path / name / "again"
         assert run(name, *argv, "--seed", "3", "--out-dir", str(first)) == 0, name
         config = json.loads((first / "manifest.json").read_text())["config"]
         cfg = tmp_path / name / "cfg.json"
         cfg.write_text(json.dumps(config))
-        monkeypatch.setenv(THREADS_VAR, "1")  # the recorded threads beat the variable
         assert run(name, "--config", str(cfg), "--out-dir", str(again)) == 0, name
-        monkeypatch.setenv(THREADS_VAR, "2")
         replayed = json.loads((again / "manifest.json").read_text())["config"]
         assert replayed == {**config, "out_dir": str(again)}, name
         csvs = sorted(p.name for p in first.glob("*.csv"))
@@ -223,7 +224,7 @@ def test_unknown_config_key_is_validation_error(tmp_path):
     assert run("landscape", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
 
 
-def test_validation_failures_exit_2(tmp_path, capsys, monkeypatch):
+def test_validation_failures_exit_2(tmp_path, capsys):
     assert run("landscape", "--dim", "1", "--out-dir", str(tmp_path / "o")) == 2
     assert run("summarize", str(tmp_path / "does-not-exist")) == 2
     # a zero logging interval is a bad configuration, not an internal error
@@ -290,33 +291,30 @@ def test_validation_failures_exit_2(tmp_path, capsys, monkeypatch):
         cfg.write_text(json.dumps(entry))
         assert run("multinode", "--config", str(cfg), "--out-dir", str(tmp_path / "e")) == 2
         assert named in capsys.readouterr().err
-    # an item that breaks its rule is named with the rule, as is a
-    # dimension too small for the two teachers of a multinode form
+    # an item that breaks its rule is named with the rule, as are a zero
+    # teacher norm and a dimension too small for the two teachers of a
+    # multinode form
     mc_small = ("verify-gradients", "--n-min", "4", "--n-max", "4", "--trials", "1")
     for argv, named in ((("multinode", "--k-list", "0"), ("k_list", "integer >= 2")),
+                        (("landscape", "--theta-grid", "2", "--norm-wstar", "0"),
+                         ("norm_wstar", "a float > 0 or inf")),
                         ((*mc_small, "--dims", "0"), ("dims", "integer >= 1")),
                         ((*mc_small, "--dims", "1", "--forms", "multinode:l2"),
                          ("multinode", "dim >= 2"))):
         assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and all(name in err[0] for name in named), err
-    # a worker count below 1, by flag or environment, and a form that is not
-    # model:kind: one error line each, no run
+    # a worker count below 1 and a form that is not model:kind: one error
+    # line each, no run
     small = ("verify-gradients", "--dims", "2", "--n-min", "4", "--n-max", "4", "--trials", "1",
              "--out-dir", str(tmp_path / "v"))
-    for extra, env, named in ((("--threads", "0"), None, ("threads",)),
-                              (("--threads", "-3"), None, ("threads",)),
-                              ((), "0", (THREADS_VAR, "integer >= 1")),
-                              ((), "x", (THREADS_VAR, "integer >= 1")),
-                              (("--forms", "relu"), None, ("'relu'", "model:kind")),
-                              (("--forms", "relu:l2,relu_sq:i1:i2"), None,
-                               ("'relu_sq:i1:i2'", "model:kind")),
-                              # the parts of relu_sq are three kinds, not one
-                              (("--forms", "relu_sq:h2_parts"), None, ("'h2_parts'",))):
-        if env is not None:
-            monkeypatch.setenv(THREADS_VAR, env)
-        assert run(*small, *extra) == 2, (extra, env)
-        monkeypatch.delenv(THREADS_VAR, raising=False)
+    for extra, named in ((("--threads", "0"), ("threads",)),
+                         (("--threads", "-3"), ("threads",)),
+                         (("--forms", "relu"), ("'relu'", "model:kind")),
+                         (("--forms", "relu:l2,relu_sq:i1:i2"), ("'relu_sq:i1:i2'", "model:kind")),
+                         # the parts of relu_sq are three kinds, not one
+                         (("--forms", "relu_sq:h2_parts"), ("'h2_parts'",))):
+        assert run(*small, *extra) == 2, extra
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert all(name in err[0] for name in named), err
@@ -328,41 +326,34 @@ EDGES = {float: ("0", "-1", "1e-300", "5e-324", "1e300", "inf", "-inf", "nan"),
 
 
 def _edge_cases():
-    """(subcommand, --flag=value or None, SOBOLEV_LAB_THREADS or None): every
-    number and list item of every table row at each edge value, and the
-    worker count from the flag or the variable."""
+    """(subcommand, --flag=value): every number and list item of every table
+    row at each edge value, and a worker count that is no integer."""
     cases = []
     for name, (_, defaults, _) in cli.EXPERIMENTS.items():
         for key, default in {**defaults, **cli.COMMON}.items():
             kind = type(default[0]) if isinstance(default, list) else type(default)
-            cases += [(name, f"--{key.replace('_', '-')}={v}", None) for v in EDGES.get(kind, ())]
-    cases += [("verify-gradients", "--threads=x", None)]
-    cases += [("verify-gradients", None, v) for v in ("0", "1", "2", "x")]
-    return cases
+            cases += [(name, f"--{key.replace('_', '-')}={v}") for v in EDGES.get(kind, ())]
+    return cases + [("verify-gradients", "--threads=x")]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(_edge_cases()))
 # a K of 0 once divided by zero (exit 1); a dimension of 0 warned in the
-# multinode form's pair draw; a variable that is no integer
-@example(("multinode", "--k-list=0", None))
-@example(("verify-gradients", "--dims=0", None))
-@example(("verify-gradients", None, "x"))
+# multinode form's pair draw
+@example(("multinode", "--k-list=0"))
+@example(("verify-gradients", "--dims=0"))
 def test_any_edge_value_exits_0_2_or_3_without_a_warning(case):
     # argparse reads a bare -inf as an option, hence --flag=value; its own
     # exit (a value that is not a number) counts as exit 2 and prints usage
-    name, flag, env = case
+    name, flag = case
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+    with tempfile.TemporaryDirectory() as tmp, \
             warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        os.environ.pop(THREADS_VAR, None)
-        if env is not None:
-            os.environ[THREADS_VAR] = env
         out = Path(tmp) / "out"
         parsed = True
         try:
-            code = run(name, *SMALL[name], *[flag] * (flag is not None), "--out-dir", str(out))
+            code = run(name, *SMALL[name], flag, "--out-dir", str(out))
         except SystemExit as exc:
             code, parsed = exc.code, False
         wrote_manifest = (out / "manifest.json").exists()

@@ -390,6 +390,8 @@ def test_theta_domain_enforced():
 def test_n_matrices_signs_on_grid():
     for theta in np.linspace(0.0, math.pi / 2, 300, endpoint=False):
         n1, n2, n3, n4, n5 = relu1.gd_quadratic_forms(float(theta))
+        # N2 and M1 are both the form of 2 grad L . (w - w*)
+        assert np.array_equal(n2, relu1.flow_quadratic_forms(float(theta))[0])
         for m in (n1, n2, n3, n4):
             assert symmetric_eigs(m).lam_min >= -1e-10
         assert symmetric_eigs(n5).lam_max <= 1e-10

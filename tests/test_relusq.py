@@ -161,26 +161,50 @@ def test_per_row_parts_match_single_set_fields_bitwise():
 def test_plane_flow_traces_match_the_d_dimensional_traces(d, plane_starts):
     # both components sets of the relusq experiment, in one ensemble, on and
     # next to the teacher's line: the (m, 2) plane flow is the d-dimensional
-    # one, row by row through ``h2_gradients``, up to rounding, and a start
-    # on the line stays on it
+    # one, one stacked ``h2_gradients`` call per stage, up to rounding, and a
+    # start on the line stays on it
     w0, ws = plane_starts(d, seed=60 + d)
     m = len(w0)
     p0, pstar = _plane_coordinates(w0, ws)
     p0[m - 2, 1] = 0.0
     parts = [("i1", "i2", "i3")] * m + [("i1",)] * m
+    h2_rows = np.repeat([True, False], m)[:, None]
 
-    def rows_field(w):
-        grads = [relusq.h2_gradients(row, ws) for row in w]
-        return np.stack([-sum(getattr(b, "grad_" + q) for q in sel)
-                         for b, sel in zip(grads, parts)])
+    def stacked_field(w):
+        b = relusq.h2_gradients(w, ws)
+        return -np.where(h2_rows, b.grad_i1 + b.grad_i2 + b.grad_i3, b.grad_i1)
 
-    full = rk4_integrate(rows_field, np.tile(w0, (2, 1)), 1e-2, 3.0, ws, record_every=10)
+    full = rk4_integrate(stacked_field, np.tile(w0, (2, 1)), 1e-2, 3.0, ws, record_every=10)
     plane = rk4_integrate(relusq.h2_plane_field(pstar[0], parts), np.tile(p0, (2, 1)), 1e-2, 3.0,
                           pstar, record_every=10)
     assert np.abs(plane.v_values - full.v_values).max() <= 1e-13
     assert (plane.states[:, [m - 2, 2 * m - 2], 1] == 0.0).all()
     with pytest.raises(SingularPointError):
         relusq.h2_plane_field(0.0)
+
+
+def test_stacked_gradients_are_the_one_pair_gradients():
+    # bit for bit, over ordinary, tiny, huge, collinear and opposite students
+    # at d = 2..64; a zero student, in a stack or alone, or a zero teacher is
+    # singular
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 5, 16, 64):
+        ws = rng.standard_normal(d)
+        rows = np.stack([*rng.standard_normal((4, d)), 1e-300 * rng.standard_normal(d),
+                         1e300 * rng.standard_normal(d), 2.0 * ws, -0.5 * ws, ws])
+        with np.errstate(over="ignore", invalid="ignore"):  # the huge row's |w|^2 w overflows
+            stacked = relusq.h2_gradients(rows, ws)
+            alone = [relusq.h2_gradients(w, ws) for w in rows]
+        for part in ("grad_i1", "grad_i2", "grad_i3"):
+            assert getattr(stacked, part).shape == rows.shape
+            np.testing.assert_array_equal(getattr(stacked, part),
+                                          [getattr(b, part) for b in alone], err_msg=part)
+        with pytest.raises(SingularPointError):
+            relusq.h2_gradients(np.concatenate([rows[:2], np.zeros((1, d))]), ws)
+        with pytest.raises(SingularPointError):
+            relusq.h2_gradients(rows, np.zeros(d))
+    with pytest.raises(ValueError):
+        relusq.h2_gradients(rows, rows)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8, 9, 32])

@@ -70,8 +70,5 @@ def test_config_validation():
     for batch in (0, -1):
         with pytest.raises(ValueError, match="batch_size"):
             cfg(batch_size=batch)
-    with pytest.raises(ValueError):
-        SgdConfig(dim=4, batch_size=8, n_train=100, learning_rate=0.1,
-                  n_steps=10, seed=0, loss_kind="l2", init_radius=1.5)
     with pytest.raises(ValueError, match="ensemble"):
         sgd_run([cfg(), cfg(seed=1, loss_kind="h1"), cfg(learning_rate=0.1)])
