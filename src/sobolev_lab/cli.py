@@ -149,9 +149,12 @@ EXPERIMENTS = {
     "relusq": ("second-order descent checks and flows",
                {"dim": 4, "points": 1000, "inits": 100, "step": 1e-3, "t_end": 4.0,
                 "record_every": 20}, {}),
+    # no step count bounds an adaptive run, so the horizon stops where threshold rows give up
     "multinode": ("planar multi-node dynamics",
-                  {"k_list": [2, 4, 8], "starts": 100, "ratio_starts": 20, "step": 1e-3,
-                   "t_end": 60.0}, {"k_list": AT_LEAST_2}),
+                  {"k_list": [2, 4, 8], "starts": 100, "ratio_starts": 20, "t_end": 60.0},
+                  {"k_list": AT_LEAST_2,
+                   "t_end": Rule(f"a float in (0, {mn._THRESHOLD_T_MAX:g}]",
+                                 lambda v: 0.0 < v <= mn._THRESHOLD_T_MAX)}),
     "toeplitz": ("cyclic-coefficient field Jacobians", {"k_list": [3, 5, 8]}, {"k_list": AT_LEAST_2}),
     "sgd": ("empirical SGD traces with conditioning",
             {"dim": 16, "lr": 1e-2, "batch": 64, "n_train": 10000, "steps": 2000, "seeds": 12,
@@ -267,7 +270,6 @@ def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
 
 def cmd_multinode(cfg: dict, out: Path) -> list[Path]:
     ks = cfg["k_list"]
-    step = cfg["step"]
 
     # one draw of Omega starts shared by every K, then every K's near-fixed-point
     # angles; every run below, of every K, integrates as one ensemble
@@ -282,10 +284,10 @@ def cmd_multinode(cfg: dict, out: Path) -> list[Path]:
     runs = [
         # convergence of the H1 planar flow from the Omega starts
         mn.PlanarRows("h1", np.repeat(ks, cfg["starts"]),
-                      np.tile(np.stack([x0, y0], axis=1), (len(ks), 1)), step, cfg["t_end"]),
+                      np.tile(np.stack([x0, y0], axis=1), (len(ks), 1)), cfg["t_end"]),
         # near-fixed-point time-to-threshold ratio
-        mn.threshold_rows("l2", k_rows, near, 1e-4, step),
-        mn.threshold_rows("h1", k_rows, near, 1e-4, step),
+        mn.threshold_rows("l2", k_rows, near, 1e-4),
+        mn.threshold_rows("h1", k_rows, near, 1e-4),
         *decays,
     ]
     omega, t_l2, t_h1, *decay_runs = mn.planar_flows(runs)

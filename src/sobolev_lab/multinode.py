@@ -21,7 +21,8 @@ arrays: the planar one stacked states (..., 2) through the closure of
 
 ``planar_flows`` integrates fixed-horizon, threshold-crossing and recorded
 diagonal-decay runs of the planar flow: it builds their per-row kind and K
-field and hands every run to the one RK4 loop in ``ode``.
+field and hands every run to the adaptive Dormand-Prince loop of ``ode``,
+which gives each row its own step controller.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ import numpy as np
 
 from .exceptions import SingularPointError
 from .geometry import TWO_PI, _angle_norms, _dots
-from .ode import FlowRun, _rk4_rows
+from .ode import FlowRun, _dp45_rows
 
 _THRESHOLD_T_MAX = 120.0  # horizon of a ``threshold_rows`` run: a row not yet within gives up
-_DECAY_STEP = 1e-3  # RK4 step of a ``diagonal_rows`` run
+_RECORD_DT = 0.01  # spacing of a recorded run's time grid
 _FIXED_POINT = np.array([1.0, 0.0])
 
 
@@ -155,7 +156,7 @@ def _planar_angles(x, y, k1, k2, k2_twice):
 
 
 def reduced_flow_field(kind, k):
-    """The planar field as a closure over stacked states (..., 2) for RK4 ensembles.
+    """The planar field as a closure over stacked states (..., 2) for flow ensembles.
 
     ``kind`` is one kind name for every state, or an array with one name per
     state row; ``k`` is one int K, or an integer array with one K per state
@@ -186,39 +187,34 @@ class PlanarRows:
     """One run of the planar flow, to be integrated with others by ``planar_flows``.
 
     ``starts`` (m, 2) flow under ``kind`` and ``k`` (one value, or an array
-    with one per row) with RK4 step ``step`` up to the horizon ``t_end``.
-    With ``thresh`` > 0 a row stops at the first step that brings it within
-    ``thresh`` of the fixed point (1, 0); a row that starts within takes no
-    step.  With ``record_every`` > 0 the run's states are recorded every
-    that many steps, as ``rk4_integrate`` records them; a recorded run has
-    no threshold.
+    with one per row) up to the horizon ``t_end``.  With ``thresh`` > 0 a
+    row stops at its first time within ``thresh`` of the fixed point (1, 0);
+    a row that starts within takes no step.  A run with ``record`` records
+    its states at t = ``_RECORD_DT`` * i and at ``t_end``; a recorded run has
+    no threshold.  ``planar_flows`` checks the horizon and the threshold.
     """
 
     kind: object
     k: object
     starts: np.ndarray
-    step: float
     t_end: float
     thresh: float = 0.0
-    record_every: int = 0
+    record: bool = False
 
     def __post_init__(self):
         starts = np.array(self.starts, dtype=float)
         if starts.ndim != 2 or starts.shape[1] != 2 or starts.shape[0] < 1:
             raise ValueError("starts must have shape (m, 2) with m >= 1")
-        if self.record_every and self.thresh:
-            raise ValueError("a recorded run cannot stop at a threshold")
-        if self.record_every < 0 or not self.thresh >= 0.0:
-            raise ValueError("need record_every >= 0 and thresh >= 0")
         object.__setattr__(self, "starts", starts)
 
 
 def planar_flows(runs: list[PlanarRows]) -> list[FlowRun]:
-    """Integrate every run as one stacked RK4 ensemble; one ``FlowRun`` per run.
+    """Integrate every run as one stacked ensemble; one ``FlowRun`` per run.
 
-    Each row flows under its own run's kind and K, and ``ode._rk4_rows``
-    steps it with its run's step, horizon, threshold around (1, 0) and
-    recording, so every row comes out as it would in a run of its own.
+    Each row flows under its own run's kind and K, and ``ode._dp45_rows``
+    steps it with its own step controller up to its run's horizon,
+    threshold around (1, 0) or recorded grid, so every row comes out bit for
+    bit as it would in a run of its own.
     """
     sizes = [r.starts.shape[0] for r in runs]
 
@@ -227,17 +223,17 @@ def planar_flows(runs: list[PlanarRows]) -> list[FlowRun]:
 
     kind = per_row([np.asarray(r.kind) for r in runs])
     field = reduced_flow_field(kind, per_row([r.k for r in runs]))
-    return _rk4_rows(field, [(r.starts, r.step, r.t_end, r.thresh, r.record_every) for r in runs],
-                     _FIXED_POINT)
+    return _dp45_rows(field, [(r.starts, r.t_end, r.thresh, _RECORD_DT if r.record else 0.0)
+                              for r in runs], _FIXED_POINT)
 
 
-def threshold_rows(kind, k, starts: np.ndarray, thresh: float, step: float = 1e-3) -> PlanarRows:
+def threshold_rows(kind, k, starts: np.ndarray, thresh: float) -> PlanarRows:
     """A run whose rows record their first flow time within ``thresh`` of
     (1, 0) as ``crossed`` (0 for a start already within); a row still
     outside at ``_THRESHOLD_T_MAX`` keeps nan."""
     if not thresh > 0.0:
         raise ValueError("thresh must be positive")
-    return PlanarRows(kind, k, starts, step, _THRESHOLD_T_MAX, thresh=thresh)
+    return PlanarRows(kind, k, starts, _THRESHOLD_T_MAX, thresh=thresh)
 
 
 def saddle_points(k: int) -> tuple[float, float]:
@@ -251,12 +247,12 @@ def saddle_points(k: int) -> tuple[float, float]:
 
 
 def diagonal_rows(kind: str, k: int, x0: float, t_end: float) -> PlanarRows:
-    """The diagonal flow from (x0, x0) at step ``_DECAY_STEP``, recorded
-    every 10 steps up to ``t_end``; ``decay_fit`` reads its exponent."""
+    """The diagonal flow from (x0, x0) up to ``t_end``, recorded on the
+    ``_RECORD_DT`` grid; ``decay_fit`` reads its exponent."""
     x_star = saddle_points(k)[_check_kind(kind) - 1]
     if not x_star < x0 <= 1.0:
         raise ValueError("need x0 in (x*, 1]")
-    return PlanarRows(kind, k, np.array([[x0, x0]]), _DECAY_STEP, t_end, record_every=10)
+    return PlanarRows(kind, k, np.array([[x0, x0]]), t_end, record=True)
 
 
 def decay_fit(rows: PlanarRows, run: FlowRun) -> DecayFit:

@@ -1,19 +1,22 @@
-"""Classic fixed-step fourth-order Runge-Kutta for the gradient flows.
+"""Integrators for the gradient flows: fixed-step RK4 and an adaptive Dormand-Prince 5(4) pair.
 
-Fixed step (no adaptivity) keeps traces bit-reproducible for regression
-tests.  ``_rk4_rows`` is the one stepping loop: it integrates several runs
-of rows as one stacked ensemble, each run with its own step, horizon, stop
-radius and recording.  It recomputes its row bookkeeping (which rows step,
-and their step sizes) only at events: where some row's schedule changes,
-and after a row crossed its stop radius or left the finite floats.  Between
-events a step pays only for the RK4 step, one finiteness test of the whole
-state, the records, the merge of the stepped rows while some row stands
-still, and the stop-radius test while a row with one still steps.
-``rk4_integrate`` is its one-run view, and ``multinode.planar_flows`` hands
-it every planar run at once.  States may be a single vector ``(d,)`` or a
-stack ``(m, d)`` of independent trajectories sharing the same field; the
-error tracking ``v = ||state - target||^2`` is taken along the last axis
-either way.
+``rk4_integrate`` is classic fixed-step fourth-order Runge-Kutta; the
+single-node flows of ``flow`` and ``relusq`` record its states every few
+steps.  ``_dp45_rows`` is the Dormand-Prince 5(4) pair with one error
+controller per row and dense output (Dormand & Prince 1980; Hairer,
+Norsett & Wanner, *Solving ODEs I*, II.4-II.6).  It integrates several runs
+of rows as one stacked ensemble, each run with its own horizon, stop radius
+and recorded time grid, and ``multinode.planar_flows`` hands it every planar
+run at once.
+
+Both are deterministic.  The step controller has fixed constants, and each
+row carries its own step size, error norm and step history.  No operation
+reduces across rows: the stages are explicit scaled sums of per-row arrays,
+as in ``_rk4_step``, and every norm is taken along a row's own components.
+So a row comes out bit for bit as in a run of its own, whatever its stack.
+States are stacks ``(m, d)`` of independent trajectories sharing the same
+field (``rk4_integrate`` also takes a single vector ``(d,)``); the error
+tracking ``v = ||state - target||^2`` is taken along the last axis.
 """
 
 from __future__ import annotations
@@ -51,13 +54,13 @@ class FlowTrace:
 
 @dataclass(frozen=True)
 class FlowRun:
-    """What the stacked RK4 loop gives back for one run of rows.
+    """What the stacked adaptive loop gives back for one run of rows.
 
     ``final`` holds each row's state where it stopped and ``final_v`` its
     squared distance to the target, ``crossed`` its first time within the
-    run's stop radius (nan for a row that never got there, or that left the
-    finite floats first), and ``trace`` the recorded states of a recorded
-    run (None otherwise).
+    run's stop radius (nan for a row that never got there, or that blew up
+    first), and ``trace`` the recorded states of a recorded run (None
+    otherwise).
     """
 
     final: np.ndarray
@@ -104,111 +107,6 @@ def _schedule(step, t_end):
     return n_full, np.where(rem < step * 1e-9, 0.0, rem)
 
 
-def _rk4_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
-              target: np.ndarray) -> list[FlowRun]:
-    """The one RK4 loop: integrate every run as one stacked ensemble; one ``FlowRun`` per run.
-
-    Each run is (starts, step, t_end, thresh, record_every) with starts
-    (m, d); a run of its own may also hold a single state (d,), which the
-    field then receives as (d,) arrays.  Each row steps with its run's step
-    up to its run's horizon, taking a short last step when the horizon is
-    not a step multiple, or until it comes within ``thresh`` > 0 of
-    ``target``; a row that starts within crosses at t = 0 and takes no
-    step.  The loop lasts as long as the longest row, and a row that has
-    stopped keeps its state, so every row comes out as it would in a run of
-    its own.  A run with ``record_every`` > 0 records its states every that
-    many steps, plus the first and last.  A row without a stop radius that
-    leaves the finite floats raises ``BlowUpError`` at the earliest such
-    time; a row with one can never cross and stops.
-
-    The row bookkeeping (which rows step, with which step size) is
-    recomputed only at schedule, crossing and blow-up events: a step index
-    where some row takes its short last step or ends, and the step after a
-    row crossed its stop radius or left the finite floats.  While every
-    stepping row has the same step size, the RK4 step takes it as one float
-    (each row's arithmetic is the same as with a column of sizes); a row
-    that stands still then takes a trial step whose result is discarded,
-    so it keeps its state bit for bit.
-    """
-    target = np.array(target, dtype=float)
-    starts = [np.array(r[0], dtype=float) for r in runs]
-    s = np.concatenate(starts)
-    rows = s.shape[:-1]
-    sizes = [x[..., 0].size for x in starts]
-    bounds = np.cumsum([0] + sizes)
-
-    def of_run(x: np.ndarray, j: int) -> np.ndarray:
-        return x if len(runs) == 1 else x[bounds[j]:bounds[j + 1]]
-
-    params = np.array([r[1:4] for r in runs], dtype=float)  # step, t_end, thresh
-    step, t_end, thresh = np.repeat(params, sizes, axis=0).T.reshape((3,) + rows)
-    n_full, rem = _schedule(step, t_end)
-    n_steps = n_full + (rem > 0.0)
-    stops = thresh > 0.0
-    thresh2 = thresh * thresh
-    # the step indices where some row ends or takes its short last step
-    events = set(n_steps.ravel().tolist()) | set(n_full[rem > 0.0].tolist())
-    # a recorded run's rows share one schedule: its first row's steps
-    recorded = [(j, r[4], n_steps.flat[bounds[j]]) for j, r in enumerate(runs) if r[4]]
-    records = {j: [(0.0, starts[j])] for j, _, _ in recorded}
-
-    t = np.zeros(rows)
-    crossed = np.full(rows, np.nan)
-    # a row that leaves the finite floats is caught below, so numpy need not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        done = stops & (_v(s, target) < thresh2)  # within its stop radius from the start
-        crossed[done] = 0.0
-        changed = True
-        for i in range(int(n_steps.max())):
-            if changed or i in events:
-                stepping = ~done & (i < n_steps)
-                if not stepping.any():
-                    break
-                h = np.where(stepping, np.where(i < n_full, step, rem), 0.0)
-                hs = h[stepping]
-                # one float when the stepping rows share it; the merge below
-                # discards the trial step of a row that stands still
-                h_step = hs[0].item() if (hs == hs[0]).all() else h[..., None]
-                every_row = stepping.all()
-                watch = (stepping & stops).any()
-                changed = False
-            new = _rk4_step(field, s, h_step)
-            t += h
-            if not np.isfinite(new).all():
-                blown = stepping & ~np.isfinite(new).all(axis=-1)
-                if blown.any():
-                    if (blown & ~stops).any():
-                        t_blow = t[blown & ~stops].min()
-                        raise BlowUpError(f"trajectory blew up at t={t_blow:.6g}",
-                                          time=float(t_blow))
-                    stepping = stepping & ~blown
-                    done |= blown
-                    every_row = False
-                    changed = True
-            s = new if every_row else np.where(stepping[..., None], new, s)
-            if watch:
-                hit = stepping & (_v(s, target) < thresh2)
-                if hit.any():
-                    crossed[hit] = t[hit]
-                    done |= hit
-                    changed = True
-            for j, every, n in recorded:
-                if i < n and ((i + 1) % every == 0 or i == n - 1):
-                    records[j].append((t.flat[bounds[j]], of_run(s, j).copy()))
-
-        out = []
-        for j in range(len(runs)):
-            trace = None
-            if j in records:
-                times = np.array([tj for tj, _ in records[j]])
-                states = np.array([sj for _, sj in records[j]])
-                trace = FlowTrace(times=times, states=states, v_values=_v(states, target),
-                                  target=target)
-            final = of_run(s, j)
-            out.append(FlowRun(final, _v(final, target), of_run(crossed, j), trace))
-        return out
-
-
 def rk4_integrate(
     field: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -223,8 +121,228 @@ def rk4_integrate(
     final step is taken when ``t_end`` is not a step multiple.  Every
     ``record_every``-th state is recorded (plus the initial and final ones).
     Raises ``BlowUpError`` with the offending time if the state leaves the
-    finite floats.  One run of ``_rk4_rows``.
+    finite floats.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    return _rk4_rows(field, [(x0, step, t_end, 0.0, record_every)], target)[0].trace
+    n_full, rem = _schedule(step, t_end)
+    n_full, rem, step = int(n_full), float(rem), float(step)
+    n_steps = n_full + (rem > 0.0)
+    target = np.array(target, dtype=float)
+    s = np.array(x0, dtype=float)
+    t = 0.0
+    times, states = [t], [s]
+    # a state that leaves the finite floats is caught below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            h = step if i < n_full else rem
+            s = _rk4_step(field, s, h)
+            t += h
+            if not np.isfinite(s).all():
+                raise BlowUpError(f"trajectory blew up at t={t:.6g}", time=t)
+            if (i + 1) % record_every == 0 or i == n_steps - 1:
+                times.append(t)
+                states.append(s)
+    states = np.array(states)
+    return FlowTrace(times=np.array(times), states=states, v_values=_v(states, target),
+                     target=target)
+
+
+# --------------------------------------------------------------------------
+# Dormand-Prince 5(4) with one step controller per row
+
+# Butcher rows of stages 2..6, the fifth-order weights (FSAL: stage 7 is the
+# field at the new state), the error weights (fifth- minus fourth-order) and
+# the weights of the fourth-order continuous extension's last term (Hairer,
+# Norsett & Wanner, Solving ODEs I, Table II.5.2 and II.6).
+_DP_A = ((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+         -10690763975 / 1880347072, 701980252875 / 199316789632,
+         -1453857185 / 822651844, 69997945 / 29380423)
+_RTOL = 1e-10
+_ATOL = 1e-12
+_FIRST_STEP = 1e-3
+_SAFETY = 0.9
+_MIN_FACTOR, _MAX_FACTOR = 0.2, 5.0
+_BISECTIONS = 52  # halvings of a step's [0, 1] that locate a crossing to a float's resolution
+
+
+def _combo(weights, ks):
+    """sum_i weights[i] * ks[i] as explicit scaled sums (zero weights skipped)."""
+    out = None
+    for w, k in zip(weights, ks):
+        if w:
+            out = w * k if out is None else out + w * k
+    return out
+
+
+def _dp_trial(field, y, k1, h):
+    """One Dormand-Prince trial step of sizes ``h`` (m, 1) from ``y`` with
+    k1 = field(y): the fifth-order state and the seven stages, the last of
+    which is the field at that state."""
+    ks = [k1]
+    for a in _DP_A:
+        ks.append(field(y + h * _combo(a, ks)))
+    y1 = y + h * _combo(_DP_B, ks)
+    ks.append(field(y1))
+    return y1, ks
+
+
+def _dense(y, y1, ks, h):
+    """Coefficients of the step's fourth-order continuous extension (rows of
+    y, y1, the stages and h picked by the caller)."""
+    dy = y1 - y
+    slope0 = h * ks[0] - dy
+    return y, dy, slope0, dy - h * ks[6] - slope0, h * _combo(_DP_D, ks)
+
+
+def _interpolate(coef, theta):
+    """The continuous extension at the step fractions ``theta`` (broadcast against the state)."""
+    r1, r2, r3, r4, r5 = coef
+    return r1 + theta * (r2 + (1.0 - theta) * (r3 + theta * (r4 + (1.0 - theta) * r5)))
+
+
+def _record_times(t_end: float, dt: float) -> np.ndarray:
+    """A recorded run's grid: t = dt * i below ``t_end`` (up to 1e-9 of dt), then ``t_end``."""
+    grid = dt * np.arange(1, int(np.ceil(t_end / dt - 1e-9)))
+    return np.append(grid, t_end)
+
+
+def _crossing(y, y1, ks, hh, t, t_new, thresh2, target, hit):
+    """First times within the stop radius of the ``hit`` rows, which were
+    outside at the step's start and are inside at its end: bisection of
+    v(theta) - thresh^2 on each row's continuous extension."""
+    coef = _dense(y[hit], y1[hit], [k[hit] for k in ks], hh[hit][:, None])
+    lo = np.zeros(int(hit.sum()))
+    hi = np.ones_like(lo)
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        inside = _v(_interpolate(coef, mid[:, None]), target) < thresh2[hit]
+        hi = np.where(inside, mid, hi)
+        lo = np.where(inside, lo, mid)
+    return np.where(hi == 1.0, t_new[hit], t[hit] + hi * hh[hit])
+
+
+def _dp45_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
+               target: np.ndarray) -> list[FlowRun]:
+    """The adaptive loop: integrate every run as one stacked ensemble; one ``FlowRun`` per run.
+
+    Each run is (starts, t_end, thresh, record_dt) with starts (m, d).  Each
+    row steps up to its run's horizon ``t_end``, or until it comes within
+    ``thresh`` > 0 of ``target``; its crossing time is found by bisection on
+    the step's continuous extension, and a row that starts within crosses
+    at t = 0 and takes no step.  A run with ``record_dt`` > 0 records its
+    states at t = record_dt * i and at ``t_end`` from the continuous
+    extension (the last one is the final state itself).
+
+    Each row has its own step size, starting at ``_FIRST_STEP``.  A trial
+    step passes when the RMS over the row's components of
+    err / (``_ATOL`` + ``_RTOL`` max(|y0|, |y1|)) is at most 1; a state or
+    error that is not finite fails it.  Either way the next step is scaled
+    by ``_SAFETY`` err**(-1/5) clipped to [0.2, 5], with no growth right
+    after a failure.  A failed row retries while the other rows
+    advance.  A row whose step no longer moves its time has blown up: a row
+    without a stop radius raises ``BlowUpError`` at the earliest such time
+    of the iteration that found it, and a row with one gives up (nan
+    crossing, last accepted state).  The loop lasts until every row is
+    done; a done row takes steps of size 0, so it keeps its state bit for
+    bit.
+    """
+    target = np.array(target, dtype=float)
+    starts = [np.array(r[0], dtype=float) for r in runs]
+    if any(x.ndim != 2 for x in starts):
+        raise ValueError("starts must have shape (m, d)")
+    params = np.array([r[1:4] for r in runs], dtype=float)  # t_end, thresh, record_dt
+    if not (np.isfinite(params).all() and (params[:, 0] > 0.0).all()
+            and (params[:, 1:] >= 0.0).all()):
+        raise ValueError("need a finite t_end > 0 and finite thresh, record_dt >= 0")
+    if ((params[:, 1] > 0.0) & (params[:, 2] > 0.0)).any():
+        raise ValueError("a recorded run cannot stop at a threshold")
+    sizes = [x.shape[0] for x in starts]
+    bounds = np.cumsum([0] + sizes)
+    t_end, thresh, _ = np.repeat(params, sizes, axis=0).T
+    stops = thresh > 0.0
+    thresh2 = thresh * thresh
+
+    # recorded runs: their grids, filled per row as each row's steps pass them
+    grids = {j: _record_times(r[1], r[3]) for j, r in enumerate(runs) if r[3] > 0.0}
+    records = {j: np.empty((g.size + 1,) + starts[j].shape) for j, g in grids.items()}
+    row_run = np.repeat(np.arange(len(runs)), sizes)
+    filled = np.zeros(row_run.size, dtype=np.int64)  # records a row has passed, t = 0 not counted
+    next_record = np.full(row_run.size, np.inf)
+    for j, g in grids.items():
+        records[j][0] = starts[j]
+        next_record[bounds[j]:bounds[j + 1]] = g[0]
+
+    y = np.concatenate(starts)
+    t = np.zeros(y.shape[0])
+    h = np.full(y.shape[0], _FIRST_STEP)
+    failed = np.zeros(y.shape[0], dtype=bool)  # the row's last trial step failed
+    crossed = np.full(y.shape[0], np.nan)
+    # a trial step that leaves the finite floats fails below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        done = stops & (_v(y, target) < thresh2)  # within its stop radius from the start
+        crossed[done] = 0.0
+        k1 = field(y)
+        while not done.all():
+            hh = np.where(done, 0.0, np.minimum(h, t_end - t))
+            blown = ~done & (t + hh == t)
+            if blown.any():
+                if (blown & ~stops).any():
+                    t_blow = t[blown & ~stops].min()
+                    raise BlowUpError(f"trajectory blew up at t={t_blow:.6g}",
+                                      time=float(t_blow))
+                done |= blown
+                hh[blown] = 0.0
+            y1, ks = _dp_trial(field, y, k1, hh[:, None])
+            scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y1))
+            err = np.sqrt(np.mean((hh[:, None] * _combo(_DP_E, ks) / scale) ** 2, axis=-1))
+            err[~(np.isfinite(y1).all(axis=-1) & (err < np.inf))] = np.inf
+            factor = np.clip(_SAFETY * err ** -0.2, _MIN_FACTOR, _MAX_FACTOR)
+            ok = ~done & (err <= 1.0)
+            h = np.where(done, h, hh * np.where(ok & failed, np.minimum(factor, 1.0), factor))
+            failed = ~done & ~ok
+            if not ok.any():
+                continue
+            last = ok & (hh == t_end - t)
+            t_new = np.where(last, t_end, t + hh)
+
+            hit = ok & stops & (_v(y1, target) < thresh2)
+            if hit.any():
+                crossed[hit] = _crossing(y, y1, ks, hh, t, t_new, thresh2, target, hit)
+            due = ok & (next_record <= t_new)
+            for r in np.flatnonzero(due):
+                j = row_run[r]
+                g = grids[j]
+                stop = np.searchsorted(g, t_new[r], side="right")
+                new = g[filled[r]:stop]
+                out = records[j][filled[r] + 1:stop + 1, r - bounds[j]]
+                coef = _dense(y[r], y1[r], [k[r] for k in ks], hh[r])
+                out[:] = _interpolate(coef, ((new - t[r]) / hh[r])[:, None])
+                if new[-1] == t_new[r]:
+                    out[-1] = y1[r]
+                filled[r] = stop
+                next_record[r] = g[stop] if stop < g.size else np.inf
+
+            y = np.where(ok[:, None], y1, y)
+            k1 = np.where(ok[:, None], ks[6], k1)
+            t = np.where(ok, t_new, t)
+            done |= hit | last
+
+    out = []
+    for j in range(len(runs)):
+        rows = slice(bounds[j], bounds[j + 1])
+        trace = None
+        if j in grids:
+            states = records[j]
+            trace = FlowTrace(times=np.append(0.0, grids[j]), states=states,
+                              v_values=_v(states, target), target=target)
+        out.append(FlowRun(y[rows], _v(y[rows], target), crossed[rows], trace))
+    return out
+

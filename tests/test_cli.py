@@ -141,6 +141,7 @@ def test_every_subcommand_is_built_from_its_table_row(tmp_path, monkeypatch):
 def test_help_states_each_flags_rule_and_default(capsys):
     for argv, flag, text in ((["multinode"], "--k-list", "comma list, each an integer >= 2 "
                               "(default 2,4,8)"),
+                             (["multinode"], "--t-end", "a float in (0, 120] (default 60.0)"),
                              (["landscape"], "--norm-w", "a float >= 0 or inf (default 1.0)"),
                              (["landscape"], "--norm-wstar", "a float > 0 or inf (default 1.0)"),
                              (["gd-compare"], "--eta-factor", "a finite float > 0 (default 0.9)"),
@@ -246,7 +247,9 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                  ("flow", "--inits", "2", "--t-end", "nan"),
                  ("relusq", "--points", "2", "--inits", "2", "--t-end", "inf"),
                  ("multinode", "--k-list", "2", "--t-end", "inf"),
-                 ("multinode", "--k-list", "2", "--step", "nan"),
+                 ("multinode", "--k-list", "2", "--t-end", "nan"),
+                 # a horizon past the threshold rows' 120, where they give up
+                 ("multinode", "--k-list", "2", "--t-end", "120.5"),
                  # the K-node flows need K >= 2
                  ("toeplitz", "--k-list", "1"),
                  ("multinode", "--k-list", "1"),
@@ -272,11 +275,12 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
         assert not (tmp_path / "e" / "manifest.json").exists(), argv
     capsys.readouterr()
-    # a step count of 2**53 or more cannot be counted in floats: one error
-    # line and no cast warning, where the flows once integrated nothing
+    # a step count of 2**53 or more cannot be counted in floats, and no step
+    # count bounds an adaptive run over a huge horizon: one error line and
+    # no cast warning, where the flows once integrated nothing
     for argv in (("flow", "--step", "1e-300", "--t-end", "1", "--inits", "1"),
-                 ("multinode", "--step", "1e-300", "--t-end", "1e-300", "--k-list", "2",
-                  "--starts", "1", "--ratio-starts", "1")):
+                 ("multinode", "--t-end", "1e300", "--k-list", "2", "--starts", "1",
+                  "--ratio-starts", "1")):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
@@ -412,20 +416,14 @@ def test_sgd_blow_up_reports_only_the_numerical_error(tmp_path, capsys):
 
 def test_flow_blow_up_reports_only_the_numerical_error(tmp_path, capsys):
     # the RK4 loop catches a row that leaves the finite floats, so numpy's
-    # overflow warnings would only repeat it: an Omega row raises (exit 3),
-    # a threshold row gives up with a nan time (exit 0)
+    # overflow warnings would only repeat it
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run("relusq", "--step", "1", "--points", "4", "--inits", "2",
                    "--out-dir", str(tmp_path / "r")) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert run("multinode", "--step", "2", "--k-list", "8", "--starts", "2",
-                   "--ratio-starts", "1", "--out-dir", str(tmp_path / "m")) == 0
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical error:")
-    assert capsys.readouterr().err == ""
-    (row,) = read_rows(tmp_path / "m" / "multinode.csv")
-    assert math.isnan(float(row["time_ratio_median"]))
 
 
 def test_tiny_nonzero_student_is_not_singular(tmp_path):
@@ -519,7 +517,7 @@ def test_multinode_rows_do_not_depend_on_the_other_k(tmp_path):
     # every K shares one draw of Omega starts, and each K's near-fixed-point
     # angles follow those of the K before it, so adding K = 4 leaves K = 2 alone
     one, two, four = tmp_path / "one", tmp_path / "two", tmp_path / "four"
-    args = ("multinode", "--starts", "5", "--ratio-starts", "3", "--step", "0.01", "--t-end", "2")
+    args = ("multinode", "--starts", "5", "--ratio-starts", "3", "--t-end", "2")
     assert run(*args, "--k-list", "2", "--out-dir", str(one)) == 0
     assert run(*args, "--k-list", "2,4", "--out-dir", str(two)) == 0
     assert run(*args, "--k-list", "4", "--out-dir", str(four)) == 0
@@ -532,6 +530,37 @@ def test_multinode_rows_do_not_depend_on_the_other_k(tmp_path):
     assert rows[1]["max_final_dist"] == alone["max_final_dist"]
     measured = summarize(two)["criteria"]["c7_multinode_dynamics"]["measured"]
     assert measured["time_ratios"] == {r["k"]: float(r["time_ratio_median"]) for r in rows}
+
+
+def test_multinode_takes_a_large_k(tmp_path):
+    # the flow is stiff at large K (the diagonal decays at rate K, over a
+    # horizon of 15 / K): each row's step controller keeps it stable and
+    # exact, where fixed RK4 steps of 1e-3 overshot the horizon (K = 15001),
+    # blew up (K = 5000) or fitted a rate off by 2% (K = 1000)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("multinode", "--k-list", "1000,20000", "--starts", "2", "--ratio-starts", "2",
+                   "--t-end", "0.5", "--out-dir", str(out)) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    measured = summarize(out)["criteria"]["c7_multinode_dynamics"]["measured"]
+    assert measured["decay_rel_dev"] <= 1e-4
+    assert all(1.0 < r < 2.0 for r in measured["time_ratios"].values())
+
+
+def test_default_multinode_evaluates_the_planar_field_at_most_3000_times(tmp_path, monkeypatch):
+    # the step controllers take long steps on the flows' smooth tails; fixed
+    # RK4 steps of 1e-3 took 240 006 evaluations here
+    calls = []
+    factory = mn.reduced_flow_field
+
+    def counted(kind, k):
+        field = factory(kind, k)
+        return lambda s: calls.append(1) or field(s)
+
+    monkeypatch.setattr(mn, "reduced_flow_field", counted)
+    assert run("multinode", "--out-dir", str(tmp_path)) == 0
+    assert 0 < len(calls) <= 3000
 
 
 def test_multinode_saddle_field_covers_both_components(tmp_path):

@@ -5,9 +5,9 @@ import pytest
 
 from sobolev_lab import multinode as mn
 from sobolev_lab import relu1
-from sobolev_lab.exceptions import BlowUpError, SingularPointError
+from sobolev_lab.exceptions import SingularPointError
 from sobolev_lab.mc import McConfig, mc_multinode_grad
-from sobolev_lab.ode import _rk4_step, rk4_integrate
+from sobolev_lab.ode import _rk4_step
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,8 +133,8 @@ def test_critical_point_and_origin():
     for k in (2, 5):
         for kind in ("l2", "h1"):
             assert np.array_equal(mn.reduced_flow_field(kind, k)(np.array([1.0, 0.0])), [0.0, 0.0])
-    # the field is singular at the origin: it is not finite there, so an RK4
-    # run that reaches it stops or raises BlowUpError
+    # the field is singular at the origin: it is not finite there, so a run
+    # that reaches it fails its trial steps until it gives up or raises BlowUpError
     with np.errstate(all="ignore"):
         assert not np.isfinite(mn.reduced_flow_field("l2", 2)(np.zeros(2))).any()
 
@@ -250,8 +250,9 @@ def test_omega_trajectories_stay_in_omega():
     x0 = rng.uniform(0.2, 1.0, size=30)
     y0 = np.array([rng.uniform(0.0, max(x - 0.06, 0.0)) for x in x0])
     starts = np.stack([x0, y0], axis=1)
-    trace = rk4_integrate(mn.reduced_flow_field("h1", k), starts, 1e-3, 20.0,
-                          np.array([1.0, 0.0]), record_every=10)
+    (run,) = mn.planar_flows([mn.PlanarRows("h1", k, starts, 20.0, record=True)])
+    trace = run.trace
+    assert trace.times.size == 2001 and trace.times[-1] == 20.0
     xs = trace.states[..., 0]
     ys = trace.states[..., 1]
     assert xs.min() >= -1e-9
@@ -266,14 +267,14 @@ def test_h1_planar_flow_converges_from_omega():
     x0 = rng.uniform(0.15, 1.0, size=30)
     y0 = np.array([rng.uniform(0.0, max(x - 0.05, 0.0)) for x in x0])
     starts = np.stack([x0, y0], axis=1)
-    trace = rk4_integrate(mn.reduced_flow_field("h1", k), starts, 1e-3, 50.0,
-                          np.array([1.0, 0.0]), record_every=1000)
-    assert np.sqrt(trace.v_values[-1]).max() < 1e-6
+    (run,) = mn.planar_flows([mn.PlanarRows("h1", k, starts, 50.0)])
+    assert np.sqrt(run.final_v).max() < 1e-6
 
 
-def _first_crossings(kind, k, starts, thresh, step):
-    """Reference for the crossing rule: a plain loop of RK4 steps over one run.
-    A start already within ``thresh`` crosses at t = 0."""
+def _first_crossings(kind, k, starts, thresh, step=0.01):
+    """Reference for the crossing rule: a plain loop of RK4 steps over one
+    run, each time rounded up to the step grid.  A start already within
+    ``thresh`` crosses at t = 0."""
     field = mn.reduced_flow_field(kind, k)
     s = np.array(starts, dtype=float)
     out = np.full(s.shape[0], np.nan)
@@ -287,8 +288,15 @@ def _first_crossings(kind, k, starts, thresh, step):
     return out
 
 
-def _crossings(kind, k, starts, thresh, step):
-    return mn.planar_flows([mn.threshold_rows(kind, k, starts, thresh, step)])[0].crossed
+def _assert_within_a_step_before(times, rounded_up, step=0.01):
+    # the crossing of the continuous extension lies in the RK4 step that
+    # first ends within the radius (both integrations err by far below 1e-6)
+    assert np.array_equal(times == 0.0, rounded_up == 0.0)
+    assert (times <= rounded_up + 1e-6).all() and (times > rounded_up - step - 1e-6).all()
+
+
+def _crossings(kind, k, starts, thresh):
+    return mn.planar_flows([mn.threshold_rows(kind, k, starts, thresh)])[0].crossed
 
 
 def test_per_row_k_matches_per_k_calls_bitwise():
@@ -300,12 +308,12 @@ def test_per_row_k_matches_per_k_calls_bitwise():
     states = np.stack([np.linspace(0.3, 1.0, ks.size), np.linspace(0.0, 0.25, ks.size)], axis=1)
     for kind in ("l2", "h1"):
         field = mn.reduced_flow_field(kind, ks)(states)
-        times = _crossings(kind, ks, near, 0.01, 0.01)
-        assert np.array_equal(times, _first_crossings(kind, ks, near, 0.01, 0.01))
+        times = _crossings(kind, ks, near, 0.01)
+        _assert_within_a_step_before(times, _first_crossings(kind, ks, near, 0.01))
         for k in (2, 3, 8):
             rows = ks == k
             assert np.array_equal(field[rows], mn.reduced_flow_field(kind, k)(states[rows]))
-            assert np.array_equal(times[rows], _crossings(kind, k, near[rows], 0.01, 0.01))
+            assert np.array_equal(times[rows], _crossings(kind, k, near[rows], 0.01))
         assert np.isfinite(times).all()
 
 
@@ -317,15 +325,15 @@ def test_threshold_row_starting_within_crosses_at_zero_without_a_step():
         (run,) = mn.planar_flows([mn.threshold_rows(kind, 4, starts[:1], 1e-4)])
         assert run.crossed.tolist() == [0.0]
         assert np.array_equal(run.final, starts[:1])
-        times = _crossings(kind, 4, starts, 1e-2, 0.01)
+        times = _crossings(kind, 4, starts, 1e-2)
         assert times[0] == 0.0 and times[2] == 0.0 and times[1] > 0.0
-        assert np.array_equal(times, _first_crossings(kind, 4, starts, 1e-2, 0.01))
+        _assert_within_a_step_before(times, _first_crossings(kind, 4, starts, 1e-2))
 
 
 def test_stacked_planar_runs_match_their_separate_runs_bitwise():
-    # per-row kinds, K, steps and horizons: Omega rows at step 0.01 with a
-    # short last step, threshold rows of both kinds, and diagonal-decay rows
-    # at _DECAY_STEP whose K = 16 H1 horizon 0.9375 is 937.5 steps
+    # per-row kinds, K and horizons: Omega rows, threshold rows of both
+    # kinds, and recorded diagonal-decay rows whose K = 16 H1 horizon 0.9375
+    # is no multiple of the record grid; each row is its run of its own
     ks = np.array([2, 16, 3, 16])
     a = np.linspace(0.2, 1.3, ks.size)
     near = np.stack([1.0 - 0.05 * np.cos(a), 0.05 * np.sin(a)], axis=1)
@@ -334,58 +342,43 @@ def test_stacked_planar_runs_match_their_separate_runs_bitwise():
     decays = [mn.diagonal_rows(kind, k, 0.95, min(horizon / k, cap))
               for k in (8, 16) for kind, horizon, cap in (("l2", 30.0, 12.0), ("h1", 15.0, 6.0))]
     assert decays[3].t_end == 0.9375
-    runs = [mn.PlanarRows(kinds, ks, omega, 0.01, 1.005),
-            mn.threshold_rows("l2", ks, near, 0.01, step=0.01),
-            mn.threshold_rows("h1", ks, near, 0.01, step=0.01),
+    runs = [mn.PlanarRows(kinds, ks, omega, 1.005),
+            mn.threshold_rows("l2", ks, near, 0.01),
+            mn.threshold_rows("h1", ks, near, 0.01),
             *decays]
     stacked = mn.planar_flows(runs)
 
-    target = np.array([1.0, 0.0])
-    for kind in ("l2", "h1"):
-        rows = kinds == kind
-        alone = rk4_integrate(mn.reduced_flow_field(kind, ks[rows]), omega[rows], 0.01, 1.005,
-                              target)
-        assert np.array_equal(stacked[0].final[rows], alone.final_state)
-        assert np.array_equal(stacked[0].final_v[rows], alone.final_v)
+    for run, got in zip(runs, stacked):
+        for row in range(run.starts.shape[0]):
+            kind, k = (np.broadcast_to(v, (run.starts.shape[0],))[row] for v in (run.kind, run.k))
+            (alone,) = mn.planar_flows([mn.PlanarRows(str(kind), int(k), run.starts[row:row + 1],
+                                                      run.t_end, run.thresh, run.record)])
+            assert np.array_equal(got.final[row], alone.final[0])
+            assert np.array_equal(got.crossed[row], alone.crossed[0], equal_nan=True)
+            if run.record:
+                assert np.array_equal(got.trace.states[:, row], alone.trace.states[:, 0])
     for run, kind in zip(stacked[1:3], ("l2", "h1")):
-        assert np.array_equal(run.crossed, _first_crossings(kind, ks, near, 0.01, 0.01))
+        _assert_within_a_step_before(run.crossed, _first_crossings(kind, ks, near, 0.01))
         assert run.trace is None
+    assert stacked[6].trace.times[-2:].tolist() == [0.93, 0.9375]
     for rows, run in zip(decays, stacked[3:]):
-        alone = rk4_integrate(mn.reduced_flow_field(rows.kind, rows.k), rows.starts[0],
-                              mn._DECAY_STEP, rows.t_end, target, record_every=10)
-        assert np.array_equal(run.trace.times, alone.times)
-        assert np.array_equal(run.trace.states[:, 0], alone.states)
         rate = rows.k * (1.0 if rows.kind == "h1" else 0.5)
-        assert abs(mn.decay_fit(rows, run).exponent + rate) <= 0.02 * rate
+        assert abs(mn.decay_fit(rows, run).exponent + rate) <= 1e-4 * rate
 
 
-def test_planar_flows_validates_and_blows_up_like_rk4():
+def test_planar_flows_validates_its_runs():
     start = np.array([[0.9, 0.1]])
-    for bad in (math.inf, math.nan, -1.0):
+    for bad in (math.inf, math.nan, -1.0, 0.0):
         with pytest.raises(ValueError):
-            mn.planar_flows([mn.PlanarRows("l2", 2, start, 1e-3, bad)])
+            mn.planar_flows([mn.PlanarRows("l2", 2, start, bad)])
+    for bad in (dict(thresh=0.1, record=True), dict(thresh=-0.1), dict(thresh=math.nan)):
         with pytest.raises(ValueError):
-            mn.planar_flows([mn.PlanarRows("l2", 2, start, bad, 1.0)])
-    for bad in (dict(thresh=0.1, record_every=10), dict(thresh=-0.1), dict(thresh=math.nan),
-                dict(record_every=-1)):
+            mn.planar_flows([mn.PlanarRows("l2", 2, start, 1.0, **bad)])
+    for bad in (np.array([0.9, 0.1]), np.zeros((0, 2)), np.zeros((1, 3))):
         with pytest.raises(ValueError):
-            mn.PlanarRows("l2", 2, start, 1e-3, 1.0, **bad)
+            mn.PlanarRows("l2", 2, bad, 1.0)
     with pytest.raises(ValueError):
         mn.reduced_flow_field(np.array(["l2", "l3"]), 2)
-    # a huge step leaves the finite floats: an Omega row raises, a threshold row gives up
-    with np.errstate(all="ignore"):
-        with pytest.raises(BlowUpError) as exc:
-            mn.planar_flows([mn.PlanarRows("h1", 8, start, 1.5, 300.0)])
-        with pytest.raises(BlowUpError) as alone:
-            rk4_integrate(mn.reduced_flow_field("h1", 8), start, 1.5, 300.0, np.array([1.0, 0.0]))
-        assert exc.value.time == alone.value.time
-        assert np.isnan(_crossings("h1", 8, start, 1e-4, 1.5)).all()
-        # the threshold row stops at its last finite state; the other row runs on alone
-        ahead, gave_up = mn.planar_flows([mn.PlanarRows("h1", 8, start, 0.01, 1.0),
-                                          mn.threshold_rows("h1", 8, start, 1e-4, step=1.5)])
-    assert np.isnan(gave_up.crossed).all() and np.isfinite(gave_up.final).all()
-    alone = rk4_integrate(mn.reduced_flow_field("h1", 8), start, 0.01, 1.0, np.array([1.0, 0.0]))
-    assert np.array_equal(ahead.final, alone.final_state)
 
 
 # --------------------------------------------------------------------------

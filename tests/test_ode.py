@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sobolev_lab.exceptions import BlowUpError
-from sobolev_lab.ode import _rk4_rows, _rk4_step, _schedule, _v, rk4_integrate
+from sobolev_lab.ode import _dp45_rows, _rk4_step, _schedule, rk4_integrate
 
 
 def test_exponential_decay_matches_closed_form():
@@ -108,99 +108,105 @@ def test_step_counts_beyond_exact_floats_are_rejected():
             rk4_integrate(lambda x: -x, np.array([1.0]), 1e-300, 1.0, np.zeros(1))
 
 
-def _reference_rows(field, runs, target):
-    """The loop's rules written out plainly: every step recomputes which rows
-    step, their step sizes, the merge and the stop-radius test."""
-    target = np.asarray(target, dtype=float)
-    starts = [np.array(r[0], dtype=float) for r in runs]
-    s = np.concatenate(starts)
-    rows = s.shape[:-1]
-    sizes = [x[..., 0].size for x in starts]
-    bounds = np.cumsum([0] + sizes)
-    cut = (lambda x, j: x) if len(runs) == 1 else (lambda x, j: x[bounds[j]:bounds[j + 1]])
-    per_row = [np.repeat([r[q] for r in runs], sizes).astype(float).reshape(rows) for q in (1, 2, 3)]
-    step, t_end, thresh = per_row
-    n_full, rem = _schedule(step, t_end)
-    n_steps = n_full + (rem > 0.0)
-    t = np.zeros(rows)
-    crossed = np.full(rows, np.nan)
-    done = (thresh > 0.0) & (_v(s, target) < thresh * thresh)
-    crossed[done] = 0.0
-    records = {j: [(0.0, starts[j])] for j, r in enumerate(runs) if r[4]}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(int(n_steps.max())):
-            stepping = ~done & (i < n_steps)
-            if not stepping.any():
-                break
-            h = np.where(stepping, np.where(i < n_full, step, rem), 0.0)
-            new = _rk4_step(field, s, h[..., None])
-            t += h
-            finite = np.isfinite(new).all(axis=-1)
-            blown = stepping & ~finite
-            if (blown & (thresh == 0.0)).any():
-                t_blow = t[blown & (thresh == 0.0)].min()
-                raise BlowUpError(f"trajectory blew up at t={t_blow:.6g}", time=float(t_blow))
-            stepping = stepping & finite
-            done = done | blown
-            s = np.where(stepping[..., None], new, s)
-            hit = stepping & (_v(s, target) < thresh * thresh)
-            crossed[hit] = t[hit]
-            done = done | hit
-            for j in records:
-                n, every = n_steps.flat[bounds[j]], runs[j][4]
-                if i < n and ((i + 1) % every == 0 or i == n - 1):
-                    records[j].append((t.flat[bounds[j]], cut(s, j).copy()))
-    return [(cut(s, j), _v(cut(s, j), target), cut(crossed, j),
-             None if j not in records else (np.array([a for a, _ in records[j]]),
-                                            np.array([b for _, b in records[j]])))
-            for j in range(len(runs))]
-
-
-def _assert_rows_match_reference(field, runs, target):
-    got = _rk4_rows(field, runs, target)
-    want = _reference_rows(field, runs, target)
-    assert len(got) == len(want)
-    for run, (final, final_v, crossed, trace) in zip(got, want):
-        assert np.array_equal(run.final, final)
-        assert np.array_equal(run.final_v, final_v)
-        assert np.array_equal(run.crossed, crossed, equal_nan=True)
-        if trace is None:
-            assert run.trace is None
-        else:
-            assert np.array_equal(run.trace.times, trace[0])
-            assert np.array_equal(run.trace.states, trace[1])
-    return got
+def _field(x):  # nonlinear, row by row
+    return -x + 0.3 * np.sin(x[..., ::-1]) * x
 
 
 def test_rk4_rows_match_a_plain_reference_loop_bitwise():
-    def field(x):  # nonlinear, row by row
-        return -x + 0.3 * np.sin(x[..., ::-1]) * x
+    # the stacked rows of a recorded run with a short last step are each a
+    # plain loop of RK4 steps from their own start
+    x0 = np.random.default_rng(12).uniform(-1.0, 1.0, (4, 2))
+    trace = rk4_integrate(_field, x0, 0.07, 0.5, np.zeros(2), record_every=3)
+    for row in range(4):
+        s, t, times, states = x0[row], 0.0, [0.0], [x0[row]]
+        for i, h in enumerate([0.07] * 7 + [0.5 - 7 * 0.07]):
+            s = _rk4_step(_field, s, h)
+            t += h
+            if (i + 1) % 3 == 0 or i == 7:
+                times.append(t)
+                states.append(s)
+        assert np.array_equal(trace.times, times)
+        assert np.array_equal(trace.states[:, row], states)
 
+
+# --------------------------------------------------------------------------
+# the Dormand-Prince 5(4) loop
+
+
+def test_dp45_decay_records_and_crossings_match_the_exponential():
+    # x' = -x: x(t) = e^-t x0, and |x| first comes within r at t = ln(|x0| / r)
+    x0 = np.array([[1.0, 0.5], [-3.0, 2.0], [0.4, 0.1], [2.5, -0.3]])
+    r = 0.05
+    crossing, recorded = _dp45_rows(lambda x: -x, [(x0, 4.0, r, 0.0), (x0, 4.0, 0.0, 0.01)],
+                                    np.zeros(2))
+    want = np.log(np.linalg.norm(x0, axis=1) / r)
+    assert want[1] > 4.0 and np.isnan(crossing.crossed[1])  # it gave up at the horizon
+    keep = want < 4.0
+    assert np.abs(crossing.crossed[keep] / want[keep] - 1.0).max() <= 1e-9
+    trace = recorded.trace
+    assert np.array_equal(trace.times[:3], [0.0, 0.01, 0.02]) and trace.times[-1] == 4.0
+    assert trace.times.size == 401 and np.array_equal(trace.states[-1], recorded.final)
+    assert np.abs(trace.states / (np.exp(-trace.times)[:, None, None] * x0) - 1.0).max() <= 1e-9
+    # a horizon that is not a grid multiple is the last record
+    (short,) = _dp45_rows(lambda x: -x, [(x0, 0.0375, 0.0, 0.01)], np.zeros(2))
+    assert short.trace.times.tolist() == [0.0, 0.01, 0.02, 0.03, 0.0375]
+
+
+def test_dp45_blow_up_raises_or_gives_up():
+    # x' = x^2 from x0 > 0 blows up at t = 1/x0.  A row without a stop radius
+    # raises there; a row with one gives up with nan while the others finish
+    with pytest.raises(BlowUpError) as exc:
+        _dp45_rows(lambda x: x * x, [(np.array([[0.5], [2.0]]), 5.0, 0.0, 0.0)], np.zeros(1))
+    assert exc.value.time == pytest.approx(0.5, rel=1e-9)
+    runs = [(np.array([[2.0], [-1.0]]), 3.0, 1e-3, 0.0), (np.array([[0.25]]), 3.0, 0.0, 0.5)]
+    gave_up, finished = _dp45_rows(lambda x: x * x, runs, np.zeros(1))
+    assert np.isnan(gave_up.crossed[0]) and gave_up.final[0, 0] > 1e6
+    # x(t) = x0 / (1 - x0 t) for the rows that finish
+    assert gave_up.final[1, 0] == pytest.approx(-1.0 / 4.0, rel=1e-9)
+    assert finished.trace.times.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    assert finished.trace.states[:, 0, 0] == pytest.approx(
+        0.25 / (1.0 - 0.25 * finished.trace.times), rel=1e-9)
+
+
+def _assert_stacked_rows_are_lone_runs(field, runs, target):
+    stacked = _dp45_rows(field, runs, target)
+    for run, got in zip(runs, stacked):
+        for row in range(run[0].shape[0]):
+            (alone,) = _dp45_rows(field, [(run[0][row:row + 1], *run[1:])], target)
+            assert np.array_equal(got.final[row], alone.final[0])
+            assert np.array_equal(got.final_v[row], alone.final_v[0])
+            assert np.array_equal(got.crossed[row], alone.crossed[0], equal_nan=True)
+            if run[3]:
+                assert np.array_equal(got.trace.times, alone.trace.times)
+                assert np.array_equal(got.trace.states[:, row], alone.trace.states[:, 0])
+            else:
+                assert got.trace is None
+    return stacked
+
+
+def test_dp45_stacked_rows_are_their_lone_runs_bitwise():
+    # every row has its own step controller, so its steps do not depend on
+    # the rows stacked with it: mixed horizons, stop radii (one row starts
+    # within), recorded grids, and rows that give up next to rows that finish
     rng = np.random.default_rng(12)
     a, b, c = (rng.uniform(-1.0, 1.0, (m, 2)) for m in (3, 2, 4))
-    target = np.zeros(2)
-    # steps and horizons whose short last steps fall at steps 10, 7 and 6
-    _assert_rows_match_reference(field, [(a, 0.1, 1.05, 0.0, 0), (b, 0.07, 0.5, 0.0, 3),
-                                         (c, 0.13, 0.8, 0.0, 0)], target)
-    # threshold rows cross at different steps while a fixed-horizon run and a
-    # recorded run keep stepping; one threshold row starts within its radius
     starts = np.concatenate([rng.uniform(0.2, 1.5, (5, 2)), [[1e-3, 0.0]]])
-    got = _assert_rows_match_reference(
-        lambda x: -x, [(starts, 0.01, 4.0, 0.1, 0), (a, 0.02, 1.01, 0.0, 0),
-                       (b, 0.01, 0.5, 0.0, 7)], target)
-    crossed = got[0].crossed
-    assert crossed[-1] == 0.0 and np.unique(crossed[:-1]).size == 5 and np.isfinite(crossed).all()
-    # stop-radius rows that leave the finite floats stop; the others continue
-    grow = [(np.array([[3.0, 3.0], [0.5, 0.2]]), 0.05, 2.0, 1e-3, 0),
-            (np.array([[-1.0, -2.0]]), 0.05, 2.0, 0.0, 4)]
-    got = _assert_rows_match_reference(lambda x: x * x, grow, target)
+    got = _assert_stacked_rows_are_lone_runs(
+        _field, [(a, 1.05, 0.0, 0.0), (starts, 4.0, 0.1, 0.0), (b, 0.5, 0.0, 0.07),
+                 (c, 2.3, 0.0, 0.3)], np.zeros(2))
+    crossed = got[1].crossed
+    assert crossed[-1] == 0.0 and np.array_equal(got[1].final[-1], starts[-1])
+    assert np.unique(crossed[:-1]).size == 5 and np.isfinite(crossed).all()
+    grow = [(np.array([[3.0, 3.0], [0.5, 0.2]]), 2.0, 1e-3, 0.0),
+            (np.array([[-1.0, -2.0], [0.1, 0.3]]), 2.0, 0.0, 0.25)]
+    got = _assert_stacked_rows_are_lone_runs(lambda x: x * x, grow, np.zeros(2))
     assert np.isnan(got[0].crossed).all() and np.isfinite(got[0].final).all()
-    # ... and a row without one raises at the same time in both loops
-    grow[0] = (np.array([[2.0, 1.0]]), 0.05, 2.0, 0.0, 0)
-    with pytest.raises(BlowUpError) as exc:
-        _rk4_rows(lambda x: x * x, grow, target)
-    with pytest.raises(BlowUpError) as ref:
-        _reference_rows(lambda x: x * x, grow, target)
-    assert exc.value.time == ref.value.time
-    # a lone (d,) state, recorded, with a short last step
-    _assert_rows_match_reference(field, [(np.array([0.7, -0.4]), 0.03, 1.0, 0.0, 5)], target)
+
+
+def test_dp45_validates_its_runs():
+    x0 = np.array([[1.0]])
+    for bad in ((x0, math.inf, 0.0, 0.0), (x0, math.nan, 0.0, 0.0), (x0, 0.0, 0.0, 0.0),
+                (x0, 1.0, -0.1, 0.0), (x0, 1.0, math.nan, 0.0), (x0, 1.0, 0.0, -0.1),
+                (x0, 1.0, 0.1, 0.1), (np.array([1.0]), 1.0, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            _dp45_rows(lambda x: -x, [bad], np.zeros(1))
