@@ -33,7 +33,7 @@ from .chebdiff import cheb_diff_matrix, cheb_points
 from .exceptions import BlowUpError, SingularPointError
 from .geometry import _plane_coordinates, basin_pairs
 from .linear import LinearProblem, conditioning, variance_study
-from .ode import rk4_integrate
+from .ode import _dp45_rows
 
 
 def _fmt(x) -> str:
@@ -128,6 +128,10 @@ NON_NEGATIVE = Rule("a finite float >= 0", lambda v: 0.0 <= v < math.inf)
 NORM = Rule("a float >= 0 or inf", lambda v: v >= 0.0)
 # a teacher of norm 0 has no angle to a student; a learning rate of 0 never descends
 POSITIVE_OR_INF = Rule("a float > 0 or inf", lambda v: v > 0.0)
+# no step count bounds an adaptive run: the horizon bounds every flow, where
+# multinode's threshold rows give up and a recorded grid holds t_end / dt rows
+HORIZON = Rule(f"a float in (0, {mn._THRESHOLD_T_MAX:g}]",
+               lambda v: 0.0 < v <= mn._THRESHOLD_T_MAX)
 
 
 # One row per experiment subcommand: name -> (help, defaults, rules).  Each key
@@ -143,18 +147,14 @@ EXPERIMENTS = {
     "gd-compare": ("one-step GD comparison at random basin points",
                    {"dim": 8, "points": 500, "eta_factor": 0.9}, {}),
     "flow": ("single-node gradient-flow traces",
-             {"kind": "both", "dim": 8, "inits": 100, "step": 1e-3, "t_end": 10.0,
-              "record_every": 10},
-             {"kind": Rule("one of l2, h1, both", ("l2", "h1", "both").__contains__)}),
+             {"kind": "both", "dim": 8, "inits": 100, "t_end": 10.0},
+             {"kind": Rule("one of l2, h1, both", ("l2", "h1", "both").__contains__),
+              "t_end": HORIZON}),
     "relusq": ("second-order descent checks and flows",
-               {"dim": 4, "points": 1000, "inits": 100, "step": 1e-3, "t_end": 4.0,
-                "record_every": 20}, {}),
-    # no step count bounds an adaptive run, so the horizon stops where threshold rows give up
+               {"dim": 4, "points": 1000, "inits": 100, "t_end": 4.0}, {"t_end": HORIZON}),
     "multinode": ("planar multi-node dynamics",
                   {"k_list": [2, 4, 8], "starts": 100, "ratio_starts": 20, "t_end": 60.0},
-                  {"k_list": AT_LEAST_2,
-                   "t_end": Rule(f"a float in (0, {mn._THRESHOLD_T_MAX:g}]",
-                                 lambda v: 0.0 < v <= mn._THRESHOLD_T_MAX)}),
+                  {"k_list": AT_LEAST_2, "t_end": HORIZON}),
     "toeplitz": ("cyclic-coefficient field Jacobians", {"k_list": [3, 5, 8]}, {"k_list": AT_LEAST_2}),
     "sgd": ("empirical SGD traces with conditioning",
             {"dim": 16, "lr": 1e-2, "batch": 64, "n_train": 10000, "steps": 2000, "seeds": 12,
@@ -216,23 +216,32 @@ def cmd_gd_compare(cfg: dict, out: Path) -> list[Path]:
     return [path]
 
 
+# spacing of the recorded time grids of ``flow`` and of ``relusq``'s flows;
+# a trajectory records t_end / dt + 1 rows
+FLOW_RECORD_DT = 0.01
+RELUSQ_RECORD_DT = 0.02
+
+
 def _flow_rows(labels: list[str], make_field, w0: np.ndarray, wstar: np.ndarray,
-               cfg: dict) -> list[tuple]:
+               t_end: float, dt: float) -> list[tuple]:
     """Integrate every row of w0 under every label as one stacked run in the
-    plane span{w0, w*}; rows (init_id, label, t, v) sorted by (init_id, label).
+    plane span{w0, w*}; rows (init_id, label, t, v) sorted by (init_id, label),
+    with t = dt * i below ``t_end``, then ``t_end``.
 
     Every single-node gradient is a combination of w and w*, so each
     trajectory stays in that plane.  Each start maps to plane coordinates
     p0 = (w0.u, |w0 - (w0.u) u|), u = w*/|w*|, and the teacher to
-    p* = (|w*|, 0); the (m, 2) ensemble is integrated and V = |p - p*|^2,
-    which equals |w - w*|^2, recorded.  ``make_field`` takes the label of
-    each stacked row (p0 tiled once per label, in ``labels`` order) and
-    |w*|, and returns the ensemble's plane field.
+    p* = (|w*|, 0); the (m, 2) ensemble is one recorded run of the adaptive
+    Dormand-Prince loop ``ode._dp45_rows``, whose dense output gives the
+    states on the grid, and V = |p - p*|^2, which equals |w - w*|^2, is
+    recorded.  ``make_field`` takes the label of each stacked row (p0 tiled
+    once per label, in ``labels`` order) and |w*|, and returns the
+    ensemble's plane field.
     """
     m = w0.shape[0]
     p0, pstar = _plane_coordinates(w0, wstar)
-    trace = rk4_integrate(make_field(np.repeat(labels, m), pstar[0]), np.tile(p0, (len(labels), 1)),
-                          cfg["step"], cfg["t_end"], pstar, record_every=cfg["record_every"])
+    trace = _dp45_rows(make_field(np.repeat(labels, m), pstar[0]),
+                       [(np.tile(p0, (len(labels), 1)), t_end, 0.0, dt)], pstar)[0].trace
     v = trace.v_values.reshape(len(trace.times), len(labels), m)
     by_label = sorted(range(len(labels)), key=labels.__getitem__)
     return [(init_id, labels[j], t, vj) for init_id in range(m) for j in by_label
@@ -243,7 +252,7 @@ def cmd_flow(cfg: dict, out: Path) -> list[Path]:
     kinds = ["l2", "h1"] if cfg["kind"] == "both" else [cfg["kind"]]
     rng = np.random.default_rng(cfg["seed"])
     w0, wstar = basin_pairs(rng, cfg["dim"], cfg["inits"])
-    rows = _flow_rows(kinds, relu1.plane_flow_field, w0, wstar, cfg)
+    rows = _flow_rows(kinds, relu1.plane_flow_field, w0, wstar, cfg["t_end"], FLOW_RECORD_DT)
     path = out / "flow.csv"
     _write_csv(path, ["init_id", "kind", "t", "v"], rows)
     return [path]
@@ -262,7 +271,8 @@ def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
 
     w0, wstar2 = basin_pairs(rng, cfg["dim"], cfg["inits"], rmin=0.1, rmax=0.7)
     rows = _flow_rows(list(RELUSQ_VARIANTS), lambda variants, norm_wstar: relusq.h2_plane_field(
-        norm_wstar, [RELUSQ_VARIANTS[v] for v in variants]), w0, wstar2, cfg)
+        norm_wstar, [RELUSQ_VARIANTS[v] for v in variants]), w0, wstar2, cfg["t_end"],
+        RELUSQ_RECORD_DT)
     flow_path = out / "relusq_flow.csv"
     _write_csv(flow_path, ["init_id", "variant", "t", "v"], rows)
     return [descent_path, flow_path]

@@ -35,6 +35,7 @@ import numpy as np
 from .exceptions import SingularPointError
 from .geometry import TWO_PI, _angle_norms, _dots
 from .ode import FlowRun, _dp45_rows
+from .relu1 import _kind_factor
 
 _THRESHOLD_T_MAX = 120.0  # horizon of a ``threshold_rows`` run: a row not yet within gives up
 _RECORD_DT = 0.01  # spacing of a recorded run's time grid
@@ -48,23 +49,6 @@ class DecayFit:
     exponent: float
     x_star: float
     max_diagonal_drift: float
-
-
-def _check_kind(kind: str) -> int:
-    kind = kind.lower()
-    if kind == "l2":
-        return 1
-    if kind == "h1":
-        return 2
-    raise ValueError(f"unknown flow kind {kind!r}")
-
-
-def _kind_factor(kind):
-    """The kind factor c (1 for L2, 2 for H1): an int for one kind name, a
-    float array for an array of names with one per state row."""
-    if isinstance(kind, str):
-        return _check_kind(kind)
-    return np.array([_check_kind(x) for x in kind], dtype=float)
 
 
 # --------------------------------------------------------------------------
@@ -100,7 +84,7 @@ def multinode_gradients(W: np.ndarray, Wstar: np.ndarray, kind: str) -> np.ndarr
 
     With K = 1 this reduces exactly to the single-node field.
     """
-    c = _check_kind(kind)
+    c = _kind_factor(kind)
     W = np.asarray(W, dtype=float)
     Wstar = np.asarray(Wstar, dtype=float)
     if W.ndim != 2 or W.shape != Wstar.shape:
@@ -249,7 +233,7 @@ def saddle_points(k: int) -> tuple[float, float]:
 def diagonal_rows(kind: str, k: int, x0: float, t_end: float) -> PlanarRows:
     """The diagonal flow from (x0, x0) up to ``t_end``, recorded on the
     ``_RECORD_DT`` grid; ``decay_fit`` reads its exponent."""
-    x_star = saddle_points(k)[_check_kind(kind) - 1]
+    x_star = saddle_points(k)[_kind_factor(kind) - 1]
     if not x_star < x0 <= 1.0:
         raise ValueError("need x0 in (x*, 1]")
     return PlanarRows(kind, k, np.array([[x0, x0]]), t_end, record=True)
@@ -264,7 +248,7 @@ def decay_fit(rows: PlanarRows, run: FlowRun) -> DecayFit:
     diagonal; any drift beyond integration tolerance is an error.
     """
     x0 = float(rows.starts[0, 0])
-    x_star = saddle_points(rows.k)[_check_kind(rows.kind) - 1]
+    x_star = saddle_points(rows.k)[_kind_factor(rows.kind) - 1]
     states = run.trace.states[:, 0]
     drift = float(np.abs(states[:, 0] - states[:, 1]).max())
     if drift > 1e-9 * max(1.0, x0):
@@ -290,7 +274,7 @@ def toeplitz_field(kind: str, t: np.ndarray) -> np.ndarray:
     row anywhere raises ``SingularPointError``.
     """
     t = np.asarray(t, dtype=float)
-    return _node_field(t, cyclic_students(t), np.eye(t.shape[-1]), _check_kind(kind))
+    return _node_field(t, cyclic_students(t), np.eye(t.shape[-1]), _kind_factor(kind))
 
 
 _FD_STEP = 1e-6

@@ -1,13 +1,15 @@
-"""Integrators for the gradient flows: fixed-step RK4 and an adaptive Dormand-Prince 5(4) pair.
+"""Integrators for the gradient flows: an adaptive Dormand-Prince 5(4) pair and fixed-step RK4.
 
-``rk4_integrate`` is classic fixed-step fourth-order Runge-Kutta; the
-single-node flows of ``flow`` and ``relusq`` record its states every few
-steps.  ``_dp45_rows`` is the Dormand-Prince 5(4) pair with one error
-controller per row and dense output (Dormand & Prince 1980; Hairer,
-Norsett & Wanner, *Solving ODEs I*, II.4-II.6).  It integrates several runs
-of rows as one stacked ensemble, each run with its own horizon, stop radius
-and recorded time grid, and ``multinode.planar_flows`` hands it every planar
-run at once.
+``_dp45_rows`` is the Dormand-Prince 5(4) pair with one error controller per
+row and dense output (Dormand & Prince 1980; Hairer, Norsett & Wanner,
+*Solving ODEs I*, II.4-II.6).  It integrates several runs of rows as one
+stacked ensemble, each run with its own horizon, stop radius and recorded
+time grid, and every experiment flow goes through it: ``flow`` and
+``relusq`` hand it their plane ensembles as one recorded run each, and
+``multinode.planar_flows`` hands it every planar run at once.
+``rk4_integrate`` is classic fixed-step fourth-order Runge-Kutta; no
+experiment calls it, and it serves as the fixed-step reference of the tests
+and of perfbench's one-step probe.
 
 Both are deterministic.  The step controller has fixed constants, and each
 row carries its own step size, error norm and step history.  No operation
@@ -21,6 +23,7 @@ tracking ``v = ||state - target||^2`` is taken along the last axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,29 +85,26 @@ def _rk4_step(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _schedule(step, t_end):
-    """Full steps and short last step (n_full, rem) of each (step, t_end), elementwise.
+def _schedule(step: float, t_end: float) -> tuple[int, float]:
+    """Full steps and short last step (n_full, rem) of a run of ``step`` up to ``t_end``.
 
-    ``step`` and ``t_end`` are floats or arrays; both must be finite with
-    0 < step <= t_end, and t_end / step must be below 2**53, where step
-    counts are still exact floats.  ``rem`` is 0 when ``t_end`` is a step
-    multiple up to 1e-9 of a step.
+    Both must be finite with 0 < step <= t_end, and t_end / step must be
+    below 2**53, where step counts are still exact floats.  ``rem`` is 0
+    when ``t_end`` is a step multiple up to 1e-9 of a step.
     """
-    step = np.asarray(step, dtype=float)
-    t_end = np.asarray(t_end, dtype=float)
-    if not (np.isfinite(step).all() and np.isfinite(t_end).all()):
+    step, t_end = float(step), float(t_end)
+    if not (math.isfinite(step) and math.isfinite(t_end)):
         raise ValueError("step and t_end must be finite")
-    if (step <= 0.0).any():
+    if step <= 0.0:
         raise ValueError("step must be positive")
-    if (t_end <= 0.0).any() or (step > t_end * (1.0 + 1e-12)).any():
+    if t_end <= 0.0 or step > t_end * (1.0 + 1e-12):
         raise ValueError("need 0 < step <= t_end")
-    with np.errstate(over="ignore"):
-        ratio = t_end / step
-    if not (ratio < 2.0**53).all():
+    ratio = t_end / step
+    if not ratio < 2.0**53:
         raise ValueError("step too small for t_end: need t_end / step < 2**53")
-    n_full = ratio.astype(np.int64)
+    n_full = int(ratio)
     rem = t_end - n_full * step
-    return n_full, np.where(rem < step * 1e-9, 0.0, rem)
+    return n_full, (0.0 if rem < step * 1e-9 else rem)
 
 
 def rk4_integrate(
@@ -126,7 +126,7 @@ def rk4_integrate(
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     n_full, rem = _schedule(step, t_end)
-    n_full, rem, step = int(n_full), float(rem), float(step)
+    step = float(step)
     n_steps = n_full + (rem > 0.0)
     target = np.array(target, dtype=float)
     s = np.array(x0, dtype=float)
@@ -239,7 +239,9 @@ def _dp45_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
     the step's continuous extension, and a row that starts within crosses
     at t = 0 and takes no step.  A run with ``record_dt`` > 0 records its
     states at t = record_dt * i and at ``t_end`` from the continuous
-    extension (the last one is the final state itself).
+    extension (the last one is the final state itself): in each iteration
+    one extension over every row whose accepted step passed a grid time,
+    evaluated once per grid index pending in any of those rows.
 
     Each row has its own step size, starting at ``_FIRST_STEP``.  A trial
     step passes when the RMS over the row's components of
@@ -270,17 +272,23 @@ def _dp45_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
     stops = thresh > 0.0
     thresh2 = thresh * thresh
 
-    # recorded runs: their grids, filled per row as each row's steps pass them
-    grids = {j: _record_times(r[1], r[3]) for j, r in enumerate(runs) if r[3] > 0.0}
-    records = {j: np.empty((g.size + 1,) + starts[j].shape) for j, g in grids.items()}
-    row_run = np.repeat(np.arange(len(runs)), sizes)
-    filled = np.zeros(row_run.size, dtype=np.int64)  # records a row has passed, t = 0 not counted
-    next_record = np.full(row_run.size, np.inf)
-    for j, g in grids.items():
-        records[j][0] = starts[j]
-        next_record[bounds[j]:bounds[j + 1]] = g[0]
+    # every run's grid (empty when not recorded), each followed by inf, in one
+    # array, so a row's next record time is grid_inf[grid_at + filled]; record
+    # i of a row (i = 0 at t = 0) is records[rec_at + i * rec_stride], so a
+    # run's records are one contiguous (grid + 1, m, d) block
+    grids = [_record_times(r[1], r[3]) if r[3] > 0.0 else np.empty(0) for r in runs]
+    n_rec = [g.size + 1 for g in grids]
+    grid_inf = np.concatenate([np.append(g, np.inf) for g in grids])
+    grid_at = np.repeat(np.cumsum([0] + n_rec)[:-1], sizes)
+    rec_base = np.cumsum([0] + [n * m for n, m in zip(n_rec, sizes)])
+    rec_at = np.repeat(rec_base[:-1] - bounds[:-1], sizes) + np.arange(bounds[-1])
+    rec_stride = np.repeat(sizes, sizes)
+    filled = np.zeros(bounds[-1], dtype=np.int64)  # records a row has passed, t = 0 not counted
+    next_record = grid_inf[grid_at]
 
     y = np.concatenate(starts)
+    records = np.empty((rec_base[-1], y.shape[1]))
+    records[rec_at] = y
     t = np.zeros(y.shape[0])
     h = np.full(y.shape[0], _FIRST_STEP)
     failed = np.zeros(y.shape[0], dtype=bool)  # the row's last trial step failed
@@ -316,19 +324,20 @@ def _dp45_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
             hit = ok & stops & (_v(y1, target) < thresh2)
             if hit.any():
                 crossed[hit] = _crossing(y, y1, ks, hh, t, t_new, thresh2, target, hit)
-            due = ok & (next_record <= t_new)
-            for r in np.flatnonzero(due):
-                j = row_run[r]
-                g = grids[j]
-                stop = np.searchsorted(g, t_new[r], side="right")
-                new = g[filled[r]:stop]
-                out = records[j][filled[r] + 1:stop + 1, r - bounds[j]]
-                coef = _dense(y[r], y1[r], [k[r] for k in ks], hh[r])
-                out[:] = _interpolate(coef, ((new - t[r]) / hh[r])[:, None])
-                if new[-1] == t_new[r]:
-                    out[-1] = y1[r]
-                filled[r] = stop
-                next_record[r] = g[stop] if stop < g.size else np.inf
+            due = np.flatnonzero(ok & (next_record <= t_new))
+            if due.size:  # one pass per record index the due rows' steps passed
+                coef = _dense(y[due], y1[due], [k[due] for k in ks], hh[due, None])
+                pending = np.arange(due.size)
+                while pending.size:
+                    r = due[pending]
+                    state = _interpolate([c[pending] for c in coef],
+                                         ((next_record[r] - t[r]) / hh[r])[:, None])
+                    end = next_record[r] == t_new[r]
+                    state[end] = y1[r[end]]
+                    filled[r] += 1
+                    records[rec_at[r] + filled[r] * rec_stride[r]] = state
+                    next_record[r] = grid_inf[grid_at[r] + filled[r]]
+                    pending = pending[next_record[r] <= t_new[r]]
 
             y = np.where(ok[:, None], y1, y)
             k1 = np.where(ok[:, None], ks[6], k1)
@@ -339,8 +348,8 @@ def _dp45_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
     for j in range(len(runs)):
         rows = slice(bounds[j], bounds[j + 1])
         trace = None
-        if j in grids:
-            states = records[j]
+        if runs[j][3] > 0.0:
+            states = records[rec_base[j]:rec_base[j + 1]].reshape(-1, sizes[j], y.shape[1])
             trace = FlowTrace(times=np.append(0.0, grids[j]), states=states,
                               v_values=_v(states, target), target=target)
         out.append(FlowRun(y[rows], _v(y[rows], target), crossed[rows], trace))

@@ -135,19 +135,16 @@ def population_gradients(w: np.ndarray, wstar: np.ndarray) -> GradientBundle:
     return GradientBundle(grad_l2=gl, grad_seminorm=gj, grad_h1=gl + gj)
 
 
-def _h1_rows(kind):
-    """Where the kind is "h1": a bool for one kind name, a column (m, 1) for
-    an array of names with one per state row."""
+def _kind_factor(kind):
+    """The kind factor c of a flow kind name, 1 for "l2" and 2 for "h1" (any
+    case): an int for one name, a float array for an array of names with one
+    per state row.  The one parser of kind names."""
     if isinstance(kind, str):
-        kind = kind.lower()
-        if kind not in ("l2", "h1"):
+        c = {"l2": 1, "h1": 2}.get(kind.lower())
+        if c is None:
             raise ValueError(f"unknown flow kind {kind!r}")
-        return kind == "h1"
-    kinds = np.asarray(kind)
-    h1 = kinds == "h1"
-    if not (h1 | (kinds == "l2")).all():
-        raise ValueError(f"unknown flow kinds in {sorted(set(kinds.tolist()))}")
-    return h1[:, None]
+        return c
+    return np.array([_kind_factor(x) for x in kind], dtype=float)
 
 
 def plane_flow_field(kind, norm_wstar: float):
@@ -156,14 +153,15 @@ def plane_flow_field(kind, norm_wstar: float):
 
     ``kind`` is "l2" or "h1", or an array of them with one per row of the
     stacked states, so whole ensembles of trajectories, of one kind or of
-    both, integrate in one RK4 run; its row mask is built once, here.  The
-    teacher is p* = (|w*|, 0), ``norm_wstar`` its norm; a student maps there
-    by ``geometry._plane_coordinates``.  Each evaluation takes the angle and
-    norm of every row from ``geometry._plane_angle_norms`` and then the
-    d-dimensional gradient arithmetic, so a plane trajectory is the
+    both, integrate in one run; its row mask is built once, here, from
+    ``_kind_factor``.  The teacher is p* = (|w*|, 0), ``norm_wstar`` its
+    norm; a student maps there by ``geometry._plane_coordinates``.  Each
+    evaluation takes the angle and norm of every row from
+    ``geometry._plane_angle_norms`` and then the d-dimensional gradient
+    arithmetic, so integrated at the same steps a plane trajectory is the
     d-dimensional one up to rounding.
     """
-    h1 = _h1_rows(kind)
+    h1 = (np.asarray(_kind_factor(kind)) == 2)[..., None]
     ns = float(norm_wstar)
     pstar = np.array([ns, 0.0])
 

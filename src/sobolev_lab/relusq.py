@@ -112,8 +112,8 @@ def h2_plane_field(norm_wstar: float, parts=_PARTS):
     here.  The teacher is p* = (|w*|, 0), ``norm_wstar`` its norm; a student
     maps there by ``geometry._plane_coordinates``.  Each evaluation takes the
     angle and norm of every row from ``geometry._plane_angle_norms`` and
-    then the d-dimensional component arithmetic, so a plane trajectory is
-    the d-dimensional one up to rounding.
+    then the d-dimensional component arithmetic, so integrated at the same
+    steps a plane trajectory is the d-dimensional one up to rounding.
     """
     ns = float(norm_wstar)
     if ns == 0.0:

@@ -269,8 +269,7 @@ def test_c13_determinism(tmp_path):
     assert cli.main(grad + ["--out-dir", str(c), "--threads", "4"]) == 0
     same_grad = (a / "convergence.csv").read_bytes() == (c / "convergence.csv").read_bytes()
 
-    flow = ["flow", "--kind", "both", "--dim", "4", "--inits", "6", "--t-end", "2",
-            "--record-every", "100"]
+    flow = ["flow", "--kind", "both", "--dim", "4", "--inits", "6", "--t-end", "2"]
     assert cli.main(flow + ["--out-dir", str(b)]) == 0
     assert cli.main(flow + ["--out-dir", str(c)]) == 0
     same_flow = (b / "flow.csv").read_bytes() == (c / "flow.csv").read_bytes()

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sobolev_lab import cli, multinode as mn
+from sobolev_lab import cli, multinode as mn, relu1, relusq
 from sobolev_lab.cli import _write_csv, main, summarize
+from sobolev_lab.geometry import _plane_coordinates, basin_pairs
+from sobolev_lab.ode import rk4_integrate
 from sobolev_lab.sgd import SgdConfig, sgd_run
 
 
@@ -76,7 +78,7 @@ def test_verify_gradients_shares_draws_without_moving_a_row(tmp_path):
 def test_flow_header_and_ordering_property(tmp_path):
     out = tmp_path / "out"
     assert run("flow", "--kind", "both", "--dim", "4", "--inits", "4", "--t-end", "2",
-               "--record-every", "200", "--out-dir", str(out)) == 0
+               "--out-dir", str(out)) == 0
     with open(out / "flow.csv", newline="") as fh:
         assert fh.readline().strip() == "init_id,kind,t,v"
     rows = read_rows(out / "flow.csv")
@@ -91,13 +93,82 @@ def test_flow_header_and_ordering_property(tmp_path):
 
 def test_flow_of_both_kinds_is_the_union_of_single_kind_runs(tmp_path):
     # both kinds integrate as one ensemble; every row is the row of its own kind's run
-    args = ("flow", "--dim", "4", "--inits", "3", "--t-end", "0.5005", "--record-every", "100")
+    args = ("flow", "--dim", "4", "--inits", "3", "--t-end", "0.5005")
     runs = {kind: tmp_path / kind for kind in ("both", "l2", "h1")}
     for kind, out in runs.items():
         assert run(*args, "--kind", kind, "--out-dir", str(out)) == 0
     both = read_rows(runs["both"] / "flow.csv")
     for kind in ("l2", "h1"):
         assert [r for r in both if r["kind"] == kind] == read_rows(runs[kind] / "flow.csv")
+
+
+def _rk4_v(fields, w0, wstar, t_end, dt):
+    """Each label's V trace (inits, times) from fixed RK4 steps of 1e-3 in the
+    plane, recorded every dt: the reference the adaptive records must meet."""
+    p0, pstar = _plane_coordinates(w0, wstar)
+    return {label: rk4_integrate(make(pstar[0]), p0, 1e-3, t_end, pstar,
+                                 record_every=round(dt / 1e-3)).v_values.T
+            for label, make in fields.items()}
+
+
+def test_single_node_flow_rows_match_a_fixed_step_rk4_reference(tmp_path):
+    # the dense output on the grid is the flow to within 1e-8 in V
+    flow, sq = tmp_path / "flow", tmp_path / "relusq"
+    assert run("flow", "--inits", "100", "--t-end", "1", "--seed", "1",
+               "--out-dir", str(flow)) == 0
+    assert run("relusq", "--points", "2", "--inits", "100", "--seed", "1",
+               "--out-dir", str(sq)) == 0
+    w0, wstar = basin_pairs(np.random.default_rng(1), 8, 100)
+    want_flow = _rk4_v({kind: lambda ns, kind=kind: relu1.plane_flow_field(kind, ns)
+                        for kind in ("l2", "h1")}, w0, wstar, 1.0, cli.FLOW_RECORD_DT)
+    rng = np.random.default_rng(1)
+    basin_pairs(rng, 4, 2)  # the descent check's points come first
+    w0, wstar = basin_pairs(rng, 4, 100, rmin=0.1, rmax=0.7)
+    want_sq = _rk4_v({v: lambda ns, parts=parts: relusq.h2_plane_field(ns, parts)
+                      for v, parts in cli.RELUSQ_VARIANTS.items()}, w0, wstar, 4.0,
+                     cli.RELUSQ_RECORD_DT)
+    for path, label, want in ((flow / "flow.csv", "kind", want_flow),
+                              (sq / "relusq_flow.csv", "variant", want_sq)):
+        got = cli._traces(read_rows(path), label)
+        assert got.keys() == want.keys()
+        for lab, v in want.items():
+            assert got[lab].shape == v.shape
+            assert np.abs(got[lab] - v).max() <= 1e-8, (path.name, lab)
+
+
+def test_single_node_flow_times_are_the_grid_then_the_horizon(tmp_path):
+    # t = dt * i exactly, then t_end, also when t_end is a grid multiple
+    for name, argv, fname, label, dt, n in (
+            ("flow", ("--dim", "3", "--inits", "2", "--t-end", "0.5005"), "flow.csv", "kind",
+             cli.FLOW_RECORD_DT, 51),
+            ("relusq", ("--points", "2", "--inits", "2", "--t-end", "1.3"), "relusq_flow.csv",
+             "variant", cli.RELUSQ_RECORD_DT, 65)):
+        out = tmp_path / name
+        assert run(name, *argv, "--out-dir", str(out)) == 0
+        times = {}
+        for r in read_rows(out / fname):
+            times.setdefault((r["init_id"], r[label]), []).append(float(r["t"]))
+        assert len(times) == 4
+        for key, t in times.items():
+            assert t == [dt * i for i in range(n)] + [float(argv[-1])], (name, key)
+
+
+def test_default_single_node_flows_evaluate_their_plane_field_at_most_3000_times(
+        tmp_path, monkeypatch):
+    # the step controllers take long steps on the smooth tails; fixed RK4
+    # steps of 1e-3 took 40 000 (flow) and 16 000 (relusq) evaluations here
+    for name, module, factory in (("flow", relu1, "plane_flow_field"),
+                                  ("relusq", relusq, "h2_plane_field")):
+        calls = []
+        make = getattr(module, factory)
+
+        def counted(*args, make=make, calls=calls):
+            field = make(*args)
+            return lambda p: calls.append(1) or field(p)
+
+        monkeypatch.setattr(module, factory, counted)
+        assert run(name, "--out-dir", str(tmp_path / name)) == 0
+        assert 0 < len(calls) <= 3000, (name, len(calls))
 
 
 def test_rerun_is_byte_identical_and_thread_invariant(tmp_path):
@@ -156,7 +227,7 @@ def test_help_states_each_flags_rule_and_default(capsys):
 SMALL = {
     "landscape": ("--theta-grid", "3"),
     "gd-compare": ("--points", "3"),
-    "flow": ("--inits", "2", "--t-end", "0.01", "--dim", "3", "--record-every", "5"),
+    "flow": ("--inits", "2", "--t-end", "0.01", "--dim", "3"),
     "relusq": ("--points", "3", "--inits", "2", "--t-end", "0.01"),
     "multinode": ("--k-list", "2", "--starts", "2", "--ratio-starts", "1", "--t-end", "0.01"),
     "toeplitz": ("--k-list", "3"),
@@ -275,10 +346,11 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
         assert not (tmp_path / "e" / "manifest.json").exists(), argv
     capsys.readouterr()
-    # a step count of 2**53 or more cannot be counted in floats, and no step
-    # count bounds an adaptive run over a huge horizon: one error line and
-    # no cast warning, where the flows once integrated nothing
-    for argv in (("flow", "--step", "1e-300", "--t-end", "1", "--inits", "1"),
+    # no step count bounds an adaptive run and a recorded grid holds
+    # t_end / dt rows, so the horizon bounds every flow: one error line that
+    # names it and no cast warning
+    for argv in (("flow", "--t-end", "120.5", "--inits", "1"),
+                 ("relusq", "--t-end", "1e300", "--points", "2", "--inits", "1"),
                  ("multinode", "--t-end", "1e300", "--k-list", "2", "--starts", "1",
                   "--ratio-starts", "1")):
         with warnings.catch_warnings(record=True) as caught:
@@ -286,7 +358,7 @@ def test_validation_failures_exit_2(tmp_path, capsys):
             assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], argv
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:"), argv
+        assert len(err) == 1 and err[0].startswith("error:") and "t_end" in err[0], argv
         assert not (tmp_path / "e" / "manifest.json").exists(), argv
     cfg = tmp_path / "cfg.json"
     # a count below 1, a list item below its rule or of the wrong type
@@ -414,13 +486,15 @@ def test_sgd_blow_up_reports_only_the_numerical_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("numerical error:")
 
 
-def test_flow_blow_up_reports_only_the_numerical_error(tmp_path, capsys):
-    # the RK4 loop catches a row that leaves the finite floats, so numpy's
-    # overflow warnings would only repeat it
+def test_flow_blow_up_reports_only_the_numerical_error(tmp_path, capsys, monkeypatch):
+    # the adaptive loop catches a row that leaves the finite floats, so
+    # numpy's overflow warnings would only repeat it.  No legal flag makes a
+    # single-node flow blow up, so its field becomes p' = p^2, which leaves
+    # the floats at t = 1/b from a plane start (a, b) with b > 0
+    monkeypatch.setattr(relu1, "plane_flow_field", lambda kind, norm_wstar: lambda p: p * p)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run("relusq", "--step", "1", "--points", "4", "--inits", "2",
-                   "--out-dir", str(tmp_path / "r")) == 3
+        assert run("flow", "--inits", "2", "--t-end", "120", "--out-dir", str(tmp_path / "r")) == 3
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical error:")

@@ -95,13 +95,16 @@ def test_single_state_field_sees_single_states_and_one_step_records_two():
 
 
 def test_step_counts_beyond_exact_floats_are_rejected():
-    # (t_end / step).astype(int64) is INT64_MIN for 1e300 steps; such a run
-    # would integrate nothing, so the schedule refuses every count >= 2**53
-    assert _schedule(1.0, 2.0**53 - 1.0)[0] == 2**53 - 1
+    # a count of 1e300 steps is no int64, and a float count >= 2**53 is no
+    # longer exact, so the schedule refuses every count >= 2**53
+    assert _schedule(1.0, 2.0**53 - 1.0) == (2**53 - 1, 0.0)
+    n_full, rem = _schedule(0.3, 1.0)
+    assert type(n_full) is int and type(rem) is float and n_full == 3
+    assert rem == 1.0 - 3 * 0.3
+    assert _schedule(np.float64(0.25), 1.0) == (4, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for step, t_end in ((1.0, 2.0**53), (1e-300, 1.0), (1e-10, 1e308),
-                            (np.array([1e-3, 1e-300]), np.array([1.0, 120.0]))):
+        for step, t_end in ((1.0, 2.0**53), (1e-300, 1.0), (1e-10, 1e308), (5e-324, 1.0)):
             with pytest.raises(ValueError, match="2\\*\\*53"):
                 _schedule(step, t_end)
         with pytest.raises(ValueError):
