@@ -258,9 +258,6 @@ def cmd_flow(cfg: dict, out: Path) -> list[Path]:
     return [path]
 
 
-RELUSQ_VARIANTS = {"h2": ("i1", "i2", "i3"), "i1": ("i1",)}
-
-
 def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
     rng = np.random.default_rng(cfg["seed"])
     ws, wstar = basin_pairs(rng, cfg["dim"], cfg["points"])
@@ -270,9 +267,8 @@ def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
                ((i, *row) for i, row in enumerate(ips)))
 
     w0, wstar2 = basin_pairs(rng, cfg["dim"], cfg["inits"], rmin=0.1, rmax=0.7)
-    rows = _flow_rows(list(RELUSQ_VARIANTS), lambda variants, norm_wstar: relusq.h2_plane_field(
-        norm_wstar, [RELUSQ_VARIANTS[v] for v in variants]), w0, wstar2, cfg["t_end"],
-        RELUSQ_RECORD_DT)
+    rows = _flow_rows(list(relusq.VARIANTS), relusq.h2_plane_field, w0, wstar2, cfg["t_end"],
+                      RELUSQ_RECORD_DT)
     flow_path = out / "relusq_flow.csv"
     _write_csv(flow_path, ["init_id", "variant", "t", "v"], rows)
     return [descent_path, flow_path]
@@ -465,9 +461,9 @@ def _measure_c6(rows, flow_rows):
 def _measure_c7(rows):
     ks = _col(rows, "k")
     ratios = _col(rows, "time_ratio_median")
+    saddles = np.stack([_col(rows, "x_saddle_l2"), _col(rows, "x_saddle_h1")], axis=-1)
     return {
-        "saddle_formula_dev": criteria.saddle_formula_dev(
-            ks, _col(rows, "x_saddle_l2"), _col(rows, "x_saddle_h1")).max(),
+        "saddle_formula_dev": np.abs(saddles - [mn.saddle_points(k) for k in ks]).max(),
         "saddle_field_dev": np.max([_col(rows, "saddle_field_l2"), _col(rows, "saddle_field_h1")]),
         "decay_rel_dev": criteria.decay_rel_dev(
             ks, _col(rows, "decay_exp_l2"), _col(rows, "decay_exp_h1")).max(),

@@ -25,7 +25,6 @@ carry a NaN through; a NaN fails every clause it reaches.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -157,13 +156,6 @@ def judge(crit_id: str, measured: dict) -> dict:
 def extreme_dev(lam_max_l2, lam_max_h1):
     """Deviation of the numeric largest Hessian eigenvalues from 1/2 (L2) and 1 (H1)."""
     return np.maximum(np.abs(lam_max_l2 - 0.5), np.abs(lam_max_h1 - 1.0))
-
-
-def saddle_formula_dev(k, x_l2, x_h1):
-    """Deviation of the diagonal saddles from their closed forms at K nodes."""
-    t0, r = np.arccos(1.0 / np.sqrt(k)), np.sqrt(k - 1.0)
-    return np.maximum(np.abs(x_l2 - (r - t0 + math.pi) / (math.pi * k)),
-                      np.abs(x_h1 - (r + 2.0 * math.pi - 2.0 * t0) / (2.0 * math.pi * k)))
 
 
 def decay_rel_dev(k, exp_l2, exp_h1):

@@ -9,8 +9,9 @@ them) plus the coupling coefficient
 which blows up at collinearity.  The products alpha*sin(theta) and
 alpha*sin^2(theta) stay finite there, so they are carried in cancelled
 form and alpha itself is reported as ``inf`` rather than raising.
-``pair_geometry`` is the one reduction of single-node pairs, and one pair
-is the one-row case of a stack; ``_angle_norms`` serves the K-node field.
+``_angle_norms`` is the one reduction of a pair to its angle and norms:
+``pair_geometry`` takes it for every single-node pair, one pair being the
+one-row case of a stack, and the K-node field for each of its pairs.
 
 Every single-node gradient is a combination of w and w*, so a gradient
 flow stays in the plane span{w0, w*}; ``_plane_coordinates`` maps a pair
@@ -38,8 +39,7 @@ class PairGeometry:
     ``alpha_sin`` and ``alpha_sin_sq`` are the cancelled products
     ``alpha*sin(theta)`` and ``alpha*sin(theta)**2``; they are finite for
     ``norm_w > 0`` even at ``theta == 0``.  For a stack of pairs every
-    field, and each angle property, is an (m,) array; numpy's sin and cos
-    of an array are bit for bit libm's of each element on the hosts measured.
+    field, and each angle property, is an (m,) array.
     """
 
     norm_w: float
@@ -51,11 +51,11 @@ class PairGeometry:
 
     @property
     def sin_theta(self) -> float:
-        return np.sin(self.theta) if np.ndim(self.theta) else math.sin(self.theta)
+        return np.sin(self.theta)
 
     @property
     def cos_theta(self) -> float:
-        return np.cos(self.theta) if np.ndim(self.theta) else math.cos(self.theta)
+        return np.cos(self.theta)
 
 
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
@@ -67,16 +67,11 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
     A nonzero row whose squared norm underflows or overflows is measured
     with the scale-safe ``math.hypot`` instead, so it never has norm 0; only
-    such rows go through it, and a zero row keeps sqrt(0) = 0.
+    such rows go through it, and a zero row keeps sqrt(0) = 0.  Each row's
+    norm is bit for bit the one its row gives alone.
     """
     with np.errstate(over="ignore"):
         sq = np.add.reduce(x * x, axis=-1)
-    return _scale_safe_sqrt(x, sq)
-
-
-def _scale_safe_sqrt(x: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """sqrt of the squared norms ``sq`` of one vector or the rows of a stack ``x``,
-    with ``math.hypot`` for each nonzero row whose square under- or overflowed."""
     norm = np.sqrt(sq)
     if _TINY <= sq.min() and sq.max() <= _HUGE:
         return norm
@@ -93,16 +88,6 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """The norm of one vector (d,), or of each row of a stack (..., d), each
-    the square root of its own dot product; a row whose square under- or
-    overflows is measured by ``math.hypot`` instead, without a warning.
-    """
-    with np.errstate(over="ignore"):
-        sq = _dots(x, x)
-    return _scale_safe_sqrt(x, sq)
-
-
 def _angle_norms(w: np.ndarray, wstar: np.ndarray):
     """Angle in [0, pi] via the two-argument form 2 atan2(|u-v|, |u+v|),
     together with the norms |w| and |w*| it reduced.
@@ -111,9 +96,11 @@ def _angle_norms(w: np.ndarray, wstar: np.ndarray):
     the collinear configurations the landscape formulas exercise hardest
     (arccos loses half the digits there), and coincident directions give an
     exact zero.  Broadcasts over leading axes, so one call covers a stack of
-    states or all pairs of two stacks, as the K-node field takes them; a
-    single pair goes through ``pair_geometry``.  A zero vector has angle 0
-    to everything.
+    states or all pairs of two stacks, as the K-node field takes them, and
+    ``pair_geometry`` a stack of students against one teacher or one per
+    row.  Every step is elementwise or a reduction of one row, so each
+    pair's values are bit for bit those it gives alone.  A zero vector has
+    angle 0 to everything.
     """
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
@@ -135,7 +122,7 @@ def _plane_coordinates(w: np.ndarray, wstar: np.ndarray):
     so |p - p*| = |w - w*| and the angle and norms of (p, p*) are those of
     (w, w*), up to rounding.
     """
-    ns = _row_norms(wstar)
+    ns = _norm(wstar)
     u = wstar / ns
     a = _dots(w, u)
     return np.stack([a, _norm(w - a[..., None] * u)], axis=-1), np.array([ns, 0.0])
@@ -179,8 +166,9 @@ def pair_geometry(w: np.ndarray, wstar: np.ndarray) -> PairGeometry:
 
     ``w`` is one student (d,) or a stack (m, d); ``wstar`` is one teacher
     (d,) or one per student (m, d).  For a stack every field is an (m,)
-    array, and each row's values are bit for bit those of its pair alone:
-    the norms come from row dot products and each angle from libm's atan2.
+    array.  The angle and norms are those of ``_angle_norms``, the reduction
+    of the K-node field too, and each row's values are bit for bit those of
+    its pair alone.
     """
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
@@ -189,23 +177,12 @@ def pair_geometry(w: np.ndarray, wstar: np.ndarray) -> PairGeometry:
     if not (np.isfinite(w).all() and np.isfinite(wstar).all()):
         raise SingularPointError("non-finite entries")
     d = w.shape[-1]
-    teachers = wstar.reshape(-1, d)
-    rows = w.reshape(-1, d)
-    k = len(teachers)
-    # an overflowing square norm is measured by hypot, and the quotients of a
-    # zero student (norm 0, angle 0) are inf, as documented
+    theta, nw, ns = _angle_norms(w.reshape(-1, d), wstar.reshape(-1, d))
+    if not ns.all():
+        raise ValueError("teacher vector must be nonzero")
+    zero = nw == 0.0
+    # the quotients of a zero student (norm 0, angle 0) are inf, as documented
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        norms = _row_norms(np.concatenate([teachers, rows]))
-        ns, nw = norms[:k], norms[k:]
-        if not ns.all():
-            raise ValueError("teacher vector must be nonzero")
-        zero = nw == 0.0
-        u = rows / (nw + zero)[:, None]  # a zero student stays zero
-        v = teachers / ns[:, None]
-        sides = _row_norms(np.concatenate([u - v, u + v])).tolist()
-        # numpy's arctan2 differs from libm's in the last bit on some inputs
-        theta = np.array([2.0 * math.atan2(a, b) for a, b in zip(sides[:len(rows)], sides[len(rows):])])
-        theta[zero] = 0.0
         s = np.sin(theta)
         tw = TWO_PI * nw
         alpha_sin = ns / tw

@@ -48,7 +48,7 @@ import numpy as np
 
 from .eigs import SpectrumReport, real_eigs, symmetric_eigs
 from .exceptions import SingularPointError
-from .geometry import TWO_PI, PairGeometry, _dots, _plane_angle_norms, _row_norms, pair_geometry
+from .geometry import TWO_PI, PairGeometry, _dots, _norm, _plane_angle_norms, pair_geometry
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,13 @@ def population_gradients(w: np.ndarray, wstar: np.ndarray) -> GradientBundle:
 
 
 def _kind_factor(kind):
-    """The kind factor c of a flow kind name, 1 for "l2" and 2 for "h1" (any
+    """The kind factor c of a loss kind name, 1 for "l2" and 2 for "h1" (any
     case): an int for one name, a float array for an array of names with one
-    per state row.  The one parser of kind names."""
+    per state row or run.  The one parser of kind names."""
     if isinstance(kind, str):
         c = {"l2": 1, "h1": 2}.get(kind.lower())
         if c is None:
-            raise ValueError(f"unknown flow kind {kind!r}")
+            raise ValueError(f"unknown kind {kind!r}, expected 'l2' or 'h1'")
         return c
     return np.array([_kind_factor(x) for x in kind], dtype=float)
 
@@ -236,9 +236,7 @@ def _hessian_matrices(w: np.ndarray, wstar: np.ndarray, geom: PairGeometry):
     uu = u[..., :, None] * u[..., None, :]
     eye = np.eye(d)
     proj = eye - v[..., :, None] * v[..., None, :]
-    # libm's pow, as Python's float ** takes it; numpy's square rounds
-    # differently in the last bit on about 1 input in 1000
-    s2_eye = np.float_power(sin, 2)[..., None, None] * eye
+    s2_eye = (sin * sin)[..., None, None] * eye
     cos_vu = cos[..., None, None] * (v[..., :, None] * u[..., None, :])
     alpha = alpha[..., None, None]
     hl = 0.5 * eye - alpha * ((uu - cos_vu + s2_eye) @ proj)
@@ -377,9 +375,8 @@ def gd_compare(w: np.ndarray, wstar: np.ndarray, eta, relative: bool = False) ->
     with np.errstate(over="ignore", invalid="ignore"):
         w_new_l2 = w - step * gl
         w_new_h1 = w - step * gh
-    # each norm as np.linalg.norm takes it, the square root of a dot
-    # product, and math.hypot's where that square overflows
-    err_l2, err_h1 = _row_norms(np.stack([w_new_l2, w_new_h1]) - wstar)
+    # an error whose square overflows is measured by math.hypot
+    err_l2, err_h1 = _norm(np.stack([w_new_l2, w_new_h1]) - wstar)
     if not (np.isfinite(err_l2).all() and np.isfinite(err_h1).all()):
         raise SingularPointError(f"a GD step of stepsize up to {eta.max():g} leaves the floats")
     in_basin = np.sqrt(_dots(e, e)) < np.sqrt(_dots(wstar, wstar))

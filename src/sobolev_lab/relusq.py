@@ -19,8 +19,8 @@ consistent one and is the version the Monte-Carlo oracle confirms.
 ``h2_gradients`` takes one student or a stack against one teacher, each
 pair reduced by ``geometry.pair_geometry``.
 
-All three gradients are combinations of w and w*, so a flow of any
-component set stays in the plane span{w0, w*}.  ``h2_plane_field`` is the
+All three gradients are combinations of w and w*, so the flows of both
+``VARIANTS`` stay in the plane span{w0, w*}.  ``h2_plane_field`` is their
 flow field on (m, 2) plane coordinates: the component arithmetic of
 d-dimensional states, with the angle and norm of each row taken without a
 row reduction.
@@ -44,7 +44,8 @@ class H2GradientBundle:
     grad_i3: np.ndarray
 
 
-_PARTS = ("i1", "i2", "i3")
+# the flows of the relusq experiment: "h2" descends I1 + I2 + I3, "i1" only I1
+VARIANTS = ("h2", "i1")
 
 
 def _coeffs(theta):
@@ -55,24 +56,17 @@ def _coeffs(theta):
     return rest + st * ct, 2.0 * st + tail, st + tail
 
 
-def _component_grads(w: np.ndarray, wstar: np.ndarray, parts: tuple[str, ...],
-                     theta, nw, ns) -> list[np.ndarray]:
-    """Gradients of the selected components at stacked states w (..., d), in ``parts`` order,
-    from the angle ``theta`` and norm ``nw`` of each state and the teacher norm ``ns``."""
+def _component_grads(w: np.ndarray, wstar: np.ndarray, theta, nw, ns) -> tuple[np.ndarray, ...]:
+    """Gradients of I1, I2 and I3 at stacked states w (..., d), from the angle
+    ``theta`` and norm ``nw`` of each state and the teacher norm ``ns``."""
     theta, nw, ns = np.asarray(theta)[..., None], np.asarray(nw)[..., None], float(ns)
     g, h, g1 = _coeffs(theta)
     nw2 = nw**2
-    out = []
-    for p in parts:
-        if p == "i1":
-            out.append(3.0 * nw2 * w - (ns**2 / math.pi) * g * w - (nw * ns / math.pi) * h * wstar)
-        elif p == "i2":
-            sc = np.sin(theta) * np.cos(theta)
-            out.append(4.0 * (nw2 * w - (sc / TWO_PI) * ns**2 * w - (nw * ns / TWO_PI) * g1 * wstar))
-        else:
-            dot = np.sum(w * wstar, axis=-1)[..., None]
-            out.append(4.0 * nw2 * w - (4.0 * (math.pi - theta) / math.pi) * dot * wstar)
-    return out
+    sc = np.sin(theta) * np.cos(theta)
+    dot = np.sum(w * wstar, axis=-1)[..., None]
+    return (3.0 * nw2 * w - (ns**2 / math.pi) * g * w - (nw * ns / math.pi) * h * wstar,
+            4.0 * (nw2 * w - (sc / TWO_PI) * ns**2 * w - (nw * ns / TWO_PI) * g1 * wstar),
+            4.0 * nw2 * w - (4.0 * (math.pi - theta) / math.pi) * dot * wstar)
 
 
 def h2_gradients(w: np.ndarray, wstar: np.ndarray) -> H2GradientBundle:
@@ -90,7 +84,7 @@ def h2_gradients(w: np.ndarray, wstar: np.ndarray) -> H2GradientBundle:
         raise SingularPointError("second-order closed forms are singular at zero vectors")
     geom = pair_geometry(w, wstar)
     ns = np.ravel(geom.norm_wstar)[0]  # one teacher: one norm for every row
-    return H2GradientBundle(*_component_grads(w, wstar, _PARTS, geom.theta, geom.norm_w, ns))
+    return H2GradientBundle(*_component_grads(w, wstar, geom.theta, geom.norm_w, ns))
 
 
 def descent_inner_products(ws: np.ndarray, wstar: np.ndarray) -> np.ndarray:
@@ -102,40 +96,32 @@ def descent_inner_products(ws: np.ndarray, wstar: np.ndarray) -> np.ndarray:
     return np.stack([-_dots(e, g) for g in (b.grad_i1, b.grad_i2, b.grad_i3)], axis=-1)
 
 
-def h2_plane_field(norm_wstar: float, parts=_PARTS):
-    """The negated sum of the selected component gradients, the flow field, as a
-    closure over plane points p = (a, b) (m, 2) of span{w0, w*}.
+def h2_plane_field(variant, norm_wstar: float):
+    """The negated gradient of a variant's loss, the flow field, as a closure
+    over plane points p = (a, b) (m, 2) of span{w0, w*}.
 
-    ``parts`` names the summed components: one tuple for every state, or a
-    list with one tuple per row of the stacked states, so flows of several
-    component sets integrate as one ensemble; the row masks are built once,
-    here.  The teacher is p* = (|w*|, 0), ``norm_wstar`` its norm; a student
-    maps there by ``geometry._plane_coordinates``.  Each evaluation takes the
+    ``variant`` is "h2" (I1 + I2 + I3) or "i1" (I1 alone), or an array of
+    them with one per row of the stacked states, so the flows of both
+    variants integrate as one ensemble; its row mask is built once, here.
+    The teacher is p* = (|w*|, 0), ``norm_wstar`` its norm; a student maps
+    there by ``geometry._plane_coordinates``.  Each evaluation takes the
     angle and norm of every row from ``geometry._plane_angle_norms`` and
     then the d-dimensional component arithmetic, so integrated at the same
     steps a plane trajectory is the d-dimensional one up to rounding.
     """
+    names = np.asarray(variant)
+    unknown = sorted(set(names.ravel().tolist()) - set(VARIANTS))
+    if unknown:
+        raise ValueError(f"unknown relusq variant {unknown[0]!r}")
     ns = float(norm_wstar)
     if ns == 0.0:
         raise SingularPointError("zero teacher")
+    h2 = (names == "h2")[..., None]
     pstar = np.array([ns, 0.0])
-    row_parts = [parts] if not parts or isinstance(parts[0], str) else list(parts)
-    for p in row_parts:
-        if not p or not set(p) <= set(_PARTS):
-            raise ValueError("parts must be a nonempty subset of {'i1','i2','i3'}")
-    selections = [tuple(p for p in _PARTS if p in row) for row in row_parts]
-    sets = list(dict.fromkeys(selections))
-    union = tuple(p for p in _PARTS if any(p in s for s in sets))
-    pick = np.array([sets.index(s) for s in selections])[:, None]
-    masks = [None] + [pick == j for j in range(1, len(sets))]
 
     def field(p: np.ndarray) -> np.ndarray:
-        grads = dict(zip(union, _component_grads(p, pstar, union, *_plane_angle_norms(p), ns)))
-        out = None
-        for sel, mask in zip(sets, masks):
-            total = -sum((grads[q] for q in sel[1:]), grads[sel[0]])
-            out = total if out is None else np.where(mask, total, out)
-        return out
+        g1, g2, g3 = _component_grads(p, pstar, *_plane_angle_norms(p), ns)
+        return np.where(h2, -(g1 + g2 + g3), -g1)
 
     return field
 

@@ -24,7 +24,7 @@ import numpy as np
 from .exceptions import BlowUpError
 from .geometry import pair_geometry
 from .mc import _FORMS, _relu_grad
-from .relu1 import condition_numbers
+from .relu1 import _kind_factor, condition_numbers
 
 _INIT_RADIUS = 0.8  # |w0 - w*| as a fraction of |w*|, inside the basin |w0 - w*| < |w*|
 
@@ -41,8 +41,7 @@ class SgdConfig:
     log_every: int = 10
 
     def __post_init__(self):
-        if self.loss_kind.lower() not in ("l2", "h1"):
-            raise ValueError("loss_kind must be 'l2' or 'h1'")
+        _kind_factor(self.loss_kind)
         if not 1 <= self.batch_size <= self.n_train:
             raise ValueError("batch_size must be in [1, n_train]")
         if self.log_every < 1:
@@ -78,7 +77,7 @@ def sgd_run(cfg: SgdConfig | Sequence[SgdConfig]) -> SgdTrace | list[SgdTrace]:
         raise ValueError("an SGD ensemble's configs may differ only in seed and loss_kind")
     seeds = list(dict.fromkeys(c.seed for c in cfgs))
     run_seed = np.array([seeds.index(c.seed) for c in cfgs])
-    h1 = np.array([c.loss_kind.lower() == "h1" for c in cfgs])
+    h1 = _kind_factor([c.loss_kind for c in cfgs]) == 2
     n, dim, batch = first.n_train, first.dim, first.batch_size
 
     rngs = [np.random.default_rng(seed) for seed in seeds]

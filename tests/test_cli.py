@@ -124,9 +124,8 @@ def test_single_node_flow_rows_match_a_fixed_step_rk4_reference(tmp_path):
     rng = np.random.default_rng(1)
     basin_pairs(rng, 4, 2)  # the descent check's points come first
     w0, wstar = basin_pairs(rng, 4, 100, rmin=0.1, rmax=0.7)
-    want_sq = _rk4_v({v: lambda ns, parts=parts: relusq.h2_plane_field(ns, parts)
-                      for v, parts in cli.RELUSQ_VARIANTS.items()}, w0, wstar, 4.0,
-                     cli.RELUSQ_RECORD_DT)
+    want_sq = _rk4_v({v: lambda ns, v=v: relusq.h2_plane_field(v, ns) for v in relusq.VARIANTS},
+                     w0, wstar, 4.0, cli.RELUSQ_RECORD_DT)
     for path, label, want in ((flow / "flow.csv", "kind", want_flow),
                               (sq / "relusq_flow.csv", "variant", want_sq)):
         got = cli._traces(read_rows(path), label)

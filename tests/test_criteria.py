@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 from sobolev_lab import criteria
+from sobolev_lab import multinode as mn
 from sobolev_lab.cli import SOURCES, summarize
 
 
@@ -42,7 +43,6 @@ def test_range_clause_checks_both_ends():
 def test_nan_reaches_the_judge_through_worst_cases(tmp_path):
     nan = float("nan")
     assert math.isnan(criteria.decay_rel_dev(4, -2.0, nan))
-    assert math.isnan(criteria.saddle_formula_dev(4, nan, 0.3))
     assert math.isnan(criteria.extreme_dev(0.5, nan))
     # one NaN gain among good rows of gd_compare.csv fails c3's gain and excess clauses
     rows = ["gain_f,err_l2,err_h1", "0.1,0.5,0.3", "nan,0.5,0.3", "0.2,0.4,0.1"]
@@ -50,3 +50,13 @@ def test_nan_reaches_the_judge_through_worst_cases(tmp_path):
     entry = summarize(tmp_path)["criteria"]["c3_one_step_gd"]
     assert entry["status"] == "fail"
     assert [f["clause"] for f in entry["failed"]] == ["min_gain > 0.0", "max_excess <= 1e-15"]
+    # one NaN saddle among exact ones in multinode.csv fails c7's saddle clause
+    header = ("k,x_saddle_l2,x_saddle_h1,saddle_field_l2,saddle_field_h1,decay_exp_l2,"
+              "decay_exp_h1,time_ratio_median,max_final_dist")
+    (x2, y2), (_, y4) = mn.saddle_points(2), mn.saddle_points(4)
+    rows = [header, f"2,{x2!r},{y2!r},0,0,-1,-2,2,0", f"4,nan,{y4!r},0,0,-2,-4,2,0"]
+    (tmp_path / "multinode.csv").write_text("\n".join(rows) + "\n")
+    entry = summarize(tmp_path)["criteria"]["c7_multinode_dynamics"]
+    assert entry["status"] == "fail"
+    assert [f["clause"] for f in entry["failed"]] == ["saddle_formula_dev <= 1e-09"]
+    assert math.isnan(entry["measured"]["saddle_formula_dev"])

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sobolev_lab import relu1
-from sobolev_lab.geometry import (_angle_norms, _dots, _norm, _plane_angle_norms,
-                                  _plane_coordinates, _row_norms, basin_pairs, pair_geometry)
+from sobolev_lab.geometry import (_angle_norms, _norm, _plane_angle_norms, _plane_coordinates,
+                                  basin_pairs, pair_geometry)
 
 
 def test_identical_directions_flag_infinite_alpha():
@@ -85,7 +85,7 @@ def test_cancelled_alpha_forms_stay_finite_as_theta_vanishes(t, r):
     if math.isfinite(g.alpha):
         assert g.alpha * g.sin_theta == pytest.approx(g.alpha_sin, rel=1e-12)
     else:  # sin(theta) = 0, or a subnormal theta takes alpha past the largest float
-        assert g.sin_theta == 0.0 or g.alpha_sin / g.sin_theta > 1.7e308
+        assert g.sin_theta == 0.0 or g.alpha_sin > 1.7e308 * g.sin_theta
 
 
 @given(c=st.floats(min_value=1e-300, max_value=1.0), v=_unit_ish)
@@ -131,17 +131,16 @@ def test_stacked_norm_mixes_zero_tiny_huge_and_ordinary_rows():
     np.testing.assert_array_equal(stacked, norms[None, :])
 
 
-def test_row_norms_of_one_vector_whose_square_leaves_the_floats():
+def test_norm_of_one_vector_whose_square_leaves_the_floats():
     # a (d,) vector takes the scale-safe path as a stack's row does, and the
     # overflow of its square is handled, not warned about (the suite turns
     # every RuntimeWarning into an error)
     for x in (np.array([3e200, 4e200]), np.array([3e-200, 4e-200])):
-        assert _row_norms(x) == math.hypot(*x) == _row_norms(x[None, :])[0]
-        assert _norm(x) == _row_norms(x)
-    assert _row_norms(np.zeros(3)) == 0.0
-    # an ordinary vector: the square root of its one dot product
+        assert _norm(x) == math.hypot(*x) == _norm(x[None, :])[0]
+    assert _norm(np.zeros(3)) == 0.0
+    # an ordinary vector: the square root of its one row reduction
     x = np.random.default_rng(5).standard_normal(7)
-    assert _row_norms(x) == np.sqrt(x.dot(x)) == np.sqrt(_dots(x, x))
+    assert _norm(x) == np.sqrt(np.add.reduce(x * x)) == _norm(x[None, :])[0]
 
 
 def test_stacked_norm_of_a_huge_row_does_not_warn():
@@ -179,6 +178,28 @@ def test_stacked_pair_geometry_rows_are_the_one_pair_values():
         pair_geometry(rows, teachers[:2])
     with pytest.raises(ValueError, match="nonzero"):
         pair_geometry(rows[:2], np.stack([ws, np.zeros(3)]))
+
+
+@pytest.mark.parametrize("d", [3, 32])
+def test_pair_geometry_angle_and_norms_are_the_k_node_reduction(d):
+    # single-node and K-node pairs share one reduction: over random, zero,
+    # tiny, huge, collinear, opposite and right-angle students, against one
+    # teacher and against one teacher per row, pair_geometry's angle and
+    # norms are those of _angle_norms to the bit
+    rng = np.random.default_rng(d)
+    ws = np.zeros(d)
+    ws[:2] = [0.6, -0.8]
+    right = rng.standard_normal(d)
+    right[:2] = [0.8, 0.6]
+    rows = np.stack([*rng.standard_normal((200, d)), np.zeros(d), 1e-300 * rng.standard_normal(d),
+                     1e300 * rng.standard_normal(d), 2.0 * ws, -3.0 * ws, right])
+    for teacher in (ws, rng.standard_normal(rows.shape)):
+        g = pair_geometry(rows, teacher)
+        theta, nw, ns = _angle_norms(rows, teacher)
+        assert np.array_equal(g.theta, theta)
+        assert np.array_equal(g.norm_w, nw)
+        assert np.array_equal(g.norm_wstar, np.broadcast_to(ns, nw.shape))
+    assert pair_geometry(right, ws).theta == pytest.approx(math.pi / 2, abs=1e-15)
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 32])

@@ -273,27 +273,28 @@ def test_stacked_rows_are_the_one_vector_calls(d):
 
 
 def _one_pair_reference(w, ws, eta):
-    """Hessians and GD numbers of one pair from Python-float scalars, np.outer,
-    np.linalg.norm and the flow path's gradients: the arithmetic that every
+    """Hessians and GD numbers of one pair from its scalar geometry, np.outer,
+    one-vector norms and the one-pair gradients: the arithmetic that every
     row of a stack must reproduce bit for bit."""
     g = pair_geometry(w, ws)
     u, v = ws / g.norm_wstar, w / g.norm_w
     eye = np.eye(len(w))
     proj = eye - np.outer(v, v)
-    s2 = g.sin_theta**2
+    s2 = g.sin_theta * g.sin_theta
     hl = 0.5 * eye - g.alpha * ((np.outer(u, u) - g.cos_theta * np.outer(v, u) + s2 * eye) @ proj)
     hh = eye - g.alpha * ((2.0 * np.outer(u, u) - g.cos_theta * np.outer(v, u) + s2 * eye) @ proj)
     b = relu1.population_gradients(w, ws)
     num = -2.0 * float(b.grad_seminorm @ (w - ws))
     den = float(b.grad_l2 @ b.grad_l2) - float(b.grad_h1 @ b.grad_h1)
-    errs = [float(np.linalg.norm(w - eta * grad - ws)) for grad in (b.grad_l2, b.grad_h1)]
+    errs = [float(np.sqrt(np.add.reduce(x * x)))
+            for x in (w - eta * grad - ws for grad in (b.grad_l2, b.grad_h1))]
     return hl, hh, errs, num / den
 
 
 def test_stacked_rows_keep_the_one_pair_arithmetic():
     # numpy's square and libm's pow (Python's float **) differ in the last bit
-    # on about 1 input in 1000, as numpy's arctan2 and libm's atan2 do on more:
-    # the stack holds such angles, and every row must take libm's value
+    # on about 1 input in 1000: the stack holds such angles, and every row
+    # must take the square its pair takes alone
     rng = np.random.default_rng(77)
     ws = np.array([0.6, 0.8])
     stack = ws + rng.uniform(0.1, 0.9, (4000, 1)) * rng.standard_normal((4000, 2))

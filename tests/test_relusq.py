@@ -78,12 +78,12 @@ def test_tiny_nonzero_teacher_flow_field_is_not_singular():
     # As w* -> 0 the three gradients tend to 3, 4 and 4 |w|^2 w.  With w* on
     # the first axis of d = 2, a student is its own plane point.
     w = np.array([0.6, 0.8])
-    f = relusq.h2_plane_field(1e-300)(np.stack([w, 2.0 * w]))
+    f = relusq.h2_plane_field("h2", 1e-300)(np.stack([w, 2.0 * w]))
     np.testing.assert_allclose(f, -11.0 * np.stack([w, 8.0 * w]), rtol=1e-14)
     b = relusq.h2_gradients(2.0 * w, 1e-300 * np.array([1.0, 0.0]))
     np.testing.assert_allclose(b.grad_i1 + b.grad_i2 + b.grad_i3, 88.0 * w, rtol=1e-14)
     with pytest.raises(SingularPointError):
-        relusq.h2_plane_field(0.0)
+        relusq.h2_plane_field("h2", 0.0)
 
 
 def test_descent_everywhere_on_basin():
@@ -121,8 +121,9 @@ def test_h2_flow_stays_below_value_only_flow():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     w0 = ws + rng.uniform(0.1, 0.7, size=20)[:, None] * dirs
     p0, pstar = _plane_coordinates(w0, ws)
-    tr_h2 = rk4_integrate(relusq.h2_plane_field(pstar[0]), p0, 1e-3, 3.0, pstar, record_every=50)
-    tr_i1 = rk4_integrate(relusq.h2_plane_field(pstar[0], ("i1",)), p0, 1e-3, 3.0, pstar,
+    tr_h2 = rk4_integrate(relusq.h2_plane_field("h2", pstar[0]), p0, 1e-3, 3.0, pstar,
+                          record_every=50)
+    tr_i1 = rk4_integrate(relusq.h2_plane_field("i1", pstar[0]), p0, 1e-3, 3.0, pstar,
                           record_every=50)
     assert np.all(tr_h2.v_values <= tr_i1.v_values + 1e-15)
 
@@ -132,7 +133,7 @@ def test_batched_field_matches_pointwise_rhs():
     # also below that axis
     rng = np.random.default_rng(7)
     ws = np.array([1.2, 0.0])
-    field = relusq.h2_plane_field(ws[0])
+    field = relusq.h2_plane_field("h2", ws[0])
     w = ws + 0.3 * rng.standard_normal((5, 2))
     batched = field(w)
     for i in range(5):
@@ -140,26 +141,27 @@ def test_batched_field_matches_pointwise_rhs():
         assert batched[i] == pytest.approx(-(b.grad_i1 + b.grad_i2 + b.grad_i3), rel=1e-12)
 
 
-def test_per_row_parts_match_single_set_fields_bitwise():
+def test_per_row_variants_match_single_variant_fields_bitwise():
     # the relusq experiment integrates h2 and i1 rows as one ensemble; each
-    # row is the float the field of its own component set gives on the same
-    # stack, and on a stack of that row alone
+    # row is the float the field of its own variant gives on the same stack,
+    # and on a stack of that row alone
     rng = np.random.default_rng(11)
     ws = rng.standard_normal(4)
     w = ws + 0.3 * rng.standard_normal((6, 4))
     p, pstar = _plane_coordinates(w, ws)
-    row_parts = [("i1", "i2", "i3"), ("i1",), ("i1",), ("i3", "i1"), ("i1", "i2", "i3"), ("i2",)]
-    stacked = relusq.h2_plane_field(pstar[0], row_parts)(p)
-    for i, parts in enumerate(row_parts):
-        assert np.array_equal(stacked[i], relusq.h2_plane_field(pstar[0], parts)(p)[i])
-        assert np.array_equal(stacked[i], relusq.h2_plane_field(pstar[0], parts)(p[i:i + 1])[0])
-    with pytest.raises(ValueError):
-        relusq.h2_plane_field(pstar[0], [("i1",), ()])
+    variants = ["h2", "i1", "i1", "h2", "h2", "i1"]
+    stacked = relusq.h2_plane_field(variants, pstar[0])(p)
+    for i, variant in enumerate(variants):
+        assert np.array_equal(stacked[i], relusq.h2_plane_field(variant, pstar[0])(p)[i])
+        assert np.array_equal(stacked[i], relusq.h2_plane_field(variant, pstar[0])(p[i:i + 1])[0])
+    for bad in ("i3", ["i1", "h1"]):
+        with pytest.raises(ValueError, match="unknown relusq variant"):
+            relusq.h2_plane_field(bad, pstar[0])
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 32])
 def test_plane_flow_traces_match_the_d_dimensional_traces(d, plane_starts):
-    # both components sets of the relusq experiment, in one ensemble, on and
+    # both variants of the relusq experiment, in one ensemble, on and
     # next to the teacher's line: the (m, 2) plane flow is the d-dimensional
     # one, one stacked ``h2_gradients`` call per stage, up to rounding, and a
     # start on the line stays on it
@@ -167,7 +169,7 @@ def test_plane_flow_traces_match_the_d_dimensional_traces(d, plane_starts):
     m = len(w0)
     p0, pstar = _plane_coordinates(w0, ws)
     p0[m - 2, 1] = 0.0
-    parts = [("i1", "i2", "i3")] * m + [("i1",)] * m
+    variants = ["h2"] * m + ["i1"] * m
     h2_rows = np.repeat([True, False], m)[:, None]
 
     def stacked_field(w):
@@ -175,12 +177,12 @@ def test_plane_flow_traces_match_the_d_dimensional_traces(d, plane_starts):
         return -np.where(h2_rows, b.grad_i1 + b.grad_i2 + b.grad_i3, b.grad_i1)
 
     full = rk4_integrate(stacked_field, np.tile(w0, (2, 1)), 1e-2, 3.0, ws, record_every=10)
-    plane = rk4_integrate(relusq.h2_plane_field(pstar[0], parts), np.tile(p0, (2, 1)), 1e-2, 3.0,
-                          pstar, record_every=10)
+    plane = rk4_integrate(relusq.h2_plane_field(variants, pstar[0]), np.tile(p0, (2, 1)), 1e-2,
+                          3.0, pstar, record_every=10)
     assert np.abs(plane.v_values - full.v_values).max() <= 1e-13
     assert (plane.states[:, [m - 2, 2 * m - 2], 1] == 0.0).all()
     with pytest.raises(SingularPointError):
-        relusq.h2_plane_field(0.0)
+        relusq.h2_plane_field("h2", 0.0)
 
 
 def test_stacked_gradients_are_the_one_pair_gradients():

@@ -63,7 +63,7 @@ def test_ensemble_traces_are_the_lone_runs(dim, batch):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown kind 'h2'"):
         cfg(loss_kind="h2")
     with pytest.raises(ValueError):
         cfg(batch_size=5000)
