@@ -6,9 +6,17 @@ manifest.json recording the resolved configuration and code version;
 present in an output directory, judges them with ``criteria.judge`` and
 emits report.json with one entry per criterion, in table order.
 
-Numbers are written with 17 significant digits (round-trip exact for
-64-bit floats) so re-running a subcommand with identical configuration
-yields byte-identical CSV bodies; worker count never changes results.
+CSV I/O is columnar.  A subcommand hands ``_write_csv`` one array of
+numbers, or one sequence of labels, per column; each distinct number of a
+column is formatted once, with 17 significant digits (round-trip exact
+for 64-bit floats) and integers written as integers, so re-running a
+subcommand with identical configuration yields byte-identical CSV bodies;
+worker count never changes results.  ``_read_csv`` parses a CSV in one
+``np.loadtxt`` pass into one array per column, and every ``_measure_c*``
+works on those arrays.  A malformed CSV (a row with a cell too many or too
+few, a number that does not parse, a column that is missing) is an error
+whose message starts with the file's name; ``summarize`` records it as the
+note of each criterion measured from that file.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical error
 (a singular point of a closed form or a blown-up trajectory), 1 internal
@@ -22,6 +30,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -47,12 +56,24 @@ def _fmt(x) -> str:
     return f"{xf:.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length ``columns``, one per ``header`` name: an array of
+    numbers, each cell written by ``_fmt``, or a sequence of str labels,
+    written as they are.  Each distinct number of a column is formatted
+    once; ``csv.writer`` quotes the cells and ends each line."""
+    cells = []
+    for col in columns:
+        col = np.asarray(col)
+        if col.dtype.kind != "U":
+            # _fmt reads every cell as float(x), so the float64 values of a
+            # column stand for its cells; None becomes nan, as _fmt writes it
+            values, where = np.unique(col.astype(float), return_inverse=True)
+            col = np.array([_fmt(v) for v in values.tolist()], dtype=object)[where]
+        cells.append(col.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+        writer.writerows(zip(*cells, strict=True))
 
 
 def _write_manifest(out_dir: Path, subcommand: str, cfg: dict) -> None:
@@ -191,16 +212,14 @@ def cmd_landscape(cfg: dict, out: Path) -> list[Path]:
     ws[:, 1] = np.sin(thetas) * cfg["norm_w"]
     wstar = np.zeros(d)
     wstar[0] = cfg["norm_wstar"]
-    rows = []
+    blocks = []
     for lo in range(0, n, LANDSCAPE_BLOCK):
-        block = ws[lo : lo + LANDSCAPE_BLOCK]
-        rep = relu1.hessians(block, wstar)
-        rows += zip(thetas[lo : lo + LANDSCAPE_BLOCK], rep.geometry.alpha,
-                    rep.kappa_l2, rep.kappa_h1, rep.spectrum_l2.lam_min, rep.spectrum_h1.lam_min,
-                    rep.spectrum_l2.lam_max, rep.spectrum_h1.lam_max)
+        rep = relu1.hessians(ws[lo : lo + LANDSCAPE_BLOCK], wstar)
+        blocks.append((rep.geometry.alpha, rep.kappa_l2, rep.kappa_h1, rep.spectrum_l2.lam_min,
+                       rep.spectrum_h1.lam_min, rep.spectrum_l2.lam_max, rep.spectrum_h1.lam_max))
     path = out / "landscape.csv"
     _write_csv(path, ["theta", "alpha", "kappa_l2", "kappa_h1", "lam_min_l2", "lam_min_h1",
-                      "lam_max_l2", "lam_max_h1"], rows)
+                      "lam_max_l2", "lam_max_h1"], [thetas, *map(np.concatenate, zip(*blocks))])
     return [path]
 
 
@@ -209,10 +228,10 @@ def cmd_gd_compare(cfg: dict, out: Path) -> list[Path]:
     ws, wstar = basin_pairs(rng, cfg["dim"], cfg["points"])
     # each point steps eta_factor times its own bound C
     rep = relu1.gd_compare(ws, wstar, cfg["eta_factor"], relative=True)
-    rows = zip(range(len(ws)), rep.geometry.theta, rep.max_step_c, rep.eta,
-               rep.err_l2, rep.err_h1, rep.gain_f)
     path = out / "gd_compare.csv"
-    _write_csv(path, ["point_id", "theta", "max_step_c", "eta", "err_l2", "err_h1", "gain_f"], rows)
+    _write_csv(path, ["point_id", "theta", "max_step_c", "eta", "err_l2", "err_h1", "gain_f"],
+               [np.arange(len(ws)), rep.geometry.theta, rep.max_step_c, rep.eta,
+                rep.err_l2, rep.err_h1, rep.gain_f])
     return [path]
 
 
@@ -223,10 +242,10 @@ RELUSQ_RECORD_DT = 0.02
 
 
 def _flow_rows(labels: list[str], make_field, w0: np.ndarray, wstar: np.ndarray,
-               t_end: float, dt: float) -> list[tuple]:
+               t_end: float, dt: float) -> list[np.ndarray]:
     """Integrate every row of w0 under every label as one stacked run in the
-    plane span{w0, w*}; rows (init_id, label, t, v) sorted by (init_id, label),
-    with t = dt * i below ``t_end``, then ``t_end``.
+    plane span{w0, w*}; the columns (init_id, label, t, v) of its rows sorted
+    by (init_id, label), with t = dt * i below ``t_end``, then ``t_end``.
 
     Every single-node gradient is a combination of w and w*, so each
     trajectory stays in that plane.  Each start maps to plane coordinates
@@ -242,19 +261,21 @@ def _flow_rows(labels: list[str], make_field, w0: np.ndarray, wstar: np.ndarray,
     p0, pstar = _plane_coordinates(w0, wstar)
     trace = _dp45_rows(make_field(np.repeat(labels, m), pstar[0]),
                        [(np.tile(p0, (len(labels), 1)), t_end, 0.0, dt)], pstar)[0].trace
-    v = trace.v_values.reshape(len(trace.times), len(labels), m)
-    by_label = sorted(range(len(labels)), key=labels.__getitem__)
-    return [(init_id, labels[j], t, vj) for init_id in range(m) for j in by_label
-            for t, vj in zip(trace.times, v[:, j, init_id])]
+    n_t, by_label = len(trace.times), np.argsort(labels)
+    v = trace.v_values.reshape(n_t, len(labels), m)[:, by_label]
+    return [np.repeat(np.arange(m), len(labels) * n_t),
+            np.tile(np.repeat(np.asarray(labels)[by_label], n_t), m),
+            np.tile(trace.times, m * len(labels)),
+            v.transpose(2, 1, 0).ravel()]
 
 
 def cmd_flow(cfg: dict, out: Path) -> list[Path]:
     kinds = ["l2", "h1"] if cfg["kind"] == "both" else [cfg["kind"]]
     rng = np.random.default_rng(cfg["seed"])
     w0, wstar = basin_pairs(rng, cfg["dim"], cfg["inits"])
-    rows = _flow_rows(kinds, relu1.plane_flow_field, w0, wstar, cfg["t_end"], FLOW_RECORD_DT)
     path = out / "flow.csv"
-    _write_csv(path, ["init_id", "kind", "t", "v"], rows)
+    _write_csv(path, ["init_id", "kind", "t", "v"],
+               _flow_rows(kinds, relu1.plane_flow_field, w0, wstar, cfg["t_end"], FLOW_RECORD_DT))
     return [path]
 
 
@@ -263,14 +284,13 @@ def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
     ws, wstar = basin_pairs(rng, cfg["dim"], cfg["points"])
     ips = relusq.descent_inner_products(ws, wstar)
     descent_path = out / "relusq_descent.csv"
-    _write_csv(descent_path, ["point_id", "ip1", "ip2", "ip3"],
-               ((i, *row) for i, row in enumerate(ips)))
+    _write_csv(descent_path, ["point_id", "ip1", "ip2", "ip3"], [np.arange(len(ips)), *ips.T])
 
     w0, wstar2 = basin_pairs(rng, cfg["dim"], cfg["inits"], rmin=0.1, rmax=0.7)
-    rows = _flow_rows(list(relusq.VARIANTS), relusq.h2_plane_field, w0, wstar2, cfg["t_end"],
-                      RELUSQ_RECORD_DT)
     flow_path = out / "relusq_flow.csv"
-    _write_csv(flow_path, ["init_id", "variant", "t", "v"], rows)
+    _write_csv(flow_path, ["init_id", "variant", "t", "v"],
+               _flow_rows(list(relusq.VARIANTS), relusq.h2_plane_field, w0, wstar2, cfg["t_end"],
+                          RELUSQ_RECORD_DT))
     return [descent_path, flow_path]
 
 
@@ -302,31 +322,28 @@ def cmd_multinode(cfg: dict, out: Path) -> list[Path]:
     exps = np.array([mn.decay_fit(r, run).exponent
                      for r, run in zip(decays, decay_runs)]).reshape(len(ks), 2)
 
-    rows = []
-    for k, (exp_l2, exp_h1), r, d in zip(ks, exps, ratios, final_dist):
-        x_l2, x_h1 = mn.saddle_points(k)
-        f_l2 = mn.reduced_flow_field("l2", k)(np.array([x_l2, x_l2]))
-        f_h1 = mn.reduced_flow_field("h1", k)(np.array([x_h1, x_h1]))
-        rows.append([k, x_l2, x_h1, float(np.max(np.abs(f_l2))), float(np.max(np.abs(f_h1))),
-                     exp_l2, exp_h1, float(np.median(r)), float(d.max())])
+    saddles = np.array([mn.saddle_points(k) for k in ks])
+    saddle_fields = np.array([[np.abs(mn.reduced_flow_field(kind, k)(np.array([x, x]))).max()
+                               for kind, x in zip(("l2", "h1"), xs)] for k, xs in zip(ks, saddles)])
     path = out / "multinode.csv"
     _write_csv(path, ["k", "x_saddle_l2", "x_saddle_h1", "saddle_field_l2", "saddle_field_h1",
-                      "decay_exp_l2", "decay_exp_h1", "time_ratio_median", "max_final_dist"], rows)
+                      "decay_exp_l2", "decay_exp_h1", "time_ratio_median", "max_final_dist"],
+               [ks, *saddles.T, *saddle_fields.T, *exps.T, np.median(ratios, axis=1),
+                final_dist.max(axis=1)])
     return [path]
 
 
 def cmd_toeplitz(cfg: dict, out: Path) -> list[Path]:
-    rows = []
+    blocks = []
     for k in cfg["k_list"]:
         j_l2 = mn.toeplitz_jacobian("l2", k)
         j_h1 = mn.toeplitz_jacobian("h1", k)
-        eigs = np.sort(np.linalg.eigvals(-j_l2).real)
-        expected = np.sort(mn.toeplitz_linearization(k)[1])
-        maxdiff = float(np.abs(j_h1 - 2.0 * j_l2).max())
-        for i in range(k):
-            rows.append((k, i, float(eigs[i]), float(expected[i]), maxdiff))
+        blocks.append((np.full(k, k), np.arange(k), np.sort(np.linalg.eigvals(-j_l2).real),
+                       np.sort(mn.toeplitz_linearization(k)[1]),
+                       np.full(k, np.abs(j_h1 - 2.0 * j_l2).max())))
     path = out / "toeplitz.csv"
-    _write_csv(path, ["k", "eig_index", "eig_l2", "expected_eig", "h1_vs_2l2_maxdiff"], rows)
+    _write_csv(path, ["k", "eig_index", "eig_l2", "expected_eig", "h1_vs_2l2_maxdiff"],
+               map(np.concatenate, zip(*blocks)))
     return [path]
 
 
@@ -345,10 +362,12 @@ def cmd_sgd(cfg: dict, out: Path) -> list[Path]:
         )
         for s, kind in runs
     ])
-    rows = [(s, kind, int(st), err, kap) for (s, kind), trace in zip(runs, traces)
-            for st, err, kap in zip(trace.steps, trace.err_sq, trace.kappa)]
+    logged = [len(trace.steps) for trace in traces]
     path = out / "sgd.csv"
-    _write_csv(path, ["seed", "kind", "step", "err_sq", "kappa"], rows)
+    _write_csv(path, ["seed", "kind", "step", "err_sq", "kappa"],
+               [*(np.repeat(col, logged) for col in zip(*runs)),
+                *(np.concatenate([getattr(trace, f) for trace in traces])
+                  for f in ("steps", "err_sq", "kappa"))])
     return [path]
 
 
@@ -357,10 +376,11 @@ def cmd_verify_gradients(cfg: dict, out: Path) -> list[Path]:
     forms = [tuple(form.split(":")) for form in cfg["forms"]]
     tables = mc._convergence_tables(forms, cfg["dims"], n_grid, cfg["trials"], cfg["seed"],
                                     cfg["threads"])
-    rows = [(model, kind, dim, int(math.log2(n)), mse)
-            for (model, kind), table in zip(forms, tables) for dim, n, mse in table]
+    cells = [len(table) for table in tables]
+    dim, n, mse = np.concatenate(tables).T
     path = out / "convergence.csv"
-    _write_csv(path, ["model", "kind", "dim", "log2_n", "mse"], rows)
+    _write_csv(path, ["model", "kind", "dim", "log2_n", "mse"],
+               [*(np.repeat(col, cells) for col in zip(*forms)), dim, np.log2(n), mse])
     return [path]
 
 
@@ -375,22 +395,22 @@ def cmd_linear(cfg: dict, out: Path) -> list[Path]:
     rows = [(p.ridge_lambda, *conditioning(p), *study) for p, study in zip(problems, studies)]
     path = out / "linear.csv"
     _write_csv(path, ["lambda", "kappa_l2", "kappa_h1", "var_l2_emp", "var_h1_emp",
-                      "var_l2_formula", "var_h1_formula"], rows)
+                      "var_l2_formula", "var_h1_formula"], np.array(rows, dtype=float).T)
     return [path]
 
 
 def cmd_chebyshev(cfg: dict, out: Path) -> list[Path]:
-    rows = []
-    for n in range(1, cfg["n_max"] + 1):
+    ns = np.arange(1, cfg["n_max"] + 1)
+    worst, row_sum = np.zeros(len(ns)), np.zeros(len(ns))
+    for i, n in enumerate(ns.tolist()):
         x = cheb_points(n)
         d = cheb_diff_matrix(n)
-        worst = 0.0
         for k in range(n + 1):
             expected = k * x ** (k - 1) if k > 0 else np.zeros_like(x)
-            worst = max(worst, float(np.abs(d @ x**k - expected).max()))
-        rows.append((n, worst, float(np.abs(d.sum(axis=1)).max())))
+            worst[i] = max(worst[i], float(np.abs(d @ x**k - expected).max()))
+        row_sum[i] = np.abs(d.sum(axis=1)).max()
     path = out / "chebyshev.csv"
-    _write_csv(path, ["n", "max_monomial_err", "row_sum_max"], rows)
+    _write_csv(path, ["n", "max_monomial_err", "row_sum_max"], [ns, worst, row_sum])
     return [path]
 
 
@@ -398,139 +418,172 @@ def cmd_chebyshev(cfg: dict, out: Path) -> list[Path]:
 # summarize: measured values from the CSV artifacts, judged by ``criteria``
 
 
-def _read_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return [dict(r) for r in csv.DictReader(fh)]
+# the columns that hold labels; every other column holds numbers
+LABELS = ("kind", "variant", "model")
 
 
-def _col(rows, name) -> np.ndarray:
-    return np.array([float(r[name]) for r in rows])
+class Columns(dict):
+    """The columns of one CSV by header name; a name it lacks is an error
+    that names the file."""
+
+    def __init__(self, fname: str, columns: dict):
+        super().__init__(columns)
+        self.fname = fname
+
+    def __missing__(self, name):
+        raise ValueError(f"{self.fname}: no column {name!r}")
 
 
-def _traces(rows, label) -> dict[str, np.ndarray]:
+def _read_csv(path: Path) -> Columns:
+    """The columns of a CSV: a float array per number column, a str array per
+    ``LABELS`` column.  One ``np.loadtxt`` pass parses every row against the
+    header, so a row with a cell too many or too few, or a number that does
+    not parse, is an error naming the file, as is a file without rows."""
+    with open(path) as fh:
+        header = next(csv.reader([fh.readline()]))
+        dtype = [(name, object if name in LABELS else float) for name in header]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: raised below
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                                   ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path.name}: {exc}") from None
+    if not table.size:
+        raise ValueError(f"{path.name}: no rows")
+    return Columns(path.name, {name: table[name].astype(str) if name in LABELS else table[name]
+                               for name in header})
+
+
+def _group_ids(*keys) -> np.ndarray:
+    """Each row's group, rows with equal values in every ``keys`` column
+    sharing one, numbered 0, 1, ... in order of first appearance."""
+    codes = np.stack([np.unique(key, return_inverse=True)[1] for key in keys])
+    _, first, group = np.unique(codes, axis=1, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[group]
+
+
+def _groups(keys, order_by=()) -> list[np.ndarray]:
+    """Row indices of each group of ``_group_ids(*keys)``, in group order,
+    each group's rows sorted by the ``order_by`` columns (the first one first)."""
+    group = _group_ids(*keys)
+    rows = np.lexsort((*order_by[::-1], group))
+    return np.split(rows, np.cumsum(np.bincount(group))[:-1])
+
+
+def _traces(cols, label) -> dict[str, np.ndarray]:
     """V traces (inits, times) per value of the ``label`` column, in order of first appearance."""
-    labels = np.array([r[label] for r in rows])
-    init, t, v = _col(rows, "init_id"), _col(rows, "t"), _col(rows, "v")
-    out = {}
-    for lab in dict.fromkeys(labels.tolist()):
-        sel = labels == lab
-        order = np.lexsort((t[sel], init[sel]))
-        out[lab] = v[sel][order].reshape(np.unique(init[sel]).size, -1)
-    return out
+    init = cols["init_id"]
+    return {str(cols[label][rows[0]]): cols["v"][rows].reshape(np.unique(init[rows]).size, -1)
+            for rows in _groups([cols[label]], [init, cols["t"]])}
 
 
-def _measure_c1(rows):
-    kl, kh = _col(rows, "kappa_l2"), _col(rows, "kappa_h1")
-    rel_l = np.abs(_col(rows, "lam_max_l2") / _col(rows, "lam_min_l2") - kl) / kl
-    rel_h = np.abs(_col(rows, "lam_max_h1") / _col(rows, "lam_min_h1") - kh) / kh
-    off = _col(rows, "theta") > criteria.MIN_THETA
+def _measure_c1(cols):
+    kl, kh = cols["kappa_l2"], cols["kappa_h1"]
+    rel_l = np.abs(cols["lam_max_l2"] / cols["lam_min_l2"] - kl) / kl
+    rel_h = np.abs(cols["lam_max_h1"] / cols["lam_min_h1"] - kh) / kh
+    off = cols["theta"] > criteria.MIN_THETA
     return {"max_rel_err": np.max([rel_l, rel_h]), "max_kappa_gap": (kh - kl)[off].max()}
 
 
-def _measure_c2(rows):
-    return {"max_extreme_dev": criteria.extreme_dev(_col(rows, "lam_max_l2"),
-                                                    _col(rows, "lam_max_h1")).max()}
+def _measure_c2(cols):
+    return {"max_extreme_dev": criteria.extreme_dev(cols["lam_max_l2"], cols["lam_max_h1"]).max()}
 
 
-def _measure_c3(rows):
-    gain = _col(rows, "gain_f")
-    return {"min_gain": gain.min(),
-            "max_excess": (_col(rows, "err_h1") - (_col(rows, "err_l2") - gain)).max()}
+def _measure_c3(cols):
+    gain = cols["gain_f"]
+    return {"min_gain": gain.min(), "max_excess": (cols["err_h1"] - (cols["err_l2"] - gain)).max()}
 
 
-def _measure_c4(rows):
-    v = _traces(rows, "kind")
+def _measure_c4(cols):
+    v = _traces(cols, "kind")
     m = {f"worst_final_v_{kind}": tr[:, -1].max() for kind, tr in v.items()}
     if {"l2", "h1"} <= v.keys():
         m["ordering_excess"] = (v["h1"] - v["l2"]).max()
     if "l2" in v:
         # lambda_max(hess L) = 1/2 bounds V_l2(t) below by V_l2(0) e^-t (the mechanism)
-        t_last = max(float(r["t"]) for r in rows)
-        m["v_l2_spectral_floor"] = v["l2"][:, 0].max() * math.exp(-t_last)
+        m["v_l2_spectral_floor"] = v["l2"][:, 0].max() * math.exp(-cols["t"].max())
     return m
 
 
-def _measure_c6(rows, flow_rows):
-    m = {"worst_inner_product": np.max([_col(rows, c) for c in ("ip1", "ip2", "ip3")])}
-    if flow_rows is not None:
-        v = _traces(flow_rows, "variant")
+def _measure_c6(cols, flow_cols):
+    m = {"worst_inner_product": np.max([cols[c] for c in ("ip1", "ip2", "ip3")])}
+    if flow_cols is not None:
+        v = _traces(flow_cols, "variant")
         m["h2_excess"] = (v["h2"] - v["i1"]).max()
     return m
 
 
-def _measure_c7(rows):
-    ks = _col(rows, "k")
-    ratios = _col(rows, "time_ratio_median")
-    saddles = np.stack([_col(rows, "x_saddle_l2"), _col(rows, "x_saddle_h1")], axis=-1)
+def _measure_c7(cols):
+    ks = cols["k"]
+    ratios = cols["time_ratio_median"]
+    saddles = np.stack([cols["x_saddle_l2"], cols["x_saddle_h1"]], axis=-1)
     return {
         "saddle_formula_dev": np.abs(saddles - [mn.saddle_points(k) for k in ks]).max(),
-        "saddle_field_dev": np.max([_col(rows, "saddle_field_l2"), _col(rows, "saddle_field_h1")]),
-        "decay_rel_dev": criteria.decay_rel_dev(
-            ks, _col(rows, "decay_exp_l2"), _col(rows, "decay_exp_h1")).max(),
-        "max_final_dist": _col(rows, "max_final_dist").max(),
+        "saddle_field_dev": np.max([cols["saddle_field_l2"], cols["saddle_field_h1"]]),
+        "decay_rel_dev": criteria.decay_rel_dev(ks, cols["decay_exp_l2"], cols["decay_exp_h1"]).max(),
+        "max_final_dist": cols["max_final_dist"].max(),
         "time_ratio_range": [ratios.min(), ratios.max()],
         "time_ratios": {int(k): r for k, r in zip(ks, ratios)},
     }
 
 
-def _measure_c8(rows):
-    ks = _col(rows, "k")
-    dev = np.abs(_col(rows, "eig_l2") - _col(rows, "expected_eig"))
+def _measure_c8(cols):
+    ks = cols["k"]
+    dev = np.abs(cols["eig_l2"] - cols["expected_eig"])
     return {"worst_eig_dev": dev.max(),
-            "h1_vs_2l2_maxdiff": _col(rows, "h1_vs_2l2_maxdiff").max(),
+            "h1_vs_2l2_maxdiff": cols["h1_vs_2l2_maxdiff"].max(),
             "eig_dev_by_k": {int(k): dev[ks == k].max() for k in np.unique(ks)}}
 
 
-def _measure_c9(rows):
-    cells: dict = {}
-    for r in rows:
-        cells.setdefault("{}:{}:d{}".format(r["model"], r["kind"], r["dim"]), []).append(
-            (int(r["log2_n"]), float(r["mse"])))
+def _measure_c9(cols):
+    model, kind, dim, log2_n, mse = (cols[c] for c in ("model", "kind", "dim", "log2_n", "mse"))
     slopes, rise = {}, []
-    for key, pts in cells.items():
-        ns, ms = np.array(sorted(pts)).T
-        slopes[key] = mc.fit_loglog_slope(2.0**ns, ms)
+    for rows in _groups([model, kind, dim], [log2_n, mse]):
+        first, ms = rows[0], mse[rows]
+        key = f"{model[first]}:{kind[first]}:d{_fmt(dim[first])}"
+        slopes[key] = mc.fit_loglog_slope(2.0 ** log2_n[rows], ms)
         rise.append(ms[-1] - ms[0])
     values = list(slopes.values())
     return {"slope_range": [np.min(values), np.max(values)],
             "max_mse_rise": np.max(rise), "slopes": slopes}
 
 
-def _measure_c10(rows):
-    finals: dict = {}
-    kappas: dict = {}
-    for r in rows:
-        key = (r["seed"], r["kind"])
-        finals[key] = max(finals.get(key, (-1, 0.0)), (int(r["step"]), float(r["err_sq"])))
-        kappas.setdefault((r["seed"], r["step"]), {})[r["kind"]] = float(r["kappa"])
-    med = {kind: float(np.median([v for (_, k), (_, v) in finals.items() if k == kind]))
-           for kind in ("l2", "h1")}
-    # steps where either kappa was not computed carry NaN and are skipped, as in the suite
-    gaps = [p["h1"] - p["l2"] for p in kappas.values()
-            if len(p) == 2 and not (math.isnan(p["h1"]) or math.isnan(p["l2"]))]
+def _measure_c10(cols):
+    seed, kind, step, err = (cols[c] for c in ("seed", "kind", "step", "err_sq"))
+    # each run's final error: its row of the last step
+    final = np.array([rows[-1] for rows in _groups([seed, kind], [step, err])])
+    med = {k: float(np.median(err[final][kind[final] == k])) for k in ("l2", "h1")}
+    # both kinds' kappa at each (seed, step); a pair where either kappa was not
+    # computed carries NaN and is skipped, as in the suite
+    pair = _group_ids(seed, step)
+    kappa = np.full((2, pair.max() + 1), np.nan)
+    for i, k in enumerate(("l2", "h1")):
+        kappa[i, pair[kind == k]] = cols["kappa"][kind == k]
+    paired = ~np.isnan(kappa).any(axis=0)
     m = {"median_gap": med["h1"] - med["l2"],
          "median_final_l2": med["l2"], "median_final_h1": med["h1"]}
-    if gaps:
-        m["kappa_excess"] = np.max(gaps)
+    if paired.any():
+        m["kappa_excess"] = np.max(kappa[1, paired] - kappa[0, paired])
     return m
 
 
-def _measure_c11(rows):
-    emp = {n: _col(rows, f"var_{n}_emp") for n in ("l2", "h1")}
-    form = {n: _col(rows, f"var_{n}_formula") for n in ("l2", "h1")}
-    ridge = _col(rows, "lambda") > 0
+def _measure_c11(cols):
+    emp = {n: cols[f"var_{n}_emp"] for n in ("l2", "h1")}
+    form = {n: cols[f"var_{n}_formula"] for n in ("l2", "h1")}
+    ridge = cols["lambda"] > 0
     m = {"max_var_gap": (emp["h1"] - emp["l2"]).max(),
          "worst_rel_var_err": np.max([np.abs(emp[n] - form[n]) / form[n] for n in emp])}
     if ridge.any():
-        m["max_kappa_gap"] = (_col(rows, "kappa_h1") - _col(rows, "kappa_l2"))[ridge].max()
+        m["max_kappa_gap"] = (cols["kappa_h1"] - cols["kappa_l2"])[ridge].max()
     return m
 
 
-def _measure_c12(rows):
-    return {"worst_err_over_n2": (_col(rows, "max_monomial_err") / _col(rows, "n") ** 2).max()}
+def _measure_c12(cols):
+    return {"worst_err_over_n2": (cols["max_monomial_err"] / cols["n"] ** 2).max()}
 
 
-# criterion -> (the CSVs it is measured from, extraction taking one row list per CSV);
+# criterion -> (the CSVs it is measured from, extraction taking one ``Columns`` per CSV);
 # the first CSV is required, a later one is None when absent.  c5 and c13 have no CSV.
 SOURCES = {
     "c1_condition_number_law": (("landscape.csv",), _measure_c1),

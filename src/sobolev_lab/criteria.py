@@ -5,7 +5,7 @@ acceptance suite measures every clause at the criterion's stated size;
 ``cli.summarize`` measures what its CSV artifacts carry, and the suite takes
 its values wherever one subcommand run is the criterion's experiment (c4,
 c6, c7, c8, c10 and c12; only c1, c2, c3, c5 and c11 draw their own
-samples, and c9 hands its rows to the same extraction).  Both
+samples, and c9 hands its columns to the same extraction).  Both
 hand their values to ``judge``, which returns the one entry shape recorded
 in ``report.json`` and in the pytest cache:
 

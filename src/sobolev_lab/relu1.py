@@ -341,13 +341,29 @@ def gd_quadratic_forms(theta: float) -> tuple[np.ndarray, ...]:
 # one-step GD comparison
 
 
+# ``gd_compare`` takes C at a power-of-two scaling of each pair whose
+# largest entry lies outside [1 / _C_SCALE, _C_SCALE]
+_C_SCALE = 2.0**256
+
+
+def _step_bound(e, gl, gj, gh) -> np.ndarray:
+    """C = -2 grad J . e / (|grad L|^2 - |grad H|^2) of each row, e = w - w*;
+    inf where the denominator is 0, nan or inf where a dot product overflows."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        num = -2.0 * _dots(gj, e)
+        den = _dots(gl, gl) - _dots(gh, gh)
+        return np.where(den != 0.0, num / den, math.inf)
+
+
 def gd_compare(w: np.ndarray, wstar: np.ndarray, eta, relative: bool = False) -> GdCompareReport:
     """Take one GD step of stepsize eta under L2 and under H1 and compare errors.
 
     ``max_step_c = -2 grad J . (w - w*) / (|grad L|^2 - |grad H|^2)``; for
     0 < eta < C the squared H1-error is strictly below the squared L2-error
     whenever w != w* lies in the basin.  Outside the basin the numbers are
-    still computed but the guarantee is void (``in_basin`` False).  A step
+    still computed but the guarantee is void (``in_basin`` False).  C is
+    degree 0 in (w, w*), and a pair scaled by a power of two has the same
+    C to the bit, also where the pair's squares leave the floats.  A step
     whose point or error leaves the finite floats raises
     ``SingularPointError``; an error whose square overflows is still taken.
 
@@ -363,11 +379,21 @@ def gd_compare(w: np.ndarray, wstar: np.ndarray, eta, relative: bool = False) ->
     gl, gj = _gradients(w, wstar, geom.norm_w, geom.norm_wstar, geom.theta)
     gh = gl + gj
     e = w - wstar
-    num = -2.0 * _dots(gj, e)
-    den = _dots(gl, gl) - _dots(gh, gh)
+    max_step_c = _step_bound(e, gl, gj, gh)
+    # C is degree 0 in (w, w*): a pair whose largest entry is far from 1, so
+    # that the squares in its dot products may leave the floats, takes C at
+    # the pair scaled by the power of two that brings that entry into
+    # [0.5, 1).  The scaling is exact, so C is the float of the unscaled pair
+    scale = np.maximum(np.abs(w).max(axis=-1), np.abs(wstar).max())
+    far = np.isfinite(scale) & ((scale > _C_SCALE) | (scale < 1.0 / _C_SCALE))
+    if far.any():
+        s = np.ldexp(1.0, -np.frexp(scale[far])[1])[:, None]
+        w_s, wstar_s = w[far] * s, wstar * s
+        g = pair_geometry(w_s, wstar_s)
+        gl_s, gj_s = _gradients(w_s, wstar_s, g.norm_w, g.norm_wstar, g.theta)
+        max_step_c[far] = _step_bound(w_s - wstar_s, gl_s, gj_s, gl_s + gj_s)
     # a bound or stepsize that leaves the floats makes a step that raises below
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        max_step_c = np.where(den != 0.0, num / den, math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
         eta = eta * max_step_c if relative else np.asarray(eta, dtype=float)
     if np.any(eta <= 0.0):
         raise ValueError("stepsize must be positive")
@@ -379,7 +405,7 @@ def gd_compare(w: np.ndarray, wstar: np.ndarray, eta, relative: bool = False) ->
     err_l2, err_h1 = _norm(np.stack([w_new_l2, w_new_h1]) - wstar)
     if not (np.isfinite(err_l2).all() and np.isfinite(err_h1).all()):
         raise SingularPointError(f"a GD step of stepsize up to {eta.max():g} leaves the floats")
-    in_basin = np.sqrt(_dots(e, e)) < np.sqrt(_dots(wstar, wstar))
+    in_basin = _norm(e) < _norm(wstar)
     fields = {"err_l2": err_l2, "err_h1": err_h1, "gain_f": err_l2 - err_h1,
               "max_step_c": max_step_c, "eta": np.broadcast_to(eta, max_step_c.shape),
               "in_basin": in_basin}

@@ -61,11 +61,11 @@ def _component_grads(w: np.ndarray, wstar: np.ndarray, theta, nw, ns) -> tuple[n
     ``theta`` and norm ``nw`` of each state and the teacher norm ``ns``."""
     theta, nw, ns = np.asarray(theta)[..., None], np.asarray(nw)[..., None], float(ns)
     g, h, g1 = _coeffs(theta)
-    nw2 = nw**2
+    nw2, ns2 = nw**2, ns * ns  # a float's ns**2 raises where it overflows
     sc = np.sin(theta) * np.cos(theta)
     dot = np.sum(w * wstar, axis=-1)[..., None]
-    return (3.0 * nw2 * w - (ns**2 / math.pi) * g * w - (nw * ns / math.pi) * h * wstar,
-            4.0 * (nw2 * w - (sc / TWO_PI) * ns**2 * w - (nw * ns / TWO_PI) * g1 * wstar),
+    return (3.0 * nw2 * w - (ns2 / math.pi) * g * w - (nw * ns / math.pi) * h * wstar,
+            4.0 * (nw2 * w - (sc / TWO_PI) * ns2 * w - (nw * ns / TWO_PI) * g1 * wstar),
             4.0 * nw2 * w - (4.0 * (math.pi - theta) / math.pi) * dot * wstar)
 
 
@@ -74,7 +74,8 @@ def h2_gradients(w: np.ndarray, wstar: np.ndarray) -> H2GradientBundle:
 
     ``w`` is one student (d,) or a stack (m, d) against one teacher (d,); a
     stack gives (m, d) gradients, each row bit for bit its student's alone,
-    as the angle and norms come from ``pair_geometry``.
+    as the angle and norms come from ``pair_geometry``.  A gradient that
+    leaves the floats (|w| ~ 1e150 gives ~1e450) raises ``SingularPointError``.
     """
     w = np.asarray(w, dtype=float)
     wstar = np.asarray(wstar, dtype=float)
@@ -84,16 +85,25 @@ def h2_gradients(w: np.ndarray, wstar: np.ndarray) -> H2GradientBundle:
         raise SingularPointError("second-order closed forms are singular at zero vectors")
     geom = pair_geometry(w, wstar)
     ns = np.ravel(geom.norm_wstar)[0]  # one teacher: one norm for every row
-    return H2GradientBundle(*_component_grads(w, wstar, geom.theta, geom.norm_w, ns))
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        grads = _component_grads(w, wstar, geom.theta, geom.norm_w, ns)
+    if not all(np.isfinite(g).all() for g in grads):
+        raise SingularPointError("a second-order gradient leaves the floats")
+    return H2GradientBundle(*grads)
 
 
 def descent_inner_products(ws: np.ndarray, wstar: np.ndarray) -> np.ndarray:
     """-(w - w*) . grad I_k of each student of a stack ws (m, d), as an (m, 3) array:
-    one stacked ``h2_gradients`` call, then row dot products."""
+    one stacked ``h2_gradients`` call, then row dot products; a product
+    that leaves the floats raises ``SingularPointError``."""
     ws = np.asarray(ws, dtype=float)
     b = h2_gradients(ws, wstar)
     e = ws - np.asarray(wstar, dtype=float)
-    return np.stack([-_dots(e, g) for g in (b.grad_i1, b.grad_i2, b.grad_i3)], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        ips = np.stack([-_dots(e, g) for g in (b.grad_i1, b.grad_i2, b.grad_i3)], axis=-1)
+    if not np.isfinite(ips).all():
+        raise SingularPointError("a descent inner product leaves the floats")
+    return ips
 
 
 def h2_plane_field(variant, norm_wstar: float):

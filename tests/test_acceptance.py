@@ -7,7 +7,7 @@ Where one subcommand run reproduces a criterion's experiment (c4 ``flow``,
 c6 ``relusq``, c7 ``multinode``, c8 ``toeplitz``, c10 ``sgd``, c12
 ``chebyshev``), the test runs it through the CLI and takes the values
 ``summarize`` measures from its CSVs, adding only what no CSV carries
-(``seconds``, c12's ``n1_exact``); c9 hands its convergence rows to the same
+(``seconds``, c12's ``n1_exact``); c9 hands its convergence columns to the same
 extraction.  The other tests (c1, c2, c3, c5, c11) draw their own samples at
 the criterion's size.  Three criteria encode idealized claims that
 the exact closed-form fields provably violate; those tests fail by design,
@@ -195,9 +195,10 @@ def test_c09_mc_verification():
             shared = _convergence_tables(group, [dim], n_grid, trials, seed=909, threads=2)
             tables.update(((form, dim), table) for form, table in zip(group, shared))
 
-    # convergence.csv rows, measured as ``summarize`` measures them
-    rows = [{"model": model, "kind": kind, "dim": dim, "log2_n": math.log2(n), "mse": mse}
+    # convergence.csv columns, measured as ``summarize`` measures them
+    rows = [(model, kind, dim, math.log2(n), mse)
             for model, kind in forms for dim in dims for _, n, mse in tables[(model, kind), dim]]
+    cols = dict(zip(("model", "kind", "dim", "log2_n", "mse"), map(np.array, zip(*rows))))
 
     # pointwise agreement at N = 1e6, in standard errors, every closed form; the
     # estimates run in one call on two workers, which moves no value
@@ -219,7 +220,7 @@ def test_c09_mc_verification():
     worst_z = 0.0
     for [est], target in zip(_reduce_cells(cells, threads=2), closed):
         worst_z = np.maximum(worst_z, float(np.max(np.abs(est.mean - target) / est.std_error)))
-    judged("c9_mc_verification", **cli._measure_c9(rows), worst_z=worst_z,
+    judged("c9_mc_verification", **cli._measure_c9(cols), worst_z=worst_z,
            seconds=time.time() - start)
 
 

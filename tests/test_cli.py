@@ -128,7 +128,7 @@ def test_single_node_flow_rows_match_a_fixed_step_rk4_reference(tmp_path):
                      w0, wstar, 4.0, cli.RELUSQ_RECORD_DT)
     for path, label, want in ((flow / "flow.csv", "kind", want_flow),
                               (sq / "relusq_flow.csv", "variant", want_sq)):
-        got = cli._traces(read_rows(path), label)
+        got = cli._traces(cli._read_csv(path), label)
         assert got.keys() == want.keys()
         for lab, v in want.items():
             assert got[lab].shape == v.shape
@@ -657,7 +657,91 @@ def test_float_format_roundtrips(tmp_path):
         v = float(r["kappa_l2"])
         assert f"{v:.17g}" == r["kappa_l2"]
     # non-finite values (max_step_c is inf where the step bound is vacuous)
-    _write_csv(out / "nonfinite.csv", ["v"], [(v,) for v in (math.inf, -math.inf, math.nan, 0.1)])
+    _write_csv(out / "nonfinite.csv", ["v"], [[math.inf, -math.inf, math.nan, 0.1]])
     back = [float(r["v"]) for r in read_rows(out / "nonfinite.csv")]
     assert back[:2] == [math.inf, -math.inf]
     assert math.isnan(back[2]) and back[3] == 0.1
+
+
+# numbers _fmt writes in each of its ways: nan and the infinities, signed
+# zeros, integers below and above its 1e15 bound, subnormals, the largest floats
+SPECIAL = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 1e308, -1e308,
+           1e15, -1e15, 1e15 - 1, 1e15 + 2, 2.0**53 + 2, 0.1)
+_floats = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.floats(-2e15, 2e15))
+_ints = st.one_of(st.integers(-10**15 - 2, 10**15 + 2), st.integers(-2**62, 2**62))
+# a cell is a Python or a numpy number
+_numbers = st.one_of(_floats.flatmap(lambda x: st.sampled_from([x, np.float64(x)])),
+                     _ints.flatmap(lambda i: st.sampled_from([i, np.int64(i)])))
+# labels: printable ASCII with quotes, commas and spaces, but no line break
+_labels = st.text(st.characters(codec="ascii", categories=["L", "N", "P", "Zs"]), max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    """(header, columns): 1-3 number columns and up to 2 label columns of one
+    length, each number column a list or an array, each label column named
+    as ``cli.LABELS`` names them."""
+    n = draw(st.integers(1, 12))
+    numbers = draw(st.lists(st.lists(_numbers, min_size=n, max_size=n), min_size=1, max_size=3))
+    numbers = [np.asarray(col) if draw(st.booleans()) else col for col in numbers]
+    labels = draw(st.lists(st.lists(_labels, min_size=n, max_size=n), max_size=2))
+    named = [(f"x{i}", col) for i, col in enumerate(numbers)] + list(zip(cli.LABELS, labels))
+    order = draw(st.permutations(range(len(named))))
+    return [named[i][0] for i in order], [named[i][1] for i in order]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_tables())
+def test_columns_write_the_row_wise_bytes_and_read_back(table):
+    # the columnar writer gives the bytes of csv.writer over _fmt cell by
+    # cell, and the reader gives back every column
+    header, columns = table
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([v if isinstance(v, str) else cli._fmt(v) for v in row])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == ref.getvalue().encode()
+        back = cli._read_csv(path)
+    assert list(back) == header
+    for name, col in zip(header, columns):
+        if name in cli.LABELS:
+            assert back[name].tolist() == col
+        else:
+            assert np.array_equal(back[name], np.asarray(col, dtype=float), equal_nan=True), name
+
+
+def _lines(edit):
+    """A corruption of a CSV's text: ``edit`` maps its list of lines to another."""
+    return lambda text: "\n".join(edit(text.splitlines())) + "\n"
+
+
+@pytest.mark.parametrize("corrupt, fault", [
+    (_lines(lambda ls: ls[:-1] + [ls[-1].rsplit(",", 1)[0]]), "requires 4 columns but 3 were found"),
+    (_lines(lambda ls: ls[:3] + [ls[3] + ",0"] + ls[4:]), "requires 4 columns but 5 were found"),
+    (_lines(lambda ls: ls[:5] + [ls[5].rsplit(",", 1)[0] + ",x"] + ls[6:]),
+     "could not convert string 'x'"),
+    (_lines(lambda ls: [line.rsplit(",", 1)[0] for line in ls]), "no column 'v'"),
+    (_lines(lambda ls: ls[:1]), "no rows"),
+], ids=["truncated-last-row", "extra-cell", "word-for-number", "missing-column", "no-rows"])
+def test_a_malformed_csv_is_an_error_naming_the_file_and_the_fault(tmp_path, corrupt, fault):
+    # a row with a cell too few or too many, a cell that is no number, a
+    # missing column and no rows: an error note that starts with the file's
+    # name, on exactly the criteria measured from that file; no column is
+    # shortened to make the rows fit
+    assert run("flow", "--inits", "2", "--t-end", "0.1", "--out-dir", str(tmp_path)) == 0
+    assert run("landscape", "--theta-grid", "4", "--out-dir", str(tmp_path)) == 0
+    flow = tmp_path / "flow.csv"
+    flow.write_text(corrupt(flow.read_text()))
+    statuses = {}
+    for crit, entry in summarize(tmp_path)["criteria"].items():
+        statuses[crit] = entry["status"]
+        if crit == "c4_h1_flow_acceleration":
+            assert entry["note"].startswith("flow.csv: ") and fault in entry["note"], entry["note"]
+            assert entry["measured"] == {}
+    assert statuses.pop("c4_h1_flow_acceleration") == "error"
+    assert statuses.pop("c1_condition_number_law") == statuses.pop("c2_hessian_spectra") == "pass"
+    assert set(statuses.values()) == {"missing"}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -587,3 +588,23 @@ def test_region_labels_match_hessian_minimum_eigenvalues():
             assert rep.spectrum_h1.lam_min > -1e-12
         else:
             assert rep.spectrum_h1.lam_min < 1e-9
+
+
+def test_gd_compare_bound_at_huge_and_tiny_points_is_the_unscaled_bound():
+    # C is degree 0 in (w, w*), so at lambda (w, w*) it is the float it is
+    # at (w, w*), also where its dot products leave the floats, and a
+    # relative step there is taken, with no warning
+    rng = np.random.default_rng(56)
+    ws = rng.standard_normal(5)
+    w = ws + 0.6 * rng.standard_normal((40, 5))
+    base = relu1.gd_compare(w, ws, 1.0).max_step_c
+    assert np.isfinite(base).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (2.0**500, 2.0**-500, 2.0**900, 2.0**-900):
+            assert np.array_equal(relu1.gd_compare(lam * w, lam * ws, 1.0).max_step_c, base), lam
+            assert relu1.gd_compare(lam * w[7], lam * ws, 1.0).max_step_c == base[7], lam
+            rep = relu1.gd_compare(lam * w, lam * ws, 0.9, relative=True)
+            assert np.array_equal(rep.eta, 0.9 * base), lam
+        huge = relu1.gd_compare(np.array([3e200, 4e200]), np.array([1.0, 0.5]), 1e-300)
+        assert math.isfinite(huge.max_step_c)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,25 @@ def test_tiny_nonzero_student_is_not_singular():
     for part in ("grad_i1", "grad_i2", "grad_i3"):
         np.testing.assert_allclose(getattr(tiny, part) / 1e-300, getattr(ref, part) / 1e-100,
                                    rtol=1e-14, atol=1e-150)
+
+
+def test_gradients_that_leave_the_floats_raise():
+    # at |w| ~ 1e150 the gradients are ~1e450: no float, so no NaN either;
+    # at 1e100 they are finite and the descent inner products ~1e400 are not
+    rng = np.random.default_rng(15)
+    w, ws = rng.standard_normal(4), rng.standard_normal(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (1e150, 1e300):
+            with pytest.raises(SingularPointError, match="leaves the floats"):
+                relusq.h2_gradients(lam * w, lam * ws)
+            with pytest.raises(SingularPointError, match="leaves the floats"):
+                relusq.h2_gradients(np.stack([w, lam * w]), lam * ws)
+            with pytest.raises(SingularPointError, match="leaves the floats"):
+                relusq.descent_inner_products(lam * w[None], lam * ws)
+        assert np.isfinite(relusq.h2_gradients(1e100 * w, 1e100 * ws).grad_i1).all()
+        with pytest.raises(SingularPointError, match="descent inner product leaves the floats"):
+            relusq.descent_inner_products(1e100 * w[None], 1e100 * ws)
 
 
 def test_tiny_nonzero_teacher_flow_field_is_not_singular():
@@ -188,19 +208,22 @@ def test_plane_flow_traces_match_the_d_dimensional_traces(d, plane_starts):
 def test_stacked_gradients_are_the_one_pair_gradients():
     # bit for bit, over ordinary, tiny, huge, collinear and opposite students
     # at d = 2..64; a zero student, in a stack or alone, or a zero teacher is
-    # singular
+    # singular, and a student whose |w|^2 w leaves the floats raises
     rng = np.random.default_rng(21)
     for d in (2, 3, 5, 16, 64):
         ws = rng.standard_normal(d)
         rows = np.stack([*rng.standard_normal((4, d)), 1e-300 * rng.standard_normal(d),
-                         1e300 * rng.standard_normal(d), 2.0 * ws, -0.5 * ws, ws])
-        with np.errstate(over="ignore", invalid="ignore"):  # the huge row's |w|^2 w overflows
-            stacked = relusq.h2_gradients(rows, ws)
-            alone = [relusq.h2_gradients(w, ws) for w in rows]
+                         1e100 * rng.standard_normal(d), 2.0 * ws, -0.5 * ws, ws])
+        stacked = relusq.h2_gradients(rows, ws)
+        alone = [relusq.h2_gradients(w, ws) for w in rows]
         for part in ("grad_i1", "grad_i2", "grad_i3"):
             assert getattr(stacked, part).shape == rows.shape
             np.testing.assert_array_equal(getattr(stacked, part),
                                           [getattr(b, part) for b in alone], err_msg=part)
+        huge = 1e300 * rng.standard_normal(d)
+        for w in (huge, np.concatenate([rows, huge[None]])):
+            with pytest.raises(SingularPointError, match="leaves the floats"):
+                relusq.h2_gradients(w, ws)
         with pytest.raises(SingularPointError):
             relusq.h2_gradients(np.concatenate([rows[:2], np.zeros((1, d))]), ws)
         with pytest.raises(SingularPointError):
