@@ -7,16 +7,18 @@ present in an output directory, judges them with ``criteria.judge`` and
 emits report.json with one entry per criterion, in table order.
 
 CSV I/O is columnar.  A subcommand hands ``_write_csv`` one array of
-numbers, or one sequence of labels, per column; each distinct number of a
-column is formatted once, with 17 significant digits (round-trip exact
-for 64-bit floats) and integers written as integers, so re-running a
-subcommand with identical configuration yields byte-identical CSV bodies;
-worker count never changes results.  ``_read_csv`` parses a CSV in one
-``np.loadtxt`` pass into one array per column, and every ``_measure_c*``
-works on those arrays.  A malformed CSV (a row with a cell too many or too
-few, a number that does not parse, a column that is missing) is an error
-whose message starts with the file's name; ``summarize`` records it as the
-note of each criterion measured from that file.
+numbers, or one sequence of labels, per column; each distinct value of a
+column is formatted once, numbers with 17 significant digits (round-trip
+exact for 64-bit floats) and integers written as integers, and each line
+is joined from its column strings with the bytes ``csv.writer`` writes, so
+re-running a subcommand with identical configuration yields byte-identical
+CSV bodies; worker count never changes results.  ``_read_csv`` parses a
+CSV in one ``np.loadtxt`` pass into one array per column, and every
+``_measure_c*`` works on those arrays.  A malformed CSV (a row with a cell
+too many or too few, a number that does not parse, a column that is
+missing) is an error whose message starts with the file's name and, for a
+bad row, its line; ``summarize`` records it as the note of each criterion
+measured from that file.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical error
 (a singular point of a closed form or a blown-up trajectory), 1 internal
@@ -32,6 +34,7 @@ import math
 import sys
 import warnings
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -45,35 +48,58 @@ from .linear import LinearProblem, conditioning, variance_study
 from .ode import _dp45_rows
 
 
+def _fmt_values(values: np.ndarray) -> np.ndarray:
+    """The cells of float64 ``values``: integral values below 1e15 in
+    magnitude as integers, other finite values with 17 significant digits
+    (round-trip exact), and nan, inf and -inf as ``repr`` writes them, each
+    of which reads back through float()."""
+    cells = np.empty(len(values), dtype=object)
+    finite = np.isfinite(values)
+    integral = finite & (np.abs(values) < 1e15) & (values == np.trunc(values))
+    fraction = finite & ~integral
+    cells[integral] = [repr(int(v)) for v in values[integral].tolist()]
+    cells[fraction] = [f"{v:.17g}" for v in values[fraction].tolist()]
+    cells[~finite] = [repr(v) for v in values[~finite].tolist()]
+    return cells
+
+
 def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    xf = float(x)
-    if not math.isfinite(xf):
-        return repr(xf)  # nan, inf, -inf: each reads back through float()
-    if xf == int(xf) and abs(xf) < 1e15:
-        return repr(int(xf))
-    return f"{xf:.17g}"
+    """One number's cell, as ``_fmt_values`` writes it; None is nan."""
+    return _fmt_values(np.array([math.nan if x is None else float(x)]))[0]
+
+
+def _quote(label: str) -> str:
+    """A cell as ``csv.writer`` writes it among others: quoted, its quotes
+    doubled, where it holds a comma, a quote or a line break."""
+    if any(c in label for c in ',"\r\n'):
+        return '"' + label.replace('"', '""') + '"'
+    return label
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length ``columns``, one per ``header`` name: an array of
-    numbers, each cell written by ``_fmt``, or a sequence of str labels,
-    written as they are.  Each distinct number of a column is formatted
-    once; ``csv.writer`` quotes the cells and ends each line."""
+    numbers, written by ``_fmt_values``, or a sequence of str labels, quoted
+    by ``_quote``.  Each distinct value of a column is written once; each
+    line joins its cells with commas and ends in CRLF, as ``csv.writer``
+    writes it."""
     cells = []
     for col in columns:
         col = np.asarray(col)
-        if col.dtype.kind != "U":
-            # _fmt reads every cell as float(x), so the float64 values of a
-            # column stand for its cells; None becomes nan, as _fmt writes it
+        if col.dtype.kind == "U":
+            values, where = np.unique(col, return_inverse=True)
+            text = np.array([_quote(v) for v in values.tolist()], dtype=object)
+        else:
+            # the float64 values of a column stand for its cells (float(x) of
+            # each); None becomes nan, as _fmt writes it
             values, where = np.unique(col.astype(float), return_inverse=True)
-            col = np.array([_fmt(v) for v in values.tolist()], dtype=object)[where]
-        cells.append(col.tolist())
+            text = _fmt_values(values)
+        cells.append(text[where].tolist())
+    rows = map(",".join, zip(*cells, strict=True))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cells, strict=True))
+        fh.write(",".join(map(_quote, header)) + "\r\n")
+        # a few thousand lines per write: the text of the whole file is never held
+        while lines := list(islice(rows, 4096)):
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _write_manifest(out_dir: Path, subcommand: str, cfg: dict) -> None:
@@ -183,12 +209,14 @@ EXPERIMENTS = {
     # estimators whose per-sample gradients live in span{w, w*} have ~2
     # effective dof per trial, so their slope fits need ~25 trials; the
     # x-valued estimators are tame at any of the default dims.  threads is
-    # the Monte-Carlo worker cap and never affects results.
+    # the Monte-Carlo worker cap and never affects results.  A cell of 2^32
+    # samples is 65536 sampling blocks.
     "verify-gradients": ("MC convergence study of the closed forms",
                          {"dims": [4, 16, 64], "n_min": 10, "n_max": 17, "trials": 25,
                           "forms": ["relu:l2", "relu:h1_semi", "relu_sq:i1", "relu_sq:i2",
                                     "relu_sq:i3", "multinode:l2"], "threads": 1},
-                         {"forms": Rule("of the shape model:kind", lambda v: v.count(":") == 1)}),
+                         {"forms": Rule("of the shape model:kind", lambda v: v.count(":") == 1),
+                          "n_max": Rule("an integer in [1, 32]", lambda v: 1 <= v <= 32)}),
     "linear": ("linear-model conditioning and variances",
                {"n": 200, "dim": 8, "sigma": 1.0, "lambdas": [0.5, 1.0, 2.0], "trials": 10000},
                {"sigma": NON_NEGATIVE, "lambdas": NON_NEGATIVE}),
@@ -372,6 +400,9 @@ def cmd_sgd(cfg: dict, out: Path) -> list[Path]:
 
 
 def cmd_verify_gradients(cfg: dict, out: Path) -> list[Path]:
+    if cfg["n_min"] > cfg["n_max"]:
+        raise ValueError(f"n_min must be <= n_max, got n_min={cfg['n_min']} and "
+                         f"n_max={cfg['n_max']}")
     n_grid = [2**p for p in range(cfg["n_min"], cfg["n_max"] + 1)]
     forms = [tuple(form.split(":")) for form in cfg["forms"]]
     tables = mc._convergence_tables(forms, cfg["dims"], n_grid, cfg["trials"], cfg["seed"],
@@ -434,11 +465,44 @@ class Columns(dict):
         raise ValueError(f"{self.fname}: no column {name!r}")
 
 
+def _first_fault(path: Path, header: list[str]) -> str | None:
+    """'line N: ...' for the first row of ``path`` that has another number of
+    cells than ``header`` or a number column cell that is no number, N its
+    1-based line in the file (the header is line 1); None if every row parses."""
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for row in rows:
+            if not row:  # np.loadtxt skips a blank line
+                continue
+            if len(row) != len(header):
+                return (f"line {rows.line_num}: the header requires {len(header)} columns "
+                        f"but {len(row)} were found")
+            for name, cell in zip(header, row):
+                if name not in LABELS and not _is_float(cell):
+                    return (f"line {rows.line_num}: could not convert string {cell!r} to "
+                            f"float64 in column {name!r}")
+    return None
+
+
+def _is_float(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``cell`` as a float64: what float() reads,
+    less the non-ASCII digits and the underscores that only float() takes."""
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv(path: Path) -> Columns:
     """The columns of a CSV: a float array per number column, a str array per
     ``LABELS`` column.  One ``np.loadtxt`` pass parses every row against the
     header, so a row with a cell too many or too few, or a number that does
-    not parse, is an error naming the file, as is a file without rows."""
+    not parse, is an error naming the file and the line (``_first_fault``),
+    as is a file without rows."""
     with open(path) as fh:
         header = next(csv.reader([fh.readline()]))
         dtype = [(name, object if name in LABELS else float) for name in header]
@@ -448,7 +512,7 @@ def _read_csv(path: Path) -> Columns:
                 table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
                                    ndmin=1)
         except ValueError as exc:
-            raise ValueError(f"{path.name}: {exc}") from None
+            raise ValueError(f"{path.name}: {_first_fault(path, header) or exc}") from None
     if not table.size:
         raise ValueError(f"{path.name}: no rows")
     return Columns(path.name, {name: table[name].astype(str) if name in LABELS else table[name]
@@ -689,7 +753,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - report and signal internal failure
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     for path in paths:
         print(path)

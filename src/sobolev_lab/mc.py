@@ -9,6 +9,8 @@ reduced in block order, which makes repeated runs bit-identical.  Estimates
 of one cell (seed, n_samples, dim) share its draws: each block is drawn once
 and every kernel of the cell is applied to it.  The worker pool takes the
 (cell, block) units largest first; that order never changes a result.
+Box-Muller writes the cos and sin halves of each chunk straight into one
+array, so no normal is copied after it is formed.
 
 A unit streams its block: it draws the rows in ordered chunks of about
 CHUNK doubles from the block's one generator and folds each chunk into
@@ -18,7 +20,9 @@ chunk's first row carries the running sum, so a gradient mean is bit for
 bit that of a one-pass block sum (numpy sums a (B, ...) array's rows in
 order).  numpy sums a (B,) loss pairwise, so a loss chunk is summed on its
 own and added to the running sum.  The centred sums of squares of chunks,
-and then of blocks, are merged with Chan, Golub & LeVeque's update.
+and then of blocks, are merged with Chan, Golub & LeVeque's update.  The
+convergence study reads only the means, so its kernels fold the sums alone
+(``spread=False``): the same means bit for bit, and no standard error.
 
 Per-sample gradients use the indicator identities of the closed-form
 derivations (ReLU derivative 1{t>0}), e.g. for the first-order model:
@@ -75,10 +79,11 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sample mean with elementwise standard errors (std / sqrt(n))."""
+    """Sample mean with elementwise standard errors (std / sqrt(n)); the
+    standard error is None where the kernel folded the sums alone."""
 
     mean: np.ndarray
-    std_error: np.ndarray
+    std_error: np.ndarray | None
     n: int
 
 
@@ -105,7 +110,10 @@ def _normal_chunks(seed: int, block: int, count: int, dim: int) -> Iterator[np.n
         u = gen.random((size, n_pairs, 2))
         r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))  # 1-u in (0,1]: log stays finite
         a = 2.0 * np.pi * u[..., 1]
-        yield np.concatenate([r * np.cos(a), r * np.sin(a)], axis=1)[:, :dim]
+        z = np.empty((size, 2 * n_pairs))
+        np.multiply(r, np.cos(a), out=z[:, :n_pairs])
+        np.multiply(r, np.sin(a), out=z[:, n_pairs:])
+        yield z[:, :dim]
         start += size
 
 
@@ -131,9 +139,14 @@ def _merge(partials: list, counts: list[int], n: int) -> McEstimate:
     """One estimate from its block partials (sum, centred sum of squares), in block order.
 
     The mean is the plain block-ordered sum over n; the centred sums of
-    squares are merged with ``_chan_m2``.
+    squares are merged with ``_chan_m2``.  Partials whose centred sums of
+    squares are None (sums only) give an estimate without a standard error.
     """
     total = partials[0][0].astype(float)
+    if partials[0][1] is None:
+        for s, _ in partials[1:]:
+            total = total + s
+        return McEstimate(mean=total / n, std_error=None, n=n)
     m2 = partials[0][1].astype(float)
     seen = counts[0]
     for (s, s2), count in zip(partials[1:], counts[1:]):
@@ -150,7 +163,9 @@ class _Kernel:
 
     ``fold(acc, x)`` folds chunk x into the unit's accumulator (None before
     the first chunk); ``moments(acc, count)`` is the unit's (sum, centred sum
-    of squares) over its ``count`` samples.
+    of squares) over its ``count`` samples.  A kernel made with
+    ``spread=False`` folds the sums alone, and its centred sum of squares is
+    None.
     """
 
 
@@ -162,11 +177,13 @@ class _Values(_Kernel):
     first row continues the block's row-ordered sum bit for bit.  A (B,)
     array numpy sums pairwise, where the carried sum would cost digits, so
     its chunk sum is added to the total instead.  Each chunk's centred sum
-    of squares is merged in with ``_chan_m2``.
+    of squares is merged in with ``_chan_m2``; without ``spread`` the
+    accumulator's centred sum of squares is None.
     """
 
-    def __init__(self, f: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], spread: bool = True):
         self.f = f
+        self.spread = spread
 
     def fold(self, acc, x: np.ndarray):
         vals = self.f(x)
@@ -184,6 +201,8 @@ class _Values(_Kernel):
             total = vals.sum(axis=0)
             vals[0] = first
             s = total - acc[0]
+        if not self.spread:
+            return total, None, None
         vals -= s / rows
         m2 = np.square(vals, out=vals).sum(axis=0)
         if acc is None:
@@ -204,9 +223,11 @@ class _SpanCounts(_Kernel):
     array, and the sum is exact up to a few roundings.
     """
 
-    def __init__(self, w: np.ndarray, wstar: np.ndarray, u: np.ndarray, v: np.ndarray):
+    def __init__(self, w: np.ndarray, wstar: np.ndarray, u: np.ndarray, v: np.ndarray,
+                 spread: bool = True):
         self.proj = np.stack([w, wstar], axis=1)
         self.u, self.v = u, v
+        self.spread = spread
 
     def fold(self, acc, x: np.ndarray):
         p = x @ self.proj
@@ -219,6 +240,8 @@ class _SpanCounts(_Kernel):
         n10, n00 = n1 - n11, count - n1
         u, v = self.u, self.v
         s = n10 * u + n11 * v
+        if not self.spread:
+            return s, None
         mean = s / count
         return s, n00 * mean**2 + n10 * (u - mean) ** 2 + n11 * (v - mean) ** 2
 
@@ -360,22 +383,24 @@ def _span_values(part: str, w: np.ndarray, wstar: np.ndarray, dots) -> tuple[np.
 _SPAN_PARTS = ("semi", "i3")
 
 
-def _persample(model: str, kind: str, W: np.ndarray, Wstar: np.ndarray, what: str):
+def _persample(model: str, kind: str, W: np.ndarray, Wstar: np.ndarray, what: str,
+               spread: bool = True):
     """Kernel of (model, kind) at students W and teachers W* (K, d).
 
     First-order gradients are (B, K, d) for "multinode" and (B, d) for "relu";
     everything else is one student: (B, d) gradients, (B,) losses.  The
     gradient of a single-node kind that is one part in ``_SPAN_PARTS`` alone
     ("h1_semi", "i3") is a ``_SpanCounts`` over the indicator counts; every
-    other kernel is a per-sample ``_Values``.
+    other kernel is a per-sample ``_Values``.  Without ``spread`` the kernel
+    folds the sums alone, and its estimate has no standard error.
     """
     parts = _parts(model, kind)
     if what == "grad" and model == "multinode":
-        return _Values(lambda x: _combine(_relu_grad(x, W, Wstar, parts)))
+        return _Values(lambda x: _combine(_relu_grad(x, W, Wstar, parts)), spread)
     w, wstar = W[0], Wstar[0]
     dots = (float(w @ w), float(w @ wstar), float(wstar @ wstar))
     if what == "grad" and len(parts) == 1 and parts[0] in _SPAN_PARTS:
-        return _SpanCounts(w, wstar, *_span_values(parts[0], w, wstar, dots))
+        return _SpanCounts(w, wstar, *_span_values(parts[0], w, wstar, dots), spread)
 
     if what == "grad" and model == "relu":
         def kernel(x: np.ndarray) -> np.ndarray:
@@ -390,7 +415,7 @@ def _persample(model: str, kind: str, W: np.ndarray, Wstar: np.ndarray, what: st
             ss = np.where(istar, ps, 0.0)
             return _combine([_part_value(what, p, w, wstar, dots, x, iw, istar, sw, ss)
                              for p in parts])
-    return _Values(kernel)
+    return _Values(kernel, spread)
 
 
 def mc_loss_and_grad(
@@ -492,7 +517,8 @@ def _convergence_tables(
     A table has rows (dim, n, mse) with the MSE averaged over ``trials``
     independent basin pairs per dim.  A cell's substream seed depends only on
     (seed, dim, trial, i), so cells are statistically independent and every
-    form's kernel is applied to one draw of each block.
+    form's kernel is applied to one draw of each block.  Only the means enter
+    the MSE, so the kernels fold the sums alone.
     """
     forms = [(model.lower(), kind.lower()) for model, kind in forms]
     dims, n_grid = list(dims), list(n_grid)
@@ -502,7 +528,8 @@ def _convergence_tables(
     for dim in dims:
         for trial in range(trials):
             pairs = [_basin_pair(model, seed, dim, trial) for model, _ in forms]
-            kernels = [_persample(model, kind, np.atleast_2d(w), np.atleast_2d(wstar), "grad")
+            kernels = [_persample(model, kind, np.atleast_2d(w), np.atleast_2d(wstar), "grad",
+                                  spread=False)
                        for (model, kind), (w, wstar) in zip(forms, pairs)]
             closed = [closed_form_grad(model, kind, w, wstar)
                       for (model, kind), (w, wstar) in zip(forms, pairs)]

@@ -325,6 +325,8 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                  ("multinode", "--k-list", "1"),
                  ("verify-gradients", "--trials", "0"),
                  ("verify-gradients", "--n-min", "5", "--n-max", "3"),
+                 # 2^70 samples per cell: its block list once ran out of memory (exit 1)
+                 ("verify-gradients", "--n-min", "70", "--n-max", "70"),
                  ("sgd", "--batch", "0", "--seeds", "1", "--steps", "3"),
                  # a stepsize factor that is not positive and finite
                  ("gd-compare", "--points", "3", "--eta-factor", "inf"),
@@ -375,7 +377,12 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                          ("norm_wstar", "a float > 0 or inf")),
                         ((*mc_small, "--dims", "0"), ("dims", "integer >= 1")),
                         ((*mc_small, "--dims", "1", "--forms", "multinode:l2"),
-                         ("multinode", "dim >= 2"))):
+                         ("multinode", "dim >= 2")),
+                        # the sample grid's bound, and the two ends of the grid
+                        (("verify-gradients", "--n-min", "70", "--n-max", "70"),
+                         ("n_max", "an integer in [1, 32]")),
+                        (("verify-gradients", "--n-min", "12", "--n-max", "10"),
+                         ("n_min=12", "n_max=10"))):
         assert run(*argv, "--out-dir", str(tmp_path / "e")) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and all(name in err[0] for name in named), err
@@ -437,6 +444,16 @@ def test_any_edge_value_exits_0_2_or_3_without_a_warning(case):
     if code != 0:
         assert not wrote_manifest, case
         assert len(err.getvalue().splitlines()) == 1 or not parsed, (case, err.getvalue())
+
+
+def test_an_internal_error_without_a_message_names_its_type(tmp_path, capsys, monkeypatch):
+    def fail(cfg, out):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_chebyshev", fail)
+    assert run("chebyshev", "--out-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err.splitlines() == ["internal error: MemoryError"]
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):
@@ -745,3 +762,20 @@ def test_a_malformed_csv_is_an_error_naming_the_file_and_the_fault(tmp_path, cor
     assert statuses.pop("c4_h1_flow_acceleration") == "error"
     assert statuses.pop("c1_condition_number_law") == statuses.pop("c2_hessian_spectra") == "pass"
     assert set(statuses.values()) == {"missing"}
+
+
+@pytest.mark.parametrize("text, note", [
+    ("a,b\r\n1,2\r\n3,4\r\n5\r\n", "t.csv: line 4: the header requires 2 columns but 1 were found"),
+    ("a,b\r\n1,2\r\n3,x\r\n", "t.csv: line 3: could not convert string 'x' to float64 in column 'b'"),
+    # float() takes digit-group underscores, np.loadtxt does not
+    ("a,b\r\n\r\n1,2\r\n1_0,4\r\n",
+     "t.csv: line 4: could not convert string '1_0' to float64 in column 'a'"),
+], ids=["short-row", "word-for-number", "underscore-after-a-blank-line"])
+def test_a_csv_fault_is_named_by_its_line_in_the_file(tmp_path, text, note):
+    # the header is line 1; both faults count lines the same way and carry no
+    # advice on numpy's API
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as caught:
+        cli._read_csv(path)
+    assert str(caught.value) == note

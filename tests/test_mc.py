@@ -86,7 +86,7 @@ def test_each_block_is_drawn_once_for_every_form(monkeypatch):
         assert len(set(calls)) == len(calls)
 
 
-def test_tables_are_bit_identical_at_any_thread_count():
+def test_tables_are_bit_identical_at_any_thread_count(monkeypatch):
     # every form over dims and block counts that mix unit sizes, so the
     # largest-first dispatch reorders the units
     forms = [(model, kind) for model, kinds in _FORMS.items() for kind in kinds]
@@ -94,6 +94,10 @@ def test_tables_are_bit_identical_at_any_thread_count():
     base = _convergence_tables(*args, seed=19, threads=1)
     for threads in (2, 3):
         assert _convergence_tables(*args, seed=19, threads=threads) == base
+    # the study's kernels fold the sums alone; the moments path gives the same tables
+    built = mc._persample
+    monkeypatch.setattr(mc, "_persample", lambda *a, spread: built(*a))
+    assert _convergence_tables(*args, seed=19, threads=2) == base
 
 
 def test_units_run_largest_first(monkeypatch):
@@ -183,6 +187,84 @@ def test_streamed_means_are_the_one_shot_block_means(dim):
             assert np.array_equal(est.mean, ref.mean), (model, kind, n)
             np.testing.assert_allclose(est.std_error, ref.std_error, rtol=1e-12, atol=0.0,
                                        err_msg=f"{model}:{kind} n={n}")
+
+
+def _moments_fold(kernel, chunks):
+    """One block's (sum, centred sum of squares) as the moments path folds
+    it, written out: over the block's ``chunks`` a gradient chunk's first row
+    carries the running sum and each chunk's centred sum of squares is
+    merged with Chan, Golub & LeVeque's update; a span kind's come from its
+    three indicator counts."""
+    count = sum(map(len, chunks))
+    if isinstance(kernel, mc._SpanCounts):
+        p = np.concatenate([x @ kernel.proj for x in chunks])
+        on = p[:, 0] > 0
+        n11 = np.count_nonzero(on & (p[:, 1] > 0))
+        n10 = np.count_nonzero(on) - n11
+        s = n10 * kernel.u + n11 * kernel.v
+        mean = s / count
+        return s, ((count - n10 - n11) * mean**2 + n10 * (kernel.u - mean) ** 2
+                   + n11 * (kernel.v - mean) ** 2)
+    total = m2 = None
+    seen = 0
+    for x in chunks:
+        vals = kernel.f(x)
+        carried = vals.copy()
+        if total is not None:
+            carried[0] += total
+        new_total = carried.sum(axis=0)
+        s = new_total if total is None else new_total - total
+        dev = vals - s / len(vals)
+        chunk_m2 = (dev * dev).sum(axis=0)
+        if m2 is None:
+            m2 = chunk_m2
+        else:
+            delta = s / len(vals) - total / seen
+            m2 = m2 + chunk_m2 + delta**2 * (seen * len(vals) / (seen + len(vals)))
+        total, seen = new_total, seen + len(vals)
+    return total, m2
+
+
+def _moments_merge(partials, counts, n):
+    """The mean and standard error of block partials, merged in block order."""
+    total, m2 = partials[0]
+    seen = counts[0]
+    for (s, s2), count in zip(partials[1:], counts[1:]):
+        delta = s / count - total / seen
+        m2 = m2 + s2 + delta**2 * (seen * count / (seen + count))
+        total, seen = total + s, seen + count
+    return total / n, np.sqrt(m2 / (n - 1) / n)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64, 65])
+def test_means_only_cells_keep_the_means_and_carry_no_standard_error(dim):
+    # a cell that folds the sums alone gives the moments path's means bit for
+    # bit and no standard error; the moments path keeps its standard errors
+    forms = [(model, kind) for model, kinds in _FORMS.items() for kind in kinds]
+    # two orthonormal teachers need d >= 2, so at d = 1 the multinode forms
+    # take the relu pair as a one-node stack
+    pairs = {model: mc._basin_pair(model if dim > 1 else "relu", dim, dim, 0) for model in _FORMS}
+    both = []
+    for spread in (True, False):
+        both.append([_persample(model, kind, np.atleast_2d(pairs[model][0]),
+                                np.atleast_2d(pairs[model][1]), "grad", spread=spread)
+                     for model, kind in forms])
+    for i, n in enumerate((1023, BLOCK + 17, 2 * BLOCK + 1)):
+        cfg = McConfig(n_samples=n, seed=50 * dim + i, dim=dim)
+        counts = mc._block_counts(n)
+        moments = _reduce_cells([(cfg, both[0])], threads=1)[0]
+        sums = _reduce_cells([(cfg, both[1])], threads=2)[0]
+        partials = [[] for _ in forms]
+        for b, count in enumerate(counts):
+            chunks = list(mc._normal_chunks(cfg.seed, b, count, dim))
+            for part, kernel in zip(partials, both[0]):
+                part.append(_moments_fold(kernel, chunks))
+        for (model, kind), part, est, est_sums in zip(forms, partials, moments, sums):
+            mean, se = _moments_merge(part, counts, n)
+            assert np.array_equal(est.mean, mean), (model, kind, n)
+            assert np.array_equal(est.std_error, se), (model, kind, n)
+            assert np.array_equal(est_sums.mean, est.mean), (model, kind, n)
+            assert est_sums.std_error is None, (model, kind, n)
 
 
 def test_a_block_streams_in_small_chunks():
