@@ -329,7 +329,7 @@ def cmd_multinode(cfg: dict, out: Path) -> list[Path]:
     # angles; every run below, of every K, integrates as one ensemble
     rng = np.random.default_rng(cfg["seed"])
     x0 = rng.uniform(0.15, 1.0, size=cfg["starts"])
-    y0 = np.array([rng.uniform(0.0, max(x - 0.05, 0.0)) for x in x0])
+    y0 = rng.uniform(0.0, np.maximum(x0 - 0.05, 0.0))
     angs = rng.uniform(0.15, math.pi / 2 - 0.15, size=len(ks) * cfg["ratio_starts"])
     near = np.stack([1.0 - 1e-3 * np.cos(angs), 1e-3 * np.sin(angs)], axis=1)
     k_rows = np.repeat(ks, cfg["ratio_starts"])
@@ -605,9 +605,13 @@ def _measure_c9(cols):
     slopes, rise = {}, []
     for rows in _groups([model, kind, dim], [log2_n, mse]):
         first, ms = rows[0], mse[rows]
+        if log2_n[first] == log2_n[rows[-1]]:
+            continue  # one sample size: no slope and no rise to measure
         key = f"{model[first]}:{kind[first]}:d{_fmt(dim[first])}"
         slopes[key] = mc.fit_loglog_slope(2.0 ** log2_n[rows], ms)
         rise.append(ms[-1] - ms[0])
+    if not slopes:
+        return {}
     values = list(slopes.values())
     return {"slope_range": [np.min(values), np.max(values)],
             "max_mse_rise": np.max(rise), "slopes": slopes}

@@ -65,20 +65,26 @@ def _norm(x: np.ndarray) -> np.ndarray:
     """2-norm over the last axis as ``np.linalg.norm(x, axis=-1)`` computes it,
     a row reduction, without its per-call overhead.
 
-    A nonzero row whose squared norm underflows or overflows is measured
-    with the scale-safe ``math.hypot`` instead, so it never has norm 0; only
-    such rows go through it, and a zero row keeps sqrt(0) = 0.  Each row's
-    norm is bit for bit the one its row gives alone.
+    Only a row whose squared norm leaves [tiny, max] is scaled: by 2^-e, 2^e
+    the power of two of its largest entry, before the same reduction, and
+    back after it (Blue's 1978 scaled norm, as LAPACK's dnrm2).  That is
+    exact, so a nonzero row never has norm 0 and every norm is exactly
+    homogeneous under power-of-two scaling.  Each row's norm is bit for bit
+    the one its row gives alone.
     """
     with np.errstate(over="ignore"):
         sq = np.add.reduce(x * x, axis=-1)
-    norm = np.sqrt(sq)
-    if _TINY <= sq.min() and sq.max() <= _HUGE:
-        return norm
-    unsafe = ~((sq >= _TINY) & (sq <= _HUGE)) & x.any(axis=-1)
+        norm = np.sqrt(sq)
+        if _TINY <= sq.min() and sq.max() <= _HUGE:
+            return norm
+        unsafe = ~((sq >= _TINY) & (sq <= _HUGE))
+        rows = x[unsafe]
+        e = np.frexp(np.abs(rows).max(axis=-1, initial=0.0))[1]
+        r = np.ldexp(rows, -e[:, None])
+        scaled = np.ldexp(np.sqrt(np.add.reduce(r * r, axis=-1)), e)
     if x.ndim == 1:
-        return np.float64(math.hypot(*x)) if unsafe else norm
-    norm[unsafe] = [math.hypot(*r) for r in x[unsafe]]
+        return scaled[0]  # the one row is the unsafe one
+    norm[unsafe] = scaled
     return norm
 
 

@@ -37,14 +37,13 @@ class FlowTrace:
     """Recorded trajectory of a flow integration.
 
     ``times`` is strictly increasing and starts at 0.  ``states[i]`` is the
-    state at ``times[i]`` and ``v_values[i]`` its squared distance to
-    ``target`` (per trajectory row for stacked states).
+    state at ``times[i]`` and ``v_values[i]`` its squared distance to the
+    flow's target (per trajectory row for stacked states).
     """
 
     times: np.ndarray
     states: np.ndarray
     v_values: np.ndarray
-    target: np.ndarray
 
     @property
     def final_state(self) -> np.ndarray:
@@ -144,8 +143,7 @@ def rk4_integrate(
                 times.append(t)
                 states.append(s)
     states = np.array(states)
-    return FlowTrace(times=np.array(times), states=states, v_values=_v(states, target),
-                     target=target)
+    return FlowTrace(times=np.array(times), states=states, v_values=_v(states, target))
 
 
 # --------------------------------------------------------------------------
@@ -350,8 +348,7 @@ def _dp45_rows(field: Callable[[np.ndarray], np.ndarray], runs: list[tuple],
         trace = None
         if runs[j][3] > 0.0:
             states = records[rec_base[j]:rec_base[j + 1]].reshape(-1, sizes[j], y.shape[1])
-            trace = FlowTrace(times=np.append(0.0, grids[j]), states=states,
-                              v_values=_v(states, target), target=target)
+            trace = FlowTrace(times=np.append(0.0, grids[j]), states=states, v_values=_v(states, target))
         out.append(FlowRun(y[rows], _v(y[rows], target), crossed[rows], trace))
     return out
 

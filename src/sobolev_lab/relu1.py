@@ -341,15 +341,12 @@ def gd_quadratic_forms(theta: float) -> tuple[np.ndarray, ...]:
 # one-step GD comparison
 
 
-# ``gd_compare`` takes C at a power-of-two scaling of each pair whose
-# largest entry lies outside [1 / _C_SCALE, _C_SCALE]
-_C_SCALE = 2.0**256
-
-
 def _step_bound(e, gl, gj, gh) -> np.ndarray:
     """C = -2 grad J . e / (|grad L|^2 - |grad H|^2) of each row, e = w - w*;
-    inf where the denominator is 0, nan or inf where a dot product overflows."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    inf where the denominator is 0.  ``gd_compare`` hands in each row scaled
+    by a power of two that brings its pair's largest entry into [0.5, 1), so
+    no dot product leaves the floats."""
+    with np.errstate(divide="ignore", invalid="ignore"):
         num = -2.0 * _dots(gj, e)
         den = _dots(gl, gl) - _dots(gh, gh)
         return np.where(den != 0.0, num / den, math.inf)
@@ -362,9 +359,10 @@ def gd_compare(w: np.ndarray, wstar: np.ndarray, eta, relative: bool = False) ->
     0 < eta < C the squared H1-error is strictly below the squared L2-error
     whenever w != w* lies in the basin.  Outside the basin the numbers are
     still computed but the guarantee is void (``in_basin`` False).  C is
-    degree 0 in (w, w*), and a pair scaled by a power of two has the same
-    C to the bit, also where the pair's squares leave the floats.  A step
-    whose point or error leaves the finite floats raises
+    degree 0 in (w, w*), taken from the gradients scaled by the power of two
+    that brings the pair's largest entry into [0.5, 1), so a pair scaled by
+    a power of two has the same C to the bit, also where its squares leave
+    the floats.  A step whose point or error leaves the finite floats raises
     ``SingularPointError``; an error whose square overflows is still taken.
 
     ``w`` is one point (d,) or a stack (m, d) against one teacher (d,), and
@@ -379,19 +377,11 @@ def gd_compare(w: np.ndarray, wstar: np.ndarray, eta, relative: bool = False) ->
     gl, gj = _gradients(w, wstar, geom.norm_w, geom.norm_wstar, geom.theta)
     gh = gl + gj
     e = w - wstar
-    max_step_c = _step_bound(e, gl, gj, gh)
-    # C is degree 0 in (w, w*): a pair whose largest entry is far from 1, so
-    # that the squares in its dot products may leave the floats, takes C at
-    # the pair scaled by the power of two that brings that entry into
-    # [0.5, 1).  The scaling is exact, so C is the float of the unscaled pair
+    # the gradients are exactly degree 1 under power-of-two scaling, so C is
+    # that of the pair scaled by s, where no square leaves the floats
     scale = np.maximum(np.abs(w).max(axis=-1), np.abs(wstar).max())
-    far = np.isfinite(scale) & ((scale > _C_SCALE) | (scale < 1.0 / _C_SCALE))
-    if far.any():
-        s = np.ldexp(1.0, -np.frexp(scale[far])[1])[:, None]
-        w_s, wstar_s = w[far] * s, wstar * s
-        g = pair_geometry(w_s, wstar_s)
-        gl_s, gj_s = _gradients(w_s, wstar_s, g.norm_w, g.norm_wstar, g.theta)
-        max_step_c[far] = _step_bound(w_s - wstar_s, gl_s, gj_s, gl_s + gj_s)
+    s = np.ldexp(1.0, -np.frexp(scale)[1])[..., None]
+    max_step_c = _step_bound(e * s, gl * s, gj * s, gh * s)
     # a bound or stepsize that leaves the floats makes a step that raises below
     with np.errstate(over="ignore", invalid="ignore"):
         eta = eta * max_step_c if relative else np.asarray(eta, dtype=float)
@@ -401,7 +391,7 @@ def gd_compare(w: np.ndarray, wstar: np.ndarray, eta, relative: bool = False) ->
     with np.errstate(over="ignore", invalid="ignore"):
         w_new_l2 = w - step * gl
         w_new_h1 = w - step * gh
-    # an error whose square overflows is measured by math.hypot
+    # an error whose square overflows is measured at a power-of-two scaling
     err_l2, err_h1 = _norm(np.stack([w_new_l2, w_new_h1]) - wstar)
     if not (np.isfinite(err_l2).all() and np.isfinite(err_h1).all()):
         raise SingularPointError(f"a GD step of stepsize up to {eta.max():g} leaves the floats")

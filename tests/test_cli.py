@@ -548,6 +548,17 @@ def test_summarize_partial_dir_evaluates_only_present(tmp_path):
     assert crits["c9_mc_verification"]["status"] == "missing"
 
 
+def test_summarize_leaves_c9_unmeasured_for_one_sample_size(tmp_path):
+    # a log-log slope through one point is no measurement: it once came out of
+    # a rank-deficient fit as "fail" (or "error" under a RuntimeWarning filter)
+    out = tmp_path / "out"
+    assert run("verify-gradients", "--dims", "4", "--n-min", "10", "--n-max", "10", "--trials", "1",
+               "--forms", "relu:l2", "--out-dir", str(out)) == 0
+    assert run("summarize", str(out)) == 0
+    c9 = json.loads((out / "report.json").read_text())["criteria"]["c9_mc_verification"]
+    assert c9["status"] == "missing" and c9["measured"] == {}, c9
+
+
 def test_sgd_and_linear_and_toeplitz_subcommands(tmp_path):
     out = tmp_path / "out"
     assert run("sgd", "--seeds", "2", "--steps", "200", "--n-train", "1000",

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sobolev_lab import relu1
+from sobolev_lab import multinode as mn, relu1, relusq
 from sobolev_lab.geometry import (_angle_norms, _norm, _plane_angle_norms, _plane_coordinates,
                                   basin_pairs, pair_geometry)
 
@@ -144,7 +144,7 @@ def test_norm_of_one_vector_whose_square_leaves_the_floats():
 
 
 def test_stacked_norm_of_a_huge_row_does_not_warn():
-    # the stack's squares overflow before the hypot fallback measures the
+    # the stack's squares overflow before the scaled fallback measures the
     # row; that is handled, not warned about
     assert _norm(np.array([[3e200, 4e200]]))[0] == math.hypot(3e200, 4e200) == pytest.approx(5e200)
     norms = _norm(np.array([[[3e200, 4e200], [3.0, 4.0]], [[0.0, 0.0], [3e-200, 4e-200]]]))
@@ -154,9 +154,62 @@ def test_stacked_norm_of_a_huge_row_does_not_warn():
 
 def test_gradients_of_a_huge_student_do_not_warn():
     # the one-vector norm of |w| ~ 5e200 went through a dot product that
-    # overflowed with a warning before its hypot fallback
+    # overflowed with a warning before its scaled fallback
     bundle = relu1.population_gradients(np.array([3e200, 4e200]), np.array([1.0, 0.5]))
     assert np.isfinite(bundle.grad_h1).all()
+
+
+def _closed_forms(scale, w, ws, W, Ws, p):
+    """Every public closed form, name -> (degree p in (w, w*), values), each
+    taken at its inputs scaled by ``scale(p)``: students w (m, d) against one
+    teacher ws (d,), K-node sets W, Ws (K, d) and plane points p (m, 2)."""
+    a, b = scale(1) * w, scale(1) * ws  # degrees 0 and 1 share one scaling
+    g = pair_geometry(a, b)
+    h = relu1.hessians(a, b)
+    gd = relu1.gd_compare(a, b, 0.5, relative=True)
+    grad = relu1.population_gradients(a[0], b)
+    forms = {
+        **{f: (0, getattr(g, f)) for f in ("theta", "alpha", "alpha_sin", "alpha_sin_sq")},
+        **{f: (1, getattr(g, f)) for f in ("norm_w", "norm_wstar")},
+        **dict(zip(("hessian_matrices_l2", "hessian_matrices_h1"),
+                   ((0, m) for m in relu1.hessian_matrices(a, b)))),
+        "kappa_l2": (0, h.kappa_l2), "kappa_h1": (0, h.kappa_h1),
+        **{f"{s}_{f}": (0, getattr(getattr(h, s), f)) for s in ("spectrum_l2", "spectrum_h1")
+           for f in ("eigenvalues", "eigenvectors")},
+        "max_step_c": (0, gd.max_step_c),
+        **{f: (1, getattr(gd, f)) for f in ("err_l2", "err_h1", "w_new_l2", "w_new_h1")},
+        **{f: (1, getattr(grad, f)) for f in ("grad_l2", "grad_seminorm", "grad_h1")},
+        "multinode_gradients": (1, mn.multinode_gradients(scale(1) * W, scale(1) * Ws, "h1")),
+        "plane_flow_field": (1, relu1.plane_flow_field(["l2", "h1", "h1"], scale(1) * _norm(ws))(
+            scale(1) * p)),
+        "h2_plane_field": (3, relusq.h2_plane_field(["h2", "i1", "h2"], scale(3) * _norm(ws))(
+            scale(3) * p)),
+        "descent_inner_products": (4, relusq.descent_inner_products(scale(4) * w, scale(4) * ws)),
+    }
+    h2 = relusq.h2_gradients(scale(3) * w, scale(3) * ws)
+    forms.update({f: (3, getattr(h2, f)) for f in ("grad_i1", "grad_i2", "grad_i3")})
+    return forms
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8), k=st.integers(-900, 900))
+@example(seed=0, d=2, k=900)
+@example(seed=0, d=8, k=-900)
+def test_closed_forms_are_exactly_homogeneous_under_power_of_two_scaling(seed, d, k):
+    # each form of degree p at 2^j (inputs) is 2^(j p) times its value, to the
+    # bit: j = k for degrees 0 and 1 (up to 2^+-900, where squares leave the
+    # floats), and for p > 1 the j that keeps 2^(j p) times the value normal
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.5, 2.0)  # a basin pair at a scale that is no power of two
+    w, ws = (c * x for x in basin_pairs(rng, d, 3))
+    W, Ws = rng.standard_normal((2, 3, d))
+    p = rng.standard_normal((3, 2))
+    j = {deg: k if deg <= 1 else int(k / deg) for deg in (0, 1, 3, 4)}
+    base = _closed_forms(lambda deg: 1.0, w, ws, W, Ws, p)
+    scaled = _closed_forms(lambda deg: 2.0 ** j[deg], w, ws, W, Ws, p)
+    for name, (deg, value) in base.items():
+        expected = np.asarray(value) * 2.0 ** (j[deg] * deg)
+        assert np.array_equal(scaled[name][1], expected, equal_nan=True), (name, k)
 
 
 def test_stacked_pair_geometry_rows_are_the_one_pair_values():
