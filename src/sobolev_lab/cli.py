@@ -40,7 +40,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, criteria, mc, multinode as mn, relu1, relusq, sgd as sgd_mod
+from . import __version__, criteria, eigs, mc, multinode as mn, relu1, relusq, sgd as sgd_mod
 from .chebdiff import cheb_diff_matrix, cheb_points
 from .exceptions import BlowUpError, SingularPointError
 from .geometry import _plane_coordinates, basin_pairs
@@ -366,7 +366,7 @@ def cmd_toeplitz(cfg: dict, out: Path) -> list[Path]:
     for k in cfg["k_list"]:
         j_l2 = mn.toeplitz_jacobian("l2", k)
         j_h1 = mn.toeplitz_jacobian("h1", k)
-        blocks.append((np.full(k, k), np.arange(k), np.sort(np.linalg.eigvals(-j_l2).real),
+        blocks.append((np.full(k, k), np.arange(k), eigs.real_eigs(-j_l2).eigenvalues[::-1],
                        np.sort(mn.toeplitz_linearization(k)[1]),
                        np.full(k, np.abs(j_h1 - 2.0 * j_l2).max())))
     path = out / "toeplitz.csv"

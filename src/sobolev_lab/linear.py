@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .eigs import symmetric_eigs
 from .exceptions import SingularPointError
 
 _MIN_GRAM_EIG = 1e-10
@@ -56,7 +57,7 @@ class LinearProblem:
     @cached_property
     def _gram_eigs(self) -> np.ndarray:
         """Ascending eigenvalues of X^T X, taken once; raises if it is numerically singular."""
-        s = np.linalg.eigvalsh(self.gram())
+        s = symmetric_eigs(self.gram()).eigenvalues[::-1]
         if s[0] <= _MIN_GRAM_EIG:
             raise SingularPointError("Gram matrix is numerically singular")
         return s

@@ -516,6 +516,20 @@ def test_flow_blow_up_reports_only_the_numerical_error(tmp_path, capsys, monkeyp
     assert len(err) == 1 and err[0].startswith("numerical error:")
 
 
+def test_toeplitz_complex_spectrum_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    # a Jacobian with a complex pair is not written out as its real part
+    def rotation_block(kind, k):
+        j = np.eye(k)
+        j[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+        return j
+
+    monkeypatch.setattr(mn, "toeplitz_jacobian", rotation_block)
+    assert run("toeplitz", "--k-list", "4", "--out-dir", str(tmp_path)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error:"), err
+    assert not (tmp_path / "toeplitz.csv").exists()
+
+
 def test_tiny_nonzero_student_is_not_singular(tmp_path):
     # w.w underflows to 0 at |w| = 1e-300; the norm must not
     out = tmp_path / "out"

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from sobolev_lab import cli, relu1
 from sobolev_lab.eigs import real_eigs, symmetric_eigs
 from sobolev_lab.exceptions import SingularPointError
+from sobolev_lab.geometry import basin_pairs
 
 
 def test_identity_spectrum():
@@ -94,3 +98,56 @@ def test_stacks_check_every_matrix():
     rotation = np.stack([np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])])
     with pytest.raises(SingularPointError, match="complex"):
         real_eigs(rotation)
+
+
+def _landscape_pairs(d, norm_w, norm_wstar, n=48):
+    # the students of ``landscape``: span{e1, e2} at angles in (0, pi/2) to the teacher e1
+    thetas = np.arange(1, n + 1) * (math.pi / 2) / (n + 1)
+    ws = np.zeros((n, d))
+    ws[:, 0], ws[:, 1] = norm_w * np.cos(thetas), norm_w * np.sin(thetas)
+    wstar = np.zeros(d)
+    wstar[0] = norm_wstar
+    return ws, wstar
+
+
+@pytest.mark.parametrize("d", [2, 32, 100])
+@pytest.mark.parametrize("norm_w, norm_wstar", [(1.0, 1.0), (1e-3, 7.0)])
+def test_landscape_spectra_are_the_vector_routines_bits(d, norm_w, norm_wstar):
+    # the values-only routines give landscape's Hessians the bits the vector
+    # routines give them, so landscape.csv does not depend on which one runs
+    hl, hh = relu1.hessian_matrices(*_landscape_pairs(d, norm_w, norm_wstar))
+    sym = 0.5 * (hl + np.swapaxes(hl, -1, -2))
+    ref_l2 = np.sort(np.linalg.eigh(sym)[0], axis=-1)[:, ::-1]
+    ref_h1 = np.sort(np.linalg.eig(hh)[0].real, axis=-1)[:, ::-1]
+    assert np.array_equal(symmetric_eigs(hl).eigenvalues, ref_l2)
+    assert np.array_equal(real_eigs(hh).eigenvalues, ref_h1)
+
+
+def test_reading_only_eigenvalues_never_forms_vectors(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenvector routine ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    rep = relu1.hessians(*_landscape_pairs(32, 1.0, 1.0))
+    assert np.isfinite(rep.spectrum_l2.lam_min).all() and np.isfinite(rep.spectrum_h1.lam_max).all()
+    assert cli.main(["landscape", "--dim", "32", "--theta-grid", "64",
+                     "--out-dir", str(tmp_path)]) == 0
+
+
+def test_vectors_are_formed_once_on_first_read(monkeypatch):
+    calls = []
+    for name in ("eigh", "eig"):
+        routine = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _routine=routine, _name=name: calls.append(_name) or _routine(a))
+    ws, wstar = basin_pairs(np.random.default_rng(17), 7, 5)
+    rep = relu1.hessians(ws, wstar)
+    assert calls == []
+    spec = rep.spectrum_h1
+    vecs = spec.eigenvectors
+    assert spec.eigenvectors is vecs and calls == ["eig"]
+    assert rep.spectrum_l2.eigenvectors is rep.spectrum_l2.eigenvectors and calls == ["eig", "eigh"]
+    assert vecs.shape == (5, 7, 7)
+    for a, vals, v in zip(rep.hess_h1, spec.eigenvalues, vecs):
+        assert np.linalg.norm(a @ v - v * vals, axis=0).max() <= 1e-10 * np.linalg.norm(a, 2)
