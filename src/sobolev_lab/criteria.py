@@ -1,13 +1,15 @@
 """The 13 acceptance criteria, each defined once.
 
-A criterion is a title plus clauses over named measured values.  The
-acceptance suite measures every clause at the criterion's stated size;
-``cli.summarize`` measures what its CSV artifacts carry, and the suite takes
-its values wherever one subcommand run is the criterion's experiment (c4,
-c6, c7, c8, c10 and c12; only c1, c2, c3, c5 and c11 draw their own
-samples, and c9 hands its columns to the same extraction).  Both
-hand their values to ``judge``, which returns the one entry shape recorded
-in ``report.json`` and in the pytest cache:
+A criterion is a title plus clauses over named measured values; this
+module holds the clause table and ``judge`` and measures nothing.  Every
+value a CSV carries is measured once, by the ``cli._measure_c*`` of its
+criterion: ``cli.summarize`` runs them on the CSV artifacts, and the
+acceptance suite runs them at the criterion's stated size, on the CSV of a
+subcommand run (c4, c6, c7, c8, c10 and c12) or on the columns it builds
+from its own draws (c1, c2, c3, c9 and c11).  Only c5 and c13, which no
+CSV carries, are measured in the suite alone.  Both hand their values to
+``judge``, which returns the one entry shape recorded in ``report.json``
+and in the pytest cache:
 
 * ``status``: ``pass`` when at least one clause is measured and every
   measured clause holds, ``fail`` when a measured clause does not hold,
@@ -148,16 +150,3 @@ def judge(crit_id: str, measured: dict) -> dict:
         entry["mechanism"] = crit.mechanism
     return entry
 
-
-# --------------------------------------------------------------------------
-# derived values that both the acceptance suite and ``summarize`` measure
-
-
-def extreme_dev(lam_max_l2, lam_max_h1):
-    """Deviation of the numeric largest Hessian eigenvalues from 1/2 (L2) and 1 (H1)."""
-    return np.maximum(np.abs(lam_max_l2 - 0.5), np.abs(lam_max_h1 - 1.0))
-
-
-def decay_rel_dev(k, exp_l2, exp_h1):
-    """Relative deviation of the diagonal decay exponents from -K/2 and -K."""
-    return np.maximum(np.abs(exp_l2 + k / 2.0) / (k / 2.0), np.abs(exp_h1 + k) / k)

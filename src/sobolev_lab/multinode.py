@@ -42,15 +42,6 @@ _RECORD_DT = 0.01  # spacing of a recorded run's time grid
 _FIXED_POINT = np.array([1.0, 0.0])
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Least-squares exponent of log|x(t) - x*| along the diagonal flow."""
-
-    exponent: float
-    x_star: float
-    max_diagonal_drift: float
-
-
 # --------------------------------------------------------------------------
 # full per-node field
 
@@ -239,8 +230,9 @@ def diagonal_rows(kind: str, k: int, x0: float, t_end: float) -> PlanarRows:
     return PlanarRows(kind, k, np.array([[x0, x0]]), t_end, record=True)
 
 
-def decay_fit(rows: PlanarRows, run: FlowRun) -> DecayFit:
-    """Decay exponent of a ``diagonal_rows`` run from its recorded states.
+def decay_fit(rows: PlanarRows, run: FlowRun) -> float:
+    """Decay exponent of a ``diagonal_rows`` run from its recorded states:
+    the least-squares slope of log|x(t) - x*|.
 
     On the diagonal the planar field is exactly linear, x' = -(K/2)(x - x*)
     for L2 and x' = -K (x - x*) for H1, so the fitted slope of
@@ -255,8 +247,7 @@ def decay_fit(rows: PlanarRows, run: FlowRun) -> DecayFit:
         raise RuntimeError(f"trajectory left the diagonal (drift {drift:.3e})")
     gap = np.abs(states[:, 0] - x_star)
     keep = gap > 1e-12
-    slope = float(np.polyfit(run.trace.times[keep], np.log(gap[keep]), 1)[0])
-    return DecayFit(exponent=slope, x_star=x_star, max_diagonal_drift=drift)
+    return float(np.polyfit(run.trace.times[keep], np.log(gap[keep]), 1)[0])
 
 
 # --------------------------------------------------------------------------

@@ -3,13 +3,17 @@
 Each test measures every clause of its criterion and hands the values to
 ``criteria.judge``, which holds the clauses and tolerances; the judged entry
 goes to the terminal reporter (one line per criterion at the end of the run).
-Where one subcommand run reproduces a criterion's experiment (c4 ``flow``,
-c6 ``relusq``, c7 ``multinode``, c8 ``toeplitz``, c10 ``sgd``, c12
-``chebyshev``), the test runs it through the CLI and takes the values
-``summarize`` measures from its CSVs, adding only what no CSV carries
-(``seconds``, c12's ``n1_exact``); c9 hands its convergence columns to the same
-extraction.  The other tests (c1, c2, c3, c5, c11) draw their own samples at
-the criterion's size.  Three criteria encode idealized claims that
+Every value a CSV carries is measured by the ``cli._measure_c*`` that
+``summarize`` runs.  Where one subcommand run reproduces a criterion's
+experiment (c4 ``flow``, c6 ``relusq``, c7 ``multinode``, c8 ``toeplitz``,
+c10 ``sgd``, c12 ``chebyshev``), the test runs it through the CLI and takes
+the values ``summarize`` measures from its CSVs.  c1, c2, c3, c9 and c11
+draw their own samples at the criterion's size, build from them the columns
+their subcommand writes (``landscape.csv``, ``gd_compare.csv``,
+``convergence.csv``, ``linear.csv``) and hand those to the same extraction.
+A test adds only what no CSV carries (``seconds``, c2's ``bulk_dev``, c3's
+``c_zero_angle_dev``, c9's ``worst_z``, c12's ``n1_exact``); c5 and c13 are
+measured here alone.  Three criteria encode idealized claims that
 the exact closed-form fields provably violate; those tests fail by design,
 and the assertion message carries the failed clauses with their values and
 the mechanism.
@@ -23,9 +27,10 @@ import numpy as np
 
 from sobolev_lab import cli, relu1
 from sobolev_lab.chebdiff import cheb_diff_matrix
-from sobolev_lab.criteria import MIN_THETA, extreme_dev, judge
+from sobolev_lab.criteria import judge
 from sobolev_lab.eigs import symmetric_eigs
 from sobolev_lab.geometry import basin_node_pairs, basin_pairs, pair_geometry
+from sobolev_lab.linear import LinearProblem, conditioning, variance_study
 from sobolev_lab.mc import (
     McConfig,
     _convergence_tables,
@@ -69,60 +74,61 @@ def sample_region_pairs(rng, dim, count, cap=0.999 * math.pi / 2):
     return out
 
 
+def columns(header, rows):
+    """A CSV's columns by name, as ``summarize`` reads them, from its rows."""
+    return dict(zip(header, np.array(rows, dtype=float).T))
+
+
+# the landscape.csv columns c1 and c2 read
+LANDSCAPE = ("theta", "kappa_l2", "kappa_h1", "lam_min_l2", "lam_min_h1", "lam_max_l2",
+             "lam_max_h1")
+
+
+def landscape_row(rep):
+    """The ``LANDSCAPE`` row of a one-pair ``relu1.hessians`` report."""
+    return (rep.geometry.theta, rep.kappa_l2, rep.kappa_h1, rep.spectrum_l2.lam_min,
+            rep.spectrum_h1.lam_min, rep.spectrum_l2.lam_max, rep.spectrum_h1.lam_max)
+
+
 def test_c01_condition_number_law():
     start = time.time()
     rng = np.random.default_rng(101)
-    worst_rel = 0.0
-    kappa_gap = -math.inf
-    for dim, count in ((2, 334), (8, 333), (32, 333)):
-        for w, ws in sample_region_pairs(rng, dim, count):
-            rep = relu1.hessians(w, ws)
-            theta = pair_geometry(w, ws).theta
-            num_l2 = rep.spectrum_l2.lam_max / rep.spectrum_l2.lam_min
-            num_h1 = rep.spectrum_h1.lam_max / rep.spectrum_h1.lam_min
-            worst_rel = np.max([
-                worst_rel,
-                abs(num_l2 - rep.kappa_l2) / rep.kappa_l2,
-                abs(num_h1 - rep.kappa_h1) / rep.kappa_h1,
-            ])
-            if theta > MIN_THETA:
-                kappa_gap = np.maximum(kappa_gap, rep.kappa_h1 - rep.kappa_l2)
-    judged("c1_condition_number_law", max_rel_err=worst_rel, max_kappa_gap=kappa_gap,
+    # each pair has its own teacher, so each is its own hessians call
+    rows = [landscape_row(relu1.hessians(w, ws))
+            for dim, count in ((2, 334), (8, 333), (32, 333))
+            for w, ws in sample_region_pairs(rng, dim, count)]
+    judged("c1_condition_number_law", **cli._measure_c1(columns(LANDSCAPE, rows)),
            seconds=time.time() - start)
 
 
 def test_c02_hessian_spectra():
     rng = np.random.default_rng(202)
-    worst = 0.0
+    rows = []
     bulk_dev = 0.0
     for dim, count in ((2, 60), (8, 60), (32, 60)):
         for w, ws in sample_region_pairs(rng, dim, count):
-            geom = pair_geometry(w, ws)
             rep = relu1.hessians(w, ws)
-            cf = relu1.closed_form_eigs(geom)
-            worst = np.maximum(worst, extreme_dev(rep.spectrum_l2.lam_max,
-                                                  rep.spectrum_h1.lam_max))
+            rows.append(landscape_row(rep))
             if dim > 2:
                 # the (d-2)-th closest eigenvalue to the bulk value bounds multiplicity d-2
+                cf = relu1.closed_form_eigs(rep.geometry)
                 for spec, kind in ((rep.spectrum_l2, "l2"), (rep.spectrum_h1, "h1")):
                     dev = np.sort(np.abs(spec.eigenvalues - cf[f"{kind}_bulk"]))[dim - 3]
                     bulk_dev = np.maximum(bulk_dev, dev)
-    judged("c2_hessian_spectra", max_extreme_dev=worst, bulk_dev=bulk_dev)
+    judged("c2_hessian_spectra", **cli._measure_c2(columns(LANDSCAPE, rows)), bulk_dev=bulk_dev)
 
 
 def test_c03_one_step_gd():
     rng = np.random.default_rng(303)
-    min_gain = math.inf
-    excess = -math.inf
+    reps = []
     for dim in (2, 8):
-        ws_points, ws = basin_pairs(rng, dim, 250)
-        for w in ws_points:
-            c = relu1.gd_compare(w, ws, eta=1e-3).max_step_c
-            rep = relu1.gd_compare(w, ws, eta=0.9 * c)
-            min_gain = np.minimum(min_gain, rep.gain_f)
-            excess = np.maximum(excess, rep.err_h1 - (rep.err_l2 - rep.gain_f))
+        points, ws = basin_pairs(rng, dim, 250)
+        # each point steps 0.9 times its own bound C
+        reps.append(relu1.gd_compare(points, ws, 0.9, relative=True))
+    cols = {f: np.concatenate([getattr(rep, f) for rep in reps])
+            for f in ("err_l2", "err_h1", "gain_f")}
     c_collinear = relu1.gd_compare(2.0 * ws, ws, eta=0.1).max_step_c
-    judged("c3_one_step_gd", min_gain=min_gain, max_excess=excess,
+    judged("c3_one_step_gd", **cli._measure_c3(cols),
            c_zero_angle_dev=abs(c_collinear - 4.0 / 3.0))
 
 
@@ -232,23 +238,19 @@ def test_c10_empirical_sgd(tmp_path):
 
 
 def test_c11_linear_model():
-    from sobolev_lab.linear import LinearProblem, conditioning, variance_study
-
     rng = np.random.default_rng(111)
-    worst_rel = 0.0
-    kappa_gap = var_gap = -math.inf
+    rows = []
     for rep in range(3):
         X = rng.standard_normal((200, 8))
         ws = rng.standard_normal(8)
-        for lam in (0.5, 1.0, 2.0):
-            p = LinearProblem(x_matrix=X, wstar=ws, noise_sigma=1.0, ridge_lambda=lam)
-            kl, kh = conditioning(p)
-            ve_l2, ve_h1, vf_l2, vf_h1 = variance_study(p, trials=10_000, seed=112 + rep)
-            worst_rel = np.max([worst_rel, abs(ve_l2 - vf_l2) / vf_l2, abs(ve_h1 - vf_h1) / vf_h1])
-            kappa_gap = np.maximum(kappa_gap, kh - kl)
-            var_gap = np.maximum(var_gap, ve_h1 - ve_l2)
-    judged("c11_linear_model", max_kappa_gap=kappa_gap, max_var_gap=var_gap,
-           worst_rel_var_err=worst_rel)
+        problems = [LinearProblem(x_matrix=X, wstar=ws, noise_sigma=1.0, ridge_lambda=lam)
+                    for lam in (0.5, 1.0, 2.0)]
+        # one study per design: each tuple is bit for bit its problem's study alone
+        studies = variance_study(problems, trials=10_000, seed=112 + rep)
+        rows += [(p.ridge_lambda, *conditioning(p), *study) for p, study in zip(problems, studies)]
+    cols = columns(("lambda", "kappa_l2", "kappa_h1", "var_l2_emp", "var_h1_emp",
+                    "var_l2_formula", "var_h1_formula"), rows)
+    judged("c11_linear_model", **cli._measure_c11(cols))
 
 
 def test_c12_chebyshev_diff(tmp_path):

@@ -424,6 +424,9 @@ def _edge_cases():
 # multinode form's pair draw
 @example(("multinode", "--k-list=0"))
 @example(("verify-gradients", "--dims=0"))
+# a formula variance that underflowed to 0 once divided by zero in summarize
+@example(("linear", "--sigma=0"))
+@example(("linear", "--lambdas=1e300"))
 def test_any_edge_value_exits_0_2_or_3_without_a_warning(case):
     # argparse reads a bare -inf as an option, hence --flag=value; its own
     # exit (a value that is not a number) counts as exit 2 and prints usage
@@ -439,6 +442,8 @@ def test_any_edge_value_exits_0_2_or_3_without_a_warning(case):
         except SystemExit as exc:
             code, parsed = exc.code, False
         wrote_manifest = (out / "manifest.json").exists()
+        if code == 0:  # and summarize measures what the run wrote
+            cli.summarize(out)
     assert code in (0, 2, 3), (case, err.getvalue())
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], case
     if code != 0:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,10 +227,16 @@ def test_saddles_zero_the_diagonal_field_and_decrease_in_k():
 
 def test_diagonal_decay_exponents_k2():
     decays = [mn.diagonal_rows("l2", 2, 0.95, 15.0), mn.diagonal_rows("h1", 2, 0.95, 7.5)]
-    fit_l2, fit_h1 = map(mn.decay_fit, decays, mn.planar_flows(decays))
-    assert abs(fit_l2.exponent + 1.0) <= 0.02  # -K/2
-    assert abs(fit_h1.exponent + 2.0) <= 0.04  # -K
-    assert fit_l2.max_diagonal_drift <= 1e-9
+    runs = mn.planar_flows(decays)
+    exp_l2, exp_h1 = map(mn.decay_fit, decays, runs)
+    assert abs(exp_l2 + 1.0) <= 0.02  # -K/2
+    assert abs(exp_h1 + 2.0) <= 0.04  # -K
+    # a trajectory that drifts off the diagonal by more than 1e-9 max(1, x0) raises
+    states = runs[0].trace.states.copy()
+    states[-1, 0, 1] += 2e-9
+    drifted = replace(runs[0], trace=replace(runs[0].trace, states=states))
+    with pytest.raises(RuntimeError, match="left the diagonal"):
+        mn.decay_fit(decays[0], drifted)
 
 
 def test_boundary_field_signs():
@@ -363,7 +370,7 @@ def test_stacked_planar_runs_match_their_separate_runs_bitwise():
     assert stacked[6].trace.times[-2:].tolist() == [0.93, 0.9375]
     for rows, run in zip(decays, stacked[3:]):
         rate = rows.k * (1.0 if rows.kind == "h1" else 0.5)
-        assert abs(mn.decay_fit(rows, run).exponent + rate) <= 1e-4 * rate
+        assert abs(mn.decay_fit(rows, run) + rate) <= 1e-4 * rate
 
 
 def test_planar_flows_validates_its_runs():
