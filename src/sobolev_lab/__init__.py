@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .exceptions import BlowUpError, SingularPointError
 from .geometry import PairGeometry, pair_geometry
 from .eigs import SpectrumReport, real_eigs, symmetric_eigs
-from .ode import FlowTrace, rk4_integrate
 
 __all__ = [
     "BlowUpError",
@@ -22,7 +21,5 @@ __all__ = [
     "SpectrumReport",
     "real_eigs",
     "symmetric_eigs",
-    "FlowTrace",
-    "rk4_integrate",
     "__version__",
 ]

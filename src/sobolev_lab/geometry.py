@@ -6,9 +6,9 @@ them) plus the coupling coefficient
 
     alpha = |w*| / (2 pi |w| sin(theta)),
 
-which blows up at collinearity.  The products alpha*sin(theta) and
-alpha*sin^2(theta) stay finite there, so they are carried in cancelled
-form and alpha itself is reported as ``inf`` rather than raising.
+which blows up at collinearity.  The product alpha*sin^2(theta) stays
+finite there, so it is carried in cancelled form and alpha itself is
+reported as ``inf`` rather than raising.
 ``_angle_norms`` is the one reduction of a pair to its angle and norms:
 ``pair_geometry`` takes it for every single-node pair, one pair being the
 one-row case of a stack, and the K-node field for each of its pairs.
@@ -36,17 +36,15 @@ class PairGeometry:
 
     ``alpha`` is ``inf`` when ``sin(theta) == 0`` or ``norm_w == 0`` (and
     when its value overflows).
-    ``alpha_sin`` and ``alpha_sin_sq`` are the cancelled products
-    ``alpha*sin(theta)`` and ``alpha*sin(theta)**2``; they are finite for
-    ``norm_w > 0`` even at ``theta == 0``.  For a stack of pairs every
-    field, and each angle property, is an (m,) array.
+    ``alpha_sin_sq`` is the cancelled product ``alpha*sin(theta)**2``; it is
+    finite for ``norm_w > 0`` even at ``theta == 0``.  For a stack of pairs
+    every field, and each angle property, is an (m,) array.
     """
 
     norm_w: float
     norm_wstar: float
     theta: float
     alpha: float
-    alpha_sin: float
     alpha_sin_sq: float
 
     @property
@@ -191,10 +189,9 @@ def pair_geometry(w: np.ndarray, wstar: np.ndarray) -> PairGeometry:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = np.sin(theta)
         tw = TWO_PI * nw
-        alpha_sin = ns / tw
         alpha_sin_sq = ns * s / tw
         alpha_sin_sq[zero] = math.inf
         alpha = ns / (tw * s)  # tw * s >= 0 underflows to 0 at a subnormal angle
     if w.ndim == 1:
-        return PairGeometry(*(f.item(0) for f in (nw, ns, theta, alpha, alpha_sin, alpha_sin_sq)))
-    return PairGeometry(nw, np.broadcast_to(ns, nw.shape), theta, alpha, alpha_sin, alpha_sin_sq)
+        return PairGeometry(*(f.item(0) for f in (nw, ns, theta, alpha, alpha_sin_sq)))
+    return PairGeometry(nw, np.broadcast_to(ns, nw.shape), theta, alpha, alpha_sin_sq)

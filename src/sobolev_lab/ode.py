@@ -45,14 +45,6 @@ class FlowTrace:
     states: np.ndarray
     v_values: np.ndarray
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
-    def final_v(self) -> np.ndarray:
-        return self.v_values[-1]
-
 
 @dataclass(frozen=True)
 class FlowRun:

@@ -28,7 +28,7 @@ axis of length m.  A row's value does not depend on its stack: each row of
 a stack is bit for bit the one-student result.
 
 Note: hess L is symmetric, but hess H as written carries the skew part
-alpha cos(theta) (v g^T - g v^T)/..., g = u - cos(theta) v.  It is a
+-alpha cos(theta) (v g^T - g v^T)/2, g = u - cos(theta) v.  It is a
 non-normal matrix with a real semisimple spectrum {1, 1 - alpha sin^2
 (mult d-2), 1 - 3 alpha sin^2}; symmetrizing it would shift the extreme
 eigenvalues, so it is kept exactly as defined and its spectrum is taken
@@ -62,17 +62,15 @@ class GradientBundle:
 
 @dataclass(frozen=True)
 class HessianReport:
-    """Both Hessians with numeric spectra and closed-form condition numbers.
+    """Numeric spectra of both Hessians and closed-form condition numbers.
 
     ``kappa_l2`` / ``kappa_h1`` are ``None`` (undefined) when the matching
     minimum eigenvalue is <= 0, i.e. outside the strict-convexity region.
-    For a stack of m students the matrices are (m, d, d), the spectra hold
-    stacks and each kappa is an (m,) array with nan where undefined.
-    ``geometry`` is the pair geometry the report was formed from.
+    For a stack of m students the spectra hold stacks and each kappa is an
+    (m,) array with nan where undefined.  ``geometry`` is the pair geometry
+    the report was formed from; ``hessian_matrices`` gives the matrices.
     """
 
-    hess_l2: np.ndarray
-    hess_h1: np.ndarray
     spectrum_l2: SpectrumReport
     spectrum_h1: SpectrumReport
     kappa_l2: float | None
@@ -256,18 +254,7 @@ def hessians(w: np.ndarray, wstar: np.ndarray) -> HessianReport:
     wstar = np.asarray(wstar, dtype=float)
     geom = pair_geometry(w, wstar)
     hl, hh = _hessian_matrices(w, wstar, geom)
-    spec_l = symmetric_eigs(hl)
-    spec_h = real_eigs(hh)
-    kl, kh = condition_numbers(geom)
-    return HessianReport(
-        hess_l2=hl,
-        hess_h1=hh,
-        spectrum_l2=spec_l,
-        spectrum_h1=spec_h,
-        kappa_l2=kl,
-        kappa_h1=kh,
-        geometry=geom,
-    )
+    return HessianReport(symmetric_eigs(hl), real_eigs(hh), *condition_numbers(geom), geom)
 
 
 # --------------------------------------------------------------------------

@@ -42,6 +42,13 @@ class SgdConfig:
 
     def __post_init__(self):
         _kind_factor(self.loss_kind)
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if self.n_steps < 0:
+            raise ValueError("n_steps must be >= 0")
+        # rate 0 never moves and rate inf blows up at its first step; both are legal
+        if not self.learning_rate >= 0.0:
+            raise ValueError("learning_rate must be >= 0 (or inf)")
         if not 1 <= self.batch_size <= self.n_train:
             raise ValueError("batch_size must be in [1, n_train]")
         if self.log_every < 1:

@@ -13,8 +13,7 @@ def test_identical_directions_flag_infinite_alpha():
     g = pair_geometry(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     assert g.theta == 0.0
     assert math.isinf(g.alpha)
-    # cancelled products stay finite at the removable singularity
-    assert g.alpha_sin == pytest.approx(1.0 / (2 * math.pi))
+    # the cancelled product stays finite at the removable singularity
     assert g.alpha_sin_sq == 0.0
 
 
@@ -45,7 +44,7 @@ def test_dimension_mismatch_and_zero_teacher_rejected():
 def test_zero_student_flags_infinite_alpha():
     g = pair_geometry(np.zeros(3), np.array([1.0, 2.0, 2.0]))
     assert math.isinf(g.alpha)
-    assert math.isinf(g.alpha_sin)
+    assert math.isinf(g.alpha_sin_sq)
 
 
 def test_angle_stays_accurate_at_collinearity():
@@ -79,13 +78,13 @@ _unit_ish = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter(
 def test_cancelled_alpha_forms_stay_finite_as_theta_vanishes(t, r):
     g = pair_geometry(np.array([r * math.cos(t), r * math.sin(t), 0.0]), np.array([1.0, 0.0, 0.0]))
     assert g.theta == pytest.approx(t, abs=1e-15)
-    assert g.alpha_sin == pytest.approx(1.0 / (2 * math.pi * r), rel=1e-14)
+    alpha_sin = g.norm_wstar / (2 * math.pi * g.norm_w)  # |w*| / (2 pi |w|)
     # alpha sin^2 = alpha_sin sin(theta) goes to 0 with theta instead of 0 * inf
-    assert 0.0 <= g.alpha_sin_sq <= g.alpha_sin * (t + 1e-15)
+    assert 0.0 <= g.alpha_sin_sq <= alpha_sin * (t + 1e-15)
     if math.isfinite(g.alpha):
-        assert g.alpha * g.sin_theta == pytest.approx(g.alpha_sin, rel=1e-12)
+        assert g.alpha * g.sin_theta == pytest.approx(alpha_sin, rel=1e-12)
     else:  # sin(theta) = 0, or a subnormal theta takes alpha past the largest float
-        assert g.sin_theta == 0.0 or g.alpha_sin > 1.7e308 * g.sin_theta
+        assert g.sin_theta == 0.0 or alpha_sin > 1.7e308 * g.sin_theta
 
 
 @given(c=st.floats(min_value=1e-300, max_value=1.0), v=_unit_ish)
@@ -96,7 +95,6 @@ def test_tiny_students_keep_norm_and_angle(c, v):
     g = pair_geometry(c * w, ws)
     assert g.norm_w == pytest.approx(c * base.norm_w, rel=1e-14)
     assert g.theta == pytest.approx(base.theta, abs=1e-12)
-    assert g.alpha_sin * g.norm_w == pytest.approx(base.alpha_sin * base.norm_w, rel=1e-14)
     # the row-reduction norm of a stack is as scale-safe as the one-vector norm
     assert _angle_norms(np.stack([c * w, w]), ws)[0] == pytest.approx([base.theta] * 2, abs=1e-12)
 
@@ -106,11 +104,10 @@ def test_collinear_pairs(c, v):
     ws = np.array(v)
     same = pair_geometry(c * ws, ws)
     assert same.theta <= 1e-15
-    assert same.alpha_sin == pytest.approx(same.norm_wstar / (2 * math.pi * same.norm_w), rel=1e-15)
-    assert same.alpha_sin_sq <= 1e-15 * same.alpha_sin
+    assert same.alpha_sin_sq <= 1e-15 * same.norm_wstar / (2 * math.pi * same.norm_w)
     opposite = pair_geometry(-c * ws, ws)
     assert opposite.theta == pytest.approx(math.pi, abs=1e-15)
-    assert opposite.alpha_sin_sq <= 1e-15 * opposite.alpha_sin
+    assert opposite.alpha_sin_sq <= 1e-15 * opposite.norm_wstar / (2 * math.pi * opposite.norm_w)
 
 
 def test_stacked_norm_mixes_zero_tiny_huge_and_ordinary_rows():
@@ -169,13 +166,12 @@ def _closed_forms(scale, w, ws, W, Ws, p):
     gd = relu1.gd_compare(a, b, 0.5, relative=True)
     grad = relu1.population_gradients(a[0], b)
     forms = {
-        **{f: (0, getattr(g, f)) for f in ("theta", "alpha", "alpha_sin", "alpha_sin_sq")},
+        **{f: (0, getattr(g, f)) for f in ("theta", "alpha", "alpha_sin_sq")},
         **{f: (1, getattr(g, f)) for f in ("norm_w", "norm_wstar")},
         **dict(zip(("hessian_matrices_l2", "hessian_matrices_h1"),
                    ((0, m) for m in relu1.hessian_matrices(a, b)))),
         "kappa_l2": (0, h.kappa_l2), "kappa_h1": (0, h.kappa_h1),
-        **{f"{s}_{f}": (0, getattr(getattr(h, s), f)) for s in ("spectrum_l2", "spectrum_h1")
-           for f in ("eigenvalues", "eigenvectors")},
+        **{f"{s}_eigenvalues": (0, getattr(h, s).eigenvalues) for s in ("spectrum_l2", "spectrum_h1")},
         "max_step_c": (0, gd.max_step_c),
         **{f: (1, getattr(gd, f)) for f in ("err_l2", "err_h1", "w_new_l2", "w_new_h1")},
         **{f: (1, getattr(grad, f)) for f in ("grad_l2", "grad_seminorm", "grad_h1")},
@@ -224,7 +220,7 @@ def test_stacked_pair_geometry_rows_are_the_one_pair_values():
         g = pair_geometry(rows, teacher)
         for i, w in enumerate(rows):
             one = pair_geometry(w, teacher if teacher.ndim == 1 else teacher[i])
-            for field in ("norm_w", "norm_wstar", "theta", "alpha", "alpha_sin", "alpha_sin_sq",
+            for field in ("norm_w", "norm_wstar", "theta", "alpha", "alpha_sin_sq",
                           "sin_theta", "cos_theta"):
                 assert np.array_equal(getattr(g, field)[i], getattr(one, field)), (i, field)
     with pytest.raises(ValueError, match="dimension"):

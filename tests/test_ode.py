@@ -10,14 +10,14 @@ from sobolev_lab.ode import _dp45_rows, _rk4_step, _schedule, rk4_integrate
 
 def test_exponential_decay_matches_closed_form():
     trace = rk4_integrate(lambda x: -x, np.array([1.0]), 1e-3, 1.0, np.zeros(1))
-    assert abs(trace.final_state[0] - math.exp(-1.0)) <= 1e-9  # 0.3678794...
+    assert abs(trace.states[-1][0] - math.exp(-1.0)) <= 1e-9  # 0.3678794...
     assert trace.times[0] == 0.0
     assert np.all(np.diff(trace.times) > 0)
 
 
 def test_double_rate_squares_the_decay():
     trace = rk4_integrate(lambda x: -2.0 * x, np.array([1.0]), 1e-3, 1.0, np.zeros(1))
-    assert abs(trace.final_state[0] - math.exp(-2.0)) <= 1e-8  # 0.1353353...
+    assert abs(trace.states[-1][0] - math.exp(-2.0)) <= 1e-8  # 0.1353353...
 
 
 def test_zero_field_is_constant():
@@ -38,7 +38,7 @@ def test_fourth_order_convergence():
     # global error on x' = -x should drop ~16x per halving; accept [12, 20]
     def err(h):
         t = rk4_integrate(lambda x: -x, np.array([1.0]), h, 1.0, np.zeros(1))
-        return abs(t.final_state[0] - math.exp(-1.0))
+        return abs(t.states[-1][0] - math.exp(-1.0))
 
     ratio = err(0.1) / err(0.05)
     assert 12.0 <= ratio <= 20.0
@@ -47,14 +47,14 @@ def test_fourth_order_convergence():
 def test_stacked_states_integrate_rowwise():
     x0 = np.array([[1.0], [2.0], [3.0]])
     trace = rk4_integrate(lambda x: -x, x0, 1e-3, 1.0, np.zeros(1))
-    assert trace.final_state == pytest.approx(x0 * math.exp(-1.0), abs=1e-8)
+    assert trace.states[-1] == pytest.approx(x0 * math.exp(-1.0), abs=1e-8)
     assert trace.v_values.shape == (len(trace.times), 3)
 
 
 def test_partial_final_step_hits_t_end():
     trace = rk4_integrate(lambda x: -x, np.array([1.0]), 0.3, 1.0, np.zeros(1))
     assert trace.times[-1] == pytest.approx(1.0, abs=1e-12)
-    assert abs(trace.final_state[0] - math.exp(-1.0)) <= 1e-4
+    assert abs(trace.states[-1][0] - math.exp(-1.0)) <= 1e-4
 
 
 def test_blowup_reports_time():

@@ -264,7 +264,6 @@ def test_stacked_rows_are_the_one_vector_calls(d):
         one = relu1.hessians(w, ws)
         for stacked, alone in ((rep.spectrum_l2, one.spectrum_l2), (rep.spectrum_h1, one.spectrum_h1)):
             assert np.array_equal(stacked.eigenvalues[i], alone.eigenvalues), i
-            assert np.array_equal(stacked.eigenvectors[i], alone.eigenvectors), i
         for stacked, alone in ((rep.kappa_l2, one.kappa_l2), (rep.kappa_h1, one.kappa_h1)):
             assert (math.isnan(stacked[i]) and alone is None) or stacked[i] == alone, i
         one_gd = relu1.gd_compare(w, ws, eta[i])

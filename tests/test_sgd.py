@@ -70,5 +70,14 @@ def test_config_validation():
     for batch in (0, -1):
         with pytest.raises(ValueError, match="batch_size"):
             cfg(batch_size=batch)
+    with pytest.raises(ValueError, match="dim"):
+        cfg(dim=0)
+    with pytest.raises(ValueError, match="n_steps"):
+        cfg(n_steps=-3)
+    for rate in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            cfg(learning_rate=rate)
+    for rate in (0.0, float("inf")):  # rate 0 never moves and rate inf blows up: both legal
+        cfg(learning_rate=rate)
     with pytest.raises(ValueError, match="ensemble"):
         sgd_run([cfg(), cfg(seed=1, loss_kind="h1"), cfg(learning_rate=0.1)])
