@@ -32,11 +32,12 @@ derivations (ReLU derivative 1{t>0}), e.g. for the first-order model:
 
 so the sample mean estimates exactly the expectation the closed forms
 integrate.  One first-order kernel computes these for K stacked students
-(the single node is K = 1); the multi-node estimator and SGD's minibatch
-gradient use it too.  (For the discontinuous-integrand seminorm this expectation is
-the defined population gradient; it differs from the gradient of the
-scalar population loss by a boundary term, so finite-difference checks
-are only meaningful for the continuous-integrand losses.)
+(the single node is K = 1); the multi-node estimator uses it too, and SGD's
+minibatch gradient takes its value part and the seminorm part's span
+values.  (For the discontinuous-integrand seminorm this expectation is the
+defined population gradient; it differs from the gradient of the scalar
+population loss by a boundary term, so finite-difference checks are only
+meaningful for the continuous-integrand losses.)
 
 The seminorm gradient and the second-order "i3" gradient depend on x only
 through the two indicators, so each takes one of three values (0, u, v) in
@@ -311,6 +312,20 @@ def _combine(vals: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _projections(x: np.ndarray, W: np.ndarray, Wstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projections w_k.x and w*_k.x (..., B, K), one product per weight
+    stack: at K = 1 each is a matrix-vector product, which rounds otherwise
+    than one matrix product of x with [w, w*]."""
+    return x @ np.swapaxes(W, -1, -2), x @ np.swapaxes(Wstar, -1, -2)
+
+
+def _value_part(x: np.ndarray, pw: np.ndarray, ps: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """``_relu_grad``'s "l2" part r 1{w_j.x>0} x (..., B, K, d) from the
+    projections pw, ps and the indicators on = pw > 0 (..., B, K)."""
+    resid = np.maximum(pw, 0.0).sum(axis=-1) - np.maximum(ps, 0.0).sum(axis=-1)
+    return (resid[..., None] * on)[..., None] * x[..., :, None, :]
+
+
 def _relu_grad(x: np.ndarray, W: np.ndarray, Wstar: np.ndarray, parts: tuple[str, ...]):
     """Per-sample first-order gradient parts (B, K, d) of K ReLU students, in ``parts`` order.
 
@@ -323,14 +338,12 @@ def _relu_grad(x: np.ndarray, W: np.ndarray, Wstar: np.ndarray, parts: tuple[str
     (..., K, d) give parts (..., B, K, d), and each problem's slice is bit
     for bit what its 2-d arrays give alone.
     """
-    pw = x @ np.swapaxes(W, -1, -2)  # (..., B, K)
-    ps = x @ np.swapaxes(Wstar, -1, -2)
+    pw, ps = _projections(x, W, Wstar)
     on = pw > 0
     out = []
     for p in parts:
         if p == "l2":
-            resid = np.maximum(pw, 0.0).sum(axis=-1) - np.maximum(ps, 0.0).sum(axis=-1)
-            out.append((resid[..., None] * on)[..., None] * x[..., :, None, :])
+            out.append(_value_part(x, pw, ps, on))
         else:
             # both node sums in one matmul over the 2K indicators
             iw = on.astype(float)

@@ -49,20 +49,21 @@ VARIANTS = ("h2", "i1")
 
 
 def _coeffs(theta):
-    """The angle coefficients (G, H, G1); theta may be a float or an array."""
+    """The angle coefficients (G, H, G1) and sin(theta) cos(theta), which G
+    contains; theta may be a float or an array."""
     st, ct = np.sin(theta), np.cos(theta)
+    sc = st * ct
     rest = math.pi - theta
     tail = 2.0 * rest * ct
-    return rest + st * ct, 2.0 * st + tail, st + tail
+    return rest + sc, 2.0 * st + tail, st + tail, sc
 
 
 def _component_grads(w: np.ndarray, wstar: np.ndarray, theta, nw, ns) -> tuple[np.ndarray, ...]:
     """Gradients of I1, I2 and I3 at stacked states w (..., d), from the angle
     ``theta`` and norm ``nw`` of each state and the teacher norm ``ns``."""
     theta, nw, ns = np.asarray(theta)[..., None], np.asarray(nw)[..., None], float(ns)
-    g, h, g1 = _coeffs(theta)
+    g, h, g1, sc = _coeffs(theta)
     nw2, ns2 = nw**2, ns * ns  # a float's ns**2 raises where it overflows
-    sc = np.sin(theta) * np.cos(theta)
     dot = np.sum(w * wstar, axis=-1)[..., None]
     return (3.0 * nw2 * w - (ns2 / math.pi) * g * w - (nw * ns / math.pi) * h * wstar,
             4.0 * (nw2 * w - (sc / TWO_PI) * ns2 * w - (nw * ns / TWO_PI) * g1 * wstar),
@@ -147,7 +148,7 @@ def descent_quadratic_forms(theta: float) -> tuple[np.ndarray, np.ndarray]:
     itself still holds on the basin (where |w| < 2 |w*| cos(theta) confines
     the weight vector to the cone on which the form stays positive).
     """
-    g, h, g1 = _coeffs(theta)
+    g, h, g1, _ = _coeffs(theta)
     st, ct = math.sin(theta), math.cos(theta)
     m = np.array(
         [

@@ -5,13 +5,20 @@ loss or the combined value + derivative loss for the single ReLU node.
 The per-sample gradients are the Monte-Carlo oracle's first-order kernel,
 so they match the population conventions, i.e. both terms carry the 1/2
 factor, and the analytic condition-number formulas apply unchanged along
-the trajectory.
+the trajectory.  The value part r 1{w.x>0} x is ``mc._value_part`` on the
+projections ``mc._projections`` takes; the seminorm part takes one of the
+three rows (0, w, w - w*) of ``mc._span_values("semi", ...)`` by the two
+indicators.  Each part's batch mean is one reduction over its own array,
+bit for bit the mean of ``mc._relu_grad``'s part.
 
 The dataset is drawn once per seed; minibatches are sampled without
-replacement within each epoch (fresh shuffle per epoch).  Any number of
-runs that share every setting but seed and loss kind step together as one
-ensemble: each step is one pass over stacks with a leading runs axis, and
-no run's numbers depend on the others in its ensemble.
+replacement within each epoch (fresh shuffle per epoch), each gathered with
+one ``take`` from the flattened datasets.  Any number of runs that share
+every setting but seed and loss kind step together as one ensemble: each
+step is one pass over stacks with a leading runs axis, and no run's numbers
+depend on the others in its ensemble.  The logged states are kept, and
+their condition numbers are taken in one stacked ``pair_geometry`` pass
+after the last step, each row bit for bit its state's alone.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .exceptions import BlowUpError
 from .geometry import pair_geometry
-from .mc import _FORMS, _relu_grad
+from .mc import _projections, _span_values, _value_part
 from .relu1 import _kind_factor, condition_numbers
 
 _INIT_RADIUS = 0.8  # |w0 - w*| as a fraction of |w*|, inside the basin |w0 - w*| < |w*|
@@ -100,40 +107,56 @@ def sgd_run(cfg: SgdConfig | Sequence[SgdConfig]) -> SgdTrace | list[SgdTrace]:
         rng.standard_normal((n, dim), out=x)
     wstar, w = wstar[run_seed], w0[run_seed]
     Wstar = wstar[:, None]
+    runs, rate = len(cfgs), first.learning_rate
+
+    # samples are gathered from the flattened datasets, whose row
+    # run_seed * n + i is sample i of the run's seed
+    X = X.reshape(-1, dim)
 
     def shuffles():
-        return np.stack([rng.permutation(n) for rng in rngs])[run_seed]
+        return run_seed[:, None] * n + np.stack([rng.permutation(n) for rng in rngs])[run_seed]
+
+    # each run's seminorm rows (0, w, w - w*) by 1{w.x>0} (1 + 1{w*.x>0})
+    table = np.zeros((runs, 3, dim))
+    table_row = 3 * np.arange(runs)[:, None, None]
 
     def log(step):
-        with np.errstate(over="ignore"):  # an overflow is reported as a blow-up below
-            err = np.sum((w - wstar) ** 2, axis=-1)
+        err = np.sum((w - wstar) ** 2, axis=-1)
         if not np.all(np.isfinite(err)):
             raise BlowUpError(f"SGD error overflowed at step {step}", time=float(step))
-        kl, kh = condition_numbers(pair_geometry(w, wstar))
         steps.append(step)
         errs.append(err)
-        kappas.append(np.where(h1, kh, kl))
+        states.append(w)  # each step binds a new w, so a logged state stays as logged
 
-    order = shuffles()
+    rows = shuffles()
     pos = 0
-    steps, errs, kappas = [], [], []
-    log(0)
-    for step in range(1, first.n_steps + 1):
-        if pos + batch > n:
-            order = shuffles()
-            pos = 0
-        x = X[run_seed[:, None], order[:, pos : pos + batch]]  # (runs, batch, dim)
-        pos += batch
-        # a diverging run overflows on its way out; the check below reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            g_l2, g_semi = (g.mean(axis=1)[:, 0]
-                            for g in _relu_grad(x, w[:, None], Wstar, _FORMS["relu"]["h1"]))
-            w = w - first.learning_rate * np.where(h1[:, None], g_l2 + g_semi, g_l2)
-        if not np.all(np.isfinite(w)):
-            raise BlowUpError(f"SGD diverged at step {step}", time=float(step))
-        if step % first.log_every == 0 or step == first.n_steps:
-            log(step)
-    errs, kappas = np.array(errs), np.array(kappas)
+    steps, errs, states = [], [], []
+    # a diverging run overflows on its way out; the checks in ``log`` and
+    # after each step report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        log(0)
+        for step in range(1, first.n_steps + 1):
+            if pos + batch > n:
+                rows = shuffles()
+                pos = 0
+            x = X.take(rows[:, pos : pos + batch], axis=0)  # (runs, batch, dim)
+            pos += batch
+            pw, ps = _projections(x, w[:, None], Wstar)
+            on = pw > 0
+            table[:, 1], table[:, 2] = _span_values("semi", w, wstar, None)
+            semi = table.reshape(-1, dim).take(table_row + on * (1 + (ps > 0)), axis=0)
+            # each part's batch mean, summed as ``.mean`` sums it
+            g_l2, g_semi = (np.add.reduce(part, axis=1)[:, 0] / batch
+                            for part in (_value_part(x, pw, ps, on), semi))
+            w = w - rate * np.where(h1[:, None], g_l2 + g_semi, g_l2)
+            if not np.all(np.isfinite(w)):
+                raise BlowUpError(f"SGD diverged at step {step}", time=float(step))
+            if step % first.log_every == 0 or step == first.n_steps:
+                log(step)
+    states = np.array(states)  # (logs, runs, dim)
+    kl, kh = (k.reshape(len(steps), runs) for k in condition_numbers(pair_geometry(
+        states.reshape(-1, dim), np.broadcast_to(wstar, states.shape).reshape(-1, dim))))
+    errs, kappas = np.array(errs), np.where(h1, kh, kl)
     traces = [SgdTrace(steps=np.asarray(steps), err_sq=errs[:, r], kappa=kappas[:, r],
-                       w_final=w[r], wstar=wstar[r]) for r in range(len(cfgs))]
+                       w_final=w[r], wstar=wstar[r]) for r in range(runs)]
     return traces[0] if isinstance(cfg, SgdConfig) else traces

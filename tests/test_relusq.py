@@ -30,10 +30,11 @@ def test_all_gradients_vanish_at_minimum():
 
 def test_coefficient_identity_at_zero_angle():
     # G(0) = pi and H(0) = 2 pi force grad I1 to cancel exactly at w = w*
-    g, h, g1 = relusq._coeffs(0.0)
+    g, h, g1, sc = relusq._coeffs(0.0)
     assert g == pytest.approx(math.pi, abs=1e-15)
     assert h == pytest.approx(2 * math.pi, abs=1e-15)
     assert g1 == pytest.approx(2 * math.pi, abs=1e-15)
+    assert sc == 0.0
 
 
 def test_collinear_hessian_mismatch_gradient():
