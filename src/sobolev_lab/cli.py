@@ -1,18 +1,20 @@
 """Reproducible experiment runner.
 
 Each subcommand maps one experiment family to CSV artifacts plus a
-manifest.json recording the resolved configuration and code version;
+manifest.json recording the resolved configuration and code version: its
+runner, a function of that configuration alone, returns {file name:
+{column name: column}}, and ``main`` writes the CSVs and then the manifest.
 ``summarize`` measures the acceptance criteria from whatever CSVs are
 present in an output directory, judges them with ``criteria.judge`` and
 emits report.json with one entry per criterion, in table order.
 
-CSV I/O is columnar.  A subcommand hands ``_write_csv`` one array of
-numbers, or one sequence of labels, per column; each distinct value of a
-column is formatted once, numbers with 17 significant digits (round-trip
-exact for 64-bit floats) and integers written as integers, and each line
-is joined from its column strings with the bytes ``csv.writer`` writes, so
-re-running a subcommand with identical configuration yields byte-identical
-CSV bodies; worker count never changes results.  ``_read_csv`` parses a
+CSV I/O is columnar.  ``_write_csv`` takes one array of numbers, or one
+sequence of labels, per column; each distinct value of a column is
+formatted once, numbers with 17 significant digits (round-trip exact for
+64-bit floats) and integers written as integers, and each line is joined
+from its column strings with the bytes ``csv.writer`` writes, so re-running
+a subcommand with identical configuration yields byte-identical CSV
+bodies; worker count never changes results.  ``_read_csv`` parses a
 CSV in one ``np.loadtxt`` pass into one array per column, and every
 ``_measure_c*`` works on those arrays.  A malformed CSV (a row with a cell
 too many or too few, a number that does not parse, a column that is
@@ -20,9 +22,9 @@ missing) is an error whose message starts with the file's name and, for a
 bad row, its line; ``summarize`` records it as the note of each criterion
 measured from that file.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 numerical error
-(a singular point of a closed form or a blown-up trajectory), 1 internal
-error.
+Exit codes: 0 success, 2 configuration/validation error (an out_dir that
+cannot be made among them), 3 numerical error (a singular point of a closed
+form or a blown-up trajectory), 1 internal error.
 """
 
 from __future__ import annotations
@@ -76,14 +78,14 @@ def _quote(label: str) -> str:
     return label
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length ``columns``, one per ``header`` name: an array of
-    numbers, written by ``_fmt_values``, or a sequence of str labels, quoted
-    by ``_quote``.  Each distinct value of a column is written once; each
-    line joins its cells with commas and ends in CRLF, as ``csv.writer``
-    writes it."""
+def _write_csv(path: Path, table: dict) -> None:
+    """Write ``table``'s equal-length columns under its keys as the header:
+    each column an array of numbers, written by ``_fmt_values``, or a
+    sequence of str labels, quoted by ``_quote``.  Each distinct value of a
+    column is written once; each line joins its cells with commas and ends
+    in CRLF, as ``csv.writer`` writes it."""
     cells = []
-    for col in columns:
+    for col in table.values():
         col = np.asarray(col)
         if col.dtype.kind == "U":
             values, where = np.unique(col, return_inverse=True)
@@ -96,7 +98,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
         cells.append(text[where].tolist())
     rows = map(",".join, zip(*cells, strict=True))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(_quote, header)) + "\r\n")
+        fh.write(",".join(map(_quote, table)) + "\r\n")
         # a few thousand lines per write: the text of the whole file is never held
         while lines := list(islice(rows, 4096)):
             fh.write("\r\n".join(lines) + "\r\n")
@@ -185,8 +187,8 @@ HORIZON = Rule(f"a float in (0, {mn._THRESHOLD_T_MAX:g}]",
 # ``foo_bar`` of the defaults, and of COMMON, is the flag ``--foo-bar`` typed as
 # its default (a comma list for a list) and a key ``--config`` may set; its legal
 # values are its ``rules`` entry, else its (items') type's in TYPE_RULES.  The
-# runner is the module function ``cmd_<name with - as _>(cfg, out)``, looked up
-# when the parser is built; ``main`` resolves cfg, makes ``out`` and writes the manifest.
+# runner is the module function ``cmd_<name with - as _>(cfg)``, looked up when the
+# parser is built; ``main`` resolves cfg and writes the runner's tables and the manifest.
 EXPERIMENTS = {
     "landscape": ("condition numbers and spectra over a theta grid",
                   {"dim": 2, "theta_grid": 64, "norm_w": 1.0, "norm_wstar": 1.0},
@@ -226,12 +228,17 @@ COMMON = {"seed": 0, "out_dir": "out"}
 COMMON_RULES = {"seed": Rule("an integer >= 0", lambda v: v >= 0)}
 
 
+def _joined(blocks: list[dict]) -> dict:
+    """One table of ``blocks`` that share their column names: each column joined in block order."""
+    return {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+
+
 # Students per stacked Hessian eigensolve in ``landscape``: a whole grid of
 # d x d matrices at once costs memory that grows with the grid, for no speed
 LANDSCAPE_BLOCK = 32
 
 
-def cmd_landscape(cfg: dict, out: Path) -> list[Path]:
+def cmd_landscape(cfg: dict) -> dict:
     d = cfg["dim"]
     n = cfg["theta_grid"]
     thetas = np.arange(1, n + 1) * (math.pi / 2) / (n + 1)
@@ -243,24 +250,21 @@ def cmd_landscape(cfg: dict, out: Path) -> list[Path]:
     blocks = []
     for lo in range(0, n, LANDSCAPE_BLOCK):
         rep = relu1.hessians(ws[lo : lo + LANDSCAPE_BLOCK], wstar)
-        blocks.append((rep.geometry.alpha, rep.kappa_l2, rep.kappa_h1, rep.spectrum_l2.lam_min,
-                       rep.spectrum_h1.lam_min, rep.spectrum_l2.lam_max, rep.spectrum_h1.lam_max))
-    path = out / "landscape.csv"
-    _write_csv(path, ["theta", "alpha", "kappa_l2", "kappa_h1", "lam_min_l2", "lam_min_h1",
-                      "lam_max_l2", "lam_max_h1"], [thetas, *map(np.concatenate, zip(*blocks))])
-    return [path]
+        blocks.append({"alpha": rep.geometry.alpha, "kappa_l2": rep.kappa_l2,
+                       "kappa_h1": rep.kappa_h1, "lam_min_l2": rep.spectrum_l2.lam_min,
+                       "lam_min_h1": rep.spectrum_h1.lam_min, "lam_max_l2": rep.spectrum_l2.lam_max,
+                       "lam_max_h1": rep.spectrum_h1.lam_max})
+    return {"landscape.csv": {"theta": thetas, **_joined(blocks)}}
 
 
-def cmd_gd_compare(cfg: dict, out: Path) -> list[Path]:
+def cmd_gd_compare(cfg: dict) -> dict:
     rng = np.random.default_rng(cfg["seed"])
     ws, wstar = basin_pairs(rng, cfg["dim"], cfg["points"])
     # each point steps eta_factor times its own bound C
     rep = relu1.gd_compare(ws, wstar, cfg["eta_factor"], relative=True)
-    path = out / "gd_compare.csv"
-    _write_csv(path, ["point_id", "theta", "max_step_c", "eta", "err_l2", "err_h1", "gain_f"],
-               [np.arange(len(ws)), rep.geometry.theta, rep.max_step_c, rep.eta,
-                rep.err_l2, rep.err_h1, rep.gain_f])
-    return [path]
+    return {"gd_compare.csv": {"point_id": np.arange(len(ws)), "theta": rep.geometry.theta,
+                               "max_step_c": rep.max_step_c, "eta": rep.eta, "err_l2": rep.err_l2,
+                               "err_h1": rep.err_h1, "gain_f": rep.gain_f}}
 
 
 # spacing of the recorded time grids of ``flow`` and of ``relusq``'s flows;
@@ -269,11 +273,11 @@ FLOW_RECORD_DT = 0.01
 RELUSQ_RECORD_DT = 0.02
 
 
-def _flow_rows(labels: list[str], make_field, w0: np.ndarray, wstar: np.ndarray,
-               t_end: float, dt: float) -> list[np.ndarray]:
-    """Integrate every row of w0 under every label as one stacked run in the
-    plane span{w0, w*}; the columns (init_id, label, t, v) of its rows sorted
-    by (init_id, label), with t = dt * i below ``t_end``, then ``t_end``.
+def _flow_rows(label: str, labels: list[str], make_field, w0: np.ndarray, wstar: np.ndarray,
+               t_end: float, dt: float) -> dict:
+    """Integrate every row of w0 under each of ``labels`` as one stacked run in
+    the plane span{w0, w*}; the columns init_id, ``label``, t and v of its rows
+    sorted by (init_id, label), with t = dt * i below ``t_end``, then ``t_end``.
 
     Every single-node gradient is a combination of w and w*, so each
     trajectory stays in that plane.  Each start maps to plane coordinates
@@ -291,38 +295,32 @@ def _flow_rows(labels: list[str], make_field, w0: np.ndarray, wstar: np.ndarray,
                        [(np.tile(p0, (len(labels), 1)), t_end, 0.0, dt)], pstar)[0].trace
     n_t, by_label = len(trace.times), np.argsort(labels)
     v = trace.v_values.reshape(n_t, len(labels), m)[:, by_label]
-    return [np.repeat(np.arange(m), len(labels) * n_t),
-            np.tile(np.repeat(np.asarray(labels)[by_label], n_t), m),
-            np.tile(trace.times, m * len(labels)),
-            v.transpose(2, 1, 0).ravel()]
+    return {"init_id": np.repeat(np.arange(m), len(labels) * n_t),
+            label: np.tile(np.repeat(np.asarray(labels)[by_label], n_t), m),
+            "t": np.tile(trace.times, m * len(labels)),
+            "v": v.transpose(2, 1, 0).ravel()}
 
 
-def cmd_flow(cfg: dict, out: Path) -> list[Path]:
+def cmd_flow(cfg: dict) -> dict:
     kinds = ["l2", "h1"] if cfg["kind"] == "both" else [cfg["kind"]]
     rng = np.random.default_rng(cfg["seed"])
     w0, wstar = basin_pairs(rng, cfg["dim"], cfg["inits"])
-    path = out / "flow.csv"
-    _write_csv(path, ["init_id", "kind", "t", "v"],
-               _flow_rows(kinds, relu1.plane_flow_field, w0, wstar, cfg["t_end"], FLOW_RECORD_DT))
-    return [path]
+    return {"flow.csv": _flow_rows("kind", kinds, relu1.plane_flow_field, w0, wstar, cfg["t_end"],
+                                   FLOW_RECORD_DT)}
 
 
-def cmd_relusq(cfg: dict, out: Path) -> list[Path]:
+def cmd_relusq(cfg: dict) -> dict:
     rng = np.random.default_rng(cfg["seed"])
     ws, wstar = basin_pairs(rng, cfg["dim"], cfg["points"])
-    ips = relusq.descent_inner_products(ws, wstar)
-    descent_path = out / "relusq_descent.csv"
-    _write_csv(descent_path, ["point_id", "ip1", "ip2", "ip3"], [np.arange(len(ips)), *ips.T])
-
+    ip1, ip2, ip3 = relusq.descent_inner_products(ws, wstar).T
     w0, wstar2 = basin_pairs(rng, cfg["dim"], cfg["inits"], rmin=0.1, rmax=0.7)
-    flow_path = out / "relusq_flow.csv"
-    _write_csv(flow_path, ["init_id", "variant", "t", "v"],
-               _flow_rows(list(relusq.VARIANTS), relusq.h2_plane_field, w0, wstar2, cfg["t_end"],
-                          RELUSQ_RECORD_DT))
-    return [descent_path, flow_path]
+    return {"relusq_descent.csv": {"point_id": np.arange(len(ws)), "ip1": ip1, "ip2": ip2,
+                                   "ip3": ip3},
+            "relusq_flow.csv": _flow_rows("variant", list(relusq.VARIANTS), relusq.h2_plane_field,
+                                          w0, wstar2, cfg["t_end"], RELUSQ_RECORD_DT)}
 
 
-def cmd_multinode(cfg: dict, out: Path) -> list[Path]:
+def cmd_multinode(cfg: dict) -> dict:
     ks = cfg["k_list"]
 
     # one draw of Omega starts shared by every K, then every K's near-fixed-point
@@ -352,29 +350,26 @@ def cmd_multinode(cfg: dict, out: Path) -> list[Path]:
     saddles = np.array([mn.saddle_points(k) for k in ks])
     saddle_fields = np.array([[np.abs(mn.reduced_flow_field(kind, k)(np.array([x, x]))).max()
                                for kind, x in zip(("l2", "h1"), xs)] for k, xs in zip(ks, saddles)])
-    path = out / "multinode.csv"
-    _write_csv(path, ["k", "x_saddle_l2", "x_saddle_h1", "saddle_field_l2", "saddle_field_h1",
-                      "decay_exp_l2", "decay_exp_h1", "time_ratio_median", "max_final_dist"],
-               [ks, *saddles.T, *saddle_fields.T, *exps.T, np.median(ratios, axis=1),
-                final_dist.max(axis=1)])
-    return [path]
+    return {"multinode.csv": {
+        "k": ks, "x_saddle_l2": saddles[:, 0], "x_saddle_h1": saddles[:, 1],
+        "saddle_field_l2": saddle_fields[:, 0], "saddle_field_h1": saddle_fields[:, 1],
+        "decay_exp_l2": exps[:, 0], "decay_exp_h1": exps[:, 1],
+        "time_ratio_median": np.median(ratios, axis=1), "max_final_dist": final_dist.max(axis=1)}}
 
 
-def cmd_toeplitz(cfg: dict, out: Path) -> list[Path]:
+def cmd_toeplitz(cfg: dict) -> dict:
     blocks = []
     for k in cfg["k_list"]:
         j_l2 = mn.toeplitz_jacobian("l2", k)
         j_h1 = mn.toeplitz_jacobian("h1", k)
-        blocks.append((np.full(k, k), np.arange(k), eigs.real_eigs(-j_l2).eigenvalues[::-1],
-                       np.sort(mn.toeplitz_linearization(k)[1]),
-                       np.full(k, np.abs(j_h1 - 2.0 * j_l2).max())))
-    path = out / "toeplitz.csv"
-    _write_csv(path, ["k", "eig_index", "eig_l2", "expected_eig", "h1_vs_2l2_maxdiff"],
-               map(np.concatenate, zip(*blocks)))
-    return [path]
+        blocks.append({"k": np.full(k, k), "eig_index": np.arange(k),
+                       "eig_l2": eigs.real_eigs(-j_l2).eigenvalues[::-1],
+                       "expected_eig": np.sort(mn.toeplitz_linearization(k)[1]),
+                       "h1_vs_2l2_maxdiff": np.full(k, np.abs(j_h1 - 2.0 * j_l2).max())})
+    return {"toeplitz.csv": _joined(blocks)}
 
 
-def cmd_sgd(cfg: dict, out: Path) -> list[Path]:
+def cmd_sgd(cfg: dict) -> dict:
     runs = [(s, kind) for s in range(cfg["seeds"]) for kind in ("l2", "h1")]
     traces = sgd_mod.sgd_run([
         sgd_mod.SgdConfig(
@@ -389,16 +384,13 @@ def cmd_sgd(cfg: dict, out: Path) -> list[Path]:
         )
         for s, kind in runs
     ])
-    logged = [len(trace.steps) for trace in traces]
-    path = out / "sgd.csv"
-    _write_csv(path, ["seed", "kind", "step", "err_sq", "kappa"],
-               [*(np.repeat(col, logged) for col in zip(*runs)),
-                *(np.concatenate([getattr(trace, f) for trace in traces])
-                  for f in ("steps", "err_sq", "kappa"))])
-    return [path]
+    seed, kind = (np.repeat(col, [len(trace.steps) for trace in traces]) for col in zip(*runs))
+    return {"sgd.csv": {"seed": seed, "kind": kind,
+                        **_joined([{"step": trace.steps, "err_sq": trace.err_sq,
+                                    "kappa": trace.kappa} for trace in traces])}}
 
 
-def cmd_verify_gradients(cfg: dict, out: Path) -> list[Path]:
+def cmd_verify_gradients(cfg: dict) -> dict:
     if cfg["n_min"] > cfg["n_max"]:
         raise ValueError(f"n_min must be <= n_max, got n_min={cfg['n_min']} and "
                          f"n_max={cfg['n_max']}")
@@ -406,15 +398,13 @@ def cmd_verify_gradients(cfg: dict, out: Path) -> list[Path]:
     forms = [tuple(form.split(":")) for form in cfg["forms"]]
     tables = mc._convergence_tables(forms, cfg["dims"], n_grid, cfg["trials"], cfg["seed"],
                                     cfg["threads"])
-    cells = [len(table) for table in tables]
+    model, kind = (np.repeat(col, [len(table) for table in tables]) for col in zip(*forms))
     dim, n, mse = np.concatenate(tables).T
-    path = out / "convergence.csv"
-    _write_csv(path, ["model", "kind", "dim", "log2_n", "mse"],
-               [*(np.repeat(col, cells) for col in zip(*forms)), dim, np.log2(n), mse])
-    return [path]
+    return {"convergence.csv": {"model": model, "kind": kind, "dim": dim, "log2_n": np.log2(n),
+                                "mse": mse}}
 
 
-def cmd_linear(cfg: dict, out: Path) -> list[Path]:
+def cmd_linear(cfg: dict) -> dict:
     rng = np.random.default_rng(cfg["seed"])
     X = rng.standard_normal((cfg["n"], cfg["dim"]))
     wstar = rng.standard_normal(cfg["dim"])
@@ -422,14 +412,14 @@ def cmd_linear(cfg: dict, out: Path) -> list[Path]:
                 for lam in cfg["lambdas"]]
     # one study: every lambda shares the noise draws and the least-squares fits
     studies = variance_study(problems, cfg["trials"], cfg["seed"] + 1)
-    rows = [(p.ridge_lambda, *conditioning(p), *study) for p, study in zip(problems, studies)]
-    path = out / "linear.csv"
-    _write_csv(path, ["lambda", "kappa_l2", "kappa_h1", "var_l2_emp", "var_h1_emp",
-                      "var_l2_formula", "var_h1_formula"], np.array(rows, dtype=float).T)
-    return [path]
+    kappa_l2, kappa_h1 = np.array([conditioning(p) for p in problems]).T
+    var_l2_emp, var_h1_emp, var_l2_formula, var_h1_formula = np.array(studies).T
+    return {"linear.csv": {"lambda": cfg["lambdas"], "kappa_l2": kappa_l2, "kappa_h1": kappa_h1,
+                           "var_l2_emp": var_l2_emp, "var_h1_emp": var_h1_emp,
+                           "var_l2_formula": var_l2_formula, "var_h1_formula": var_h1_formula}}
 
 
-def cmd_chebyshev(cfg: dict, out: Path) -> list[Path]:
+def cmd_chebyshev(cfg: dict) -> dict:
     ns = np.arange(1, cfg["n_max"] + 1)
     worst, row_sum = np.zeros(len(ns)), np.zeros(len(ns))
     for i, n in enumerate(ns.tolist()):
@@ -439,9 +429,7 @@ def cmd_chebyshev(cfg: dict, out: Path) -> list[Path]:
             expected = k * x ** (k - 1) if k > 0 else np.zeros_like(x)
             worst[i] = max(worst[i], float(np.abs(d @ x**k - expected).max()))
         row_sum[i] = np.abs(d.sum(axis=1)).max()
-    path = out / "chebyshev.csv"
-    _write_csv(path, ["n", "max_monomial_err", "row_sum_max"], [ns, worst, row_sum])
-    return [path]
+    return {"chebyshev.csv": {"n": ns, "max_monomial_err": worst, "row_sum_max": row_sum}}
 
 
 # --------------------------------------------------------------------------
@@ -606,19 +594,25 @@ def _measure_c8(cols):
 
 def _measure_c9(cols):
     model, kind, dim, log2_n, mse = (cols[c] for c in ("model", "kind", "dim", "log2_n", "mse"))
-    slopes, rise = {}, []
+    slopes, rise, zero = {}, [], []
     for rows in _groups([model, kind, dim], [log2_n, mse]):
         first, ms = rows[0], mse[rows]
         if log2_n[first] == log2_n[rows[-1]]:
             continue  # one sample size: no slope and no rise to measure
         key = f"{model[first]}:{kind[first]}:d{_fmt(dim[first])}"
-        slopes[key] = mc.fit_loglog_slope(2.0 ** log2_n[rows], ms)
         rise.append(ms[-1] - ms[0])
-    if not slopes:
+        # an MSE of exactly 0 has no log: its cell is listed, not fitted, and a
+        # group left with one sample size has no slope
+        zero += [f"{key}:log2_n={_fmt(p)}" for p in log2_n[rows[ms == 0]]]
+        fit = rows[ms != 0]
+        if np.unique(log2_n[fit]).size > 1:
+            slopes[key] = mc.fit_loglog_slope(2.0 ** log2_n[fit], mse[fit])
+    if not rise:
         return {}
     values = list(slopes.values())
-    return {"slope_range": [np.min(values), np.max(values)],
-            "max_mse_rise": np.max(rise), "slopes": slopes}
+    m = {"slope_range": [np.min(values), np.max(values)]} if values else {}
+    m.update(max_mse_rise=np.max(rise), slopes=slopes)
+    return {**m, "zero_mse_cells": zero} if zero else m
 
 
 def _measure_c10(cols):
@@ -755,8 +749,14 @@ def main(argv=None) -> int:
         else:
             cfg = _resolve(args, args.defaults, args.rules)
             out = Path(cfg["out_dir"])
-            out.mkdir(parents=True, exist_ok=True)
-            paths = args.runner(cfg, out)
+            try:  # before any compute, so that a bad --out-dir costs nothing
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ValueError(f"out_dir must name a directory, got {str(out)!r}: "
+                                 f"{exc.strerror}") from None
+            paths = {out / name: table for name, table in args.runner(cfg).items()}
+            for path, table in paths.items():
+                _write_csv(path, table)
             _write_manifest(out, args.subcommand, cfg)
     except (SingularPointError, BlowUpError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -100,24 +100,24 @@ def cyclic_students(t: np.ndarray) -> np.ndarray:
 
 
 def _k_factors(k):
-    """K - 1, K - 2 and 2 (K - 2) as floats: scalars for an int K, arrays for one K per state."""
+    """K - 1 and K - 2 as floats: scalars for an int K, arrays for one K per state."""
     k = np.asarray(k, dtype=float)
-    return k - 1.0, k - 2.0, 2 * (k - 2.0)
+    return k - 1.0, k - 2.0
 
 
-def _planar_angles(x, y, k1, k2, k2_twice):
+def _planar_angles(x, y, k1, k2):
     """alpha, theta, phi_star and phi of the planar parametrization.
 
-    ``k1``, ``k2`` and ``k2_twice`` are the factors K - 1, K - 2 and
-    2 (K - 2) of ``_k_factors``; everything broadcasts over x, y and the
-    factors.  All three angles are taken in two-argument form; the inverse
-    cosine loses half the digits where the angle is small.  theta =
-    atan2(sqrt(K - 1) |y|, x) keeps its digits next to the fixed point
-    (1, 0), phi_star = atan2(sqrt(x^2 + (K - 2) y^2), y) is its companion,
-    and the inter-student angle phi has sin(phi) / cos(phi) reduced to
-    |x - y| sqrt((x + y)^2 + 2 (K - 2) y^2) / (2 x y + (K - 2) y^2), so it
-    is exactly 0 on the diagonal and exactly pi/2 at (1, 0).  The squares
-    x^2, (K - 1) y^2 and (K - 2) y^2 are each formed once.
+    ``k1`` and ``k2`` are the factors K - 1 and K - 2 of ``_k_factors``;
+    everything broadcasts over x, y and the factors.  All three angles are
+    taken in two-argument form; the inverse cosine loses half the digits
+    where the angle is small.  theta = atan2(sqrt(K - 1) |y|, x) keeps its
+    digits next to the fixed point (1, 0), phi_star = atan2(sqrt(x^2 +
+    (K - 2) y^2), y) is its companion, and the inter-student angle phi has
+    sin(phi) / cos(phi) reduced to |x - y| sqrt((x + y)^2 + 2 (K - 2) y^2) /
+    (2 x y + (K - 2) y^2), so it is exactly 0 on the diagonal and exactly
+    pi/2 at (1, 0).  The squares x^2, (K - 1) y^2 and (K - 2) y^2 are each
+    formed once, and 2 (K - 2) y^2 doubles the last, which is exact.
     """
     xx = x * x
     k1yy = k1 * y * y
@@ -125,8 +125,7 @@ def _planar_angles(x, y, k1, k2, k2_twice):
     alpha = 1.0 / np.sqrt(xx + k1yy)
     theta = np.arctan2(np.sqrt(k1yy), x)
     phi_star = np.arctan2(np.sqrt(xx + k2yy), y)
-    phi = np.arctan2(np.abs(x - y) * np.sqrt((x + y) ** 2 + k2_twice * y * y),
-                     2 * x * y + k2yy)
+    phi = np.arctan2(np.abs(x - y) * np.sqrt((x + y) ** 2 + 2.0 * k2yy), 2 * x * y + k2yy)
     return alpha, theta, phi_star, phi
 
 
@@ -138,12 +137,12 @@ def reduced_flow_field(kind, k):
     row (shape (...,)).  Ensembles of several kinds and K integrate as one.
     """
     c = _kind_factor(kind)
-    k1, k2, k2_twice = _k_factors(k)
+    k1, k2 = _k_factors(k)
 
     def field(s: np.ndarray) -> np.ndarray:
         x = s[..., 0]
         y = s[..., 1]
-        alpha, theta, phi_star, phi = _planar_angles(x, y, k1, k2, k2_twice)
+        alpha, theta, phi_star, phi = _planar_angles(x, y, k1, k2)
         pi_phi = np.pi - phi
         first = k1 * (alpha * np.sin(phi_star) - np.sin(phi)) + alpha * np.sin(theta)
         bx = np.pi * x - (np.pi - theta) + pi_phi * k1 * y
