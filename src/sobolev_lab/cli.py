@@ -530,11 +530,21 @@ def _traces(cols, label) -> dict[str, np.ndarray]:
 
 
 def _measure_c1(cols):
-    kl, kh = cols["kappa_l2"], cols["kappa_h1"]
-    rel_l = np.abs(cols["lam_max_l2"] / cols["lam_min_l2"] - kl) / kl
-    rel_h = np.abs(cols["lam_max_h1"] / cols["lam_min_h1"] - kh) / kh
-    off = cols["theta"] > criteria.MIN_THETA
-    return {"max_rel_err": np.max([rel_l, rel_h]), "max_kappa_gap": (kh - kl)[off].max()}
+    # outside the strict-convexity region a kappa is nan by design: such a row
+    # leaves its kind's measurement where the numeric lambda_min is <= 0 too
+    rel, kept, undefined = [], [], {}
+    for kind in ("l2", "h1"):
+        kappa, lam_min = cols[f"kappa_{kind}"], cols[f"lam_min_{kind}"]
+        keep = ~(np.isnan(kappa) & (lam_min <= 0.0))
+        rel.append(np.abs(cols[f"lam_max_{kind}"][keep] / lam_min[keep] - kappa[keep]) / kappa[keep])
+        kept.append(keep)
+        undefined[kind] = int(np.count_nonzero(~keep))
+    rel = np.concatenate(rel)
+    off = kept[0] & kept[1] & (cols["theta"] > criteria.MIN_THETA)
+    m = {"max_rel_err": rel.max()} if rel.size else {}
+    if off.any():
+        m["max_kappa_gap"] = (cols["kappa_h1"] - cols["kappa_l2"])[off].max()
+    return {**m, "undefined_kappa_rows": undefined} if any(undefined.values()) else m
 
 
 def _measure_c2(cols):

@@ -69,8 +69,7 @@ def symmetric_eigs(a: np.ndarray) -> SpectrumReport:
     ``real_eigs``) raise ``SingularPointError``: they come from a closed form
     evaluated where it blows up, not from a bad input.  So does an asymmetry
     beyond the tolerance: the closed forms handed in are symmetric in exact
-    arithmetic, and the L2 Hessian's rounding asymmetry grows like
-    alpha ~ 1/sin(theta) next to collinearity.
+    arithmetic.
     """
     a, scale = _check_square(a)
     a_t = np.swapaxes(a, -1, -2)

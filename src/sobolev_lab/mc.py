@@ -385,9 +385,8 @@ def _span_values(part: str, w: np.ndarray, wstar: np.ndarray, dots) -> tuple[np.
     w.x > 0, v where w.x > 0 and w*.x > 0 (0 where w.x <= 0)."""
     if part == "semi":  # ``_relu_grad``'s seminorm part at K = 1
         return w, w - wstar
-    u, v = _part_value("grad", part, w, wstar, dots, None,
-                       np.array([True, True]), np.array([False, True]), None, None)
-    return u, v
+    nw2, dot, _ = dots  # "i3": ``_part_value``'s gradient at those indicators
+    return 8.0 * (nw2 * w), 8.0 * (nw2 * w - dot * wstar)
 
 
 # Gradient parts that depend on x only through 1{w.x>0} and 1{w*.x>0}, so lie

@@ -11,7 +11,20 @@ Conventions pinned here and relied on everywhere else:
   grad J = (pi - theta)/(2 pi) (w - w*) + theta/(2 pi) w
   hess L = I/2 - alpha (u u^T - cos(theta) v u^T + sin^2(theta) I)(I - v v^T)
   hess H = I   - alpha (2 u u^T - cos(theta) v u^T + sin^2(theta) I)(I - v v^T)
-with u = w*/|w*|, v = w/|w|, alpha = |w*|/(2 pi |w| sin(theta)).
+with u = w*/|w*|, v = w/|w|, alpha = |w*|/(2 pi |w| sin(theta)).  With
+u = cos(theta) v + sin(theta) g, g the unit vector of span{u, v} normal to v,
+and q = alpha sin^2(theta), both are a multiple of I plus a rank-2 update in
+the orthonormal basis [v g], and the spectra read off their diagonals:
+  hess L = (1/2 - q) I + [v g] [[q, 0], [0, -q]] [v g]^T
+  hess H = (1 - q) I   + [v g] [[q, -alpha sin(theta) cos(theta)], [0, -2q]] [v g]^T
+         = hess L + hess J,  hess J = I/2 - alpha sin(theta) u g^T.
+
+hess L has the spectrum {1/2, 1/2 - q (mult d-2), 1/2 - 2q}, so kappa(hess L)
+= 1/(1 - 4q).  hess H is not symmetric: its skew part -alpha sin cos (v g^T -
+g v^T)/2 makes it non-normal, with the real semisimple spectrum {1, 1 - q
+(mult d-2), 1 - 3q}, so kappa(hess H) = 1/(1 - 3q).  Symmetrizing it would
+shift the extreme eigenvalues, so it is kept exactly as defined and its
+spectrum is taken with a general eigensolver.
 
 The ReLU derivative at 0 uses the subgradient choice 1{t>0}; the event has
 measure zero under Gaussian inputs.
@@ -26,17 +39,6 @@ The Hessians, their spectra and the GD comparison take one student (d,) or
 a stack (m, d) against one teacher (d,), and return stacks with a leading
 axis of length m.  A row's value does not depend on its stack: each row of
 a stack is bit for bit the one-student result.
-
-Note: hess L is symmetric, but hess H as written carries the skew part
--alpha cos(theta) (v g^T - g v^T)/2, g = u - cos(theta) v.  It is a
-non-normal matrix with a real semisimple spectrum {1, 1 - alpha sin^2
-(mult d-2), 1 - 3 alpha sin^2}; symmetrizing it would shift the extreme
-eigenvalues, so it is kept exactly as defined and its spectrum is taken
-with a general eigensolver.
-
-Condition numbers follow the eigenvalue assignment the numeric oracle
-confirms: kappa(hess L) = 1/(1 - 4 a s^2), kappa(hess H) = 1/(1 - 3 a s^2)
-with a s^2 = alpha sin^2(theta).
 """
 
 from __future__ import annotations
@@ -187,8 +189,8 @@ def condition_numbers(geom: PairGeometry) -> tuple[float | None, float | None]:
     """Closed-form condition numbers (kappa_L2, kappa_H1) from pair geometry.
 
     Undefined (None, or nan in a stack) when the matching minimum eigenvalue
-    1/2 - 2 a s^2 resp. 1 - 3 a s^2 is <= 0, that is outside the
-    strict-convexity region S: sin(theta) < pi |w| / (2 |w*|) resp.
+    1/2 - 2q resp. 1 - 3q, q = alpha sin^2(theta), is <= 0, that is outside
+    the strict-convexity region S: sin(theta) < pi |w| / (2 |w*|) resp.
     S': sin(theta) < 2 pi |w| / (3 |w*|).
     """
     q = geom.alpha_sin_sq
@@ -221,24 +223,23 @@ def hessian_matrices(w: np.ndarray, wstar: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _hessian_matrices(w: np.ndarray, wstar: np.ndarray, geom: PairGeometry):
-    """``hessian_matrices`` from the pair geometry ``geom`` of (w, w*)."""
+    """``hessian_matrices`` from the pair geometry ``geom`` of (w, w*), in the basis [v g]."""
     if np.any(geom.norm_w == 0.0) or np.any(geom.sin_theta == 0.0):
         raise SingularPointError("Hessian formulas are singular at theta = 0 or w = 0")
     d = w.shape[-1]
     if d < 2:
         raise ValueError("Hessians need dimension >= 2")
-    nw, ns, cos, sin, alpha = map(np.asarray, (geom.norm_w, geom.norm_wstar, geom.cos_theta,
-                                                geom.sin_theta, geom.alpha))
-    u = wstar / ns[..., None]
-    v = w / nw[..., None]
-    uu = u[..., :, None] * u[..., None, :]
-    eye = np.eye(d)
-    proj = eye - v[..., :, None] * v[..., None, :]
-    s2_eye = (sin * sin)[..., None, None] * eye
-    cos_vu = cos[..., None, None] * (v[..., :, None] * u[..., None, :])
-    alpha = alpha[..., None, None]
-    hl = 0.5 * eye - alpha * ((uu - cos_vu + s2_eye) @ proj)
-    hh = eye - alpha * ((2.0 * uu - cos_vu + s2_eye) @ proj)
+    nw, ns, cos, sin, q = map(np.asarray, (geom.norm_w, geom.norm_wstar, geom.cos_theta,
+                                            geom.sin_theta, geom.alpha_sin_sq))
+    u, v = wstar / ns[..., None], w / nw[..., None]
+    basis = np.stack([v, (u - cos[..., None] * v) / sin[..., None]], axis=-1)  # [v g]: (..., d, 2)
+    a_sc = ns / (TWO_PI * nw) * cos  # alpha sin(theta) cos(theta)
+    zero = np.zeros_like(q)
+    core_l = np.stack([q, zero, zero, -q], -1).reshape(*q.shape, 2, 2)  # B, row by row
+    core_h = np.stack([q, -a_sc, zero, -2.0 * q], -1).reshape(*q.shape, 2, 2)
+    eye, basis_t = np.eye(d), np.swapaxes(basis, -1, -2)
+    hl = (0.5 - q)[..., None, None] * eye + basis @ core_l @ basis_t
+    hh = (1.0 - q)[..., None, None] * eye + basis @ core_h @ basis_t
     return hl, hh
 
 

@@ -593,6 +593,26 @@ def test_summarize_partial_dir_evaluates_only_present(tmp_path):
     assert crits["c9_mc_verification"]["status"] == "missing"
 
 
+def test_c1_measures_each_kind_where_its_kappa_is_defined(tmp_path):
+    # at |w| = 1/2, 27 of the 64 grid rows lie outside the L2 convexity region:
+    # their kappa_l2 is nan by design and their numeric lambda_min_l2 is < 0.
+    # They once made max_rel_err and max_kappa_gap NaN and c1 fail
+    assert run("landscape", "--norm-w", "0.5", "--out-dir", str(tmp_path)) == 0
+    c1 = summarize(tmp_path)["criteria"]["c1_condition_number_law"]
+    assert c1["status"] == "pass", c1
+    assert c1["measured"]["undefined_kappa_rows"] == {"l2": 27, "h1": 0}
+
+
+def test_c1_fails_on_an_undefined_kappa_at_a_positive_lambda_min(tmp_path):
+    # a nan kappa is excused only where the numeric spectrum is not positive
+    rows = ["theta,kappa_l2,kappa_h1,lam_min_l2,lam_min_h1,lam_max_l2,lam_max_h1",
+            "0.1,1.25,1.2,0.4,0.8333333333333334,0.5,1", "0.2,nan,1.2,0.4,0.8333333333333334,0.5,1"]
+    (tmp_path / "landscape.csv").write_text("\n".join(rows) + "\n")
+    c1 = summarize(tmp_path)["criteria"]["c1_condition_number_law"]
+    assert c1["status"] == "fail", c1
+    assert "undefined_kappa_rows" not in c1["measured"]
+
+
 def test_summarize_leaves_c9_unmeasured_for_one_sample_size(tmp_path):
     # a log-log slope through one point is no measurement: it once came out of
     # a rank-deficient fit as "fail" (or "error" under a RuntimeWarning filter)

@@ -479,6 +479,18 @@ def test_first_order_kernel_with_leading_axes_is_its_2d_slices():
             assert np.array_equal(part[idx], alone), idx
 
 
+@pytest.mark.parametrize("dim", [4, 16, 64])
+def test_one_node_projections_are_the_matrix_vector_products(dim):
+    # one x @ [w, w*] product rounds otherwise than the two matrix-vector
+    # products on thousands of these entries, and would move the convergence
+    # and SGD tables
+    rng = np.random.default_rng(dim)
+    w, ws = rng.standard_normal(dim), rng.standard_normal(dim)
+    x = block_normals(dim, 0, 4096, dim)
+    pw, ps = mc._projections(x, w[None], ws[None])
+    assert np.array_equal(pw, (x @ w)[:, None]) and np.array_equal(ps, (x @ ws)[:, None])
+
+
 def test_one_node_multinode_estimate_is_the_relu_estimate():
     # one first-order kernel serves both estimators; with K = 1 they coincide
     w = np.array([0.3, -1.0, 0.5])

@@ -6,7 +6,7 @@ import pytest
 
 from sobolev_lab import multinode as mn
 from sobolev_lab import relu1
-from sobolev_lab.eigs import symmetric_eigs
+from sobolev_lab.eigs import _SYM_TOL, symmetric_eigs
 from sobolev_lab.exceptions import SingularPointError
 from sobolev_lab.geometry import _plane_coordinates, pair_geometry
 from sobolev_lab.mc import McConfig, mc_loss_and_grad
@@ -273,16 +273,18 @@ def test_stacked_rows_are_the_one_vector_calls(d):
 
 
 def _one_pair_reference(w, ws, eta):
-    """Hessians and GD numbers of one pair from its scalar geometry, np.outer,
-    one-vector norms and the one-pair gradients: the arithmetic that every
-    row of a stack must reproduce bit for bit."""
+    """Hessians and GD numbers of one pair from its scalar geometry, a (d, 2)
+    basis with a Python-float core, one-vector norms and the one-pair
+    gradients: the arithmetic that every row of a stack must reproduce bit
+    for bit."""
     g = pair_geometry(w, ws)
     u, v = ws / g.norm_wstar, w / g.norm_w
+    basis = np.stack([v, (u - g.cos_theta * v) / g.sin_theta], axis=1)
+    q = g.alpha_sin_sq
+    a_sc = g.norm_wstar / (TWO_PI * g.norm_w) * g.cos_theta
     eye = np.eye(len(w))
-    proj = eye - np.outer(v, v)
-    s2 = g.sin_theta * g.sin_theta
-    hl = 0.5 * eye - g.alpha * ((np.outer(u, u) - g.cos_theta * np.outer(v, u) + s2 * eye) @ proj)
-    hh = eye - g.alpha * ((2.0 * np.outer(u, u) - g.cos_theta * np.outer(v, u) + s2 * eye) @ proj)
+    hl = (0.5 - q) * eye + basis @ np.array([[q, 0.0], [0.0, -q]]) @ basis.T
+    hh = (1.0 - q) * eye + basis @ np.array([[q, -a_sc], [0.0, -2.0 * q]]) @ basis.T
     b = relu1.population_gradients(w, ws)
     num = -2.0 * float(b.grad_seminorm @ (w - ws))
     den = float(b.grad_l2 @ b.grad_l2) - float(b.grad_h1 @ b.grad_h1)
@@ -309,17 +311,68 @@ def test_stacked_rows_keep_the_one_pair_arithmetic():
         assert (gd.err_l2[i], gd.err_h1[i], gd.max_step_c[i]) == (err_l2, err_h1, c), i
 
 
-def test_near_collinear_hessian_asymmetry_is_a_singular_point():
-    # hess L is symmetric in exact arithmetic; its rounding asymmetry grows
-    # like alpha ~ 1/sin(theta) and, this close to the teacher's line, passes
-    # the solver's tolerance: a numerical condition, not a bad input
+def _product_form(w, ws):
+    """The paper's product forms of one pair, term by term with np.outer:
+    I/2 - alpha (u u^T - cos v u^T + sin^2 I)(I - v v^T), and hess H with 2 u u^T."""
+    g = pair_geometry(w, ws)
+    u, v = ws / g.norm_wstar, w / g.norm_w
+    eye = np.eye(len(w))
+    proj = eye - np.outer(v, v)
+    s2 = g.sin_theta * g.sin_theta
+    hl = 0.5 * eye - g.alpha * ((np.outer(u, u) - g.cos_theta * np.outer(v, u) + s2 * eye) @ proj)
+    hh = eye - g.alpha * ((2.0 * np.outer(u, u) - g.cos_theta * np.outer(v, u) + s2 * eye) @ proj)
+    return hl, hh
+
+
+@pytest.mark.parametrize("d", [2, 6, 32])
+def test_basis_form_is_the_product_form(d):
+    # the rank-2 form in the basis [v g] is the product form expanded with
+    # u = cos v + sin g; the gap is the product form's own cancellation, which
+    # grows like alpha ~ 1/sin(theta) next to collinearity
+    rng = np.random.default_rng(40 + d)
+    stack, ws = _mixed_stack(rng, d)
+    for w, hl, hh in zip(stack, *relu1.hessian_matrices(stack, ws)):
+        for new, old in zip((hl, hh), _product_form(w, ws)):
+            assert np.abs(new - old).max() <= 1e-12 * max(1.0, np.abs(old).max())
+    for _ in range(200):
+        w, ws = basin_pair(rng, d)
+        scale = 1.0 + pair_geometry(w, ws).alpha
+        for new, old in zip(relu1.hessian_matrices(w, ws), _product_form(w, ws)):
+            assert np.abs(new - old).max() <= 1e-15 * scale * np.abs(old).max()
+
+
+def test_h1_hessian_is_the_l2_hessian_plus_a_rank_one_seminorm_term():
+    # hess J = I/2 - (alpha sin) u g^T with g = (u - cos v)/sin
+    rng = np.random.default_rng(41)
+    for d in (2, 5, 16):
+        for _ in range(20):
+            w, ws = basin_pair(rng, d)
+            g = pair_geometry(w, ws)
+            u, v = ws / g.norm_wstar, w / g.norm_w
+            hat_g = (u - g.cos_theta * v) / g.sin_theta
+            hess_j = 0.5 * np.eye(d) - g.alpha * g.sin_theta * np.outer(u, hat_g)
+            hl, hh = relu1.hessian_matrices(w, ws)
+            assert np.abs(hh - hl - hess_j).max() <= 1e-15
+
+
+def test_near_collinear_hessians_keep_their_closed_form_spectra():
+    # at theta ~ 1e-7 the L2 Hessian is (1/2 - q) I + q (v v^T - g g^T) with q
+    # ~ 1e-8, symmetric to rounding and its spectrum exact to rounding; the
+    # non-normal H1 Hessian's extremes 1 and 1 - 3q sit 3q apart, which
+    # bounds how well any eigensolver resolves them
     for d in (2, 8, 32):
         rng = np.random.default_rng(0)
         ws = rng.standard_normal(d)
         ws /= np.linalg.norm(ws)
         w = 1.3 * ws + 1e-7 * rng.standard_normal(d)
-        with pytest.raises(SingularPointError, match="not symmetric"):
-            relu1.hessians(w, ws)
+        hl, _ = relu1.hessian_matrices(w, ws)
+        assert np.abs(hl - hl.T).max() <= _SYM_TOL
+        rep = relu1.hessians(w, ws)
+        cf = relu1.closed_form_eigs(rep.geometry)
+        expected = [cf["l2_max"]] + [cf["l2_bulk"]] * (d - 2) + [cf["l2_min"]]
+        assert np.abs(rep.spectrum_l2.eigenvalues - expected).max() <= 1e-14
+        assert abs(rep.spectrum_h1.lam_max - cf["h1_max"]) <= 1e-9
+        assert abs(rep.spectrum_h1.lam_min - cf["h1_min"]) <= 1e-9
 
 
 def test_stacked_hessians_reject_a_singular_row():
