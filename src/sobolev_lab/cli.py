@@ -31,9 +31,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
+import platform
 import sys
+import time
 import warnings
 from datetime import datetime, timezone
 from itertools import islice
@@ -78,12 +81,13 @@ def _quote(label: str) -> str:
     return label
 
 
-def _write_csv(path: Path, table: dict) -> None:
+def _write_csv(path: Path, table: dict) -> str:
     """Write ``table``'s equal-length columns under its keys as the header:
     each column an array of numbers, written by ``_fmt_values``, or a
     sequence of str labels, quoted by ``_quote``.  Each distinct value of a
     column is written once; each line joins its cells with commas and ends
-    in CRLF, as ``csv.writer`` writes it."""
+    in CRLF, as ``csv.writer`` writes it, in UTF-8.  Returns the SHA-256 hex
+    digest of the bytes written, hashed as they are written."""
     cells = []
     for col in table.values():
         col = np.asarray(col)
@@ -97,18 +101,32 @@ def _write_csv(path: Path, table: dict) -> None:
             text = _fmt_values(values)
         cells.append(text[where].tolist())
     rows = map(",".join, zip(*cells, strict=True))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(_quote, table)) + "\r\n")
+    digest = hashlib.sha256()
+
+    def write(fh, text: str) -> None:  # its bytes are freed before the next lines are joined
+        data = text.encode()
+        digest.update(data)
+        fh.write(data)
+
+    with open(path, "wb") as fh:
+        write(fh, ",".join(map(_quote, table)) + "\r\n")
         # a few thousand lines per write: the text of the whole file is never held
         while lines := list(islice(rows, 4096)):
-            fh.write("\r\n".join(lines) + "\r\n")
+            write(fh, "\r\n".join(lines) + "\r\n")
+    return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, subcommand: str, cfg: dict) -> None:
+def _write_manifest(out_dir: Path, subcommand: str, cfg: dict, seconds: dict,
+                    csv_sha256: dict) -> None:
+    """manifest.json: the run's resolved config, its compute and CSV write
+    seconds, the package, python and numpy versions and each CSV's SHA-256."""
     manifest = {
         "subcommand": subcommand,
         "config": cfg,
         "package_version": __version__,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
+        "seconds": seconds,
+        "csv_sha256": csv_sha256,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     with open(out_dir / "manifest.json", "w") as fh:
@@ -151,7 +169,7 @@ def _resolve(args: argparse.Namespace, defaults: dict, rules: dict) -> dict:
     for key, default in defaults.items():
         is_list = isinstance(default, list)
         if is_list:
-            cfg[key] = _parse_list(cfg[key], type(default[0]))
+            cfg[key] = _parse_list(key, cfg[key], type(default[0]))
         rule = _rule(rules, key, default)
         for val in cfg[key] if is_list else [cfg[key]]:
             if rule is not None and not rule.admits(val):
@@ -718,11 +736,12 @@ def cmd_summarize(args) -> list[Path]:
 # plumbing
 
 
-def _parse_list(s, conv) -> list:
-    """A comma-separated string or a JSON list, each item through ``conv``; never empty."""
-    items = s if isinstance(s, list) else [tok.strip() for tok in s.split(",") if tok.strip()]
-    if not items:
-        raise ValueError(f"empty list {s!r}")
+def _parse_list(key: str, s, conv) -> list:
+    """``key``'s comma-separated string or JSON list, each item through ``conv``;
+    neither the list nor any item of it is empty."""
+    items = s if isinstance(s, list) else [tok.strip() for tok in s.split(",")]
+    if not items or "" in items:
+        raise ValueError(f"{key} must be a comma list without empty items, got {s!r}")
     return [conv(v) for v in items]
 
 
@@ -764,10 +783,13 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ValueError(f"out_dir must name a directory, got {str(out)!r}: "
                                  f"{exc.strerror}") from None
-            paths = {out / name: table for name, table in args.runner(cfg).items()}
-            for path, table in paths.items():
-                _write_csv(path, table)
-            _write_manifest(out, args.subcommand, cfg)
+            start = time.perf_counter()
+            tables = args.runner(cfg)
+            computed = time.perf_counter()
+            digests = {name: _write_csv(out / name, table) for name, table in tables.items()}
+            seconds = {"compute": computed - start, "write": time.perf_counter() - computed}
+            _write_manifest(out, args.subcommand, cfg, seconds, digests)
+            paths = [out / name for name in tables]
     except (SingularPointError, BlowUpError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -15,6 +15,9 @@ explicitly (it cancels only for unit noise).
 
 Both estimators come from one batched solve, ``_estimators``: a variance
 study solves every noise draw of a chunk, for every ridge lambda, with it.
+A chunk of m trials lives in one (m, n) buffer, allocated once per study:
+it holds the noise draw, then (scaled and shifted in place) the labels,
+and, once X^T y is taken, each estimator's (n, m) residual in turn.
 """
 
 from __future__ import annotations
@@ -73,6 +76,13 @@ def _estimators(g: np.ndarray, xty: np.ndarray, wstar: np.ndarray, lambdas) -> t
     return w_l2, (np.linalg.solve(g + lam * eye, (xty + lam * wstar).T).T for lam in lambdas)
 
 
+def _squared_residuals(X: np.ndarray, dw: np.ndarray, out: np.ndarray) -> float:
+    """sum |X dw_j|^2 over the rows dw_j of ``dw`` (m, d): the (n, m)
+    residuals X dw^T are formed in ``out`` and squared there."""
+    np.matmul(X, dw.T, out=out)
+    return float(np.sum(np.square(out, out=out)))
+
+
 def conditioning(p: LinearProblem) -> tuple[float, float]:
     """Condition numbers of the two Hessians X^T X and X^T X + lambda I."""
     vals = p._gram_eigs
@@ -100,6 +110,12 @@ def variance_study(p: LinearProblem | Sequence[LinearProblem], trials: int,
     least-squares fit are formed once, and only the ridge solve and its
     residual run per lambda, so each tuple is bit for bit the one its
     problem gives alone.
+
+    Each chunk of m trials holds one (m, n) array, a view of one buffer of
+    the study: the standard normals are drawn into it, scaled by sigma and
+    shifted by X w* in place (each label keeps the bits of
+    X w* + sigma eps), and after ys @ X it is reused as the (n, m) residual
+    X (w - w*)^T of each estimator, squared in place and summed.
     """
     probs = [p] if isinstance(p, LinearProblem) else list(p)
     if not probs:
@@ -123,15 +139,18 @@ def variance_study(p: LinearProblem | Sequence[LinearProblem], trials: int,
         acc_l2 = 0.0
         acc_h1 = [0.0] * len(probs)
         chunk = max(1, min(trials, _CHUNK_ENTRIES // max(n, 1)))
+        buf = np.empty(chunk * n)
         done = 0
         while done < trials:
             m = min(chunk, trials - done)
-            eps = sigma * rng.standard_normal((m, n))
-            ys = y_clean[None, :] + eps
+            ys = rng.standard_normal(out=buf[: m * n].reshape(m, n))
+            ys *= sigma
+            ys += y_clean
             w_l2, w_h1 = _estimators(g, ys @ X, wstar, lambdas)
-            acc_l2 += float(np.sum((X @ (w_l2 - wstar).T) ** 2))
+            res = buf[: n * m].reshape(n, m)  # the labels are spent: each residual overwrites them
+            acc_l2 += _squared_residuals(X, w_l2 - wstar, res)
             for i, w in enumerate(w_h1):
-                acc_h1[i] += float(np.sum((X @ (w - wstar).T) ** 2))
+                acc_h1[i] += _squared_residuals(X, w - wstar, res)
             done += m
     outs = [(acc_l2 / trials, acc / trials, *f) for acc, f in zip(acc_h1, formulas)]
     if not all(math.isfinite(v) for out in outs for v in out):

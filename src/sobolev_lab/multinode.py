@@ -269,8 +269,9 @@ def toeplitz_field(kind: str, t: np.ndarray) -> np.ndarray:
 
 _FD_STEP = 1e-6
 # entries of the (points, K, K) temporaries of one stacked ``toeplitz_field``
-# call in ``toeplitz_jacobian``: K = 64 stays one call, K = 300 takes 11 points
-_JACOBIAN_BLOCK = 2**20
+# call in ``toeplitz_jacobian``, sized to stay in cache: K = 64 takes 32 points
+# per call, and any K > 256 takes one
+_JACOBIAN_BLOCK = 2**17
 
 
 def toeplitz_jacobian(kind: str, k: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
+import platform
 import tempfile
 import warnings
 from pathlib import Path
@@ -262,6 +264,23 @@ def test_manifest_config_reproduces_the_run(tmp_path):
             assert config["threads"] == 2, name
 
 
+def test_manifest_records_the_cost_the_versions_and_each_csv_digest(tmp_path):
+    # the digests are of the bytes written, and every subcommand's CSVs have one
+    for name, argv in SMALL.items():
+        out = tmp_path / name
+        assert run(name, *argv, "--out-dir", str(out)) == 0, name
+        manifest = json.loads((out / "manifest.json").read_text())
+        csvs = sorted(p.name for p in out.glob("*.csv"))
+        assert sorted(manifest["csv_sha256"]) == csvs, name
+        for fname, digest in manifest["csv_sha256"].items():
+            assert digest == hashlib.sha256((out / fname).read_bytes()).hexdigest(), (name, fname)
+        seconds = manifest["seconds"]
+        assert set(seconds) == {"compute", "write"}, name
+        assert all(math.isfinite(v) and v >= 0.0 for v in seconds.values()), (name, seconds)
+        assert manifest["versions"] == {"python": platform.python_version(),
+                                        "numpy": np.__version__}, name
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"theta_grid": 5, "dim": 3}))
@@ -306,6 +325,9 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     for argv in (("multinode", "--ratio-starts", "0"),
                  ("multinode", "--starts", "0"),
                  ("multinode", "--k-list", ""),
+                 # an empty item would run a list other than the one typed
+                 ("linear", "--lambdas", "1,,2"),
+                 ("toeplitz", "--k-list", "8,16,"),
                  # a list item below its rule
                  ("multinode", "--k-list", "2,-1"),
                  ("toeplitz", "--k-list", "0"),
@@ -374,6 +396,8 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     # multinode form
     mc_small = ("verify-gradients", "--n-min", "4", "--n-max", "4", "--trials", "1")
     for argv, named in ((("multinode", "--k-list", "0"), ("k_list", "integer >= 2")),
+                        (("linear", "--lambdas", "1,,2"), ("lambdas", "empty items", "'1,,2'")),
+                        (("toeplitz", "--k-list", "8,16,"), ("k_list", "empty items", "'8,16,'")),
                         (("landscape", "--theta-grid", "2", "--norm-wstar", "0"),
                          ("norm_wstar", "a float > 0 or inf")),
                         ((*mc_small, "--dims", "0"), ("dims", "integer >= 1")),

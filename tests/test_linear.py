@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sobolev_lab import linear
 from sobolev_lab.linear import (
     LinearProblem,
     _estimators,
@@ -135,6 +138,52 @@ def test_lambda_ensemble_equals_its_lone_studies(monkeypatch):
     monkeypatch.setattr("sobolev_lab.linear._CHUNK_ENTRIES", 600)
     probs = _lambda_ensemble([0.0, 1.0], 1.0)
     assert variance_study(probs, 50, 6) == [variance_study(p, 50, 6) for p in probs]
+
+
+def _fresh_array_study(probs, trials, seed, chunk_entries):
+    """The variance study with a fresh array for the noise, the labels and
+    each residual: the arithmetic ``variance_study`` does in one buffer."""
+    rng = np.random.default_rng(seed)
+    X, wstar, sigma = probs[0].x_matrix, probs[0].wstar, probs[0].noise_sigma
+    n = X.shape[0]
+    y_clean = X @ wstar
+    acc_l2, acc_h1 = 0.0, [0.0] * len(probs)
+    chunk = max(1, min(trials, chunk_entries // n))
+    done = 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        eps = sigma * rng.standard_normal((m, n))
+        ys = y_clean[None, :] + eps
+        w_l2, w_h1 = _estimators(probs[0].gram(), ys @ X, wstar, [p.ridge_lambda for p in probs])
+        acc_l2 += float(np.sum((X @ (w_l2 - wstar).T) ** 2))
+        for i, w in enumerate(w_h1):
+            acc_h1[i] += float(np.sum((X @ (w - wstar).T) ** 2))
+        done += m
+    return [(acc_l2 / trials, acc / trials, *variance_formulas(p)) for acc, p in zip(acc_h1, probs)]
+
+
+def test_one_buffer_study_is_the_fresh_array_study_bit_for_bit(monkeypatch):
+    # 30 design rows per trial: 50 trials are one chunk, then 3 chunks of 20, 20 and 10
+    for chunk_entries in (linear._CHUNK_ENTRIES, 600):
+        monkeypatch.setattr(linear, "_CHUNK_ENTRIES", chunk_entries)
+        for sigma in (1.3, 0.0):
+            probs = _lambda_ensemble([0.0, 0.5, 2.0], sigma)
+            assert variance_study(probs, 50, 5) == _fresh_array_study(probs, 50, 5, chunk_entries)
+            assert variance_study(probs[1], 50, 5) == _fresh_array_study(probs[1:2], 50, 5,
+                                                                         chunk_entries)[0]
+
+
+def test_a_study_holds_one_chunk_sized_buffer():
+    # the CLI defaults: 10 000 trials of 200 labels are one 16 MB chunk, and a
+    # fresh array each for the draw, the labels and a residual would hold 48 MB
+    probs = _lambda_ensemble([0.5, 1.0, 2.0], 1.0, n=200, d=8)
+    tracemalloc.start()
+    try:
+        variance_study(probs, 10_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_lambda_ensemble_may_differ_only_in_lambda():

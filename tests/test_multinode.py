@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -493,7 +494,8 @@ def _column_loop_jacobian(kind, k):
 
 
 def test_toeplitz_jacobian_equals_the_column_loop(monkeypatch):
-    for k in (2, 3, 8, 17):
+    # from K = 64 on, the 2K points take several stacked calls
+    for k in (2, 3, 8, 17, 64, 65):
         for kind in ("l2", "h1"):
             assert np.array_equal(mn.toeplitz_jacobian(kind, k), _column_loop_jacobian(kind, k))
     # 3 points per stacked call: 2K = 10 rows split into blocks of 3, 3, 3 and 1
@@ -505,6 +507,17 @@ def test_toeplitz_jacobian_equals_the_column_loop(monkeypatch):
     for kind in ("l2", "h1"):
         assert np.array_equal(mn.toeplitz_jacobian(kind, 5), _column_loop_jacobian(kind, 5))
     assert calls[:4] == [3, 3, 3, 1]
+
+
+def test_toeplitz_jacobian_temporaries_stay_small():
+    # all 128 points at K = 64 in one stacked call would hold 16.5 MB
+    tracemalloc.start()
+    try:
+        mn.toeplitz_jacobian("h1", 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_zero_row_anywhere_in_a_toeplitz_stack_flagged():

@@ -1,5 +1,6 @@
-"""The package names the benchmark probes call, and the result attributes its
-tracer counts through, must keep resolving.
+"""The package names the benchmark probes call, the result attributes its
+tracer counts through, and the command lines and criteria of its workloads
+must keep resolving.
 
 ``perfbench/`` changes only together with the benchmark, so a rename in the
 package has to fail here before it breaks a benchmark run.
@@ -8,11 +9,12 @@ package has to fail here before it breaks a benchmark run.
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from sobolev_lab import mc
+from sobolev_lab import cli, criteria, mc
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PROBES = PERFBENCH / "probes.py"
@@ -55,3 +57,19 @@ def test_every_tracer_counter_reads_a_real_result():
     for name, count in tracer.COUNTERS.items():
         call, expected = calls[name]
         assert count(call()) == expected, name
+
+
+def test_every_workload_command_line_resolves(tmp_path, monkeypatch):
+    # nothing runs: each step and warm-up parses and resolves as the CLI would
+    # resolve it, and each criterion a step expects is one summarize measures
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.workloads(2).values():
+        for argv in (*(step.argv for step in workload.steps), workload.warmup):
+            args = cli.build_parser().parse_args([*argv, "--seed", "1", "--out-dir", str(tmp_path)])
+            cli._resolve(args, args.defaults, args.rules)
+        for step in workload.steps:
+            unknown = sorted(set(step.expect) - (set(criteria.CRITERIA) & set(cli.SOURCES)))
+            assert unknown == [], (workload.name, step.argv)
